@@ -3,7 +3,7 @@
 Every leaf subcommand prints one OutputEnvelope: command, echoed
 inputs, result record, warnings, version.  Exact rationals are printed
 as "p/q" strings and high precision reals as 25 digit decimal strings,
-so output is byte-identical across runs and thread counts.  Exit codes:
+so output is byte-identical across runs.  Exit codes:
 0 success, 2 invalid input, 3 non-convergence or insufficient horizon,
 4 resource cap.
 """
@@ -79,8 +79,21 @@ def _context(args):
     if getattr(args, "dps", None) is not None:
         kw["working_digits"] = args.dps
     if getattr(args, "tol", None) is not None:
-        kw["target_abs_tol"] = float(args.tol)
+        try:
+            kw["target_abs_tol"] = float(args.tol)
+        except ValueError:
+            raise DomainError("--tol must be a number, got %r" % args.tol)
     return PrecisionContext(**kw) if kw else PrecisionContext()
+
+
+def _read_text(path, what):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError("cannot read %s %r: %s" % (what, path, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise DomainError("%s %r is not text: %s" % (what, path, exc))
 
 
 def _ser(v):
@@ -133,8 +146,11 @@ def _render(envelope, fmt):
 
 def _schedule_from_args(args, seq):
     if getattr(args, "schedule", None):
-        with open(args.schedule) as fh:
-            return StepSchedule.from_json(json.load(fh))
+        try:
+            data = json.loads(_read_text(args.schedule, "schedule file"))
+        except json.JSONDecodeError as exc:
+            raise DomainError("schedule file %r is not valid JSON: %s" % (args.schedule, exc))
+        return StepSchedule.from_json(data)
     if args.j_max is None or args.horizon is None:
         raise DomainError(
             "give --schedule FILE, or --j-max and --horizon with --eps/--c1 "
@@ -222,8 +238,8 @@ def _cmd_dim_factor(args):
 
 
 def _cmd_dim_critical(args):
-    res = critical_exponent(args.M, tol=float(args.tol), s_max=args.s_max,
-                            ctx=_context(args))
+    ctx = _context(args)
+    res = critical_exponent(args.M, tol=ctx.target_abs_tol, s_max=args.s_max, ctx=ctx)
     result = {
         "M": res.m_floor,
         "s_star": _ser(res.s_star),
@@ -261,9 +277,10 @@ def _cmd_dim_jlen(args):
 
 
 def _cmd_dim_cover(args):
+    if args.threads < 1:
+        raise DomainError("threads must be an integer >= 1")
     total = covering_sum_enumerated(
-        args.M, args.s, args.levels, args.digit_cap,
-        threads=args.threads, ctx=_context(args),
+        args.M, args.s, args.levels, args.digit_cap, ctx=_context(args)
     )
     return {
         "sum": _ser(total),
@@ -359,17 +376,17 @@ def _cmd_construct_holder(args):
         raise DomainError("--eps is required when no schedule carries one")
     if args.pairs_file is not None:
         pairs = []
-        with open(args.pairs_file) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                halves = line.split(";")
-                if len(halves) != 2:
-                    raise DomainError(
-                        "line %d of %s: expected 'word;word'" % (line_no, args.pairs_file)
-                    )
-                pairs.append((_word(halves[0]), _word(halves[1])))
+        lines = _read_text(args.pairs_file, "pairs file").splitlines()
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            halves = line.split(";")
+            if len(halves) != 2:
+                raise DomainError(
+                    "line %d of %s: expected 'word;word'" % (line_no, args.pairs_file)
+                )
+            pairs.append((_word(halves[0]), _word(halves[1])))
     else:
         min_prefix = args.min_prefix
         if min_prefix is None:
@@ -537,7 +554,8 @@ def build_parser():
     p.add_argument("--s", required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--digit-cap", type=int, dest="digit_cap", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     _add_precision(p)
     _add_format(p)
     p.set_defaults(func=_cmd_dim_cover)
@@ -644,8 +662,7 @@ def build_parser():
     return root
 
 
-# threads is execution shape, not input: output must be byte-identical
-# across thread counts
+# --threads has no effect, so it is not echoed as an input
 _SKIP_ECHO = ("func", "group", "cmd", "format", "threads")
 
 

@@ -15,16 +15,14 @@ windows (Jarnik, Kurzweil, Hensley, Good, Jaerisch-Kessebohmer) for
 cross-checking.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .cfcore import as_word, evaluate
+from .cfcore import _final_row, as_word
 from .errors import DivergenceError, DomainError, ResourceCapError
-from .special import DEFAULT_CONTEXT, as_real, zeta, zeta_tail
+from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
 
 __all__ = [
     "CriticalSolveResult",
@@ -52,14 +50,15 @@ def j_interval_length(word, m_floor):
     """Exact length of the union of cylinders extending an odd word by a digit >= m_floor.
 
     The union telescopes to the interval between the word's value and
-    the value of the word extended by m_floor itself, so the length is
-    |evaluate(w + [m_floor]) - evaluate(w)| as an exact rational.
+    the value of the word extended by m_floor itself.  By the
+    determinant identity that gap is 1/(q_n (M q_n + q_{n-1})).
     """
     digits = as_word(word)
     if len(digits) % 2 == 0:
         raise DomainError("word must have odd length, got %d digits" % len(digits))
     _check_floor(m_floor)
-    return abs(evaluate(digits + (m_floor,)) - evaluate(digits))
+    _, q, _, q_prev = _final_row(digits)
+    return Fraction(1, q * (m_floor * q + q_prev))
 
 
 def recursion_factor(a_odd, a_even, m_floor):
@@ -75,7 +74,7 @@ def recursion_factor(a_odd, a_even, m_floor):
 def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
     """(1+1/M)^s zeta(2s) zeta_tail(M, 2s); the covering sum contracts when < 1."""
     _check_floor(m_floor, 2)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:
             raise DivergenceError("the level sums diverge for s <= 1/2")
@@ -106,7 +105,7 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     _check_floor(m_floor, 2)
     if not tol > 0:
         raise DomainError("tol must be positive")
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         lo = mpf("0.5") + mpf("1e-9")
         hi = as_real(s_max, "s_max")
         if not lo < hi <= 8:
@@ -144,36 +143,31 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
 def asymptotic_exponent(m_floor, ctx=DEFAULT_CONTEXT):
     """Large-M form of the critical exponent: 1/2 + (log log M - log 2)/log M."""
     _check_floor(m_floor, 3)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         x = mpf(m_floor)
         return +(mpf(1) / 2 + (mp.log(mp.log(x)) - mp.log(2)) / mp.log(x))
 
 
-def _level_word_lengths(first_digit, m_floor, levels, digit_cap):
-    # exact J-lengths of all words with the given first digit, lex order
-    length = 2 * levels - 1
-    ranges = []
-    for pos in range(2, length + 1):
-        if pos % 2 == 0:
-            ranges.append(range(m_floor, digit_cap + 1))
+def _j_denominators(m_floor, levels, digit_cap, q=1, q_prev=0):
+    # 1/|J(w)| for every capped word below the continuant pair (q, q_prev),
+    # in lex order: each level adds an odd digit, all but the last an even one
+    for a in range(1, digit_cap + 1):
+        q_a = a * q + q_prev
+        if levels == 1:
+            yield q_a * (m_floor * q_a + q)
         else:
-            ranges.append(range(1, digit_cap + 1))
-    out = []
-    for rest in product(*ranges):
-        w = (first_digit,) + rest
-        out.append(abs(evaluate(w + (m_floor,)) - evaluate(w)))
-    return out
+            for b in range(m_floor, digit_cap + 1):
+                yield from _j_denominators(m_floor, levels - 1, digit_cap, b * q_a + q, q_a)
 
 
-def covering_sum_enumerated(m_floor, s, levels, digit_cap, threads=1, ctx=DEFAULT_CONTEXT):
+def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     """Sum of |J(a_1, ..., a_{2 levels - 1})|^s over digits capped at digit_cap.
 
     Odd positions run over [1, cap], even positions over [m_floor, cap].
-    J-lengths are exact rationals; only the final powers and their sum
-    are floating point.  Enumeration fans out per first digit: worker
-    threads do the exact-rational part only, and all mpf arithmetic
-    happens on the calling thread in first-digit order, so the output
-    is bit-identical for every thread count.
+    One depth-first walk in lex order carries the continuant pair
+    (q_n, q_{n-1}); each word's J-length is the exact unit fraction
+    1/(q_n (M q_n + q_{n-1})), so only the final powers and their sum
+    are floating point, accumulated in a fixed order.
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
     not the runtime; the largest admitted grid is ~3*10^8 words and
@@ -188,29 +182,15 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, threads=1, ctx=DEFAUL
         raise DomainError("digit cap must be an integer >= the floor %d" % m_floor)
     if digit_cap > _DIGIT_CAP:
         raise ResourceCapError("digit cap is %d, got %d" % (_DIGIT_CAP, digit_cap))
-    if not isinstance(threads, int) or threads < 1:
-        raise DomainError("threads must be an integer >= 1")
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
         if not sm > 0:
             raise DomainError("exponent s must be positive")
-        firsts = range(1, digit_cap + 1)
-        if threads == 1:
-            buckets = (_level_word_lengths(a, m_floor, levels, digit_cap) for a in firsts)
-            total = mpf(0)
-            for bucket in buckets:
-                for frac in bucket:
-                    total += (mpf(frac.numerator) / frac.denominator) ** sm
-            return +total
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            buckets = pool.map(
-                lambda a: _level_word_lengths(a, m_floor, levels, digit_cap), firsts
-            )
-            total = mpf(0)
-            for bucket in buckets:
-                for frac in bucket:
-                    total += (mpf(frac.numerator) / frac.denominator) ** sm
-            return +total
+        one = mpf(1)
+        total = mpf(0)
+        for den in _j_denominators(m_floor, levels, digit_cap):
+            total += (one / den) ** sm
+        return +total
 
 
 class ReferenceBounds(NamedTuple):
@@ -235,7 +215,7 @@ def reference_bounds(m_floor, ctx=DEFAULT_CONTEXT):
     M = 2.
     """
     _check_floor(m_floor, 2)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         m = mpf(m_floor)
         log2 = mp.log(2)
         jarnik_lo = 1 - 4 / (m * log2)

@@ -21,7 +21,7 @@ from .cfcore import as_word
 from .construction import exact_positive_fraction
 from .errors import DivergenceError, DomainError
 from .sequences import tau
-from .special import DEFAULT_CONTEXT, as_real, zeta, zeta_tail
+from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
 
 __all__ = [
     "HirstDimension",
@@ -51,7 +51,7 @@ def _reject_window(digits):
 def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D of a^-z, by closed form; raises when it diverges."""
     _reject_window(digits)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
         if digits.kind in ("all", "geq"):
             if not zm > 1:
@@ -75,7 +75,7 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     _reject_window(digits)
     if not isinstance(floor_m, int) or floor_m < 1:
         raise DomainError("floor must be an integer >= 1")
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
         if digits.kind in ("all", "geq"):
             if not zm > 1:
@@ -157,7 +157,7 @@ def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     if not isinstance(m_floor, int) or m_floor < 1:
         raise DomainError("the digit floor must be an integer >= 1")
     eps, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
         tail = digit_tail_power_sum(digits, m_floor, z, ctx)
         lhs = +(mp.power(full, mpf(e.numerator) / e.denominator) * tail)
@@ -180,7 +180,7 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     beyond 10^18 are reported as exceeded rather than returned.
     """
     eps, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
         thr = mp.power(full, -mpf(e.numerator) / e.denominator)
         zf = mpf(z.numerator) / z.denominator
@@ -251,7 +251,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
         raise DomainError(
             "estimated convergence exponents cannot certify the product bound"
         )
-    with mp.workdps(max(50, ctx.working_digits)):
+    with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
         half_tau = mpf(t.value.numerator) / (2 * t.value.denominator)
         if not sm > half_tau:

@@ -12,17 +12,11 @@ doubles until that bound clears the requested tolerance with slack; at
 the closest admitted approach to the pole (z = 1 + 2e-9) the bound is
 already below 1e-20 at N = 64, so the doubling loop is quiescent in
 ordinary use.
-
-mpmath precision state is process global.  These functions set it only
-via workdps around whole computations at one fixed value, so concurrent
-calls at the same context are harmless, but callers must not interleave
-them with mpmath work at a different precision on other threads.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp, mpf
 
 from .errors import DivergenceError, DomainError, PoleProximityError
@@ -65,15 +59,18 @@ def _dps(ctx):
 
 
 def as_real(x, what="value"):
-    """Coerce int/float/str/Fraction/mpf to mpf at the current precision."""
+    """Coerce int/float/str/Fraction/mpf to a finite mpf at the current precision."""
     if isinstance(x, bool):
         raise DomainError("expected a real %s, got a boolean" % what)
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     try:
-        return mpf(x)
+        xm = mpf(x)
     except (TypeError, ValueError):
         raise DomainError("cannot interpret %r as a real %s" % (x, what))
+    if not mp.isfinite(xm):
+        raise DomainError("%s must be a finite real, got %s" % (what, xm))
+    return xm
 
 
 def euler_gamma(ctx=DEFAULT_CONTEXT):
@@ -123,8 +120,6 @@ def _series_from(start, z, ctx):
 
 
 def _check_exponent(zm):
-    if not mpmath.isfinite(zm):
-        raise DomainError("exponent must be a finite real, got %s" % zm)
     if zm <= 1 + mpf("1e-9"):
         raise PoleProximityError(
             "z = %s is at or inside the guard window around the pole at 1 "

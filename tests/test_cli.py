@@ -52,6 +52,64 @@ def test_exit_code_2_on_invalid_input(capsys):
     assert run(capsys, "cf", "eval", "--word", "1,0,3")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "critical", "--M", "2", "--tol", "abc"],
+        ["zeta", "value", "--z", "2", "--tol", "abc"],
+        ["construct", "point", "--seq", "square", "--schedule", "MISSING",
+         "--M", "3", "--depth", "12"],
+        ["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5",
+         "--pairs-file", "MISSING"],
+        ["construct", "point", "--seq", "square", "--schedule", "NOT_JSON",
+         "--M", "3", "--depth", "12"],
+        ["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5",
+         "--pairs-file", "NOT_TEXT"],
+    ],
+    ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
+         "binary-pairs"],
+)
+def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    not_json = tmp_path / "sched.json"
+    not_json.write_text("{\"N\": [379],")
+    not_text = tmp_path / "pairs.bin"
+    not_text.write_bytes(b"\xff\xfe1,2;3,4\n")
+    paths = {
+        "MISSING": str(tmp_path / "absent.json"),
+        "NOT_JSON": str(not_json),
+        "NOT_TEXT": str(not_text),
+    }
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "factor", "--M", "3", "--s", "nan"],
+        ["dim", "cover", "--M", "2", "--s", "nan", "--levels", "1", "--digit-cap", "5"],
+        ["hirst", "product", "--digits-spec", "all", "--seq", "even", "--M", "2",
+         "--s", "nan", "--base-level", "0", "--level", "1"],
+    ],
+    ids=["factor", "cover", "product"],
+)
+def test_non_finite_exponent_is_rejected_as_such(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: exponent must be a finite real, got nan\n"
+
+
+def test_cover_rejects_threads_below_one(capsys):
+    # the flag has no effect, but it keeps its validation
+    code, out, err = run(
+        capsys, "dim", "cover", "--M", "2", "--s", "0.7", "--levels", "2",
+        "--digit-cap", "4", "--threads", "0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: threads must be an integer >= 1\n"
+
+
 def test_exit_code_3_on_ambiguity_and_non_convergence(capsys):
     code, _, err = run(capsys, "cf", "expand", "--decimal", "0.7", "--max-digits", "6")
     assert code == 3 and "certain" in err

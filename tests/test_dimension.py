@@ -13,6 +13,7 @@ from cfdim import (
     asymptotic_exponent,
     covering_sum_enumerated,
     critical_exponent,
+    evaluate,
     j_interval_length,
     per_level_factor,
     recursion_factor,
@@ -125,24 +126,35 @@ def test_covering_sum_disjointness_bound_at_s_one():
         assert sums[0] < sums[1] < sums[2]
 
 
+def _telescoped_cover_sum(m_floor, s, levels, cap):
+    # reference: each |J(w)| as |value(w + [M]) - value(w)|, words in lex order
+    ranges = [
+        range(m_floor, cap + 1) if pos % 2 else range(1, cap + 1)
+        for pos in range(2 * levels - 1)
+    ]
+    sm = mpf(s)
+    total = mpf(0)
+    for w in product(*ranges):
+        ln = abs(evaluate(w + (m_floor,)) - evaluate(w))
+        total += (mpf(ln.numerator) / ln.denominator) ** sm
+    return +total
+
+
 def test_covering_sum_matches_direct_enumeration():
-    with mp.workdps(30):
-        s = mpf("0.8")
-        expect = mpf(0)
-        for a in range(1, 7):
-            for b in range(3, 7):
-                for c in range(1, 7):
-                    ln = j_interval_length((a, b, c), 3)
-                    expect += (mpf(ln.numerator) / ln.denominator) ** s
-        got = covering_sum_enumerated(3, "0.8", 2, 6)
-        assert abs(got - expect) < mpf("1e-25")
-
-
-def test_covering_sum_thread_counts_agree_exactly():
-    with mp.workdps(30):
-        base = covering_sum_enumerated(2, "0.7", 2, 9, threads=1)
-        for threads in (2, 3, 8):
-            assert covering_sum_enumerated(2, "0.7", 2, 9, threads=threads) == base
+    # the library pins 50 digits; the reference repeats its exact
+    # accumulation order there, so the sums agree bit for bit
+    cases = [
+        (3, "0.8", 2, 6),
+        (2, "0.7", 1, 9),  # a single level
+        (2, "0.9", 3, 4),  # three levels
+        (3, 2, 2, 5),  # integer exponent
+        (5, "0.65", 2, 5),  # cap equal to the floor
+    ]
+    with mp.workdps(50):
+        for m_floor, s, levels, cap in cases:
+            expect = _telescoped_cover_sum(m_floor, s, levels, cap)
+            got = covering_sum_enumerated(m_floor, s, levels, cap)
+            assert got == expect, (m_floor, s, levels, cap)
 
 
 def test_covering_sum_caps():
