@@ -71,7 +71,6 @@ from .sequences import (
     DigitSet,
     IndexSequence,
     TauResult,
-    count_k,
     density,
     parse_digit_set,
     parse_index_sequence,

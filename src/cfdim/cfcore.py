@@ -97,6 +97,23 @@ def as_word(w):
     return _digit_tuple(w)
 
 
+def exact_positive_fraction(value, what):
+    """Coerce to a positive Fraction, refusing floats (their rounding is silent)."""
+    if isinstance(value, bool):
+        raise DomainError("%s must be a number, got a bool" % what)
+    if isinstance(value, float):
+        raise DomainError(
+            "%s must be exact (int, Fraction or string like '1/10'), not a float" % what
+        )
+    try:
+        out = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise DomainError("%s is not a rational: %r" % (what, value))
+    if out <= 0:
+        raise DomainError("%s must be positive, got %s" % (what, out))
+    return out
+
+
 class Convergent(NamedTuple):
     p: int
     q: int

@@ -6,6 +6,11 @@ as "p/q" strings and high precision reals as 25 digit decimal strings,
 so output is byte-identical across runs.  Exit codes:
 0 success, 2 invalid input, 3 non-convergence or insufficient horizon,
 4 resource cap.
+
+The subcommands form one table, ``_COMMANDS``.  Each row names its
+group and command, lists its flags (built from the flag shapes below)
+and holds a handler that returns the library result; ``main`` turns
+every result into the envelope's record along the same path.
 """
 
 import argparse
@@ -14,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -55,13 +61,20 @@ from .hirst import (
     hirst_dimension,
 )
 from .sequences import density, parse_digit_set, parse_index_sequence, tau
-from .special import PrecisionContext
+from .special import PrecisionContext, zeta, zeta_tail
 
 _REAL_DIGITS = 25
+
+# the library's digit floor m_floor is the CLI's --M
+_RENAMED = {"m_floor": "M"}
 
 
 def _word(text):
     return PartialQuotients.from_text(text)
+
+
+def _digits(args):
+    return parse_digit_set(args.digits_spec, args.assume_infinite)
 
 
 def _ints(text):
@@ -105,6 +118,8 @@ def _ser(v):
         return list(v.digits)
     if isinstance(v, float):
         return repr(v)
+    if hasattr(v, "_asdict"):  # a library record: its fields, in order
+        v = {_RENAMED.get(k, k): x for k, x in v._asdict().items()}
     if isinstance(v, dict):
         return {k: _ser(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -159,58 +174,30 @@ def _schedule_from_args(args, seq):
     return choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
 
 
-def _pair_rows(reports):
-    rows = []
-    for r in reports:
-        rows.append({
-            "x": list(r.x.digits),
-            "y": list(r.y.digits),
-            "prefix_len": r.prefix_len,
-            "gap": None if r.gap is None else str(r.gap),
-            "image_gap": None if r.image_gap is None else str(r.image_gap),
-            "ok": r.ok,
-            "reason": r.reason,
-        })
-    return rows
-
-
 # ---------------------------------------------------------------- handlers
-# each returns (result, warnings, exit_code)
+# each returns the library result: a bare value, a NamedTuple record or a
+# dict; a "warning" field moves to the envelope's warnings
 
-def _cmd_cf_expand(args):
+def _cf_expand(args):
     if args.rational is not None:
-        digits = expand_rational(args.rational)
-    else:
-        digits = expand_decimal(args.decimal, args.max_digits)
-    return {"digits": _ser(digits)}, [], 0
+        return expand_rational(args.rational)
+    return expand_decimal(args.decimal, args.max_digits)
 
 
-def _cmd_cf_eval(args):
-    return {"value": _ser(evaluate(_word(args.word)))}, [], 0
-
-
-def _cmd_cf_convergents(args):
+def _cf_convergents(args):
     word = _word(args.word)
-    rows = [
-        {"k": i, "digit": a, "p": c.p, "q": c.q}
+    return {"convergents": [
+        {"k": i, "digit": a, **c._asdict()}
         for i, (a, c) in enumerate(zip(word, convergents(word)), start=1)
-    ]
-    return {"convergents": rows}, [], 0
+    ]}
 
 
-def _cmd_cf_cylinder(args):
+def _cf_cylinder(args):
     c = cylinder(_word(args.word))
-    return {
-        "word": _ser(c.word),
-        "left": _ser(c.left),
-        "right": _ser(c.right),
-        "left_closed": c.left_closed,
-        "right_closed": c.right_closed,
-        "length": _ser(c.length),
-    }, [], 0
+    return {**vars(c), "length": c.length}
 
 
-def _cmd_cf_delete(args):
+def _cf_delete(args):
     word = _word(args.word)
     if (args.positions is None) == (args.seq is None):
         raise DomainError("give exactly one of --positions and --seq")
@@ -218,151 +205,48 @@ def _cmd_cf_delete(args):
         _ints(args.positions) if args.positions is not None
         else parse_index_sequence(args.seq)
     )
-    return {"digits": _ser(delete_indices(word, positions))}, [], 0
+    return delete_indices(word, positions)
 
 
-def _cmd_zeta_value(args):
-    from .special import zeta
-
-    return {"value": _ser(zeta(args.z, _context(args)))}, [], 0
-
-
-def _cmd_zeta_tail(args):
-    from .special import zeta_tail
-
-    return {"value": _ser(zeta_tail(args.start, args.z, _context(args)))}, [], 0
-
-
-def _cmd_dim_factor(args):
-    return {"factor": _ser(per_level_factor(args.M, args.s, _context(args)))}, [], 0
-
-
-def _cmd_dim_critical(args):
+def _dim_critical(args):
     ctx = _context(args)
-    res = critical_exponent(args.M, tol=ctx.target_abs_tol, s_max=args.s_max, ctx=ctx)
-    result = {
-        "M": res.m_floor,
-        "s_star": _ser(res.s_star),
-        "residual": _ser(res.residual),
-        "bracket": [_ser(res.bracket[0]), _ser(res.bracket[1])],
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "message": res.message,
-    }
-    return result, [], 0 if res.converged else 3
+    return critical_exponent(args.M, tol=ctx.target_abs_tol, s_max=args.s_max, ctx=ctx)
 
 
-def _cmd_dim_asymptotic(args):
-    return {"value": _ser(asymptotic_exponent(args.M, _context(args)))}, [], 0
-
-
-def _cmd_dim_reference(args):
-    b = reference_bounds(args.M, _context(args))
-    return {
-        "M": b.m_floor,
-        "jarnik_lo": _ser(b.jarnik_lo),
-        "jarnik_hi": _ser(b.jarnik_hi),
-        "kurzweil_lo": _ser(b.kurzweil_lo),
-        "kurzweil_hi": _ser(b.kurzweil_hi),
-        "hensley": _ser(b.hensley),
-        "good_f_lo": _ser(b.good_f_lo),
-        "good_f_hi": _ser(b.good_f_hi),
-        "jk_asymptotic": _ser(b.jk_asymptotic),
-        "applicable": b.applicable,
-    }, [], 0
-
-
-def _cmd_dim_jlen(args):
-    return {"length": _ser(j_interval_length(_word(args.word), args.M))}, [], 0
-
-
-def _cmd_dim_cover(args):
+def _dim_cover(args):
     if args.threads < 1:
         raise DomainError("threads must be an integer >= 1")
     total = covering_sum_enumerated(
         args.M, args.s, args.levels, args.digit_cap, ctx=_context(args)
     )
-    return {
-        "sum": _ser(total),
-        "levels": args.levels,
-        "digit_cap": args.digit_cap,
-    }, [], 0
+    return {"sum": total, "levels": args.levels, "digit_cap": args.digit_cap}
 
 
-def _cmd_seq_density(args):
-    seq = parse_index_sequence(args.spec)
-    rep = density(seq, args.horizon)
-    return {
-        "horizon": rep.horizon,
-        "lower_est": _ser(rep.lower_est),
-        "upper_est": _ser(rep.upper_est),
-        "exact": _ser(rep.exact),
-        "zero_certified": rep.zero_certified,
-    }, [], 0
-
-
-def _cmd_seq_tau(args):
-    digits = parse_digit_set(args.digits_spec, args.assume_infinite)
-    t = tau(digits, _context(args))
-    warnings = [t.warning] if t.warning else []
-    return {"tau": _ser(t.value), "method": t.method}, warnings, 0
-
-
-def _cmd_seq_count(args):
-    seq = parse_index_sequence(args.spec)
-    return {"count": seq.count(args.n)}, [], 0
-
-
-def _cmd_construct_schedule(args):
+def _construct_schedule(args):
     seq = parse_index_sequence(args.seq)
     sched = choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
     if args.onset:
-        ons = schedule_onset(seq, sched)
-        return {
-            "schedule": sched.to_json(),
-            "onset": ons.onset,
-            "checked_to": ons.checked_to,
-        }, [], 0
-    return sched.to_json(), [], 0
+        return {"schedule": sched.to_json(), **schedule_onset(seq, sched)._asdict()}
+    return sched.to_json()
 
 
-def _cmd_construct_point(args):
+def _construct_point(args):
     seq = parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq)
     word = build_point(seq, args.M, sched, args.depth, args.filler)
-    return {"digits": _ser(word), "value": _ser(evaluate(word))}, [], 0
+    return {"digits": word, "value": evaluate(word)}
 
 
-def _cmd_construct_verify_size(args):
+def _construct_verify_size(args):
     seq = parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq)
     eps = args.eps if args.eps is not None else sched.eps
     if eps is None:
         raise DomainError("--eps is required when the schedule does not carry one")
-    rep = verify_size_bound(eps, seq, sched, _word(args.word))
-    return {
-        "eps": _ser(rep.eps),
-        "word": _ser(rep.word),
-        "onset": rep.onset,
-        "onset_certified": rep.onset_certified,
-        "lhs": _ser(rep.lhs),
-        "rhs": _ser(rep.rhs),
-        "ok": rep.ok,
-    }, [], 0
+    return verify_size_bound(eps, seq, sched, _word(args.word))
 
 
-def _cmd_construct_verify_sep(args):
-    rep = verify_separation(
-        _word(args.prefix), args.M, _word(args.x_tail), _word(args.y_tail)
-    )
-    return {
-        "gap": _ser(rep.gap),
-        "bound": _ser(rep.bound),
-        "ok": rep.ok,
-    }, [], 0
-
-
-def _cmd_construct_holder(args):
+def _construct_holder(args):
     seq = parse_index_sequence(args.seq)
     if (args.pairs_file is None) == (args.sample is None):
         raise DomainError("give exactly one of --pairs-file and --sample")
@@ -395,78 +279,166 @@ def _cmd_construct_holder(args):
             seq, args.M, sched, args.sample, args.seed, min_prefix
         )
     reports = holder_check(seq, args.M, eps, pairs)
-    checked = sum(1 for r in reports if r.ok is not None)
-    passed = sum(1 for r in reports if r.ok is True)
-    skipped = sum(1 for r in reports if r.ok is None)
     return {
-        "pairs": _pair_rows(reports),
-        "checked": checked,
-        "passed": passed,
-        "skipped": skipped,
-    }, [], 0
+        "pairs": reports,
+        "checked": sum(1 for r in reports if r.ok is not None),
+        "passed": sum(1 for r in reports if r.ok is True),
+        "skipped": sum(1 for r in reports if r.ok is None),
+    }
 
 
-def _cmd_hirst_dim(args):
-    digits = parse_digit_set(args.digits_spec, args.assume_infinite)
-    h = hirst_dimension(digits, _context(args))
-    warnings = [h.warning] if h.warning else []
-    return {"dim": _ser(h.value), "method": h.method}, warnings, 0
-
-
-def _cmd_hirst_m0(args):
-    digits = parse_digit_set(args.digits_spec, args.assume_infinite)
+def _hirst_m0(args):
+    digits = _digits(args)
     seq = parse_index_sequence(args.seq)
     if (args.M is None) == (not args.estimate):
         raise DomainError("give exactly one of --M and --estimate")
     if args.M is not None:
-        res = covering_condition(digits, seq, args.eps, args.M, _context(args))
-        return {"lhs": _ser(res.lhs), "ok": res.ok}, [], 0
+        return covering_condition(digits, seq, args.eps, args.M, _context(args))
     est = estimate_condition_floor(digits, seq, args.eps, _context(args))
-    warnings = []
-    if est.exceeded:
-        warnings.append("the required floor exceeds 10^18")
-    return {
-        "value": est.value,
-        "lhs": _ser(est.lhs),
-        "ok": est.ok,
-        "exceeded": est.exceeded,
-    }, warnings, 0
+    warning = "the required floor exceeds 10^18" if est.exceeded else ""
+    return {**est._asdict(), "warning": warning}
 
 
-def _cmd_hirst_product(args):
-    digits = parse_digit_set(args.digits_spec, args.assume_infinite)
+def _hirst_product(args):
+    digits = _digits(args)
     seq = parse_index_sequence(args.seq)
-    value = covering_product_bound(
+    return covering_product_bound(
         digits, seq, args.M, args.s, args.base_level, args.level,
         _word(args.prefix), _context(args),
     )
-    return {"bound": _ser(value)}, [], 0
 
 
-def _cmd_hirst_theorem(args):
-    seq = parse_index_sequence(args.seq)
-    res = dimension_dichotomy(seq)
-    return {"dim": _ser(res.dim), "branch": res.branch}, [], 0
+# ---------------------------------------------------------------- table
+
+def _flag(*names, **kw):
+    """One argparse flag, as a spec that concatenates with other specs."""
+    return ((names, kw),)
+
+
+def _one_of(*specs):
+    """Flags of which exactly one must be given; argparse enforces it."""
+    return ((None, sum(specs, ())),)
+
+
+# flag shapes taken by more than one command
+_M = _flag("--M", type=int, required=True)
+_S = _flag("--s", required=True)
+_Z = _flag("--z", required=True)
+_WORD = _flag("--word", required=True)
+_PREFIX = _flag("--prefix", default="")
+_SEQ = _flag("--seq", required=True)
+_SPEC = _flag("--spec", required=True)
+_HORIZON = _flag("--horizon", type=int, required=True)
+_DIGIT_SET = (
+    _flag("--digits-spec", required=True)
+    + _flag("--assume-infinite", action="store_true")
+)
+_DPS = _flag("--dps", type=int, help="working precision in decimal digits")
+_PRECISION = _DPS + _flag("--tol", help="target absolute tolerance")
+_SCHEDULE = (
+    _flag("--schedule", help="path to a schedule JSON file")
+    + _flag("--eps", help="exponent, e.g. 1/10 (derives c1 = eps*log2/2)")
+    + _flag("--c1", help="explicit rational weight bound")
+    + _flag("--j-max", type=int)
+    + _flag("--horizon", type=int)
+)
+
+
+class _Command(NamedTuple):
+    group: str
+    cmd: str
+    flags: tuple
+    run: object  # args -> library result
+    # the envelope name of a bare result, or of a record's "value" field
+    key: str = "value"
+
+
+_GROUPS = (
+    ("cf", "exact digit-word arithmetic"),
+    ("zeta", "zeta values and tails"),
+    ("dim", "covering sums and critical exponents"),
+    ("seq", "index sequences and digit sets"),
+    ("construct", "schedules, points and verification"),
+    ("hirst", "dimension values for digit sets"),
+)
+
+_COMMANDS = (
+    _Command("cf", "expand", _one_of(
+        _flag("--rational", help="exact rational in (0,1), e.g. 7/10"),
+        _flag("--decimal", help="decimal literal; only certain digits emitted"),
+    ) + _flag("--max-digits", type=int), _cf_expand, "digits"),
+    _Command("cf", "eval", _WORD, lambda a: evaluate(_word(a.word))),
+    _Command("cf", "convergents", _WORD, _cf_convergents),
+    _Command("cf", "cylinder", _WORD, _cf_cylinder),
+    _Command("cf", "delete", _WORD
+             + _flag("--positions", help="comma separated 1-based positions")
+             + _flag("--seq", help="index sequence spec, e.g. square"),
+             _cf_delete, "digits"),
+    _Command("zeta", "value", _Z + _PRECISION, lambda a: zeta(a.z, _context(a))),
+    _Command("zeta", "tail", _flag("--start", type=int, required=True) + _Z + _PRECISION,
+             lambda a: zeta_tail(a.start, a.z, _context(a))),
+    _Command("dim", "factor", _M + _S + _DPS,
+             lambda a: per_level_factor(a.M, a.s, _context(a)), "factor"),
+    _Command("dim", "critical", _M + _flag("--tol", default="1e-12")
+             + _flag("--s-max", default="2") + _DPS, _dim_critical),
+    _Command("dim", "asymptotic", _M + _DPS,
+             lambda a: asymptotic_exponent(a.M, _context(a))),
+    _Command("dim", "reference", _M + _DPS, lambda a: reference_bounds(a.M, _context(a))),
+    _Command("dim", "jlen", _WORD + _M,
+             lambda a: j_interval_length(_word(a.word), a.M), "length"),
+    _Command("dim", "cover", _M + _S
+             + _flag("--levels", type=int, required=True)
+             + _flag("--digit-cap", type=int, required=True)
+             + _flag("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
+             + _DPS, _dim_cover),
+    _Command("seq", "density", _SPEC + _HORIZON,
+             lambda a: density(parse_index_sequence(a.spec), a.horizon)),
+    _Command("seq", "tau", _DIGIT_SET + _DPS,
+             lambda a: tau(_digits(a), _context(a)), "tau"),
+    _Command("seq", "count", _SPEC + _flag("--n", type=int, required=True),
+             lambda a: parse_index_sequence(a.spec).count(a.n), "count"),
+    _Command("construct", "schedule", _SEQ + _flag("--eps") + _flag("--c1")
+             + _flag("--j-max", type=int, required=True) + _HORIZON
+             + _flag("--onset", action="store_true",
+                     help="also certify the weight inequality onset"),
+             _construct_schedule),
+    _Command("construct", "point", _SEQ + _SCHEDULE + _M
+             + _flag("--depth", type=int, required=True)
+             + _flag("--filler", type=int, default=1), _construct_point),
+    _Command("construct", "verify-size", _SEQ + _SCHEDULE + _WORD, _construct_verify_size),
+    _Command("construct", "verify-sep", _PREFIX + _M
+             + _flag("--x-tail", required=True) + _flag("--y-tail", required=True),
+             lambda a: verify_separation(
+                 _word(a.prefix), a.M, _word(a.x_tail), _word(a.y_tail))),
+    _Command("construct", "holder", _SEQ + _SCHEDULE + _M
+             + _flag("--pairs-file",
+                     help="lines of 'word;word' with comma separated digits")
+             + _flag("--sample", type=int, help="generate this many random pairs")
+             + _flag("--seed", type=int, default=0)
+             + _flag("--min-prefix", type=int), _construct_holder),
+    _Command("hirst", "dim", _DIGIT_SET + _DPS,
+             lambda a: hirst_dimension(_digits(a), _context(a)), "dim"),
+    _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True)
+             + _flag("--M", type=int) + _flag("--estimate", action="store_true") + _DPS,
+             _hirst_m0),
+    _Command("hirst", "product", _DIGIT_SET + _SEQ + _M + _S
+             + _flag("--base-level", type=int, required=True)
+             + _flag("--level", type=int, required=True) + _PREFIX + _DPS,
+             _hirst_product, "bound"),
+    _Command("hirst", "theorem", _SEQ,
+             lambda a: dimension_dichotomy(parse_index_sequence(a.seq))),
+)
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-
-
-def _add_precision(p, tol=False):
-    p.add_argument("--dps", type=int, help="working precision in decimal digits")
-    if tol:
-        p.add_argument("--tol", help="target absolute tolerance")
-
-
-def _schedule_flags(p):
-    p.add_argument("--schedule", help="path to a schedule JSON file")
-    p.add_argument("--eps", help="exponent, e.g. 1/10 (derives c1 = eps*log2/2)")
-    p.add_argument("--c1", help="explicit rational weight bound")
-    p.add_argument("--j-max", type=int, dest="j_max")
-    p.add_argument("--horizon", type=int)
+def _add_flags(p, flags):
+    for names, kw in flags:
+        if names is None:
+            _add_flags(p.add_mutually_exclusive_group(required=True), kw)
+        else:
+            p.add_argument(*names, **kw)
 
 
 def build_parser():
@@ -476,194 +448,20 @@ def build_parser():
     )
     root.add_argument("--version", action="version", version="cfdim " + __version__)
     groups = root.add_subparsers(dest="group", required=True)
-
-    cf = groups.add_parser("cf", help="exact digit-word arithmetic")
-    cf_sub = cf.add_subparsers(dest="cmd", required=True)
-    p = cf_sub.add_parser("expand")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--rational", help="exact rational in (0,1), e.g. 7/10")
-    src.add_argument("--decimal", help="decimal literal; only certain digits emitted")
-    p.add_argument("--max-digits", type=int, dest="max_digits")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf_expand)
-    p = cf_sub.add_parser("eval")
-    p.add_argument("--word", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf_eval)
-    p = cf_sub.add_parser("convergents")
-    p.add_argument("--word", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf_convergents)
-    p = cf_sub.add_parser("cylinder")
-    p.add_argument("--word", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf_cylinder)
-    p = cf_sub.add_parser("delete")
-    p.add_argument("--word", required=True)
-    p.add_argument("--positions", help="comma separated 1-based positions")
-    p.add_argument("--seq", help="index sequence spec, e.g. square")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf_delete)
-
-    zt = groups.add_parser("zeta", help="zeta values and tails")
-    zt_sub = zt.add_subparsers(dest="cmd", required=True)
-    p = zt_sub.add_parser("value")
-    p.add_argument("--z", required=True)
-    _add_precision(p, tol=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_zeta_value)
-    p = zt_sub.add_parser("tail")
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--z", required=True)
-    _add_precision(p, tol=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_zeta_tail)
-
-    dm = groups.add_parser("dim", help="covering sums and critical exponents")
-    dm_sub = dm.add_subparsers(dest="cmd", required=True)
-    p = dm_sub.add_parser("factor")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--s", required=True)
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_factor)
-    p = dm_sub.add_parser("critical")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--tol", default="1e-12")
-    p.add_argument("--s-max", dest="s_max", default="2")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_critical)
-    p = dm_sub.add_parser("asymptotic")
-    p.add_argument("--M", type=int, required=True)
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_asymptotic)
-    p = dm_sub.add_parser("reference")
-    p.add_argument("--M", type=int, required=True)
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_reference)
-    p = dm_sub.add_parser("jlen")
-    p.add_argument("--word", required=True)
-    p.add_argument("--M", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_jlen)
-    p = dm_sub.add_parser("cover")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--digit-cap", type=int, dest="digit_cap", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim_cover)
-
-    sq = groups.add_parser("seq", help="index sequences and digit sets")
-    sq_sub = sq.add_subparsers(dest="cmd", required=True)
-    p = sq_sub.add_parser("density")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_seq_density)
-    p = sq_sub.add_parser("tau")
-    p.add_argument("--digits-spec", dest="digits_spec", required=True)
-    p.add_argument("--assume-infinite", action="store_true", dest="assume_infinite")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_seq_tau)
-    p = sq_sub.add_parser("count")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_seq_count)
-
-    cn = groups.add_parser("construct", help="schedules, points and verification")
-    cn_sub = cn.add_subparsers(dest="cmd", required=True)
-    p = cn_sub.add_parser("schedule")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps")
-    p.add_argument("--c1")
-    p.add_argument("--j-max", type=int, dest="j_max", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--onset", action="store_true",
-                   help="also certify the weight inequality onset")
-    _add_format(p)
-    p.set_defaults(func=_cmd_construct_schedule)
-    p = cn_sub.add_parser("point")
-    p.add_argument("--seq", required=True)
-    _schedule_flags(p)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--filler", type=int, default=1)
-    _add_format(p)
-    p.set_defaults(func=_cmd_construct_point)
-    p = cn_sub.add_parser("verify-size")
-    p.add_argument("--seq", required=True)
-    _schedule_flags(p)
-    p.add_argument("--word", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_construct_verify_size)
-    p = cn_sub.add_parser("verify-sep")
-    p.add_argument("--prefix", default="")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--x-tail", dest="x_tail", required=True)
-    p.add_argument("--y-tail", dest="y_tail", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_construct_verify_sep)
-    p = cn_sub.add_parser("holder")
-    p.add_argument("--seq", required=True)
-    _schedule_flags(p)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--pairs-file", dest="pairs_file",
-                   help="lines of 'word;word' with comma separated digits")
-    p.add_argument("--sample", type=int, help="generate this many random pairs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-prefix", type=int, dest="min_prefix")
-    _add_format(p)
-    p.set_defaults(func=_cmd_construct_holder)
-
-    hr = groups.add_parser("hirst", help="dimension values for digit sets")
-    hr_sub = hr.add_subparsers(dest="cmd", required=True)
-    p = hr_sub.add_parser("dim")
-    p.add_argument("--digits-spec", dest="digits_spec", required=True)
-    p.add_argument("--assume-infinite", action="store_true", dest="assume_infinite")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hirst_dim)
-    p = hr_sub.add_parser("m0")
-    p.add_argument("--digits-spec", dest="digits_spec", required=True)
-    p.add_argument("--assume-infinite", action="store_true", dest="assume_infinite")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--M", type=int)
-    p.add_argument("--estimate", action="store_true")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hirst_m0)
-    p = hr_sub.add_parser("product")
-    p.add_argument("--digits-spec", dest="digits_spec", required=True)
-    p.add_argument("--assume-infinite", action="store_true", dest="assume_infinite")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--base-level", type=int, dest="base_level", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--prefix", default="")
-    _add_precision(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hirst_product)
-    p = hr_sub.add_parser("theorem")
-    p.add_argument("--seq", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hirst_theorem)
-
+    leaves = {
+        name: groups.add_parser(name, help=text).add_subparsers(dest="cmd", required=True)
+        for name, text in _GROUPS
+    }
+    for command in _COMMANDS:
+        p = leaves[command.group].add_parser(command.cmd)
+        _add_flags(p, command.flags)
+        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        p.set_defaults(command=command)
     return root
 
 
 # --threads has no effect, so it is not echoed as an input
-_SKIP_ECHO = ("func", "group", "cmd", "format", "threads")
+_SKIP_ECHO = ("command", "group", "cmd", "format", "threads")
 
 
 def main(argv=None):
@@ -675,16 +473,21 @@ def main(argv=None):
         if k not in _SKIP_ECHO and v is not None
     }
     try:
-        result, warnings, code = args.func(args)
+        result = _ser(args.command.run(args))
     except ToolkitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    if not isinstance(result, dict):
+        result = {"value": result}
+    result = {args.command.key if k == "value" else k: v for k, v in result.items()}
+    warning = result.pop("warning", "")
     envelope = {
         "command": "%s %s" % (args.group, args.cmd),
         "inputs": inputs,
         "result": result,
-        "warnings": warnings,
+        "warnings": [warning] if warning else [],
         "version": __version__,
     }
     print(_render(envelope, args.format))
-    return code
+    # a critical solve that did not converge still reports its bracket
+    return 3 if result.get("converged") is False else 0

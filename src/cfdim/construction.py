@@ -26,7 +26,14 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .cfcore import PartialQuotients, as_word, cylinder, delete_indices, evaluate
+from .cfcore import (
+    PartialQuotients,
+    as_word,
+    cylinder,
+    delete_indices,
+    evaluate,
+    exact_positive_fraction,
+)
 from .errors import DomainError, InsufficientHorizonError
 
 __all__ = [
@@ -47,33 +54,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2)
-
-
-def exact_positive_fraction(value, what):
-    """Coerce to a positive Fraction, refusing floats (their rounding is silent)."""
-    if isinstance(value, bool):
-        raise DomainError("%s must be a number, got a bool" % what)
-    if isinstance(value, float):
-        raise DomainError(
-            "%s must be exact (int, Fraction or string like '1/10'), not a float" % what
-        )
-    try:
-        out = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise DomainError("%s is not a rational: %r" % (what, value))
-    if out <= 0:
-        raise DomainError("%s must be positive, got %s" % (what, out))
-    return out
-
-
-def _count_window(seq, n):
-    # like seq.count but treats an explicit list as the entire sequence,
-    # so positions past its last member are simply unconstrained
-    if seq.kind == "explicit":
-        from bisect import bisect_right
-
-        return bisect_right(seq.values, n)
-    return seq.count(n)
 
 
 @dataclass(frozen=True)
@@ -291,6 +271,15 @@ def step_value(schedule, n):
     return bisect_left(bps, n) + 1
 
 
+def _covered_limit(seq, schedule):
+    """Last m whose constrained positions k(m) all have a step, capped at the horizon."""
+    try:
+        coverage = seq.nth(schedule.breakpoints[-1] + 1) - 1
+    except DomainError:
+        coverage = schedule.horizon
+    return min(schedule.horizon, coverage)
+
+
 class ScheduleOnset(NamedTuple):
     onset: int
     checked_to: int
@@ -305,12 +294,7 @@ def schedule_onset(seq, schedule):
     prod (step(j)+1)^(2*ed) <= 2^(en*m).
     """
     derived = schedule.eps is not None
-    last_idx = schedule.breakpoints[-1]
-    try:
-        coverage = seq.nth(last_idx + 1) - 1
-    except DomainError:
-        coverage = schedule.horizon
-    limit = min(schedule.horizon, coverage)
+    limit = _covered_limit(seq, schedule)
     if limit < 1:
         raise DomainError("the schedule covers no positions at all")
 
@@ -325,7 +309,7 @@ def schedule_onset(seq, schedule):
     log_sum = mpf(0)
     with mp.workdps(60):
         for m in range(1, limit + 1):
-            if _count_window(seq, m) > k:
+            if seq.count_window(m) > k:
                 k += 1
                 s = step_value(schedule, k)
                 if derived:
@@ -363,7 +347,7 @@ def build_point(seq, m_cap, schedule, depth, filler=1):
         raise DomainError("depth must be an integer >= 1")
     if not isinstance(filler, int) or not 1 <= filler <= m_cap:
         raise DomainError("filler must be an integer in [1, %d]" % m_cap)
-    k = _count_window(seq, depth)
+    k = seq.count_window(depth)
     if k > schedule.breakpoints[-1]:
         raise DomainError(
             "depth %d has %d constrained positions but the schedule stops at %d"
@@ -408,7 +392,7 @@ def verify_size_bound(eps, seq, schedule, word):
     n = len(digits)
     if n == 0:
         raise DomainError("word must be nonempty")
-    k_n = _count_window(seq, n)
+    k_n = seq.count_window(n)
     if k_n > schedule.breakpoints[-1]:
         raise DomainError(
             "word has %d constrained positions but the schedule stops at %d"
@@ -428,7 +412,7 @@ def verify_size_bound(eps, seq, schedule, word):
     # nominal onset: scan the horizon for the last violator
     worst = 0
     for m in range(1, schedule.horizon + 1):
-        if _nominal_violates(en, ed, m, _count_window(seq, m)):
+        if _nominal_violates(en, ed, m, seq.count_window(m)):
             worst = m
     if worst >= schedule.horizon:
         raise InsufficientHorizonError(
@@ -453,18 +437,13 @@ def verify_size_bound(eps, seq, schedule, word):
 
 def _certified_onset(seq, schedule, en, ed):
     """Least m past which 2^((m-k-2)*en) >= (2*prod(step+1)^2)^ed keeps holding."""
-    last_idx = schedule.breakpoints[-1]
-    try:
-        coverage = seq.nth(last_idx + 1) - 1
-    except DomainError:
-        coverage = schedule.horizon
-    limit = min(schedule.horizon, coverage)
+    limit = _covered_limit(seq, schedule)
     k = 0
     prod_sq = 1  # prod (step(j)+1)^2 over j <= k
     rhs = 2 ** ed  # (2*prod_sq)^ed, updated when k grows
     worst = 0
     for m in range(1, limit + 1):
-        if _count_window(seq, m) > k:
+        if seq.count_window(m) > k:
             k += 1
             s = step_value(schedule, k)
             prod_sq *= (s + 1) ** 2
@@ -552,7 +531,7 @@ def nominal_onset(seq, eps):
         cert = 2 * len(seq.values) + int(need) + 6
     worst = 0
     for m in range(1, cert + 1):
-        if _nominal_violates(en, ed, m, _count_window(seq, m)):
+        if _nominal_violates(en, ed, m, seq.count_window(m)):
             worst = m
     if worst >= cert:
         raise DomainError("internal certificate bound too tight; please report")
@@ -658,7 +637,7 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60
 
     def fill(pos):
         if pos in seq:
-            return step_value(schedule, _count_window(seq, pos))
+            return step_value(schedule, seq.count_window(pos))
         return rng.randint(1, m_cap)
 
     pairs = []

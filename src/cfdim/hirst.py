@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .cfcore import as_word
-from .construction import exact_positive_fraction
+from .cfcore import as_word, exact_positive_fraction
 from .errors import DivergenceError, DomainError
 from .sequences import tau
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
@@ -117,7 +116,8 @@ def hirst_dimension(digits, ctx=DEFAULT_CONTEXT):
 def _analytic_pieces(digits, seq, eps):
     """Shared preconditions: returns (eps, z, exponent e) as exact Fractions."""
     eps = exact_positive_fraction(eps, "eps")
-    dbar = seq.exact_upper_density
+    # every rule sequence has a density, which is then its upper density
+    dbar = seq.exact_density
     if dbar is None:
         raise DomainError(
             "the sequence %s has no analytic upper density; the condition's "
@@ -275,7 +275,7 @@ class DichotomyResult(NamedTuple):
 
 def dimension_dichotomy(seq):
     """1/2 when the constrained positions have positive upper density, 1 at density 0."""
-    dbar = seq.exact_upper_density
+    dbar = seq.exact_density
     if dbar is None:
         raise DomainError(
             "no analytic density certificate for %s; the dichotomy needs one"

@@ -33,7 +33,6 @@ __all__ = [
     "TauResult",
     "parse_index_sequence",
     "parse_digit_set",
-    "count_k",
     "density",
     "tau",
 ]
@@ -58,12 +57,24 @@ def _validated_values(values):
 
 
 def _load_values(path):
+    values = []
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise DomainError(
+                        "line %d of %s: expected an integer, got %r" % (line_no, path, line)
+                    )
     except OSError as e:
         raise DomainError("cannot read %s: %s" % (path, e))
-    return _validated_values(int(ln) for ln in lines if ln)
+    except UnicodeDecodeError as e:
+        raise DomainError("%s is not text: %s" % (path, e))
+    return _validated_values(values)
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,16 @@ class IndexSequence:
             )
         return bisect_right(self.values, n)
 
+    def count_window(self, n):
+        """k(n), taking an explicit list as the whole sequence.
+
+        Positions past the last listed member are unconstrained, so the
+        count stops growing there instead of being undetermined.
+        """
+        if self.kind == "explicit":
+            return bisect_right(self.values, n)
+        return self.count(n)
+
     def upto(self, n):
         """Members <= n, ascending (used by digit-deletion)."""
         if self.kind == "explicit":
@@ -197,9 +218,6 @@ class IndexSequence:
             return Fraction(0)
         return None
 
-    # upper density coincides with the limit for every built-in rule
-    exact_upper_density = exact_density
-
     def spec_string(self):
         if self.kind == "even":
             return "even"
@@ -232,9 +250,10 @@ def parse_index_sequence(text):
         return IndexSequence("arith", (a0, d))
     if head == "pow" and sep:
         try:
-            return IndexSequence("pow", (int(rest),))
+            b = int(rest)
         except ValueError:
             raise DomainError("malformed pow spec %r" % text)
+        return IndexSequence("pow", (b,))
     if head == "geq" and sep:
         try:
             m = int(rest)
@@ -246,11 +265,6 @@ def parse_index_sequence(text):
     if head == "file" and sep:
         return IndexSequence("explicit", (), _load_values(rest))
     raise DomainError("unrecognized sequence spec %r" % text)
-
-
-def count_k(seq, n):
-    """Counting function k(n) of an index sequence."""
-    return seq.count(n)
 
 
 class DensityReport(NamedTuple):
@@ -375,14 +389,16 @@ def parse_digit_set(text, assume_infinite=False):
     head, sep, rest = text.partition(":")
     if head == "geq" and sep:
         try:
-            return DigitSet("geq", (int(rest),))
+            m = int(rest)
         except ValueError:
             raise DomainError("malformed geq spec %r" % text)
+        return DigitSet("geq", (m,))
     if head == "pow" and sep:
         try:
-            return DigitSet("pow", (int(rest),))
+            b = int(rest)
         except ValueError:
             raise DomainError("malformed pow spec %r" % text)
+        return DigitSet("pow", (b,))
     if head == "file" and sep:
         return DigitSet("explicit", (), _load_values(rest), assume_infinite)
     if text in ("even",) or head == "arith":

@@ -1,12 +1,14 @@
 """Envelope schema, exit codes, formats, and flag validation for the CLI."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from cfdim.cli import main
+from cfdim.cli import build_parser, main
+from test_acceptance import CLI_MATRIX
 
 
 def run(capsys, *argv):
@@ -65,21 +67,30 @@ def test_exit_code_2_on_invalid_input(capsys):
          "--M", "3", "--depth", "12"],
         ["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5",
          "--pairs-file", "NOT_TEXT"],
+        ["seq", "count", "--spec", "file:NOT_INTS", "--n", "2"],
+        ["seq", "tau", "--digits-spec", "file:NOT_INTS"],
+        ["seq", "count", "--spec", "file:NOT_TEXT", "--n", "2"],
+        ["seq", "tau", "--digits-spec", "file:NOT_TEXT"],
     ],
     ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
-         "binary-pairs"],
+         "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary"],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
     not_json = tmp_path / "sched.json"
     not_json.write_text("{\"N\": [379],")
     not_text = tmp_path / "pairs.bin"
     not_text.write_bytes(b"\xff\xfe1,2;3,4\n")
+    not_ints = tmp_path / "values.txt"
+    not_ints.write_text("1\nx\n3\n")
     paths = {
         "MISSING": str(tmp_path / "absent.json"),
         "NOT_JSON": str(not_json),
         "NOT_TEXT": str(not_text),
+        "NOT_INTS": str(not_ints),
     }
-    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    for key, path in paths.items():
+        argv = [a.replace(key, path) for a in argv]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -230,6 +241,41 @@ def test_warnings_surface_in_envelope(capsys, tmp_path):
     env = json.loads(out)
     assert env["result"]["exceeded"] is True
     assert any("10^18" in w for w in env["warnings"])
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_leaf_command_is_in_the_cli_matrix():
+    # criterion_09 pins the bytes only of the commands the matrix runs
+    leaves = {
+        (group, cmd)
+        for group, sub in _subcommands(build_parser()).items()
+        for cmd in _subcommands(sub)
+    }
+    assert leaves == {tuple(argv[:2]) for argv in CLI_MATRIX}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["hirst", "product", "--level", "1", "--base-level", "0", "--s", "1",
+          "--M", "2", "--seq", "even", "--digits-spec", "all"],
+         ["digits-spec", "assume-infinite", "seq", "M", "s", "base-level", "level",
+          "prefix"]),
+        (["construct", "point", "--depth", "12", "--M", "3", "--horizon", "10000",
+          "--j-max", "30", "--eps", "1/10", "--seq", "square"],
+         ["seq", "eps", "j-max", "horizon", "M", "depth", "filler"]),
+    ],
+    ids=["hirst-product", "construct-point"],
+)
+def test_inputs_echo_in_flag_declaration_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    inputs = json.loads(out, object_pairs_hook=list)[1][1]
+    assert [k for k, _ in inputs] == keys
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

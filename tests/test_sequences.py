@@ -6,7 +6,6 @@ import pytest
 
 from cfdim import (
     DomainError,
-    count_k,
     density,
     parse_digit_set,
     parse_index_sequence,
@@ -63,6 +62,7 @@ def test_explicit_sequence_window_semantics():
     assert 5 in ex and 6 not in ex
     with pytest.raises(DomainError):
         ex.count(8)  # beyond the recorded window
+    assert ex.count_window(8) == 3  # the list taken as the whole sequence
     assert ex.first_at_least(6) == 3
 
 
@@ -70,6 +70,21 @@ def test_parse_rejects_malformed_specs():
     for bad in ("cube", "arith:", "pow:x", "arith:2", ""):
         with pytest.raises(DomainError):
             parse_index_sequence(bad)
+
+
+@pytest.mark.parametrize(
+    "parse, spec, message",
+    [
+        (parse_index_sequence, "pow:1", "pow base must be >= 2"),
+        (parse_digit_set, "pow:1", "pow base must be >= 2"),
+        (parse_digit_set, "geq:0", "geq floor must be >= 1"),
+    ],
+    ids=["sequence-pow", "digits-pow", "digits-geq"],
+)
+def test_parse_reports_range_errors_as_such(parse, spec, message):
+    with pytest.raises(DomainError) as exc:
+        parse(spec)
+    assert str(exc.value) == message
 
 
 def test_exact_density_by_kind():
@@ -95,7 +110,7 @@ def test_density_report_window_estimates():
 
 def test_count_k_matches_membership():
     sq = parse_index_sequence("square")
-    assert count_k(sq, 10) == sum(1 for i in range(1, 11) if i in sq)
+    assert sq.count(10) == sum(1 for i in range(1, 11) if i in sq)
 
 
 def test_digit_set_membership():
@@ -128,6 +143,9 @@ def test_explicit_digit_set_from_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("5\n3\n")
     with pytest.raises(DomainError):
+        parse_digit_set("file:%s" % bad)
+    bad.write_text("5\n7x\n")
+    with pytest.raises(DomainError, match="line 2 of .*bad.txt"):
         parse_digit_set("file:%s" % bad)
 
 
