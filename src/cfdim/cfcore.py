@@ -171,10 +171,10 @@ def expand_rational(x):
     """
     if isinstance(x, float):
         raise DomainError("refusing float input, pass an exact rational ('p/q' or Fraction)")
-    if isinstance(x, tuple):
-        x = Fraction(x[0], x[1])
-    else:
-        x = Fraction(x)
+    try:
+        x = Fraction(x[0], x[1]) if isinstance(x, tuple) else Fraction(x)
+    except (IndexError, TypeError, ValueError, ZeroDivisionError):
+        raise DomainError("cannot interpret %r as a rational" % (x,))
     if not 0 < x < 1:
         raise DomainError("expand_rational needs 0 < x < 1, got %s" % x)
     digits = []
@@ -210,6 +210,8 @@ def expand_decimal(text, max_digits=None):
     are certain); otherwise the certain prefix is returned, possibly
     empty.
     """
+    if max_digits is not None and (not isinstance(max_digits, int) or max_digits < 1):
+        raise DomainError("max_digits must be an integer >= 1, got %r" % (max_digits,))
     m = _DECIMAL_RE.fullmatch(text.strip())
     if not m:
         raise DomainError("expected a decimal literal like '0.318', got %r" % text)

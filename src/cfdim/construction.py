@@ -191,7 +191,11 @@ def _ratio_violates_derived(en, ed, k, n, j):
 
 
 def _ratio_violates_explicit(c1, k, n, j):
-    # k*log(j+1) > c1*n; a tie would make log(j+1) rational, impossible
+    # k*log(j+1) > c1*n; a tie would make log(j+1) rational, impossible.
+    # For k, j >= 1 the left side is irrational and the right rational,
+    # so the raise below never fires: the run-wise search in
+    # choose_schedule, which skips most n, drops no error that testing
+    # every n would raise.
     if k == 0:
         return False
     for dps in (60, 200):
@@ -207,16 +211,54 @@ def _ratio_violates_explicit(c1, k, n, j):
     )
 
 
+# Every scan below looks for the last m in [1, limit] at which a
+# predicate in (m, k(m)) holds.  k(m) is constant on runs between
+# consecutive members of the sequence, and within a run each predicate
+# holds on a prefix (its right side grows with m while k stays fixed),
+# so the last violator of a run is found by bisection and the overall
+# last violator is the largest of those.
+
+
+def _runs(seq, limit):
+    """(first, last, k) for each maximal run of m in [1, limit] with k(m) == k, ascending.
+
+    k(m) is the window count, and limit must be >= 1.  Members are read
+    one at a time, so memory stays constant however long the range.
+    """
+    first = 1
+    k_end = seq.count_window(limit)
+    for k in range(k_end):
+        v = seq.nth(k + 1)
+        if v > first:
+            yield first, v - 1, k
+        first = v
+    yield first, limit, k_end
+
+
+def _last_bad(first, last, bad):
+    """Largest m in [first, last] with bad(m), or 0; bad must hold on a prefix."""
+    if not bad(first):
+        return 0
+    while first < last:
+        mid = (first + last + 1) // 2
+        if bad(mid):
+            first = mid
+        else:
+            last = mid - 1
+    return first
+
+
 def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     """Thresholds and breakpoints for a zero-density sequence.
 
     For each step j, the threshold N_j is the largest n in [1, C_j]
     with k(n)/n > c1/log(j+1), where C_j is an analytic bound beyond
-    which no violation can occur (0 when there is no violation at all);
-    the scan is exact.  C_j must fit under the horizon, otherwise the
-    horizon cannot certify the threshold and the call fails rather than
-    guessing.  Breakpoint n_j is the least index above n_{j-1} whose
-    sequence member reaches N_j.
+    which no violation can occur (0 when there is no violation at all).
+    Each comparison is exact; the search bisects every run of constant
+    k(n) instead of testing each n.  C_j must fit under the horizon,
+    otherwise the horizon cannot certify the threshold and the call
+    fails rather than guessing.  Breakpoint n_j is the least index
+    above n_{j-1} whose sequence member reaches N_j.
 
     Exactly one of c1 and eps is given; eps means c1 = eps*log2/2.
     """
@@ -248,10 +290,8 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
                 "step %d needs a scan up to %d to certify its threshold, "
                 "beyond the horizon %d" % (j, cert, horizon)
             )
-        worst = 0
-        for n in range(1, cert + 1):
-            if violates(seq.count(n), n, j):
-                worst = n
+        worst = max(_last_bad(first, last, lambda n: violates(k, n, j))
+                    for first, last, k in _runs(seq, cert))
         thresholds.append(worst)
         n_j = max(prev + 1, seq.first_at_least(worst))
         breakpoints.append(n_j)
@@ -301,36 +341,35 @@ def schedule_onset(seq, schedule):
     if derived:
         en, ed = schedule.eps.numerator, schedule.eps.denominator
         product = 1  # prod (step(j)+1)^(2*ed) over j <= k(m)
+
+        def bad(m):
+            e = en * m
+            bits = product.bit_length()
+            return bits > e + 1 or (bits == e + 1 and product != (1 << e))
     else:
         c1 = schedule.c1
         logs = []  # exact step values seen so far, for recomputation
-    k = 0
+
+        def bad(m):
+            rhs = mpf(c1.numerator) / c1.denominator * m
+            diff = log_sum - rhs
+            if abs(diff) <= mpf("1e-40") * (abs(rhs) + 1):
+                with mp.workdps(200):
+                    fine = mp.fsum(mp.log(s + 1) for s in logs)
+                    diff = fine - mpf(c1.numerator) / c1.denominator * m
+            return diff > 0
     worst = 0
     log_sum = mpf(0)
     with mp.workdps(60):
-        for m in range(1, limit + 1):
-            if seq.count_window(m) > k:
-                k += 1
+        for first, last, k in _runs(seq, limit):
+            if k:
                 s = step_value(schedule, k)
                 if derived:
                     product *= (s + 1) ** (2 * ed)
                 else:
                     logs.append(s)
                     log_sum += mp.log(s + 1)
-            if derived:
-                e = en * m
-                bits = product.bit_length()
-                if bits > e + 1 or (bits == e + 1 and product != (1 << e)):
-                    worst = m
-            else:
-                rhs = mpf(c1.numerator) / c1.denominator * m
-                diff = log_sum - rhs
-                if abs(diff) <= mpf("1e-40") * (abs(rhs) + 1):
-                    with mp.workdps(200):
-                        fine = mp.fsum(mp.log(s + 1) for s in logs)
-                        diff = fine - mpf(c1.numerator) / c1.denominator * m
-                if diff > 0:
-                    worst = m
+            worst = max(worst, _last_bad(first, last, bad))
     if worst >= limit:
         raise InsufficientHorizonError(
             "the weight inequality still fails at %d, the edge of the checked "
@@ -369,9 +408,10 @@ class SizeBoundReport(NamedTuple):
     ok: bool
 
 
-def _nominal_violates(en, ed, m, k):
-    # the onset condition is en*(m - 2k - 4) >= 2*ed
-    return en * (m - 2 * k - 4) < 2 * ed
+def _last_nominal_violator(seq, en, ed, limit):
+    # last m in [1, limit] failing the onset condition en*(m - 2k - 4) >= 2*ed
+    return max(_last_bad(first, last, lambda m: en * (m - 2 * k - 4) < 2 * ed)
+               for first, last, k in _runs(seq, limit))
 
 
 def verify_size_bound(eps, seq, schedule, word):
@@ -409,11 +449,7 @@ def verify_size_bound(eps, seq, schedule, word):
     if n - k_n < 1:
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
-    # nominal onset: scan the horizon for the last violator
-    worst = 0
-    for m in range(1, schedule.horizon + 1):
-        if _nominal_violates(en, ed, m, seq.count_window(m)):
-            worst = m
+    worst = _last_nominal_violator(seq, en, ed, schedule.horizon)
     if worst >= schedule.horizon:
         raise InsufficientHorizonError(
             "the onset condition still fails at the horizon %d" % schedule.horizon
@@ -438,24 +474,19 @@ def verify_size_bound(eps, seq, schedule, word):
 def _certified_onset(seq, schedule, en, ed):
     """Least m past which 2^((m-k-2)*en) >= (2*prod(step+1)^2)^ed keeps holding."""
     limit = _covered_limit(seq, schedule)
-    k = 0
     prod_sq = 1  # prod (step(j)+1)^2 over j <= k
-    rhs = 2 ** ed  # (2*prod_sq)^ed, updated when k grows
     worst = 0
-    for m in range(1, limit + 1):
-        if seq.count_window(m) > k:
-            k += 1
-            s = step_value(schedule, k)
-            prod_sq *= (s + 1) ** 2
-            rhs = (2 * prod_sq) ** ed
-        e = (m - k - 2) * en
-        if e < 0:
-            worst = m
-            continue
+    for first, last, k in _runs(seq, limit):
+        if k:
+            prod_sq *= (step_value(schedule, k) + 1) ** 2
+        rhs = (2 * prod_sq) ** ed
         bits = rhs.bit_length()
-        # 2^e >= rhs  iff  e+1 > bits, or e+1 == bits and rhs is that power of two
-        if not (e + 1 > bits or (e + 1 == bits and rhs == (1 << e))):
-            worst = m
+
+        def bad(m):
+            e = (m - k - 2) * en
+            # 2^e >= rhs  iff  e+1 > bits, or e+1 == bits and rhs is that power of two
+            return e < 0 or not (e + 1 > bits or (e + 1 == bits and rhs == (1 << e)))
+        worst = max(worst, _last_bad(first, last, bad))
     if worst >= limit:
         return None
     return worst + 1
@@ -511,7 +542,7 @@ def nominal_onset(seq, eps):
     """
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
-    need = 4 + 2 * ed / en  # float is fine, the scan below is exact
+    need = 4 + 2 * ed / en  # float is fine, the search below is exact
     if seq.kind == "square":
         cert = int((1 + math.sqrt(1 + 2 * need)) ** 2) + 4
     elif seq.kind == "pow":
@@ -529,10 +560,7 @@ def nominal_onset(seq, eps):
         cert = int((need + 2) * d / (d - 2)) + d + 4
     else:
         cert = 2 * len(seq.values) + int(need) + 6
-    worst = 0
-    for m in range(1, cert + 1):
-        if _nominal_violates(en, ed, m, seq.count_window(m)):
-            worst = m
+    worst = _last_nominal_violator(seq, en, ed, cert)
     if worst >= cert:
         raise DomainError("internal certificate bound too tight; please report")
     return worst + 1

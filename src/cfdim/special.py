@@ -66,7 +66,7 @@ def as_real(x, what="value"):
         return mpf(x.numerator) / x.denominator
     try:
         xm = mpf(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError("cannot interpret %r as a real %s" % (x, what))
     if not mp.isfinite(xm):
         raise DomainError("%s must be a finite real, got %s" % (what, xm))

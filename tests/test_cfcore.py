@@ -50,6 +50,12 @@ def test_expand_rejects_out_of_range_and_floats():
         expand_rational(True)
 
 
+def test_expand_rational_rejects_unreadable_input():
+    for bad in ("abc", "1/0", (1, 0), (1,), ("a", 2)):
+        with pytest.raises(DomainError, match="cannot interpret"):
+            expand_rational(bad)
+
+
 def test_evaluate_rejects_empty_word():
     with pytest.raises(DomainError):
         evaluate(())
@@ -162,6 +168,13 @@ def test_expand_decimal_emits_only_certain_digits():
         expand_decimal("0.7", max_digits=6)
     with pytest.raises(DomainError):
         expand_decimal("1.2")
+
+
+def test_expand_decimal_rejects_max_digits_below_one():
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="max_digits"):
+            expand_decimal("0.318", bad)
+    assert list(expand_decimal("0.318", 1)) == [3]
 
 
 def test_delete_indices_positions_and_sequences():

@@ -71,9 +71,19 @@ def test_exit_code_2_on_invalid_input(capsys):
         ["seq", "tau", "--digits-spec", "file:NOT_INTS"],
         ["seq", "count", "--spec", "file:NOT_TEXT", "--n", "2"],
         ["seq", "tau", "--digits-spec", "file:NOT_TEXT"],
+        ["dim", "factor", "--M", "3", "--s", "1/0"],
+        ["zeta", "value", "--z", "1/0"],
+        ["dim", "cover", "--M", "2", "--s", "1/0", "--levels", "1", "--digit-cap", "5"],
+        ["hirst", "product", "--digits-spec", "all", "--seq", "even", "--M", "2",
+         "--s", "1/0", "--base-level", "0", "--level", "1"],
+        ["cf", "expand", "--rational", "abc"],
+        ["cf", "expand", "--rational", "1/0"],
+        ["cf", "expand", "--decimal", "0.5", "--max-digits", "-1"],
     ],
     ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
-         "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary"],
+         "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary",
+         "factor-zero-den", "zeta-zero-den", "cover-zero-den", "product-zero-den",
+         "rational-not-a-number", "rational-zero-den", "max-digits-negative"],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
     not_json = tmp_path / "sched.json"

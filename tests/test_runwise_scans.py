@@ -1,0 +1,278 @@
+"""The run-wise certificate scans against per-index reference loops.
+
+The five scans in ``construction`` (thresholds in ``choose_schedule``,
+``schedule_onset``, the nominal and certified onsets of
+``verify_size_bound``, and ``nominal_onset``) bisect each run of
+constant k(m).  The loops below test every index instead; both must
+give the same integers and raise the same errors.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+from cfdim import (
+    DomainError,
+    IndexSequence,
+    InsufficientHorizonError,
+    StepSchedule,
+    build_point,
+    choose_schedule,
+    nominal_onset,
+    parse_index_sequence,
+    schedule_onset,
+    step_value,
+    verify_size_bound,
+)
+from cfdim.construction import (
+    _LOG2,
+    _covered_limit,
+    _last_bad,
+    _ratio_cert_bound,
+    _ratio_violates_derived,
+    _ratio_violates_explicit,
+    _runs,
+)
+
+
+def ref_choose_schedule(seq, j_max, horizon, c1=None, eps=None):
+    if eps is not None:
+        eps = Fraction(eps)
+        c1_float = eps.numerator / eps.denominator * _LOG2 / 2
+        violates = lambda k, n, j: _ratio_violates_derived(
+            eps.numerator, eps.denominator, k, n, j)
+    else:
+        c1 = Fraction(c1)
+        c1_float = c1.numerator / c1.denominator
+        violates = lambda k, n, j: _ratio_violates_explicit(c1, k, n, j)
+    thresholds, breakpoints, prev = [], [], 0
+    for j in range(1, j_max + 1):
+        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
+        if cert > horizon:
+            raise InsufficientHorizonError("step %d" % j)
+        worst = 0
+        for n in range(1, cert + 1):
+            if violates(seq.count(n), n, j):
+                worst = n
+        thresholds.append(worst)
+        prev = max(prev + 1, seq.first_at_least(worst))
+        breakpoints.append(prev)
+    return StepSchedule(eps, c1, tuple(thresholds), tuple(breakpoints), horizon)
+
+
+def ref_schedule_onset(seq, schedule):
+    derived = schedule.eps is not None
+    limit = _covered_limit(seq, schedule)
+    if derived:
+        en, ed = schedule.eps.numerator, schedule.eps.denominator
+        product = 1
+    else:
+        c1 = schedule.c1
+        logs = []
+    k = worst = 0
+    log_sum = mpf(0)
+    with mp.workdps(60):
+        for m in range(1, limit + 1):
+            if seq.count_window(m) > k:
+                k += 1
+                s = step_value(schedule, k)
+                if derived:
+                    product *= (s + 1) ** (2 * ed)
+                else:
+                    logs.append(s)
+                    log_sum += mp.log(s + 1)
+            if derived:
+                e = en * m
+                bits = product.bit_length()
+                if bits > e + 1 or (bits == e + 1 and product != (1 << e)):
+                    worst = m
+            else:
+                rhs = mpf(c1.numerator) / c1.denominator * m
+                diff = log_sum - rhs
+                if abs(diff) <= mpf("1e-40") * (abs(rhs) + 1):
+                    with mp.workdps(200):
+                        fine = mp.fsum(mp.log(s + 1) for s in logs)
+                        diff = fine - mpf(c1.numerator) / c1.denominator * m
+                if diff > 0:
+                    worst = m
+    if worst >= limit:
+        raise InsufficientHorizonError("edge")
+    return (worst + 1, limit)
+
+
+def ref_last_nominal_violator(seq, eps, limit):
+    en, ed = eps.numerator, eps.denominator
+    worst = 0
+    for m in range(1, limit + 1):
+        if en * (m - 2 * seq.count_window(m) - 4) < 2 * ed:
+            worst = m
+    return worst
+
+
+def ref_certified_onset(seq, schedule, eps):
+    en, ed = eps.numerator, eps.denominator
+    limit = _covered_limit(seq, schedule)
+    k, prod_sq, rhs, worst = 0, 1, 2 ** ed, 0
+    for m in range(1, limit + 1):
+        if seq.count_window(m) > k:
+            k += 1
+            prod_sq *= (step_value(schedule, k) + 1) ** 2
+            rhs = (2 * prod_sq) ** ed
+        e = (m - k - 2) * en
+        if e < 0 or 2 ** e < rhs:
+            worst = m
+    return None if worst >= limit else worst + 1
+
+
+def ref_size_onsets(eps, seq, schedule):
+    eps = Fraction(eps)
+    worst = ref_last_nominal_violator(seq, eps, schedule.horizon)
+    if worst >= schedule.horizon:
+        raise InsufficientHorizonError("horizon")
+    return (worst + 1, ref_certified_onset(seq, schedule, eps))
+
+
+def outcome(fn):
+    """The value, or the class of the error raised."""
+    try:
+        return fn()
+    except (DomainError, InsufficientHorizonError) as exc:
+        return type(exc)
+
+
+def size_onsets(eps, seq, schedule):
+    # a depth-1 or depth-2 word is admissible for every schedule here
+    word = build_point(seq, 2, schedule, 2 if 1 in seq else 1)
+    rep = verify_size_bound(eps, seq, schedule, word)
+    return (rep.onset, rep.onset_certified)
+
+
+def test_runs_partition_the_range_by_window_count():
+    seqs = ["square", "pow:2", "pow:3", "even", "arith:1,3", "arith:4,5", "all"]
+    cases = [(parse_index_sequence(s), limit) for s in seqs for limit in (1, 2, 17, 130)]
+    cases += [(IndexSequence("explicit", (), (1, 2, 9, 40)), limit) for limit in (1, 8, 60)]
+    for seq, limit in cases:
+        runs = list(_runs(seq, limit))
+        assert runs[0][0] == 1 and runs[-1][1] == limit
+        for (_, last, k), (first, _, k_next) in zip(runs, runs[1:]):
+            assert first == last + 1 and k_next == k + 1
+        flat = [k for first, last, k in runs for _ in range(first, last + 1)]
+        assert flat == [seq.count_window(m) for m in range(1, limit + 1)]
+
+
+def test_last_bad_finds_the_end_of_a_prefix():
+    for first in (1, 5):
+        for last in range(first, first + 12):
+            for end in range(first - 1, last + 1):
+                want = end if end >= first else 0
+                assert _last_bad(first, last, lambda m: m <= end) == want
+
+
+def _rule_grid():
+    # seeded: each case draws a sequence, a mode and a range small enough
+    # that the per-index reference stays cheap; the fixed cases put the
+    # scans at the edge of their range
+    rng = random.Random(20)
+    cases = [("square", "eps", "1/10", 1, 10000), ("square", "eps", "1/10", 1, 100),
+             ("square", "c1", "1/30", 2, 1500), ("pow:2", "eps", "1/10", 6, 300),
+             ("pow:2", "c1", "1/4", 3, 5000), ("pow:3", "eps", "1/3", 4, 200),
+             ("pow:2", "eps", "1/50", 2, 60)]
+    for _ in range(14):
+        mode = rng.choice(("eps", "c1"))
+        value = rng.choice(("1/10", "1/3", "1/50", "2/7") if mode == "eps"
+                           else ("1/30", "1/4", "1/2", "1"))
+        cases.append((rng.choice(("square", "pow:2", "pow:3")), mode, value,
+                      rng.randint(1, 5), rng.choice((40, 300, 1200, 2500))))
+    return cases
+
+
+@pytest.mark.parametrize("spec,mode,value,j_max,horizon", _rule_grid())
+def test_rule_sequence_scans_match_per_index_reference(spec, mode, value, j_max, horizon):
+    seq = parse_index_sequence(spec)
+    kw = {mode: value}
+    got = outcome(lambda: choose_schedule(seq, j_max, horizon, **kw))
+    assert got == outcome(lambda: ref_choose_schedule(seq, j_max, horizon, **kw))
+    if not isinstance(got, StepSchedule):
+        return
+    assert outcome(lambda: schedule_onset(seq, got)) == outcome(
+        lambda: ref_schedule_onset(seq, got))
+    for eps in ("1/10", "1/3", "3/1"):
+        assert outcome(lambda: size_onsets(eps, seq, got)) == outcome(
+            lambda: ref_size_onsets(eps, seq, got))
+
+
+def _explicit_grid():
+    rng = random.Random(21)
+    cases = []
+    for _ in range(20):
+        values = tuple(sorted(rng.sample(range(2, 200), rng.randint(1, 20))))
+        count = rng.randint(1, 25)
+        breakpoints = tuple(sorted(rng.sample(range(1, 30), count)))
+        ratio = Fraction(rng.randint(1, 5), rng.randint(1, 20))
+        eps, c1 = (ratio, None) if rng.random() < 0.5 else (None, ratio)
+        horizon = rng.choice((3, 40, 250, 900))
+        cases.append((values, StepSchedule(eps, c1, (0,) * count, breakpoints, horizon)))
+    return cases
+
+
+@pytest.mark.parametrize("values,schedule", _explicit_grid())
+def test_explicit_list_scans_match_per_index_reference(values, schedule):
+    # past its last entry an explicit list constrains nothing: window semantics
+    seq = IndexSequence("explicit", (), values)
+    assert outcome(lambda: schedule_onset(seq, schedule)) == outcome(
+        lambda: ref_schedule_onset(seq, schedule))
+    for eps in ("1/10", "1/3", "3/1"):
+        assert outcome(lambda: size_onsets(eps, seq, schedule)) == outcome(
+            lambda: ref_size_onsets(eps, seq, schedule))
+
+
+def test_scans_hit_the_edge_of_their_range():
+    sq = parse_index_sequence("square")
+    # the onset condition still fails at a horizon of 30
+    short = StepSchedule(Fraction(1, 10), None, (0,), (5,), 30)
+    with pytest.raises(InsufficientHorizonError):
+        verify_size_bound("1/10", sq, short, build_point(sq, 2, short, 2))
+    with pytest.raises(InsufficientHorizonError):
+        ref_size_onsets("1/10", sq, short)
+    # the nominal onset fits under a horizon of 60, the certified one does not
+    edge = StepSchedule(Fraction(1, 10), None, (0,), (5,), 60)
+    assert size_onsets("1/10", sq, edge) == ref_size_onsets("1/10", sq, edge)
+    assert size_onsets("1/10", sq, edge)[1] is None
+
+
+@pytest.mark.parametrize(
+    "spec", ["square", "pow:2", "pow:3", "arith:1,3", "arith:5,4", "arith:2,7", "explicit"])
+def test_nominal_onset_matches_a_longer_per_index_scan(spec):
+    # the reference scans far past the library's certificate bound, so it
+    # also checks that bound
+    seq = (IndexSequence("explicit", (), (1, 2, 3, 5, 8, 13, 21, 34)) if spec == "explicit"
+           else parse_index_sequence(spec))
+    for eps in ("1/10", "1/3", "1/50", "5/2"):
+        assert nominal_onset(seq, eps) == ref_last_nominal_violator(seq, Fraction(eps), 3000) + 1
+
+
+@pytest.mark.parametrize("spec", ["square", "pow:2"])
+@pytest.mark.parametrize("mode,value", [("eps", Fraction(1, 10)), ("c1", Fraction(1, 30))])
+def test_ratio_cert_bound_leaves_no_violator_up_to_four_times_past_it(spec, mode, value):
+    # _ratio_cert_bound sets C_j from a float t = c1/log(j+1) with a
+    # margin: 1.001/t^2 + 10 for square, and a 0.999 slack on t for
+    # pow:b.  Scan (C_j, 4*C_j] for each step j <= 30.  Within a run of
+    # constant k the ratio test holds on a prefix, so the first index of
+    # each run (clipped to C_j + 1) is its worst point.
+    seq = parse_index_sequence(spec)
+    if mode == "eps":
+        c1_float = value.numerator / value.denominator * _LOG2 / 2
+        violates = lambda k, n, j: _ratio_violates_derived(
+            value.numerator, value.denominator, k, n, j)
+    else:
+        c1_float = value.numerator / value.denominator
+        violates = lambda k, n, j: _ratio_violates_explicit(value, k, n, j)
+    for j in range(1, 31):
+        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
+        for first, last, k in _runs(seq, 4 * cert):
+            if last > cert:
+                n = max(first, cert + 1)
+                assert not violates(k, n, j), (j, cert, n)
