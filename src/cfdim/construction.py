@@ -174,6 +174,41 @@ def _ratio_cert_bound(seq, t):
     raise DomainError("no analytic tail certificate for kind %r" % seq.kind)
 
 
+def _nominal_cert(seq, en, ed):
+    """An index C past the last m with en*(m - 2k(m) - 4) < 2*ed, exactly.
+
+    With need = 4 + 2*ed/en the condition reads m - 2k(m) >= need.  On
+    a run of constant k = j the worst m is the member k_j that starts
+    it, so C = k_J works once k_j - 2j >= need at j = J and k_j - 2j
+    never decreases after J.
+    """
+    need = 4 + Fraction(2 * ed, en)
+    if seq.kind == "square":
+        # j^2 - 2j >= need  <=>  (j - 1)^2 >= need + 1
+        j = math.isqrt(math.ceil(need)) + 2
+        return j * j
+    if seq.kind == "pow":
+        # b^j - 2j rises with j
+        b, j = seq.params[0], 1
+        while b ** j - 2 * j < need:
+            j += 1
+        return b ** j
+    if seq.kind == "arith":
+        # k_j - 2j = a0 - d + j*(d - 2): it falls for d = 1, is a0 - 2
+        # for d = 2 and rises for d >= 3
+        a0, d = seq.params
+        if d == 1 or (d == 2 and a0 - 2 < need):
+            raise DomainError(
+                "the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
+                "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps"
+                % seq.spec_string()
+            )
+        j = 1 if d == 2 else max(1, math.ceil((need - a0 + d) / (d - 2)))
+        return a0 + (j - 1) * d
+    # an explicit list keeps k(m) <= its length
+    return 2 * len(seq.values) + int(need) + 6
+
+
 def _ratio_violates_derived(en, ed, k, n, j):
     # k*log(j+1) > (en/ed)*(log2/2)*n, exactly: (j+1)^(2*ed*k) > 2^(en*n)
     if k == 0:
@@ -536,30 +571,14 @@ def nominal_onset(seq, eps):
     """Horizon-free onset: least n with en*(m - 2k(m) - 4) >= 2*ed for all m >= n.
 
     Works for sequences whose counting function is provably sublinear
-    enough (square, powers, arithmetic with gap >= 3, finite explicit
-    lists).  Gap-2 or denser arithmetic progressions never satisfy the
-    condition and are rejected.
+    enough: square, powers, finite explicit lists, arithmetic
+    progressions with gap >= 3, and gap-2 progressions with
+    en*(a0 - 6) >= 2*ed.  Other progressions never satisfy the condition
+    from any onset on and are rejected.
     """
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
-    need = 4 + 2 * ed / en  # float is fine, the search below is exact
-    if seq.kind == "square":
-        cert = int((1 + math.sqrt(1 + 2 * need)) ** 2) + 4
-    elif seq.kind == "pow":
-        b = seq.params[0]
-        cert = 8
-        while cert - 2 * math.log(cert) / math.log(b) < need + 1:
-            cert *= 2
-    elif seq.kind in ("even", "arith"):
-        d = 2 if seq.kind == "even" else seq.params[1]
-        if d < 3:
-            raise DomainError(
-                "the onset condition n - 2k(n) - 4 stays negative when every "
-                "%d-th position is constrained; need gaps of at least 3" % d
-            )
-        cert = int((need + 2) * d / (d - 2)) + d + 4
-    else:
-        cert = 2 * len(seq.values) + int(need) + 6
+    cert = _nominal_cert(seq, en, ed)
     worst = _last_nominal_violator(seq, en, ed, cert)
     if worst >= cert:
         raise DomainError("internal certificate bound too tight; please report")

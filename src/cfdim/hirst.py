@@ -52,10 +52,10 @@ def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
     _reject_window(digits)
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
-        if digits.kind in ("all", "geq"):
+        if digits.kind == "arith":
             if not zm > 1:
                 raise DivergenceError("sum of a^-z over an integer ray needs z > 1")
-            start = 1 if digits.kind == "all" else digits.params[0]
+            start = digits.params[0]
             return zeta_tail(start, zm, ctx) if start > 1 else zeta(zm, ctx)
         if digits.kind == "square":
             if not 2 * zm > 1:
@@ -76,10 +76,10 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
         raise DomainError("floor must be an integer >= 1")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
-        if digits.kind in ("all", "geq"):
+        if digits.kind == "arith":
             if not zm > 1:
                 raise DivergenceError("tail of a^-z over an integer ray needs z > 1")
-            start = floor_m if digits.kind == "all" else max(floor_m, digits.params[0])
+            start = max(floor_m, digits.params[0])
             return zeta_tail(start, zm, ctx)
         if digits.kind == "square":
             if not 2 * zm > 1:
@@ -184,10 +184,9 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
         full = digit_power_sum(digits, z, ctx)
         thr = mp.power(full, -mpf(e.numerator) / e.denominator)
         zf = mpf(z.numerator) / z.denominator
-        if digits.kind in ("all", "geq"):
-            est = mp.power((zf - 1) * thr, -1 / (zf - 1))
-            if digits.kind == "geq":
-                est = max(est, mpf(digits.params[0]))
+        if digits.kind == "arith":
+            # z = 1 + eps < 2 and thr <= 1 give est > 1, so a0 = 1 changes nothing
+            est = max(mp.power((zf - 1) * thr, -1 / (zf - 1)), mpf(digits.params[0]))
         elif digits.kind == "square":
             r = mp.power((2 * zf - 1) * thr, -1 / (2 * zf - 1))
             est = r * r

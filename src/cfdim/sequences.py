@@ -1,20 +1,25 @@
-"""Index sequences and digit sets.
+"""Index sequences and digit sets: two readings of one kind of subset of N.
 
 An IndexSequence is a strictly increasing sequence of positive integers
-k_1 < k_2 < ..., given by a rule or an explicit list, together with its
-counting function k(n) = #(members <= n).  A DigitSet is a set of
-allowed partial quotients with a membership predicate and, for rule
-based sets, an exact convergence exponent.
+k_1 < k_2 < ..., with its counting function k(n) = #(members <= n).  A
+DigitSet is the same object read as a set of allowed partial quotients;
+it adds only ``assume_infinite`` for explicit windows.  Both are built
+from four rules:
 
-Both are parsed from a small shared spec language:
+    arith (a0, d)   a0, a0 + d, a0 + 2d, ...
+    square          1, 4, 9, 16, ...
+    pow (b)         b, b^2, b^3, ...
+    explicit        a finite ascending list
 
-    even | arith:a0,d | square | pow:b | geq:M | all | file:<path>
+and parsed from one spec language:
 
-where a file holds one integer per line, ascending, at most 10^6
-entries.  "geq:M" and "all" are arithmetic rules for index sequences
-and primitive rules for digit sets; "even" and "arith" make sense only
-as index sequences (no closed-form convergence exponent), so the digit
-set parser rejects them.
+    even | all | geq:M | arith:a0,d | square | pow:b | file:<path>
+
+"even" is arith (2, 2), "all" is arith (1, 1) and "geq:M" is
+arith (M, 1); a file holds one integer per line, ascending, at most
+10^6 entries.  A digit set needs a closed-form convergence exponent, so
+its progressions must have gap 1 ("all", "geq:M") and the digit set
+parser rejects "even" and "arith".
 """
 
 import math
@@ -96,15 +101,13 @@ class IndexSequence:
                 raise DomainError("pow base must be >= 2")
         elif self.kind == "explicit":
             object.__setattr__(self, "values", _validated_values(self.values))
-        elif self.kind not in ("even", "square"):
-            raise DomainError("unknown index sequence kind %r" % self.kind)
+        elif self.kind != "square":
+            raise DomainError("unknown rule kind %r" % self.kind)
 
     def nth(self, j):
         """k_j for j >= 1."""
         if j < 1:
             raise DomainError("sequence index starts at 1, got %r" % (j,))
-        if self.kind == "even":
-            return 2 * j
         if self.kind == "arith":
             a0, d = self.params
             return a0 + (j - 1) * d
@@ -122,8 +125,6 @@ class IndexSequence:
             raise DomainError("count needs n >= 0")
         if n == 0:
             return 0
-        if self.kind == "even":
-            return n // 2
         if self.kind == "arith":
             a0, d = self.params
             return 0 if n < a0 else (n - a0) // d + 1
@@ -154,7 +155,7 @@ class IndexSequence:
         return self.count(n)
 
     def upto(self, n):
-        """Members <= n, ascending (used by digit-deletion)."""
+        """Members <= n, ascending."""
         if self.kind == "explicit":
             return list(self.values[: bisect_right(self.values, n)])
         out = []
@@ -169,8 +170,6 @@ class IndexSequence:
     def __contains__(self, i):
         if not isinstance(i, int) or i < 1:
             return False
-        if self.kind == "even":
-            return i % 2 == 0
         if self.kind == "arith":
             a0, d = self.params
             return i >= a0 and (i - a0) % d == 0
@@ -189,8 +188,6 @@ class IndexSequence:
         """Least j with k_j >= v."""
         if v <= self.nth(1):
             return 1
-        if self.kind == "even":
-            return (v + 1) // 2
         if self.kind == "arith":
             a0, d = self.params
             return (v - a0 + d - 1) // d + 1
@@ -210,8 +207,6 @@ class IndexSequence:
     @property
     def exact_density(self):
         """Exact limit of k(n)/n, or None when only a finite window is known."""
-        if self.kind == "even":
-            return Fraction(1, 2)
         if self.kind == "arith":
             return Fraction(1, self.params[1])
         if self.kind in ("square", "pow"):
@@ -219,10 +214,8 @@ class IndexSequence:
         return None
 
     def spec_string(self):
-        if self.kind == "even":
-            return "even"
         if self.kind == "arith":
-            return "arith:%d,%d" % self.params
+            return "even" if self.params == (2, 2) else "arith:%d,%d" % self.params
         if self.kind == "square":
             return "square"
         if self.kind == "pow":
@@ -230,14 +223,14 @@ class IndexSequence:
         return "explicit:%d-values" % len(self.values)
 
 
-def parse_index_sequence(text):
-    text = text.strip()
+def _parse_rule(text, noun):
+    """(kind, params, values) of a stripped spec; noun names the type in errors."""
     if text == "even":
-        return IndexSequence("even")
+        return "arith", (2, 2), ()
     if text == "square":
-        return IndexSequence("square")
+        return "square", (), ()
     if text == "all":
-        return IndexSequence("arith", (1, 1))
+        return "arith", (1, 1), ()
     head, sep, rest = text.partition(":")
     if head == "arith" and sep:
         parts = rest.split(",")
@@ -247,13 +240,13 @@ def parse_index_sequence(text):
             a0, d = int(parts[0]), int(parts[1])
         except ValueError:
             raise DomainError("malformed arith spec %r" % text)
-        return IndexSequence("arith", (a0, d))
+        return "arith", (a0, d), ()
     if head == "pow" and sep:
         try:
             b = int(rest)
         except ValueError:
             raise DomainError("malformed pow spec %r" % text)
-        return IndexSequence("pow", (b,))
+        return "pow", (b,), ()
     if head == "geq" and sep:
         try:
             m = int(rest)
@@ -261,10 +254,14 @@ def parse_index_sequence(text):
             raise DomainError("malformed geq spec %r" % text)
         if m < 1:
             raise DomainError("geq floor must be >= 1")
-        return IndexSequence("arith", (m, 1))
+        return "arith", (m, 1), ()
     if head == "file" and sep:
-        return IndexSequence("explicit", (), _load_values(rest))
-    raise DomainError("unrecognized sequence spec %r" % text)
+        return "explicit", (), _load_values(rest)
+    raise DomainError("unrecognized %s spec %r" % (noun, text))
+
+
+def parse_index_sequence(text):
+    return IndexSequence(*_parse_rule(text.strip(), "sequence"))
 
 
 class DensityReport(NamedTuple):
@@ -302,111 +299,40 @@ def density(seq, horizon):
 
 
 @dataclass(frozen=True)
-class DigitSet:
-    """Set of allowed partial quotients.
+class DigitSet(IndexSequence):
+    """Set of allowed partial quotients: an index sequence read as a set.
 
-    Rule kinds are infinite by construction.  Explicit lists are finite
-    windows; ``assume_infinite`` marks a window as a truncation of an
-    infinite set, which turns the convergence exponent into a labeled
-    estimate and disables the closed-form sums elsewhere.
+    Rule sets are infinite by construction, and an arith rule must have
+    gap 1 (all, geq:M).  Explicit lists are finite windows;
+    ``assume_infinite`` marks a window as a truncation of an infinite
+    set, which turns the convergence exponent into a labeled estimate
+    and disables the closed-form sums elsewhere.
     """
 
-    kind: str
-    params: tuple = ()
-    values: tuple = ()
     assume_infinite: bool = False
 
     def __post_init__(self):
-        if self.kind == "geq":
-            if self.params[0] < 1:
-                raise DomainError("geq floor must be >= 1")
-        elif self.kind == "pow":
-            if self.params[0] < 2:
-                raise DomainError("pow base must be >= 2")
-        elif self.kind == "explicit":
-            object.__setattr__(self, "values", _validated_values(self.values))
-        elif self.kind not in ("all", "square"):
-            raise DomainError("unknown digit set kind %r" % self.kind)
-
-    def contains(self, a):
-        if not isinstance(a, int) or a < 1:
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "geq":
-            return a >= self.params[0]
-        if self.kind == "square":
-            return isqrt(a) ** 2 == a
-        if self.kind == "pow":
-            b = self.params[0]
-            v = b
-            while v < a:
-                v *= b
-            return v == a
-        idx = bisect_left(self.values, a)
-        return idx < len(self.values) and self.values[idx] == a
-
-    __contains__ = contains
+        super().__post_init__()
+        if self.kind == "arith" and self.params[1] != 1:
+            raise DomainError(
+                "a digit set progression needs gap 1 (all, geq:M), got arith:%d,%d"
+                % self.params
+            )
 
     @property
     def is_finite(self):
         return self.kind == "explicit" and not self.assume_infinite
 
-    def members_upto(self, x):
-        """Members <= x in increasing order."""
-        if self.kind == "all":
-            return list(range(1, x + 1))
-        if self.kind == "geq":
-            return list(range(self.params[0], x + 1))
-        if self.kind == "square":
-            return [k * k for k in range(1, isqrt(x) + 1)]
-        if self.kind == "pow":
-            out, v = [], self.params[0]
-            while v <= x:
-                out.append(v)
-                v *= self.params[0]
-            return out
-        return list(self.values[: bisect_right(self.values, x)])
-
-    def spec_string(self):
-        if self.kind == "all":
-            return "all"
-        if self.kind == "geq":
-            return "geq:%d" % self.params
-        if self.kind == "square":
-            return "square"
-        if self.kind == "pow":
-            return "pow:%d" % self.params
-        return "explicit:%d-values" % len(self.values)
-
 
 def parse_digit_set(text, assume_infinite=False):
     text = text.strip()
-    if text == "all":
-        return DigitSet("all")
-    if text == "square":
-        return DigitSet("square")
-    head, sep, rest = text.partition(":")
-    if head == "geq" and sep:
-        try:
-            m = int(rest)
-        except ValueError:
-            raise DomainError("malformed geq spec %r" % text)
-        return DigitSet("geq", (m,))
-    if head == "pow" and sep:
-        try:
-            b = int(rest)
-        except ValueError:
-            raise DomainError("malformed pow spec %r" % text)
-        return DigitSet("pow", (b,))
-    if head == "file" and sep:
-        return DigitSet("explicit", (), _load_values(rest), assume_infinite)
-    if text in ("even",) or head == "arith":
+    if text == "even" or text.partition(":")[0] == "arith":
         raise DomainError(
             "%r has no closed-form convergence exponent; digit sets accept "
             "all, geq:M, square, pow:b, file:<path>" % text
         )
-    raise DomainError("unrecognized digit set spec %r" % text)
+    kind, params, values = _parse_rule(text, "digit set")
+    return DigitSet(kind, params, values, assume_infinite and kind == "explicit")
 
 
 class TauResult(NamedTuple):
@@ -423,7 +349,7 @@ def tau(digits, ctx=None):
     slope fit of rank against value, labeled "estimated"; it is a
     heuristic and never certifies convergence.
     """
-    if digits.kind == "all" or digits.kind == "geq":
+    if digits.kind == "arith":
         return TauResult(Fraction(1), "analytic")
     if digits.kind == "square":
         return TauResult(Fraction(1, 2), "analytic")

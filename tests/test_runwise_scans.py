@@ -31,6 +31,7 @@ from cfdim.construction import (
     _LOG2,
     _covered_limit,
     _last_bad,
+    _nominal_cert,
     _ratio_cert_bound,
     _ratio_violates_derived,
     _ratio_violates_explicit,
@@ -243,15 +244,79 @@ def test_scans_hit_the_edge_of_their_range():
     assert size_onsets("1/10", sq, edge)[1] is None
 
 
-@pytest.mark.parametrize(
-    "spec", ["square", "pow:2", "pow:3", "arith:1,3", "arith:5,4", "arith:2,7", "explicit"])
+def test_verify_size_bound_onset_is_limited_to_the_horizon():
+    # below its horizon of 50, arith:100,1 constrains nothing, so the
+    # onset is found there although nominal_onset rejects the sequence
+    late = parse_index_sequence("arith:100,1")
+    sched = StepSchedule(Fraction(1, 10), None, (0,), (5,), 50)
+    assert verify_size_bound("1/10", late, sched, [1] * 40).onset == 24
+    assert size_onsets("1/10", late, sched)[0] == ref_size_onsets("1/10", late, sched)[0] == 24
+    with pytest.raises(DomainError):
+        nominal_onset(late, "1/10")
+    # even violates the condition at every member, up to the horizon
+    even = parse_index_sequence("even")
+    with pytest.raises(InsufficientHorizonError):
+        size_onsets("1/10", even, sched)
+    with pytest.raises(InsufficientHorizonError):
+        ref_size_onsets("1/10", even, sched)
+
+
+_NOMINAL_SPECS = ["square", "pow:2", "pow:3", "arith:1,3", "arith:5,4", "arith:2,7",
+                  "arith:30,2", "arith:26,2", "arith:25,2", "even", "arith:10,1", "explicit"]
+
+
+def _nominal_seq(spec):
+    return (IndexSequence("explicit", (), (1, 2, 3, 5, 8, 13, 21, 34)) if spec == "explicit"
+            else parse_index_sequence(spec))
+
+
+@pytest.mark.parametrize("spec", _NOMINAL_SPECS)
 def test_nominal_onset_matches_a_longer_per_index_scan(spec):
     # the reference scans far past the library's certificate bound, so it
-    # also checks that bound
-    seq = (IndexSequence("explicit", (), (1, 2, 3, 5, 8, 13, 21, 34)) if spec == "explicit"
-           else parse_index_sequence(spec))
+    # also checks that bound; a sequence that still violates the
+    # condition at the end of the scan (a member of a gap-1 or gap-2
+    # progression) must be rejected
+    seq = _nominal_seq(spec)
     for eps in ("1/10", "1/3", "1/50", "5/2"):
-        assert nominal_onset(seq, eps) == ref_last_nominal_violator(seq, Fraction(eps), 3000) + 1
+        worst = ref_last_nominal_violator(seq, Fraction(eps), 3000)
+        if worst >= 2998:
+            with pytest.raises(DomainError, match="fails infinitely often"):
+                nominal_onset(seq, eps)
+        else:
+            assert nominal_onset(seq, eps) == worst + 1, eps
+
+
+def test_nominal_onset_decides_gap_two_progressions():
+    # m - 2k(m) is a0 - 2 at each member of arith:a0,2, so an onset
+    # exists exactly when en*(a0 - 6) >= 2*ed
+    assert nominal_onset(parse_index_sequence("arith:30,2"), "1/10") == 24
+    assert nominal_onset(parse_index_sequence("arith:26,2"), "1/10") == 24
+    for spec in ("arith:25,2", "even", "arith:10,1"):
+        with pytest.raises(DomainError, match="fails infinitely often on %s;" % spec):
+            nominal_onset(parse_index_sequence(spec), "1/10")
+
+
+@pytest.mark.parametrize(
+    "spec", ["square", "pow:2", "pow:3", "arith:1,3", "arith:5,4", "arith:40,7",
+             "arith:30,2", "arith:26,2", "arith:2006,2", "explicit"])
+def test_nominal_cert_leaves_no_violator_up_to_four_times_past_it(spec):
+    # _nominal_cert is exact; scan (C, 4*C] anyway.  Within a run of
+    # constant k the condition holds on a suffix, so the first index of
+    # each run (clipped to C + 1) is its worst point.  Gap-2
+    # progressions may only be refused when en*(a0 - 6) < 2*ed.
+    seq = _nominal_seq(spec)
+    for eps in (Fraction(1, 1000), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3),
+                Fraction(5, 2), Fraction(7)):
+        en, ed = eps.numerator, eps.denominator
+        try:
+            cert = _nominal_cert(seq, en, ed)
+        except DomainError:
+            assert seq.params[1] == 2 and en * (seq.params[0] - 6) < 2 * ed, eps
+            continue
+        for first, last, k in _runs(seq, 4 * cert):
+            if last > cert:
+                m = max(first, cert + 1)
+                assert en * (m - 2 * k - 4) >= 2 * ed, (eps, cert, m)
 
 
 @pytest.mark.parametrize("spec", ["square", "pow:2"])

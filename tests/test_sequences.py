@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfdim import (
     DomainError,
@@ -121,7 +123,7 @@ def test_digit_set_membership():
     assert 16 in s and 15 not in s
     p = parse_digit_set("pow:3")
     assert 27 in p and 28 not in p
-    assert p.members_upto(30) == [3, 9, 27]
+    assert p.upto(30) == [3, 9, 27]
     assert not p.is_finite
 
 
@@ -130,6 +132,8 @@ def test_digit_set_rejects_index_only_specs():
         parse_digit_set("even")
     with pytest.raises(DomainError):
         parse_digit_set("arith:1,3")
+    with pytest.raises(DomainError, match="gap 1"):
+        DigitSet("arith", (2, 2))
 
 
 def test_explicit_digit_set_from_file(tmp_path):
@@ -137,7 +141,7 @@ def test_explicit_digit_set_from_file(tmp_path):
     path.write_text("2\n3\n5\n7\n")
     d = parse_digit_set("file:%s" % path)
     assert d.is_finite
-    assert d.members_upto(6) == [2, 3, 5]
+    assert d.upto(6) == [2, 3, 5]
     inf = parse_digit_set("file:%s" % path, assume_infinite=True)
     assert not inf.is_finite
     bad = tmp_path / "bad.txt"
@@ -178,3 +182,89 @@ def test_spec_string_round_trip():
         seq = parse_index_sequence(spec)
         again = parse_index_sequence(seq.spec_string())
         assert [again.nth(j) for j in (1, 2, 5)] == [seq.nth(j) for j in (1, 2, 5)]
+
+
+# Property tests for the four shared rules.  Each oracle lists members
+# without calling the library.  Derandomized, so every run draws the
+# same examples.
+_PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _ints(lo, hi):
+    # small values often, so that members fall below the brute-force range
+    return st.one_of(st.integers(lo, min(hi, 60)), st.integers(lo, hi))
+
+
+_rules = st.one_of(
+    st.builds(lambda a0, d: IndexSequence("arith", (a0, d)), _ints(1, 10 ** 12), _ints(1, 10 ** 9)),
+    st.just(IndexSequence("square")),
+    st.builds(lambda b: IndexSequence("pow", (b,)), _ints(2, 10 ** 6)),
+)
+_explicit = st.lists(st.integers(1, 3000), min_size=1, max_size=40, unique=True).map(
+    lambda vs: IndexSequence("explicit", (), tuple(sorted(vs))))
+
+
+def _oracle_members(seq, n):
+    """Members <= n, listed from the rule's definition."""
+    if seq.kind == "arith":
+        a0, d = seq.params
+        return set(range(a0, n + 1, d))
+    if seq.kind == "square":
+        return {r * r for r in range(1, n + 1)}
+    if seq.kind == "pow":
+        return {seq.params[0] ** e for e in range(1, n.bit_length() + 1)}
+    return set(seq.values)
+
+
+@_PROPS
+@given(st.one_of(_rules, _explicit), st.integers(1, 30))
+def test_nth_count_and_first_at_least_agree(seq, j):
+    if seq.kind == "explicit":
+        j = min(j, len(seq.values))
+    v = seq.nth(j)
+    assert seq.count(v) == j
+    assert seq.first_at_least(v) == j
+    assert v in seq
+
+
+@_PROPS
+@given(st.one_of(_rules, _explicit), st.integers(0, 3000))
+def test_upto_is_a_brute_force_filter(seq, n):
+    members = _oracle_members(seq, n)
+    want = [i for i in range(1, n + 1) if i in members]
+    assert seq.upto(n) == want
+    assert [i for i in range(1, n + 1) if i in seq] == want
+    assert seq.count_window(n) == len(want)
+
+
+@_PROPS
+@given(_rules)
+@example(IndexSequence("arith", (2, 2)))  # spelled "even"
+@example(IndexSequence("arith", (4, 2)))
+@example(IndexSequence("arith", (1, 1)))
+def test_spec_string_parses_back_to_the_same_rule(seq):
+    again = parse_index_sequence(seq.spec_string())
+    assert again == seq
+    assert again.upto(500) == seq.upto(500)
+
+
+@_PROPS
+@given(st.sampled_from(["all", "geq", "square", "pow"]), _ints(1, 10 ** 6),
+       st.integers(-3, 5000))
+def test_digit_set_membership_matches_its_predicate(rule, p, a):
+    if rule == "all":
+        digits, member = parse_digit_set("all"), a >= 1
+    elif rule == "geq":
+        digits, member = parse_digit_set("geq:%d" % p), a >= p
+    elif rule == "square":
+        digits, member = parse_digit_set("square"), a in {r * r for r in range(1, 80)}
+    else:
+        b = p + 1
+        digits = parse_digit_set("pow:%d" % b)
+        member = a in {b ** e for e in range(1, 14)}
+    assert (a in digits) is member
+
+
+def test_all_is_the_ray_from_one():
+    assert parse_digit_set("all") == parse_digit_set("geq:1")
+    assert parse_digit_set("all").upto(5) == [1, 2, 3, 4, 5]
