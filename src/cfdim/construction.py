@@ -118,6 +118,14 @@ class StepSchedule:
 
     @classmethod
     def from_json(cls, data):
+        """Rebuild a schedule from its to_json form.
+
+        With eps stored, c1 is display only: the schedule is rebuilt from
+        eps and c1 = eps log 2 / 2 is derived again.  A stored c1 is
+        still checked, in floats, and must lie within relative 1e-9 of
+        the derived value.  That margin passes the 25-digit rendering of
+        to_json and catches hand edits that contradict eps.
+        """
         try:
             raw_c1 = data["c1"]
             raw_eps = data["eps"]

@@ -8,8 +8,9 @@ is governed by the per-level factor
 
     (1 + 1/M)^s zeta(2s) sum_{k >= M} k^(-2s).
 
-The critical exponent is the root of factor = 1 (pure bisection), and
-the asymptotic form 1/2 + (log log M - log 2)/log M describes its
+The critical exponent is the root of factor = 1, found by safeguarded
+false position on -log(factor) (about ten factor evaluations), and the
+asymptotic form 1/2 + (log log M - log 2)/log M describes its
 large-M behavior.  reference_bounds evaluates the classical dimension
 windows (Jarnik, Kurzweil, Hensley, Good, Jaerisch-Kessebohmer) for
 cross-checking.
@@ -36,7 +37,7 @@ __all__ = [
     "reference_bounds",
 ]
 
-_BISECTION_LIMIT = 200
+_STEP_LIMIT = 200
 _LEVEL_CAP = 3
 _DIGIT_CAP = 50
 
@@ -94,13 +95,20 @@ class CriticalSolveResult(NamedTuple):
 
 
 def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
-    """Root of per_level_factor(M, s) = 1 by bisection on (1/2 + 1e-9, s_max].
+    """Root of per_level_factor(M, s) = 1 by false position on (1/2 + 1e-9, s_max].
 
     The factor blows up at s = 1/2+ and is numerically strictly
-    decreasing, so plain bisection is safe; no Newton step is taken.
-    Stops when |factor - 1| <= tol.  When the factor is still above 1
-    at s_max there is no root in the bracket and the result says so
-    (converged False) instead of raising.
+    decreasing, so g(s) = -log factor is increasing, and nearly linear
+    away from the pole, where factor - 1 is not.  Each step interpolates
+    g linearly between the bracket ends, falling back to the midpoint
+    when rounding puts the interpolant on or outside an end.  When the
+    same end is replaced twice in a row, the other end's g is scaled by
+    1 - g(new)/g(replaced), or by 1/2 when that is not positive
+    (Anderson-Bjorck), so that stale end cannot stall the bracket.  The
+    bracket always keeps factor(lo) > 1 > factor(hi).  Stops when
+    |factor - 1| <= tol.  When the factor is still above 1 at s_max
+    there is no root in the bracket and the result says so (converged
+    False) instead of raising.
     """
     _check_floor(m_floor, 2)
     if not tol > 0:
@@ -124,19 +132,33 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
                 m_floor, None, None, (lo, hi), 0, False,
                 "factor is already below 1 at the left bracket edge",
             )
-        for i in range(1, _BISECTION_LIMIT + 1):
-            mid = (lo + hi) / 2
+        g_lo, g_hi = -mp.log(f_lo), -mp.log(f_hi)
+        last_low = None  # True when the previous step replaced lo
+        for i in range(1, _STEP_LIMIT + 1):
+            mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo < mid < hi:
+                mid = (lo + hi) / 2
             val = per_level_factor(m_floor, mid, ctx)
             res = abs(val - 1)
             if res <= tol_m:
                 return CriticalSolveResult(m_floor, +mid, +res, (+lo, +hi), i, True)
-            if val > 1:
-                lo = mid
+            g_mid = -mp.log(val)
+            low = val > 1
+            # the same end replaced twice in a row: damp the stale end's g
+            if low:
+                if last_low is True:
+                    m = 1 - g_mid / g_lo
+                    g_hi *= m if m > 0 else mpf(1) / 2
+                lo, g_lo = mid, g_mid
             else:
-                hi = mid
+                if last_low is False:
+                    m = 1 - g_mid / g_hi
+                    g_lo *= m if m > 0 else mpf(1) / 2
+                hi, g_hi = mid, g_mid
+            last_low = low
         return CriticalSolveResult(
-            m_floor, None, +res, (+lo, +hi), _BISECTION_LIMIT, False,
-            "residual did not reach %g within %d bisections" % (tol, _BISECTION_LIMIT),
+            m_floor, None, +res, (+lo, +hi), _STEP_LIMIT, False,
+            "residual did not reach %g within %d steps" % (tol, _STEP_LIMIT),
         )
 
 

@@ -39,6 +39,10 @@ __all__ = [
 _FLOOR_CAP = 10 ** 18
 
 
+def _int_at_least(x, minimum):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+
 def _reject_window(digits):
     if digits.kind == "explicit" and digits.assume_infinite:
         raise DomainError(
@@ -72,7 +76,7 @@ def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
 def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
     _reject_window(digits)
-    if not isinstance(floor_m, int) or floor_m < 1:
+    if not _int_at_least(floor_m, 1):
         raise DomainError("floor must be an integer >= 1")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
@@ -154,7 +158,7 @@ class M0Condition(NamedTuple):
 
 def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
-    if not isinstance(m_floor, int) or m_floor < 1:
+    if not _int_at_least(m_floor, 1):
         raise DomainError("the digit floor must be an integer >= 1")
     eps, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(_dps(ctx)):
@@ -228,11 +232,11 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     from D; its own weight multiplies the product.
     """
     _reject_window(digits)
-    if not isinstance(m_floor, int) or m_floor < 1:
+    if not _int_at_least(m_floor, 1):
         raise DomainError("the digit floor must be an integer >= 1")
-    if not isinstance(level_base, int) or level_base < 0:
+    if not _int_at_least(level_base, 0):
         raise DomainError("the base level must be an integer >= 0")
-    if not isinstance(level, int) or level <= level_base:
+    if not _int_at_least(level, level_base + 1):
         raise DomainError("the target level must exceed the base level")
     word = as_word(prefix)
     k_base = seq.nth(level_base) if level_base >= 1 else 0

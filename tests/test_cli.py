@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,19 @@ def test_exit_code_3_on_ambiguity_and_non_convergence(capsys):
         "--j-max", "31", "--horizon", "10000",
     )
     assert code == 3 and "horizon" in err
+
+
+def test_critical_step_limit_exits_3_with_the_bracket(capsys, monkeypatch):
+    # a --tol below the working precision reaches the limit too, but the
+    # CLI also sets the zeta tolerance to --tol, and 1e-80 needs ~10^8
+    # series terms per zeta value; a lower limit reaches the same path
+    monkeypatch.setattr("cfdim.dimension._STEP_LIMIT", 3)
+    code, out, _ = run(capsys, "dim", "critical", "--M", "1000")
+    assert code == 3
+    res = json.loads(out)["result"]
+    assert res["converged"] is False and "within 3 steps" in res["message"]
+    lo, hi = (Fraction(x) for x in res["bracket"])
+    assert lo < hi
 
 
 def test_exit_code_4_on_resource_caps(capsys):

@@ -110,6 +110,20 @@ def test_schedule_json_tamper_detection():
         StepSchedule.from_json({"c1": "1/2"})
 
 
+def test_schedule_json_c1_margin_both_sides():
+    # a stored c1 within relative 1e-9 of eps*log2/2 loads, 1e-8 off does not
+    s = square_schedule(j_max=1)
+    data = s.to_json()
+    for rel, ok in (("5e-10", True), ("-5e-10", True), ("1e-8", False), ("-1e-8", False)):
+        with mp.workdps(50):
+            data["c1"] = mp.nstr(s.c1_value * (1 + mpf(rel)), 25)
+        if ok:
+            assert StepSchedule.from_json(data) == s
+        else:
+            with pytest.raises(DomainError, match="derived c1"):
+                StepSchedule.from_json(data)
+
+
 def test_schedule_validation():
     with pytest.raises(DomainError):
         StepSchedule(Fraction(1, 10), Fraction(1, 20), (1,), (1,), 10)

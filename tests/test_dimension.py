@@ -1,14 +1,18 @@
 """Level intervals, the critical equation, covering sums, reference windows."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cfdim import (
     DivergenceError,
     DomainError,
+    PrecisionContext,
     ResourceCapError,
     asymptotic_exponent,
     covering_sum_enumerated,
@@ -99,10 +103,55 @@ def test_critical_exponent_no_root_reports_instead_of_raising():
     assert not res.converged
     assert res.s_star is None
     assert "no root" in res.message
+    assert "no root" in critical_exponent(2, s_max="0.51").message
+    assert critical_exponent(2, s_max=8).converged
     with pytest.raises(DomainError):
         critical_exponent(2, s_max=9)
     with pytest.raises(DomainError):
         critical_exponent(2, tol=0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=math.log10(2), max_value=12), st.sampled_from([50, 100]))
+def test_critical_exponent_matches_mpmath_oracle(log_m, dps):
+    # M log-uniform in [2, 10^12]; the oracle is mpmath's own Hurwitz zeta
+    m_floor = max(2, round(10 ** log_m))
+    ctx = PrecisionContext(working_digits=dps)
+    res = critical_exponent(m_floor, ctx=ctx)
+    assert res.converged
+    lo, hi = res.bracket
+    assert lo <= res.s_star <= hi
+    assert per_level_factor(m_floor, lo, ctx) > 1 > per_level_factor(m_floor, hi, ctx)
+    with mp.workdps(dps + 10):
+        s = res.s_star
+        oracle = (1 + mpf(1) / m_floor) ** s * mp.zeta(2 * s) * mp.zeta(2 * s, m_floor)
+        assert abs(oracle - 1) <= mpf("1e-12")
+
+
+@pytest.mark.parametrize("dps", [50, 100])
+def test_critical_exponent_needs_few_factor_evaluations(monkeypatch, dps):
+    # endpoints included; plain bisection needs 43-48 here
+    import cfdim.dimension as dimension
+
+    real = dimension.per_level_factor
+    calls = []
+    monkeypatch.setattr(
+        dimension, "per_level_factor", lambda *a: calls.append(a) or real(*a)
+    )
+    ctx = PrecisionContext(working_digits=dps)
+    for m_floor in (2, 3, 10, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12):
+        calls.clear()
+        assert critical_exponent(m_floor, ctx=ctx).converged
+        assert len(calls) <= 12, (m_floor, len(calls))
+
+
+def test_critical_exponent_step_limit_keeps_an_open_bracket():
+    # no 50-digit factor value lies within 1e-80 of 1
+    res = critical_exponent(1000, tol=1e-80)
+    assert not res.converged and res.s_star is None
+    assert res.iterations == 200 and "within 200 steps" in res.message
+    lo, hi = res.bracket
+    assert lo < hi
 
 
 def test_asymptotic_exponent_values():

@@ -99,6 +99,29 @@ def test_covering_condition_domain_checks():
         covering_condition(ALL, IndexSequence("explicit", (), (2, 4)), "1/5", 100)
 
 
+_EMPTY = PartialQuotients(())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: covering_condition(ALL, EVEN, "1/5", True), "the digit floor must be"),
+        (lambda: digit_tail_power_sum(ALL, True, 2), "floor must be an integer >= 1"),
+        (lambda: covering_product_bound(ALL, EVEN, True, 1, 0, 1, _EMPTY),
+         "the digit floor must be"),
+        (lambda: covering_product_bound(ALL, EVEN, 2, 1, True, 2, _EMPTY),
+         "the base level must be"),
+        (lambda: covering_product_bound(ALL, EVEN, 2, 1, 0, True, _EMPTY),
+         "the target level must exceed"),
+    ],
+    ids=["condition-floor", "tail-floor", "product-floor", "product-base", "product-level"],
+)
+def test_bool_is_not_an_integer_argument(call, message):
+    # bool subclasses int; each check rejects it with its own message
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_estimate_condition_floor_flagship():
     est = estimate_condition_floor(ALL, EVEN, "1/5")
     assert est.ok and not est.exceeded
