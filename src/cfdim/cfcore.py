@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundaryAmbiguityError, DomainError
+from .errors import BoundaryAmbiguityError, DomainError, int_at_least, is_int
 
 __all__ = [
     "PartialQuotients",
@@ -38,7 +38,7 @@ __all__ = [
 def _digit_tuple(digits):
     out = []
     for a in digits:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        if not is_int(a) or a < 1:
             raise DomainError("partial quotients must be integers >= 1, got %r" % (a,))
         out.append(a)
     return tuple(out)
@@ -210,8 +210,8 @@ def expand_decimal(text, max_digits=None):
     are certain); otherwise the certain prefix is returned, possibly
     empty.
     """
-    if max_digits is not None and (not isinstance(max_digits, int) or max_digits < 1):
-        raise DomainError("max_digits must be an integer >= 1, got %r" % (max_digits,))
+    if max_digits is not None:
+        int_at_least(max_digits, "max_digits")
     m = _DECIMAL_RE.fullmatch(text.strip())
     if not m:
         raise DomainError("expected a decimal literal like '0.318', got %r" % text)
@@ -285,15 +285,17 @@ def cylinder(word):
     convergent; even length closes the left end, odd length the right.
     The exact length is 1/(q_n (q_n + q_{n-1})).
     """
-    digits = as_word(word)
+    if not isinstance(word, PartialQuotients):
+        word = PartialQuotients(word)  # validates the digits, once
+    digits = word.digits
     if not digits:
         raise DomainError("cylinder needs at least one digit")
     p, q, p_prev, q_prev = _final_row(digits)
     v = Fraction(p, q)
     mediant = Fraction(p + p_prev, q + q_prev)
     if len(digits) % 2 == 0:
-        return Cylinder(PartialQuotients(digits), v, mediant, True, False)
-    return Cylinder(PartialQuotients(digits), mediant, v, False, True)
+        return Cylinder(word, v, mediant, True, False)
+    return Cylinder(word, mediant, v, False, True)
 
 
 def delete_indices(word, positions):
@@ -310,7 +312,7 @@ def delete_indices(word, positions):
         raw = positions
     drop = set()
     for i in raw:
-        if not isinstance(i, int) or isinstance(i, bool):
+        if not is_int(i):
             raise DomainError("positions must be integers, got %r" % (i,))
         if 1 <= i <= n:
             drop.add(i)
@@ -326,7 +328,7 @@ def quotient_ratio_check(word, k):
     """
     digits = as_word(word)
     n = len(digits)
-    if not 1 <= k <= n:
+    if not is_int(k) or not 1 <= k <= n:
         raise DomainError("k must be in 1..%d, got %r" % (n, k))
     a_k = digits[k - 1]
     q_full = continuant(digits)

@@ -34,7 +34,7 @@ from .cfcore import (
     evaluate,
     exact_positive_fraction,
 )
-from .errors import DomainError, InsufficientHorizonError
+from .errors import DomainError, InsufficientHorizonError, int_at_least, is_int
 
 __all__ = [
     "StepSchedule",
@@ -88,14 +88,10 @@ class StepSchedule:
             raise DomainError("a schedule needs at least one breakpoint")
         prev = 0
         for b in self.breakpoints:
-            if not isinstance(b, int) or b <= prev:
-                raise DomainError("breakpoints must be strictly increasing positive integers")
-            prev = b
+            prev = int_at_least(b, "each breakpoint", prev + 1)
         for t in self.thresholds:
-            if not isinstance(t, int) or t < 0:
-                raise DomainError("thresholds must be nonnegative integers")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise DomainError("horizon must be a positive integer")
+            int_at_least(t, "each threshold", 0)
+        int_at_least(self.horizon, "horizon")
 
     @property
     def c1_value(self):
@@ -306,10 +302,8 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     Exactly one of c1 and eps is given; eps means c1 = eps*log2/2.
     """
     _require_zero_density(seq)
-    if not isinstance(j_max, int) or j_max < 1:
-        raise DomainError("j_max must be an integer >= 1")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise DomainError("horizon must be a positive integer")
+    int_at_least(j_max, "j_max")
+    int_at_least(horizon, "horizon")
     if (c1 is None) == (eps is None):
         raise DomainError("give exactly one of c1 and eps")
     if eps is not None:
@@ -344,8 +338,7 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
 
 def step_value(schedule, n):
     """The digit assigned to constrained index n: its step among the breakpoints."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("step index must be an integer >= 1")
+    int_at_least(n, "step index")
     bps = schedule.breakpoints
     if n > bps[-1]:
         raise DomainError(
@@ -423,11 +416,9 @@ def schedule_onset(seq, schedule):
 
 def build_point(seq, m_cap, schedule, depth, filler=1):
     """Word of the given depth: step digits at constrained positions, filler elsewhere."""
-    if not isinstance(m_cap, int) or m_cap < 1:
-        raise DomainError("digit cap must be an integer >= 1")
-    if not isinstance(depth, int) or depth < 1:
-        raise DomainError("depth must be an integer >= 1")
-    if not isinstance(filler, int) or not 1 <= filler <= m_cap:
+    int_at_least(m_cap, "digit cap")
+    int_at_least(depth, "depth")
+    if not is_int(filler) or not 1 <= filler <= m_cap:
         raise DomainError("filler must be an integer in [1, %d]" % m_cap)
     k = seq.count_window(depth)
     if k > schedule.breakpoints[-1]:
@@ -549,8 +540,7 @@ def verify_separation(prefix, m_cap, x_tail, y_tail):
     (a boundary alias like [w,a,1] vs [w,a+1]) describe one point, not
     two, and are rejected.
     """
-    if not isinstance(m_cap, int) or m_cap < 2:
-        raise DomainError("digit cap must be an integer >= 2")
+    int_at_least(m_cap, "digit cap", 2)
     pre = as_word(prefix)
     xt = as_word(x_tail)
     yt = as_word(y_tail)
@@ -617,8 +607,7 @@ def holder_check(seq, m_cap, eps, sample_pairs):
     (shared prefix of length at least the onset, then differing digits
     at a free position) are skipped with a reason, not failed.
     """
-    if not isinstance(m_cap, int) or m_cap < 2:
-        raise DomainError("digit cap must be an integer >= 2")
+    int_at_least(m_cap, "digit cap", 2)
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
     onset = nominal_onset(seq, eps)
@@ -682,12 +671,11 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60
     Final digits are kept >= 2 at free positions so no pair can collide
     on a boundary alias.
     """
-    if not isinstance(m_cap, int) or m_cap < 2:
-        raise DomainError("digit cap must be an integer >= 2 to allow differing digits")
-    if not isinstance(count, int) or count < 1:
-        raise DomainError("count must be an integer >= 1")
-    if not isinstance(min_prefix, int) or min_prefix < 1:
-        raise DomainError("min_prefix must be an integer >= 1")
+    int_at_least(m_cap, "digit cap", 2)  # two differing digits must fit under it
+    int_at_least(count, "count")
+    int_at_least(min_prefix, "min_prefix")
+    int_at_least(spread, "spread")
+    int_at_least(tail_max, "tail_max")
     rng = random.Random(seed)
 
     def fill(pos):

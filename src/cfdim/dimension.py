@@ -22,7 +22,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .cfcore import _final_row, as_word
-from .errors import DivergenceError, DomainError, ResourceCapError
+from .errors import DivergenceError, DomainError, ResourceCapError, int_at_least
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
 
 __all__ = [
@@ -42,11 +42,6 @@ _LEVEL_CAP = 3
 _DIGIT_CAP = 50
 
 
-def _check_floor(m_floor, minimum=1):
-    if not isinstance(m_floor, int) or isinstance(m_floor, bool) or m_floor < minimum:
-        raise DomainError("digit floor must be an integer >= %d, got %r" % (minimum, m_floor))
-
-
 def j_interval_length(word, m_floor):
     """Exact length of the union of cylinders extending an odd word by a digit >= m_floor.
 
@@ -57,24 +52,22 @@ def j_interval_length(word, m_floor):
     digits = as_word(word)
     if len(digits) % 2 == 0:
         raise DomainError("word must have odd length, got %d digits" % len(digits))
-    _check_floor(m_floor)
+    int_at_least(m_floor, "digit floor")
     _, q, _, q_prev = _final_row(digits)
     return Fraction(1, q * (m_floor * q + q_prev))
 
 
 def recursion_factor(a_odd, a_even, m_floor):
     """Per-step factor (M+1)/(M a_odd^2 a_even^2) bounding J-length decay, exact."""
-    _check_floor(m_floor)
-    if not isinstance(a_odd, int) or a_odd < 1:
-        raise DomainError("odd-position digit must be an integer >= 1")
-    if not isinstance(a_even, int) or a_even < m_floor:
-        raise DomainError("even-position digit must be an integer >= the floor %d" % m_floor)
+    int_at_least(m_floor, "digit floor")
+    int_at_least(a_odd, "odd-position digit")
+    int_at_least(a_even, "even-position digit", m_floor)
     return Fraction(m_floor + 1, m_floor * a_odd * a_odd * a_even * a_even)
 
 
 def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
     """(1+1/M)^s zeta(2s) zeta_tail(M, 2s); the covering sum contracts when < 1."""
-    _check_floor(m_floor, 2)
+    int_at_least(m_floor, "digit floor", 2)
     with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:
@@ -110,7 +103,7 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     there is no root in the bracket and the result says so (converged
     False) instead of raising.
     """
-    _check_floor(m_floor, 2)
+    int_at_least(m_floor, "digit floor", 2)
     if not tol > 0:
         raise DomainError("tol must be positive")
     with mp.workdps(_dps(ctx)):
@@ -164,7 +157,7 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
 
 def asymptotic_exponent(m_floor, ctx=DEFAULT_CONTEXT):
     """Large-M form of the critical exponent: 1/2 + (log log M - log 2)/log M."""
-    _check_floor(m_floor, 3)
+    int_at_least(m_floor, "digit floor", 3)
     with mp.workdps(_dps(ctx)):
         x = mpf(m_floor)
         return +(mpf(1) / 2 + (mp.log(mp.log(x)) - mp.log(2)) / mp.log(x))
@@ -195,13 +188,11 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     not the runtime; the largest admitted grid is ~3*10^8 words and
     takes hours, so keep digit_cap modest at levels = 3.
     """
-    _check_floor(m_floor)
-    if not isinstance(levels, int) or levels < 1:
-        raise DomainError("levels must be an integer >= 1")
+    int_at_least(m_floor, "digit floor")
+    int_at_least(levels, "levels")
     if levels > _LEVEL_CAP:
         raise ResourceCapError("level cap is %d, got %d" % (_LEVEL_CAP, levels))
-    if not isinstance(digit_cap, int) or digit_cap < m_floor:
-        raise DomainError("digit cap must be an integer >= the floor %d" % m_floor)
+    int_at_least(digit_cap, "digit cap", m_floor)
     if digit_cap > _DIGIT_CAP:
         raise ResourceCapError("digit cap is %d, got %d" % (_DIGIT_CAP, digit_cap))
     with mp.workdps(_dps(ctx)):
@@ -236,7 +227,7 @@ def reference_bounds(m_floor, ctx=DEFAULT_CONTEXT):
     still computed.  good_f_hi needs log log(M-1), so it is None at
     M = 2.
     """
-    _check_floor(m_floor, 2)
+    int_at_least(m_floor, "digit floor", 2)
     with mp.workdps(_dps(ctx)):
         m = mpf(m_floor)
         log2 = mp.log(2)

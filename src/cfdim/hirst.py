@@ -13,14 +13,15 @@ by adding terms up to M, because the interesting M sit near 10^12.
 """
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .cfcore import as_word, exact_positive_fraction
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, int_at_least, is_int
 from .sequences import tau
-from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
+from .special import DEFAULT_CONTEXT, _dps, as_real, zeta_tail
 
 __all__ = [
     "HirstDimension",
@@ -39,10 +40,6 @@ __all__ = [
 _FLOOR_CAP = 10 ** 18
 
 
-def _int_at_least(x, minimum):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
-
-
 def _reject_window(digits):
     if digits.kind == "explicit" and digits.assume_infinite:
         raise DomainError(
@@ -53,31 +50,13 @@ def _reject_window(digits):
 
 def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D of a^-z, by closed form; raises when it diverges."""
-    _reject_window(digits)
-    with mp.workdps(_dps(ctx)):
-        zm = as_real(z, "exponent")
-        if digits.kind == "arith":
-            if not zm > 1:
-                raise DivergenceError("sum of a^-z over an integer ray needs z > 1")
-            start = digits.params[0]
-            return zeta_tail(start, zm, ctx) if start > 1 else zeta(zm, ctx)
-        if digits.kind == "square":
-            if not 2 * zm > 1:
-                raise DivergenceError("sum over squares needs z > 1/2")
-            return zeta(2 * zm, ctx)
-        if digits.kind == "pow":
-            if not zm > 0:
-                raise DivergenceError("geometric digit sum needs z > 0")
-            t = mp.power(digits.params[0], -zm)
-            return +(t / (1 - t))
-        return +mp.fsum(mp.power(a, -zm) for a in digits.values)
+    return digit_tail_power_sum(digits, 1, z, ctx)
 
 
 def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
     _reject_window(digits)
-    if not _int_at_least(floor_m, 1):
-        raise DomainError("floor must be an integer >= 1")
+    int_at_least(floor_m, "floor")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
         if digits.kind == "arith":
@@ -88,8 +67,6 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
         if digits.kind == "square":
             if not 2 * zm > 1:
                 raise DivergenceError("tail over squares needs z > 1/2")
-            from math import isqrt
-
             j0 = 1 if floor_m <= 1 else isqrt(floor_m - 1) + 1
             return zeta_tail(j0, 2 * zm, ctx)
         if digits.kind == "pow":
@@ -158,8 +135,7 @@ class M0Condition(NamedTuple):
 
 def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
-    if not _int_at_least(m_floor, 1):
-        raise DomainError("the digit floor must be an integer >= 1")
+    int_at_least(m_floor, "the digit floor")
     eps, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
@@ -232,12 +208,11 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     from D; its own weight multiplies the product.
     """
     _reject_window(digits)
-    if not _int_at_least(m_floor, 1):
-        raise DomainError("the digit floor must be an integer >= 1")
-    if not _int_at_least(level_base, 0):
-        raise DomainError("the base level must be an integer >= 0")
-    if not _int_at_least(level, level_base + 1):
-        raise DomainError("the target level must exceed the base level")
+    int_at_least(m_floor, "the digit floor")
+    int_at_least(level_base, "the base level", 0)
+    if not is_int(level) or level <= level_base:
+        raise DomainError("the target level must exceed the base level %d, got %r"
+                          % (level_base, level))
     word = as_word(prefix)
     k_base = seq.nth(level_base) if level_base >= 1 else 0
     k_top = seq.nth(level)

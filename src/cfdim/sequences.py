@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, int_at_least, is_int
 
 __all__ = [
     "IndexSequence",
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _EXPLICIT_LIMIT = 10 ** 6
+_ARITY = {"arith": 2, "square": 0, "pow": 1, "explicit": 0}
 
 
 def _validated_values(values):
@@ -53,8 +54,7 @@ def _validated_values(values):
         raise DomainError("explicit list capped at %d entries" % _EXPLICIT_LIMIT)
     prev = 0
     for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError("explicit entries must be positive integers, got %r" % (v,))
+        int_at_least(v, "an explicit entry")
         if v <= prev:
             raise DomainError("explicit list must be strictly increasing (%d after %d)" % (v, prev))
         prev = v
@@ -91,23 +91,26 @@ class IndexSequence:
     values: tuple = ()
 
     def __post_init__(self):
+        arity = _ARITY.get(self.kind)
+        if arity is None:
+            raise DomainError("unknown rule kind %r" % self.kind)
+        params = self.params
+        if not (isinstance(params, tuple) and len(params) == arity
+                and all(is_int(p) for p in params)):
+            raise DomainError("%s takes %d integer parameter(s), got %r"
+                              % (self.kind, arity, params))
         if self.kind == "arith":
-            a0, d = self.params
-            if a0 < 1 or d < 1:
+            if min(params) < 1:
                 raise DomainError("arith needs a0 >= 1 and d >= 1")
         elif self.kind == "pow":
-            (b,) = self.params
-            if b < 2:
+            if params[0] < 2:
                 raise DomainError("pow base must be >= 2")
         elif self.kind == "explicit":
             object.__setattr__(self, "values", _validated_values(self.values))
-        elif self.kind != "square":
-            raise DomainError("unknown rule kind %r" % self.kind)
 
     def nth(self, j):
         """k_j for j >= 1."""
-        if j < 1:
-            raise DomainError("sequence index starts at 1, got %r" % (j,))
+        int_at_least(j, "sequence index")
         if self.kind == "arith":
             a0, d = self.params
             return a0 + (j - 1) * d
@@ -121,9 +124,7 @@ class IndexSequence:
 
     def count(self, n):
         """k(n): how many members are <= n."""
-        if n < 0:
-            raise DomainError("count needs n >= 0")
-        if n == 0:
+        if int_at_least(n, "n", 0) == 0:
             return 0
         if self.kind == "arith":
             a0, d = self.params
@@ -168,7 +169,7 @@ class IndexSequence:
             j += 1
 
     def __contains__(self, i):
-        if not isinstance(i, int) or i < 1:
+        if not is_int(i) or i < 1:
             return False
         if self.kind == "arith":
             a0, d = self.params
@@ -278,8 +279,7 @@ def density(seq, horizon):
     The window deliberately excludes small n: limsup and liminf are
     tail quantities and early terms pollute the estimates.
     """
-    if not isinstance(horizon, int) or horizon < 100:
-        raise DomainError("horizon must be an integer >= 100")
+    int_at_least(horizon, "horizon", 100)
     if seq.kind == "explicit" and horizon > seq.values[-1]:
         raise DomainError(
             "horizon %d exceeds the explicit window (max entry %d)"

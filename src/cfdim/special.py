@@ -11,7 +11,11 @@ computable remainder bound.  The cutoff starts at max(start, 64) and
 doubles until that bound clears the requested tolerance with slack; at
 the closest admitted approach to the pole (z = 1 + 2e-9) the bound is
 already below 1e-20 at N = 64, so the doubling loop is quiescent in
-ordinary use.
+ordinary use.  The cutoff never doubles past 2^16 = 65,536: a
+tolerance the bound cannot clear by then raises DomainError before any
+term is summed.  Every tolerance >= 5e-50 is reachable from start <= 64
+and every tolerance >= 5e-47 from any start, for every admitted z (the
+bound at 2^16 is largest next to the pole, 5.2e-51 there).
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DivergenceError, DomainError, PoleProximityError
+from .errors import DivergenceError, DomainError, PoleProximityError, int_at_least
 
 __all__ = [
     "PrecisionContext",
@@ -46,8 +50,7 @@ class PrecisionContext:
     def __post_init__(self):
         if not self.target_abs_tol > 0:
             raise DomainError("target_abs_tol must be positive")
-        if not (isinstance(self.working_digits, int) and self.working_digits >= 30):
-            raise DomainError("working_digits must be an integer >= 30")
+        int_at_least(self.working_digits, "working_digits", 30)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -82,6 +85,7 @@ def euler_gamma(ctx=DEFAULT_CONTEXT):
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
 _NEXT_BERNOULLI = Fraction(5, 66)
 _FACTORIAL = {2: 2, 4: 24, 6: 720, 8: 40320, 10: 3628800}
+_CUTOFF_CAP = 1 << 16
 
 
 def _tail_correction(n0, z):
@@ -110,7 +114,7 @@ def _series_from(start, z, ctx):
     goal = mpf(ctx.target_abs_tol) / 8
     while _remainder_bound(cutoff, z) > goal:
         cutoff *= 2
-        if cutoff > 1 << 40:
+        if cutoff > _CUTOFF_CAP:
             raise DomainError(
                 "tolerance %g is unreachable with B_8 corrections at z = %s"
                 % (ctx.target_abs_tol, z)
@@ -137,8 +141,7 @@ def zeta(z, ctx=DEFAULT_CONTEXT):
 
 def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
     """Sum of k^(-z) over k >= start; same domain and accuracy as zeta."""
-    if not isinstance(start, int) or isinstance(start, bool) or start < 1:
-        raise DomainError("start must be an integer >= 1, got %r" % (start,))
+    int_at_least(start, "start")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
         _check_exponent(zm)
@@ -147,8 +150,7 @@ def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
 
 def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):
     """Integral of x^(-2s) over [start, inf): start^(1-2s)/(2s-1)."""
-    if not isinstance(start, int) or isinstance(start, bool) or start < 1:
-        raise DomainError("start must be an integer >= 1, got %r" % (start,))
+    int_at_least(start, "start")
     with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:

@@ -80,11 +80,14 @@ def test_exit_code_2_on_invalid_input(capsys):
         ["cf", "expand", "--rational", "abc"],
         ["cf", "expand", "--rational", "1/0"],
         ["cf", "expand", "--decimal", "0.5", "--max-digits", "-1"],
+        ["zeta", "value", "--z", "1.2", "--tol", "1e-80"],
+        ["dim", "critical", "--M", "1000", "--tol", "1e-80"],
     ],
     ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
          "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary",
          "factor-zero-den", "zeta-zero-den", "cover-zero-den", "product-zero-den",
-         "rational-not-a-number", "rational-zero-den", "max-digits-negative"],
+         "rational-not-a-number", "rational-zero-den", "max-digits-negative",
+         "zeta-tol-unreachable", "critical-tol-unreachable"],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
     not_json = tmp_path / "sched.json"
@@ -147,9 +150,9 @@ def test_exit_code_3_on_ambiguity_and_non_convergence(capsys):
 
 
 def test_critical_step_limit_exits_3_with_the_bracket(capsys, monkeypatch):
-    # a --tol below the working precision reaches the limit too, but the
-    # CLI also sets the zeta tolerance to --tol, and 1e-80 needs ~10^8
-    # series terms per zeta value; a lower limit reaches the same path
+    # the CLI also sets the zeta tolerance to --tol, so a --tol below the
+    # working precision (1e-80) is refused as unreachable before the solver
+    # starts; a lower step limit reaches the non-convergence path instead
     monkeypatch.setattr("cfdim.dimension._STEP_LIMIT", 3)
     code, out, _ = run(capsys, "dim", "critical", "--M", "1000")
     assert code == 3

@@ -21,8 +21,17 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
+from cfdim.cfcore import expand_decimal, quotient_ratio_check
+from cfdim.construction import (
+    StepSchedule,
+    build_point,
+    choose_schedule,
+    sample_holder_pairs,
+    step_value,
+)
+from cfdim.dimension import covering_sum_enumerated, recursion_factor
 from cfdim.hirst import digit_power_sum, digit_tail_power_sum
-from cfdim.sequences import DigitSet, IndexSequence
+from cfdim.sequences import DigitSet, IndexSequence, density
 
 ALL = parse_digit_set("all")
 EVEN = parse_index_sequence("even")
@@ -100,6 +109,8 @@ def test_covering_condition_domain_checks():
 
 
 _EMPTY = PartialQuotients(())
+_SQUARE = parse_index_sequence("square")
+_SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
 
 
 @pytest.mark.parametrize(
@@ -113,11 +124,63 @@ _EMPTY = PartialQuotients(())
          "the base level must be"),
         (lambda: covering_product_bound(ALL, EVEN, 2, 1, 0, True, _EMPTY),
          "the target level must exceed"),
+        # each integer parameter refuses True
+        (lambda: expand_decimal("0.714285", max_digits=True),
+         "max_digits must be an integer >= 1, got True"),
+        (lambda: StepSchedule(Fraction(1, 10), None, (0,), (True,), 10),
+         "each breakpoint must be an integer >= 1, got True"),
+        (lambda: StepSchedule(Fraction(1, 10), None, (True,), (1,), 10),
+         "each threshold must be an integer >= 0, got True"),
+        (lambda: StepSchedule(Fraction(1, 10), None, (0,), (1,), True),
+         "horizon must be an integer >= 1, got True"),
+        (lambda: choose_schedule(_SQUARE, True, 10000, eps="1/10"),
+         "j_max must be an integer >= 1, got True"),
+        (lambda: choose_schedule(_SQUARE, 1, True, eps="1/10"),
+         "horizon must be an integer >= 1, got True"),
+        (lambda: step_value(_SCHED, True), "step index must be an integer >= 1, got True"),
+        (lambda: build_point(_SQUARE, True, _SCHED, 3),
+         "digit cap must be an integer >= 1, got True"),
+        (lambda: build_point(_SQUARE, 3, _SCHED, True), "depth must be an integer >= 1, got True"),
+        (lambda: build_point(_SQUARE, 3, _SCHED, 3, True), r"filler must be an integer in \[1, 3\]"),
+        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, True, 0, 5),
+         "count must be an integer >= 1, got True"),
+        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, True),
+         "min_prefix must be an integer >= 1, got True"),
+        (lambda: recursion_factor(True, 2, 2), "odd-position digit must be an integer >= 1, got True"),
+        (lambda: recursion_factor(1, True, 1),
+         "even-position digit must be an integer >= 1, got True"),
+        (lambda: covering_sum_enumerated(2, 1, True, 3), "levels must be an integer >= 1, got True"),
+        (lambda: covering_sum_enumerated(1, 1, 1, True),
+         "digit cap must be an integer >= 1, got True"),
+        # indices, counts, sampling sizes and rule parameters
+        (lambda: quotient_ratio_check((2, 3), True), "k must be in 1..2, got True"),
+        (lambda: _SQUARE.nth(True), "sequence index must be an integer >= 1, got True"),
+        (lambda: _SQUARE.count(True), "n must be an integer >= 0, got True"),
+        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, spread=True),
+         "spread must be an integer >= 1, got True"),
+        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, tail_max=0),
+         "tail_max must be an integer >= 1, got 0"),
+        (lambda: IndexSequence("pow", (True,)), r"pow takes 1 integer parameter\(s\)"),
+        # one value below the minimum per module
+        (lambda: expand_decimal("0.714285", max_digits=0), "max_digits must be an integer >= 1, got 0"),
+        (lambda: zeta_tail(0, 2), "start must be an integer >= 1, got 0"),
+        (lambda: density(_SQUARE, 99), "horizon must be an integer >= 100, got 99"),
+        (lambda: covering_sum_enumerated(2, 1, 0, 3), "levels must be an integer >= 1, got 0"),
+        (lambda: build_point(_SQUARE, 3, _SCHED, 0), "depth must be an integer >= 1, got 0"),
+        (lambda: covering_condition(ALL, EVEN, "1/5", 0),
+         "the digit floor must be an integer >= 1, got 0"),
     ],
-    ids=["condition-floor", "tail-floor", "product-floor", "product-base", "product-level"],
+    ids=["condition-floor", "tail-floor", "product-floor", "product-base", "product-level",
+         "cf-max-digits", "schedule-breakpoint", "schedule-threshold", "schedule-horizon",
+         "choose-j-max", "choose-horizon", "step-index", "point-cap", "point-depth",
+         "point-filler", "pairs-count", "pairs-min-prefix", "factor-odd", "factor-even",
+         "cover-levels", "cover-cap", "ratio-k", "seq-nth", "seq-count", "pairs-spread", "pairs-tail-max",
+         "rule-param", "cfcore-below", "special-below", "sequences-below",
+         "dimension-below", "construction-below", "hirst-below"],
 )
 def test_bool_is_not_an_integer_argument(call, message):
-    # bool subclasses int; each check rejects it with its own message
+    # bool subclasses int; the shared rule in cfdim.errors refuses it, and
+    # the few checks with their own text build on the same predicate
     with pytest.raises(DomainError, match=message):
         call()
 

@@ -74,14 +74,34 @@ def test_parse_rejects_malformed_specs():
             parse_index_sequence(bad)
 
 
+def _rule(args):
+    return IndexSequence(*args)
+
+
+def _digits(args):
+    return DigitSet(*args)
+
+
 @pytest.mark.parametrize(
     "parse, spec, message",
     [
         (parse_index_sequence, "pow:1", "pow base must be >= 2"),
         (parse_digit_set, "pow:1", "pow base must be >= 2"),
         (parse_digit_set, "geq:0", "geq floor must be >= 1"),
+        (_rule, ("arith", (0, 1)), "arith needs a0 >= 1 and d >= 1"),
+        (_rule, ("pow", (1,)), "pow base must be >= 2"),
+        (_rule, ("arith", (1.5, 1)), "arith takes 2 integer parameter(s), got (1.5, 1)"),
+        (_rule, ("arith", (True, 1)), "arith takes 2 integer parameter(s), got (True, 1)"),
+        (_rule, ("arith", (1,)), "arith takes 2 integer parameter(s), got (1,)"),
+        (_rule, ("pow", (2.5,)), "pow takes 1 integer parameter(s), got (2.5,)"),
+        (_rule, ("pow", 3), "pow takes 1 integer parameter(s), got 3"),
+        (_rule, ("square", (2,)), "square takes 0 integer parameter(s), got (2,)"),
+        (_digits, ("arith", (1, True)), "arith takes 2 integer parameter(s), got (1, True)"),
+        (_digits, ("pow", (2, 3)), "pow takes 1 integer parameter(s), got (2, 3)"),
     ],
-    ids=["sequence-pow", "digits-pow", "digits-geq"],
+    ids=["sequence-pow", "digits-pow", "digits-geq", "rule-arith-range", "rule-pow-range",
+         "rule-arith-float", "rule-arith-bool", "rule-arith-arity", "rule-pow-float",
+         "rule-pow-not-tuple", "rule-square-arity", "digits-arith-bool", "digits-pow-arity"],
 )
 def test_parse_reports_range_errors_as_such(parse, spec, message):
     with pytest.raises(DomainError) as exc:
@@ -113,6 +133,12 @@ def test_density_report_window_estimates():
 def test_count_k_matches_membership():
     sq = parse_index_sequence("square")
     assert sq.count(10) == sum(1 for i in range(1, 11) if i in sq)
+
+
+def test_membership_refuses_bool():
+    assert 1 in parse_index_sequence("square") and True not in parse_index_sequence("square")
+    assert True not in parse_digit_set("all")
+    assert True not in IndexSequence("explicit", (), (1, 2))
 
 
 def test_digit_set_membership():
