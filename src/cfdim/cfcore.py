@@ -36,12 +36,23 @@ __all__ = [
 
 
 def _digit_tuple(digits):
-    out = []
-    for a in digits:
+    out = tuple(digits)
+    # one pass in C when every digit is an exact int >= 1; anything else
+    # (bools, int subclasses, bad digits) takes the loop, which names the
+    # first bad digit
+    if out and set(map(type, out)) == {int} and min(out) >= 1:
+        return out
+    for a in out:
         if not is_int(a) or a < 1:
             raise DomainError("partial quotients must be integers >= 1, got %r" % (a,))
-        out.append(a)
-    return tuple(out)
+    return out
+
+
+def _wrap(digits):
+    """A PartialQuotients around a tuple of digits already known to be valid."""
+    word = object.__new__(PartialQuotients)
+    object.__setattr__(word, "digits", digits)
+    return word
 
 
 @dataclass(frozen=True)
@@ -317,7 +328,7 @@ def delete_indices(word, positions):
         if 1 <= i <= n:
             drop.add(i)
     # positions beyond the word are ignored, not an error
-    return PartialQuotients(a for k, a in enumerate(digits, start=1) if k not in drop)
+    return _wrap(tuple(a for k, a in enumerate(digits, start=1) if k not in drop))
 
 
 def quotient_ratio_check(word, k):

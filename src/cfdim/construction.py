@@ -11,10 +11,11 @@ Everything decision-bearing is exact.  Ratio thresholds with derived c1
 reduce to integer power comparisons ((j+1)^(2*ed*k) vs 2^(en*n) for
 eps = en/ed), and the size/separation/Holder inequalities are checked
 on cross-multiplied integer powers of exact cylinder lengths.  Floats
-appear only as display values and as a prefilter that hands near-ties
-to the exact path.  With an explicit rational c1 the comparison against
-k*log(j+1) cannot tie (the log of an integer >= 2 is transcendental),
-so escalating precision always separates the sides.
+appear only as display values, as a prefilter that hands near-ties to
+the exact path, and as guesses that an exact test must confirm.  With
+an explicit rational c1 the comparison against k*log(j+1) cannot tie
+(the log of an integer >= 2 is transcendental), so escalating
+precision always separates the sides.
 """
 
 import math
@@ -28,6 +29,8 @@ from mpmath import mp, mpf
 
 from .cfcore import (
     PartialQuotients,
+    _final_row,
+    _wrap,
     as_word,
     cylinder,
     delete_indices,
@@ -254,8 +257,11 @@ def _ratio_violates_explicit(c1, k, n, j):
 # predicate in (m, k(m)) holds.  k(m) is constant on runs between
 # consecutive members of the sequence, and within a run each predicate
 # holds on a prefix (its right side grows with m while k stays fixed),
-# so the last violator of a run is found by bisection and the overall
-# last violator is the largest of those.
+# so the last violator of a run is the end of that prefix, and the
+# overall last violator is the largest of those.  Each scan guesses the
+# end of the prefix from the closed form of its inequality and confirms
+# the guess with the exact predicate; a wrong guess costs a bisection,
+# never a wrong integer.
 
 
 def _runs(seq, limit):
@@ -266,18 +272,36 @@ def _runs(seq, limit):
     """
     first = 1
     k_end = seq.count_window(limit)
-    for k in range(k_end):
-        v = seq.nth(k + 1)
+    for k, v in zip(range(k_end), seq.members()):
         if v > first:
             yield first, v - 1, k
         first = v
     yield first, limit, k_end
 
 
-def _last_bad(first, last, bad):
-    """Largest m in [first, last] with bad(m), or 0; bad must hold on a prefix."""
-    if not bad(first):
-        return 0
+def _last_bad(first, last, bad, guess=None):
+    """Largest m in [first, last] with bad(m), or 0; bad must hold on a prefix.
+
+    A guess g in [first, last] (a larger one counts as last) is the
+    answer when bad(g) holds and bad(g + 1) fails or g == last;
+    otherwise those tests narrow the range that is bisected.  With no
+    guess, or one below first, the search starts by testing first, so a
+    run with no violator costs one test.
+    """
+    if guess is None or guess < first:
+        if not bad(first):
+            return 0
+    else:
+        g = guess if guess < last else last
+        if bad(g):
+            if g == last or not bad(g + 1):
+                return g
+            first = g + 1
+        elif g == first or not bad(first):
+            return 0
+        else:
+            last = g - 1
+    # bad(first) holds from here on
     while first < last:
         mid = (first + last + 1) // 2
         if bad(mid):
@@ -293,11 +317,13 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     For each step j, the threshold N_j is the largest n in [1, C_j]
     with k(n)/n > c1/log(j+1), where C_j is an analytic bound beyond
     which no violation can occur (0 when there is no violation at all).
-    Each comparison is exact; the search bisects every run of constant
-    k(n) instead of testing each n.  C_j must fit under the horizon,
-    otherwise the horizon cannot certify the threshold and the call
-    fails rather than guessing.  Breakpoint n_j is the least index
-    above n_{j-1} whose sequence member reaches N_j.
+    Each comparison is exact.  The search does not test each n: on every
+    run of constant k(n) it confirms ceil(k*log(j+1)/c1) - 1 as the
+    last violator, or bisects the run when that estimate is off.  C_j must
+    fit under the horizon, otherwise the horizon cannot certify the
+    threshold and the call fails rather than extrapolating.  Breakpoint
+    n_j is the least index above n_{j-1} whose sequence member reaches
+    N_j.
 
     Exactly one of c1 and eps is given; eps means c1 = eps*log2/2.
     """
@@ -327,7 +353,10 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
                 "step %d needs a scan up to %d to certify its threshold, "
                 "beyond the horizon %d" % (j, cert, horizon)
             )
-        worst = max(_last_bad(first, last, lambda n: violates(k, n, j))
+        # k*log(j+1) > c1*n exactly when n < k*log(j+1)/c1, an integer
+        # when j + 1 is a power of two and c1 is derived
+        slope = math.log(j + 1) / c1_float
+        worst = max(_last_bad(first, last, lambda n: violates(k, n, j), math.ceil(k * slope) - 1)
                     for first, last, k in _runs(seq, cert))
         thresholds.append(worst)
         n_j = max(prev + 1, seq.first_at_least(worst))
@@ -384,6 +413,7 @@ def schedule_onset(seq, schedule):
             return bits > e + 1 or (bits == e + 1 and product != (1 << e))
     else:
         c1 = schedule.c1
+        c1_float = c1.numerator / c1.denominator
         logs = []  # exact step values seen so far, for recomputation
 
         def bad(m):
@@ -405,7 +435,13 @@ def schedule_onset(seq, schedule):
                 else:
                     logs.append(s)
                     log_sum += mp.log(s + 1)
-            worst = max(worst, _last_bad(first, last, bad))
+            # the weight exceeds c1*m for m < log_sum/c1; an integer
+            # product exceeds 2^(en*m) for en*m < its bit length - 1
+            if derived:
+                guess = (product.bit_length() - 1) // en
+            else:
+                guess = int(float(log_sum) / c1_float)
+            worst = max(worst, _last_bad(first, last, bad, guess))
     if worst >= limit:
         raise InsufficientHorizonError(
             "the weight inequality still fails at %d, the edge of the checked "
@@ -443,8 +479,10 @@ class SizeBoundReport(NamedTuple):
 
 
 def _last_nominal_violator(seq, en, ed, limit):
-    # last m in [1, limit] failing the onset condition en*(m - 2k - 4) >= 2*ed
-    return max(_last_bad(first, last, lambda m: en * (m - 2 * k - 4) < 2 * ed)
+    # last m in [1, limit] failing the onset condition en*(m - 2k - 4) >= 2*ed;
+    # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
+    offset = 3 - (-2 * ed // en)
+    return max(_last_bad(first, last, lambda m: en * (m - 2 * k - 4) < 2 * ed, 2 * k + offset)
                for first, last, k in _runs(seq, limit))
 
 
@@ -492,17 +530,31 @@ def verify_size_bound(eps, seq, schedule, word):
 
     onset_certified = _certified_onset(seq, schedule, en, ed)
 
-    lhs = cylinder(digits).length
-    deleted = delete_indices(digits, seq)
-    r = cylinder(deleted).length
-    ok = (lhs.numerator ** ed) * (r.denominator ** (en + ed)) >= (
-        lhs.denominator ** ed
-    ) * (r.numerator ** (en + ed))
+    # |I(w)| = 1/L and |I(w')| = 1/R with L = q_n (q_n + q_{n-1}), so
+    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
+    _, q, _, q_prev = _final_row(digits)
+    big_l = q * (q + q_prev)
+    _, q, _, q_prev = _final_row(delete_indices(_wrap(digits), seq).digits)
+    big_r = q * (q + q_prev)
+    ok = _power_at_least(big_r, en + ed, big_l, ed)
     with mp.workdps(50):
-        rhs = +(
-            (mpf(r.numerator) / mpf(r.denominator)) ** (mpf(en + ed) / ed)
-        )
-    return SizeBoundReport(eps, digits, onset, onset_certified, lhs, rhs, ok)
+        rhs = +((mpf(1) / mpf(big_r)) ** (mpf(en + ed) / ed))
+    return SizeBoundReport(eps, digits, onset, onset_certified, Fraction(1, big_l), rhs, ok)
+
+
+def _power_at_least(x, a, y, b):
+    """x**a >= y**b, exactly, for integers x, y >= 1 and a, b >= 1.
+
+    Each power lies in a range of powers of two read off the bit length
+    of its base (2^(bits-1) <= x < 2^bits); only when the two ranges
+    overlap are the powers formed.
+    """
+    bx, by = x.bit_length(), y.bit_length()
+    if a * (bx - 1) >= b * by:
+        return True
+    if a * bx <= b * (by - 1):
+        return False
+    return x ** a >= y ** b
 
 
 def _certified_onset(seq, schedule, en, ed):
@@ -520,7 +572,7 @@ def _certified_onset(seq, schedule, en, ed):
             e = (m - k - 2) * en
             # 2^e >= rhs  iff  e+1 > bits, or e+1 == bits and rhs is that power of two
             return e < 0 or not (e + 1 > bits or (e + 1 == bits and rhs == (1 << e)))
-        worst = max(worst, _last_bad(first, last, bad))
+        worst = max(worst, _last_bad(first, last, bad, k + 2 + (bits - 1) // en))
     if worst >= limit:
         return None
     return worst + 1

@@ -22,11 +22,13 @@ its progressions must have gap 1 ("all", "geq:M") and the digit set
 parser rejects "even" and "arith".
 """
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, int_at_least, is_int
@@ -152,21 +154,23 @@ class IndexSequence:
         count stops growing there instead of being undetermined.
         """
         if self.kind == "explicit":
-            return bisect_right(self.values, n)
+            return bisect_right(self.values, int_at_least(n, "n", 0))
         return self.count(n)
+
+    def members(self):
+        """Iterator over k_1, k_2, ... in order; an explicit list ends with its last entry."""
+        if self.kind == "arith":
+            return itertools.count(*self.params)
+        if self.kind == "square":
+            return (j * j for j in itertools.count(1))
+        if self.kind == "pow":
+            return itertools.accumulate(itertools.repeat(self.params[0]), mul)
+        return iter(self.values)
 
     def upto(self, n):
         """Members <= n, ascending."""
-        if self.kind == "explicit":
-            return list(self.values[: bisect_right(self.values, n)])
-        out = []
-        j = 1
-        while True:
-            v = self.nth(j)
-            if v > n:
-                return out
-            out.append(v)
-            j += 1
+        int_at_least(n, "n", 0)
+        return list(itertools.takewhile(lambda v: v <= n, self.members()))
 
     def __contains__(self, i):
         if not is_int(i) or i < 1:
@@ -187,7 +191,7 @@ class IndexSequence:
 
     def first_at_least(self, v):
         """Least j with k_j >= v."""
-        if v <= self.nth(1):
+        if int_at_least(v, "value", 0) <= self.nth(1):
             return 1
         if self.kind == "arith":
             a0, d = self.params

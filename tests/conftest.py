@@ -1,5 +1,12 @@
 import re
 
+from hypothesis import settings
+
+# Every property test draws the same examples on every run and keeps no
+# example database; example counts are set per test.
+settings.register_profile("cfdim", derandomize=True, deadline=None, database=None)
+settings.load_profile("cfdim")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One line per acceptance criterion at the end of the run."""

@@ -5,6 +5,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfdim import (
     BoundaryAmbiguityError,
@@ -20,6 +22,8 @@ from cfdim import (
     normalize,
     quotient_ratio_check,
 )
+from cfdim.cfcore import _digit_tuple
+from cfdim.errors import is_int
 
 
 def test_expand_known_values():
@@ -210,3 +214,42 @@ def test_quotient_ratio_check_validates_k():
         quotient_ratio_check((1, 2), 3)
     with pytest.raises(DomainError):
         quotient_ratio_check((1, 2), 0)
+
+
+class _Digit(int):
+    """An int subclass: a valid digit that the fast path leaves to the loop."""
+
+
+def _loop_digit_tuple(digits):
+    # the per-digit validation loop, the reference for the fast path
+    out = []
+    for a in digits:
+        if not is_int(a) or a < 1:
+            raise DomainError("partial quotients must be integers >= 1, got %r" % (a,))
+        out.append(a)
+    return tuple(out)
+
+
+def _outcome(fn, digits):
+    try:
+        return fn(digits)
+    except DomainError as exc:
+        return str(exc)
+
+
+_valid = st.one_of(st.integers(1, 9), st.integers(1, 10 ** 30))
+# ints of other types that compare like valid digits, and exact ints below 1
+_int_like = st.one_of(st.integers(-3, 9), st.booleans(), st.integers(1, 9).map(_Digit))
+_any = st.one_of(_valid, _int_like, st.floats(-3, 3))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(_valid, max_size=30), st.lists(_int_like, max_size=30),
+                 st.lists(_any, max_size=30)))
+def test_digit_tuple_matches_the_validation_loop(digits):
+    got = _outcome(_digit_tuple, digits)
+    assert got == _outcome(_loop_digit_tuple, digits)
+    if isinstance(got, tuple):
+        assert [type(a) for a in got] == [type(a) for a in digits]
+    # any iterable, read once
+    assert _outcome(_digit_tuple, iter(digits)) == got

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cfdim import (
@@ -13,6 +15,8 @@ from cfdim import (
     StepSchedule,
     build_point,
     choose_schedule,
+    cylinder,
+    delete_indices,
     evaluate,
     holder_check,
     nominal_onset,
@@ -23,6 +27,8 @@ from cfdim import (
     verify_separation,
     verify_size_bound,
 )
+from cfdim import cfcore
+from cfdim.construction import _power_at_least
 
 SQ = parse_index_sequence("square")
 
@@ -247,6 +253,57 @@ def test_size_bound_every_word_passes_from_certified_onset():
                 digits.append(rng.randint(1, 2))  # adversarial: small digits
         rep = verify_size_bound("1/10", SQ, s, PartialQuotients(digits))
         assert rep.ok
+
+
+def test_size_bound_matches_cylinder_lengths():
+    # the report builds both lengths from the final continuants; compare
+    # with the Fraction endpoints of cylinder and the direct power test,
+    # on lengths around the nominal and certified onsets
+    import random
+
+    s = square_schedule()
+    rng = random.Random(8)
+    for length in (20, 34, 60, 111, 200, 531, 600):
+        digits = [step_value(s, SQ.count(i)) if i in SQ else rng.randint(1, 3)
+                  for i in range(1, length + 1)]
+        rep = verify_size_bound("1/10", SQ, s, digits)
+        lhs = cylinder(digits).length
+        r = cylinder(delete_indices(digits, SQ)).length
+        assert rep.lhs == lhs
+        assert rep.ok == (lhs ** 10 >= r ** 11)
+
+
+def test_size_bound_validates_the_word_once(monkeypatch):
+    s = square_schedule()
+    word = list(build_point(SQ, 3, s, 300).digits)
+    want = verify_size_bound("1/10", SQ, s, word)
+    real, calls = cfcore._digit_tuple, []
+
+    def counted(digits):
+        calls.append(digits)
+        return real(digits)
+    monkeypatch.setattr(cfcore, "_digit_tuple", counted)
+    assert verify_size_bound("1/10", SQ, s, word) == want
+    assert len(calls) == 1
+
+
+# (x, a, y, b) for x^a >= y^b: any sizes, powers of two, and near-ties
+# y = x^c + d with a = b*c, where only the exact powers can decide
+_generic = st.tuples(st.integers(1, 2 ** 70), st.integers(1, 12),
+                     st.integers(1, 2 ** 70), st.integers(1, 12))
+_twos = st.builds(lambda i, a, j, b: (2 ** i, a, 2 ** j, b),
+                  st.integers(0, 70), st.integers(1, 12), st.integers(0, 70), st.integers(1, 12))
+_ties = st.builds(lambda x, c, b, d: (x, b * c, max(x ** c + d, 1), b),
+                  st.integers(1, 2 ** 40), st.integers(1, 4), st.integers(1, 6),
+                  st.integers(-1, 1))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_generic, _twos, _ties))
+def test_power_comparison_matches_the_direct_one(case):
+    x, a, y, b = case
+    assert _power_at_least(x, a, y, b) == (x ** a >= y ** b)
+    assert _power_at_least(y, b, x, a) == (y ** b >= x ** a)
 
 
 def test_size_bound_rejects_inadmissible_words():

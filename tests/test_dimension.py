@@ -111,7 +111,7 @@ def test_critical_exponent_no_root_reports_instead_of_raising():
         critical_exponent(2, tol=0)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(st.floats(min_value=math.log10(2), max_value=12), st.sampled_from([50, 100]))
 def test_critical_exponent_matches_mpmath_oracle(log_m, dps):
     # M log-uniform in [2, 10^12]; the oracle is mpmath's own Hurwitz zeta

@@ -156,6 +156,13 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
         (lambda: quotient_ratio_check((2, 3), True), "k must be in 1..2, got True"),
         (lambda: _SQUARE.nth(True), "sequence index must be an integer >= 1, got True"),
         (lambda: _SQUARE.count(True), "n must be an integer >= 0, got True"),
+        (lambda: _SQUARE.upto(2.5), "n must be an integer >= 0, got 2.5"),
+        (lambda: _SQUARE.upto(True), "n must be an integer >= 0, got True"),
+        (lambda: IndexSequence("explicit", (), (1, 3)).count_window(2.5),
+         "n must be an integer >= 0, got 2.5"),
+        (lambda: parse_index_sequence("pow:2").first_at_least(2.5),
+         "value must be an integer >= 0, got 2.5"),
+        (lambda: _SQUARE.first_at_least(2.5), "value must be an integer >= 0, got 2.5"),
         (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, spread=True),
          "spread must be an integer >= 1, got True"),
         (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, tail_max=0),
@@ -174,7 +181,9 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
          "cf-max-digits", "schedule-breakpoint", "schedule-threshold", "schedule-horizon",
          "choose-j-max", "choose-horizon", "step-index", "point-cap", "point-depth",
          "point-filler", "pairs-count", "pairs-min-prefix", "factor-odd", "factor-even",
-         "cover-levels", "cover-cap", "ratio-k", "seq-nth", "seq-count", "pairs-spread", "pairs-tail-max",
+         "cover-levels", "cover-cap", "ratio-k", "seq-nth", "seq-count",
+         "seq-upto-float", "seq-upto-bool", "seq-window-float", "seq-first-pow-float",
+         "seq-first-square-float", "pairs-spread", "pairs-tail-max",
          "rule-param", "cfcore-below", "special-below", "sequences-below",
          "dimension-below", "construction-below", "hirst-below"],
 )

@@ -2,9 +2,10 @@
 
 The five scans in ``construction`` (thresholds in ``choose_schedule``,
 ``schedule_onset``, the nominal and certified onsets of
-``verify_size_bound``, and ``nominal_onset``) bisect each run of
-constant k(m).  The loops below test every index instead; both must
-give the same integers and raise the same errors.
+``verify_size_bound``, and ``nominal_onset``) confirm a guessed end of
+the violating prefix of each run of constant k(m), or bisect the run.
+The loops below test every index instead; both must give the same
+integers and raise the same errors.
 """
 
 import math
@@ -27,6 +28,7 @@ from cfdim import (
     step_value,
     verify_size_bound,
 )
+from cfdim import construction
 from cfdim.construction import (
     _LOG2,
     _covered_limit,
@@ -165,11 +167,43 @@ def test_runs_partition_the_range_by_window_count():
 
 
 def test_last_bad_finds_the_end_of_a_prefix():
+    # every guess, right, wrong or outside the run, gives the guess-free
+    # answer; a right one (after clipping to [first - 1, last]) costs at
+    # most two tests
     for first in (1, 5):
         for last in range(first, first + 12):
             for end in range(first - 1, last + 1):
                 want = end if end >= first else 0
                 assert _last_bad(first, last, lambda m: m <= end) == want
+                for guess in [None, *range(first - 3, last + 4)]:
+                    tested = []
+
+                    def bad(m):
+                        assert first <= m <= last
+                        tested.append(m)
+                        return m <= end
+                    assert _last_bad(first, last, bad, guess) == want, guess
+                    if guess is not None and min(max(guess, first - 1), last) == end:
+                        assert len(tested) <= 2, (guess, tested)
+
+
+def test_choose_schedule_makes_about_one_exact_test_per_run(monkeypatch):
+    # bisecting every run took about seven tests per run; the guessed
+    # end of each violating prefix is confirmed by one or two
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ratio_violates_derived(*args)
+    monkeypatch.setattr(construction, "_ratio_violates_derived", counted)
+    seq = parse_index_sequence("square")
+    eps = Fraction(1, 10)
+    got = choose_schedule(seq, 30, 10 ** 4, eps=eps)
+    assert got == ref_choose_schedule(seq, 30, 10 ** 4, eps=eps)
+    c1_float = eps.numerator / eps.denominator * _LOG2 / 2
+    runs = sum(len(list(_runs(seq, _ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
+               for j in range(1, 31))
+    assert len(calls) <= 1.5 * runs, (len(calls), runs)
 
 
 def _rule_grid():

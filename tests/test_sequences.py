@@ -211,9 +211,9 @@ def test_spec_string_round_trip():
 
 
 # Property tests for the four shared rules.  Each oracle lists members
-# without calling the library.  Derandomized, so every run draws the
-# same examples.
-_PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# without calling the library.  The conftest profile derandomizes them,
+# so every run draws the same examples.
+_PROPS = settings(max_examples=150)
 
 
 def _ints(lo, hi):
