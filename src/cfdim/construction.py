@@ -7,19 +7,21 @@ breakpoints are chosen so the logarithmic weight of the constrained
 digits stays below c1 times the word length; c1 is either given
 directly or derived from an exponent eps as eps*log(2)/2.
 
-Everything decision-bearing is exact.  Ratio thresholds with derived c1
-reduce to integer power comparisons ((j+1)^(2*ed*k) vs 2^(en*n) for
-eps = en/ed), and the size/separation/Holder inequalities are checked
-on cross-multiplied integer powers of exact cylinder lengths.  Floats
-appear only as display values, as a prefilter that hands near-ties to
-the exact path, and as guesses that an exact test must confirm.  With
-an explicit rational c1 the comparison against k*log(j+1) cannot tie
-(the log of an integer >= 2 is transcendental), so escalating
-precision always separates the sides.
+Everything decision-bearing is exact.  The weight inequality
+log(p) > c1*m, for an integer product p of digit factors, has one test
+in both modes: floats decide it unless the sides are within a relative
+1e-9.  A near tie compares the integers p^(2*ed) and 2^(en*m) when c1
+is derived from eps = en/ed; with an explicit rational c1 the sides
+cannot tie (log p is transcendental for p >= 2), so escalating
+precision always separates them.  The size/separation/Holder
+inequalities are checked on cross-multiplied integer powers of exact
+cylinder lengths.  Floats appear otherwise only as display values and
+as guesses that an exact test must confirm.
 """
 
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,19 +167,20 @@ def _require_zero_density(seq):
 
 
 def _ratio_cert_bound(seq, t):
-    """Smallest C such that k(n)/n <= t is guaranteed for every n > C."""
-    if t <= 0:
-        raise DomainError("threshold ratio must be positive")
-    if seq.kind == "square":
-        # k(n) <= sqrt(n), so 1/sqrt(n) <= t suffices
-        return int(1 / (t * t) * 1.001) + 10
-    if seq.kind == "pow":
-        b = seq.params[0]
-        # k(n) <= log_b(n); log_b(n)/n decreases once n >= 3
-        c = 8
-        while math.log(c) / math.log(b) / c > t * 0.999:
-            c *= 2
-        return c
+    """Smallest C such that k(n)/n <= t is guaranteed for every n > C; math.inf past floats."""
+    try:
+        if seq.kind == "square":
+            # k(n) <= sqrt(n), so 1/sqrt(n) <= t suffices
+            return int(1 / (t * t) * 1.001) + 10
+        if seq.kind == "pow":
+            b = seq.params[0]
+            # k(n) <= log_b(n); log_b(n)/n decreases once n >= 3
+            c = 8
+            while math.log(c) / math.log(b) / c > t * 0.999:
+                c *= 2
+            return c
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
     raise DomainError("no analytic tail certificate for kind %r" % seq.kind)
 
 
@@ -216,41 +219,55 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
-def _ratio_violates_derived(en, ed, k, n, j):
-    # k*log(j+1) > (en/ed)*(log2/2)*n, exactly: (j+1)^(2*ed*k) > 2^(en*n)
-    if k == 0:
-        return False
-    lhs = 2 * ed * k * math.log(j + 1)
-    rhs = en * n * _LOG2
-    if abs(lhs - rhs) > 1e-9 * (abs(lhs) + abs(rhs)):
-        return lhs > rhs
-    power = (j + 1) ** (2 * ed * k)
-    m = en * n
-    bits = power.bit_length()
-    if bits != m + 1:
-        return bits > m + 1
-    return power != (1 << m)
+def _weight_test(eps, c1):
+    """(exceeds, c1_float): exceeds(p, m) decides log(p) > c1*m exactly for an integer p >= 1.
 
+    Exactly one of eps and c1 is a positive Fraction; eps means
+    c1 = eps*log(2)/2.  A near tie compares p^(2*ed) with 2^(en*m) in
+    derived mode and escalates mpmath from 60 to 200 digits in explicit
+    mode.  The float comparison needs c1 in the normal float range.
+    """
+    try:
+        c1_float = float(c1) if eps is None else float(eps) * _LOG2 / 2
+    except OverflowError:
+        c1_float = math.inf
+    if not sys.float_info.min <= c1_float < math.inf:
+        raise DomainError(
+            "%s is out of range: c1 must lie between %g and %g"
+            % ("c1" if eps is None else "eps", sys.float_info.min, sys.float_info.max)
+        )
 
-def _ratio_violates_explicit(c1, k, n, j):
-    # k*log(j+1) > c1*n; a tie would make log(j+1) rational, impossible.
-    # For k, j >= 1 the left side is irrational and the right rational,
-    # so the raise below never fires: the run-wise search in
-    # choose_schedule, which skips most n, drops no error that testing
-    # every n would raise.
-    if k == 0:
-        return False
-    for dps in (60, 200):
-        with mp.workdps(dps):
-            lhs = k * mp.log(j + 1)
-            rhs = mpf(c1.numerator) / c1.denominator * n
-            diff = lhs - rhs
-            if abs(diff) > mpf(10) ** (-(dps - 15)) * (abs(lhs) + abs(rhs) + 1):
-                return diff > 0
-    raise DomainError(
-        "could not separate k*log(j+1) from c1*n at 200 digits (k=%d, n=%d, j=%d)"
-        % (k, n, j)
-    )
+    if c1 is None:
+        en, ed = eps.numerator, eps.denominator
+
+        def exact(p, m):
+            # p^(2*ed) > 2^(en*m): the bit length decides unless it is en*m + 1
+            power, e = p ** (2 * ed), en * m
+            bits = power.bit_length()
+            return bits > e + 1 or (bits == e + 1 and power != 1 << e)
+    else:
+        def exact(p, m):
+            # p >= 2 here, so log(p) is irrational and c1*m rational: the
+            # raise below never fires
+            for dps in (60, 200):
+                with mp.workdps(dps):
+                    lhs = mp.log(p)
+                    rhs = mpf(c1.numerator) / c1.denominator * m
+                    diff = lhs - rhs
+                    if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
+                        return diff > 0
+            raise DomainError("could not separate log(p) from c1*m at 200 digits (m=%d)" % m)
+
+    def exceeds(p, m):
+        # p = 1 gives lhs = 0 < rhs: never a violation, and never exact
+        lhs, rhs = math.log(p), c1_float * m
+        if lhs > rhs * (1 + 1e-9):
+            return True
+        if lhs < rhs * (1 - 1e-9):
+            return False
+        return exact(p, m)
+
+    return exceeds, c1_float
 
 
 # Every scan below looks for the last m in [1, limit] at which a
@@ -311,6 +328,22 @@ def _last_bad(first, last, bad, guess=None):
     return first
 
 
+def _last_violator(seq, limit, factor, exceeds, c1_float):
+    """Largest m in [1, limit] with exceeds(p, m) for p = prod_{i <= k(m)} factor(i), or 0.
+
+    On a run of constant k, log(p) > c1*m holds for m < log(p)/c1.
+    """
+    p = 1
+    worst = 0
+    for first, last, k in _runs(seq, limit):
+        if k:
+            p *= factor(k)
+        x = math.log(p) / c1_float
+        guess = math.ceil(x) - 1 if x <= last else last
+        worst = max(worst, _last_bad(first, last, lambda m: exceeds(p, m), guess))
+    return worst
+
+
 def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     """Thresholds and breakpoints for a zero-density sequence.
 
@@ -334,30 +367,23 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
         raise DomainError("give exactly one of c1 and eps")
     if eps is not None:
         eps = exact_positive_fraction(eps, "eps")
-        en, ed = eps.numerator, eps.denominator
-        c1_float = en / ed * _LOG2 / 2
-        violates = lambda k, n, j: _ratio_violates_derived(en, ed, k, n, j)
     else:
         c1 = exact_positive_fraction(c1, "c1")
-        c1_float = c1.numerator / c1.denominator
-        violates = lambda k, n, j: _ratio_violates_explicit(c1, k, n, j)
+    exceeds, c1_float = _weight_test(eps, c1)
 
     thresholds = []
     breakpoints = []
     prev = 0
     for j in range(1, j_max + 1):
-        t = c1_float / math.log(j + 1)
-        cert = _ratio_cert_bound(seq, t)
+        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
         if cert > horizon:
+            reach = "up to %d" % cert if cert < math.inf else "past the float range"
             raise InsufficientHorizonError(
-                "step %d needs a scan up to %d to certify its threshold, "
-                "beyond the horizon %d" % (j, cert, horizon)
+                "step %d needs a scan %s to certify its threshold, "
+                "beyond the horizon %d" % (j, reach, horizon)
             )
-        # k*log(j+1) > c1*n exactly when n < k*log(j+1)/c1, an integer
-        # when j + 1 is a power of two and c1 is derived
-        slope = math.log(j + 1) / c1_float
-        worst = max(_last_bad(first, last, lambda n: violates(k, n, j), math.ceil(k * slope) - 1)
-                    for first, last, k in _runs(seq, cert))
+        # k(n)*log(j+1) > c1*n: the product of k(n) factors j + 1
+        worst = _last_violator(seq, cert, lambda i: j + 1, exceeds, c1_float)
         thresholds.append(worst)
         n_j = max(prev + 1, seq.first_at_least(worst))
         breakpoints.append(n_j)
@@ -398,50 +424,12 @@ def schedule_onset(seq, schedule):
     In derived mode the comparison is the exact integer test
     prod (step(j)+1)^(2*ed) <= 2^(en*m).
     """
-    derived = schedule.eps is not None
     limit = _covered_limit(seq, schedule)
     if limit < 1:
         raise DomainError("the schedule covers no positions at all")
-
-    if derived:
-        en, ed = schedule.eps.numerator, schedule.eps.denominator
-        product = 1  # prod (step(j)+1)^(2*ed) over j <= k(m)
-
-        def bad(m):
-            e = en * m
-            bits = product.bit_length()
-            return bits > e + 1 or (bits == e + 1 and product != (1 << e))
-    else:
-        c1 = schedule.c1
-        c1_float = c1.numerator / c1.denominator
-        logs = []  # exact step values seen so far, for recomputation
-
-        def bad(m):
-            rhs = mpf(c1.numerator) / c1.denominator * m
-            diff = log_sum - rhs
-            if abs(diff) <= mpf("1e-40") * (abs(rhs) + 1):
-                with mp.workdps(200):
-                    fine = mp.fsum(mp.log(s + 1) for s in logs)
-                    diff = fine - mpf(c1.numerator) / c1.denominator * m
-            return diff > 0
-    worst = 0
-    log_sum = mpf(0)
-    with mp.workdps(60):
-        for first, last, k in _runs(seq, limit):
-            if k:
-                s = step_value(schedule, k)
-                if derived:
-                    product *= (s + 1) ** (2 * ed)
-                else:
-                    logs.append(s)
-                    log_sum += mp.log(s + 1)
-            # the weight exceeds c1*m for m < log_sum/c1; an integer
-            # product exceeds 2^(en*m) for en*m < its bit length - 1
-            if derived:
-                guess = (product.bit_length() - 1) // en
-            else:
-                guess = int(float(log_sum) / c1_float)
-            worst = max(worst, _last_bad(first, last, bad, guess))
+    exceeds, c1_float = _weight_test(schedule.eps, schedule.c1)
+    worst = _last_violator(seq, limit, lambda i: step_value(schedule, i) + 1,
+                           exceeds, c1_float)
     if worst >= limit:
         raise InsufficientHorizonError(
             "the weight inequality still fails at %d, the edge of the checked "

@@ -88,9 +88,9 @@ class HirstDimension(NamedTuple):
     warning: str = ""
 
 
-def hirst_dimension(digits, ctx=DEFAULT_CONTEXT):
+def hirst_dimension(digits):
     """tau(D)/2, the dimension of the set with digits from D at sparse positions."""
-    t = tau(digits, ctx)
+    t = tau(digits)
     return HirstDimension(t.value / 2, t.method, t.warning)
 
 

@@ -345,7 +345,7 @@ class TauResult(NamedTuple):
     warning: str = ""
 
 
-def tau(digits, ctx=None):
+def tau(digits):
     """Exponent of convergence of a digit set.
 
     Closed forms for the rule kinds; explicit finite sets degenerate to

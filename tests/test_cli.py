@@ -125,6 +125,20 @@ def test_non_finite_exponent_is_rejected_as_such(capsys, argv):
     assert err == "error: exponent must be a finite real, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,code",
+    [("--c1", "1e400", 2), ("--eps", "1e400", 2), ("--c1", "1e-400", 2),
+     ("--c1", "1e-200", 3), ("--c1", "1e-160", 3)],
+)
+def test_c1_past_the_float_range_exits_with_one_error_line(capsys, flag, value, code):
+    # a c1 whose float is 0 or overflows is refused; a certificate bound
+    # past the float range is a horizon no scan reaches
+    got, out, err = run(capsys, "construct", "schedule", "--seq", "square", flag, value,
+                        "--j-max", "1", "--horizon", "100")
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cover_rejects_threads_below_one(capsys):
     # the flag has no effect, but it keeps its validation
     code, out, err = run(

@@ -1,5 +1,6 @@
 """Step schedules, point building, size/separation/Hölder verification."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -28,7 +29,7 @@ from cfdim import (
     verify_size_bound,
 )
 from cfdim import cfcore
-from cfdim.construction import _power_at_least
+from cfdim.construction import _power_at_least, _weight_test
 
 SQ = parse_index_sequence("square")
 
@@ -66,11 +67,15 @@ def test_schedule_thresholds_are_largest_violators():
 
 
 def test_schedule_exact_tie_is_not_a_violation():
-    # at n = 380 and 400 the two sides are equal integers; strict
-    # comparison keeps them out of the violator set
-    en, ed, j = 1, 10, 1
+    # at n = 380 and 400 the two sides are equal integers,
+    # 2^(2*ed*k) == 2^(en*n) with j + 1 = 2; the strict comparison keeps
+    # them out of the violator set, and one index earlier they violate
+    exceeds, _ = _weight_test(Fraction(1, 10), None)
     for n, k in ((380, 19), (400, 20)):
-        assert (j + 1) ** (2 * ed * k) == 2 ** (en * n)
+        assert SQ.count(n) == k
+        assert not exceeds(2 ** k, n)
+        assert exceeds(2 ** k, n - 1)
+    assert choose_schedule(SQ, 1, 10000, eps="1/10").thresholds == (379,)
 
 
 def test_schedule_rejects_positive_density_and_short_horizons():
@@ -304,6 +309,52 @@ def test_power_comparison_matches_the_direct_one(case):
     x, a, y, b = case
     assert _power_at_least(x, a, y, b) == (x ** a >= y ** b)
     assert _power_at_least(y, b, x, a) == (y ** b >= x ** a)
+
+
+# (eps, p, m) for the derived weight test: any sizes, and exact ties
+# p = 2^(en*a), m = 2*ed*a (so p^(2*ed) == 2^(en*m)) with m moved by -1, 0, 1
+_eps = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+_derived_any = st.tuples(_eps, st.integers(1, 2 ** 300), st.integers(1, 5000))
+_derived_ties = st.builds(
+    lambda eps, a, d: (eps, 2 ** (eps.numerator * a), max(2 * eps.denominator * a + d, 1)),
+    _eps, st.integers(0, 30), st.integers(-1, 1))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_derived_any, _derived_ties))
+def test_derived_weight_test_matches_the_integer_powers(case):
+    eps, p, m = case
+    exceeds, _ = _weight_test(eps, None)
+    assert exceeds(p, m) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
+
+
+# (c1, p, m) for the explicit weight test, with m drawn around log(p)/c1;
+# a c1 below 1e-9 puts the sides within the float margin of each other
+_c1 = st.one_of(st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
+                st.builds(Fraction, st.integers(1, 100), st.integers(10 ** 9, 10 ** 12)))
+_explicit_cases = st.builds(
+    lambda c1, p, d: (c1, p, max(int(math.log(p) / c1) + d, 1)),
+    _c1, st.integers(1, 2 ** 300), st.integers(-1, 2))
+
+
+@settings(max_examples=300)
+@given(_explicit_cases)
+def test_explicit_weight_test_matches_a_300_digit_log(case):
+    c1, p, m = case
+    exceeds, _ = _weight_test(None, c1)
+    with mp.workdps(300):
+        assert exceeds(p, m) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
+
+
+def test_weight_test_refuses_c1_outside_the_float_range():
+    for eps, c1 in ((None, Fraction(1, 10 ** 400)), (None, Fraction(10 ** 400)),
+                    (Fraction(10 ** 400), None), (Fraction(1, 10 ** 400), None)):
+        with pytest.raises(DomainError, match="out of range"):
+            _weight_test(eps, c1)
+    # a schedule carrying such a c1 is refused with it
+    tiny = StepSchedule(None, Fraction(1, 10 ** 400), (0,), (5,), 100)
+    with pytest.raises(DomainError, match="out of range"):
+        schedule_onset(SQ, tiny)
 
 
 def test_size_bound_rejects_inadmissible_words():

@@ -35,10 +35,48 @@ from cfdim.construction import (
     _last_bad,
     _nominal_cert,
     _ratio_cert_bound,
-    _ratio_violates_derived,
-    _ratio_violates_explicit,
     _runs,
 )
+
+
+# Per-index threshold predicates, kept apart from the library's merged
+# weight test so that the references below share none of its logic.
+
+def _ratio_violates_derived(en, ed, k, n, j):
+    # k*log(j+1) > (en/ed)*(log2/2)*n, exactly: (j+1)^(2*ed*k) > 2^(en*n)
+    if k == 0:
+        return False
+    lhs = 2 * ed * k * math.log(j + 1)
+    rhs = en * n * _LOG2
+    if abs(lhs - rhs) > 1e-9 * (abs(lhs) + abs(rhs)):
+        return lhs > rhs
+    power = (j + 1) ** (2 * ed * k)
+    m = en * n
+    bits = power.bit_length()
+    if bits != m + 1:
+        return bits > m + 1
+    return power != (1 << m)
+
+
+def _ratio_violates_explicit(c1, k, n, j):
+    # k*log(j+1) > c1*n; a tie would make log(j+1) rational, impossible.
+    # For k, j >= 1 the left side is irrational and the right rational,
+    # so the raise below never fires: the run-wise search in
+    # choose_schedule, which skips most n, drops no error that testing
+    # every n would raise.
+    if k == 0:
+        return False
+    for dps in (60, 200):
+        with mp.workdps(dps):
+            lhs = k * mp.log(j + 1)
+            rhs = mpf(c1.numerator) / c1.denominator * n
+            diff = lhs - rhs
+            if abs(diff) > mpf(10) ** (-(dps - 15)) * (abs(lhs) + abs(rhs) + 1):
+                return diff > 0
+    raise DomainError(
+        "could not separate k*log(j+1) from c1*n at 200 digits (k=%d, n=%d, j=%d)"
+        % (k, n, j)
+    )
 
 
 def ref_choose_schedule(seq, j_max, horizon, c1=None, eps=None):
@@ -189,21 +227,34 @@ def test_last_bad_finds_the_end_of_a_prefix():
 
 def test_choose_schedule_makes_about_one_exact_test_per_run(monkeypatch):
     # bisecting every run took about seven tests per run; the guessed
-    # end of each violating prefix is confirmed by one or two
+    # end of each violating prefix is confirmed by one or two, in both
+    # c1 modes and in both scans of the weight inequality
     calls = []
+    real = construction._weight_test
 
-    def counted(*args):
-        calls.append(args)
-        return _ratio_violates_derived(*args)
-    monkeypatch.setattr(construction, "_ratio_violates_derived", counted)
+    def counting(eps, c1):
+        exceeds, c1_float = real(eps, c1)
+
+        def counted(p, m):
+            calls.append(m)
+            return exceeds(p, m)
+        return counted, c1_float
+    monkeypatch.setattr(construction, "_weight_test", counting)
     seq = parse_index_sequence("square")
-    eps = Fraction(1, 10)
-    got = choose_schedule(seq, 30, 10 ** 4, eps=eps)
-    assert got == ref_choose_schedule(seq, 30, 10 ** 4, eps=eps)
-    c1_float = eps.numerator / eps.denominator * _LOG2 / 2
-    runs = sum(len(list(_runs(seq, _ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
-               for j in range(1, 31))
-    assert len(calls) <= 1.5 * runs, (len(calls), runs)
+    for kw, j_max in (({"eps": Fraction(1, 10)}, 30), ({"c1": Fraction(1, 30)}, 4)):
+        del calls[:]
+        got = choose_schedule(seq, j_max, 10 ** 4, **kw)
+        assert got == ref_choose_schedule(seq, j_max, 10 ** 4, **kw)
+        c1_float = real(got.eps, got.c1)[1]
+        runs = sum(len(list(_runs(seq, _ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
+                   for j in range(1, j_max + 1))
+        assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
+
+        del calls[:]
+        onset = schedule_onset(seq, got)
+        assert onset == ref_schedule_onset(seq, got)
+        runs = len(list(_runs(seq, onset.checked_to)))
+        assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
 
 
 def _rule_grid():
