@@ -1,9 +1,10 @@
 """Exact continued fraction arithmetic for finite digit words.
 
 Words are tuples of positive integer partial quotients a_1..a_n and
-stand for [0; a_1, ..., a_n].  Everything here runs on integers and
-``fractions.Fraction`` so downstream inequality checks never see
-rounding error.  Convergents follow the standard recurrence
+stand for [0; a_1, ..., a_n]; ``PartialQuotients`` is the tuple subclass
+that validates its digits once, when it is built.  Everything here runs
+on integers and ``fractions.Fraction`` so downstream inequality checks
+never see rounding error.  Convergents follow the standard recurrence
 
     p_k = a_k p_{k-1} + p_{k-2},   q_k = a_k q_{k-1} + q_{k-2}
 
@@ -11,7 +12,6 @@ seeded with p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -50,38 +50,29 @@ def _digit_tuple(digits):
 
 def _wrap(digits):
     """A PartialQuotients around a tuple of digits already known to be valid."""
-    word = object.__new__(PartialQuotients)
-    object.__setattr__(word, "digits", digits)
-    return word
+    return tuple.__new__(PartialQuotients, digits)
 
 
-@dataclass(frozen=True)
-class PartialQuotients:
+class PartialQuotients(tuple):
     """A finite word of partial quotients, all at least 1.
 
-    Thin immutable wrapper over a tuple; most functions in this module
-    accept either this type or any iterable of ints.
+    An immutable tuple whose digits are validated on construction; most
+    functions in this module accept either this type or any iterable of
+    ints.
     """
 
-    digits: tuple
+    __slots__ = ()
 
-    def __init__(self, digits=()):
-        object.__setattr__(self, "digits", _digit_tuple(digits))
+    def __new__(cls, digits=()):
+        return tuple.__new__(cls, _digit_tuple(digits))
 
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    def __bool__(self):
-        return bool(self.digits)
+    @property
+    def digits(self):
+        """The digits as a plain tuple."""
+        return tuple(self)
 
     def extended(self, *extra):
-        return PartialQuotients(self.digits + _digit_tuple(extra))
+        return _wrap(self + _digit_tuple(extra))
 
     @classmethod
     def from_text(cls, text):
@@ -95,7 +86,7 @@ class PartialQuotients:
         return cls(int(p) for p in parts)
 
     def to_text(self):
-        return ",".join(str(a) for a in self.digits)
+        return ",".join(map(str, self))
 
     def __repr__(self):
         return "PartialQuotients([%s])" % self.to_text()
@@ -260,8 +251,7 @@ def expand_decimal(text, max_digits=None):
         lo, hi = min(lo, hi), max(lo, hi)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """The interval of numbers in (0,1) whose expansion starts with ``word``.
 
     Half open; which end is closed alternates with the parity of the
@@ -298,13 +288,12 @@ def cylinder(word):
     """
     if not isinstance(word, PartialQuotients):
         word = PartialQuotients(word)  # validates the digits, once
-    digits = word.digits
-    if not digits:
+    if not word:
         raise DomainError("cylinder needs at least one digit")
-    p, q, p_prev, q_prev = _final_row(digits)
+    p, q, p_prev, q_prev = _final_row(word)
     v = Fraction(p, q)
     mediant = Fraction(p + p_prev, q + q_prev)
-    if len(digits) % 2 == 0:
+    if len(word) % 2 == 0:
         return Cylinder(word, v, mediant, True, False)
     return Cylinder(word, mediant, v, False, True)
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -114,8 +115,6 @@ def _ser(v):
         return str(v)
     if isinstance(v, mpf):
         return mp.nstr(v, _REAL_DIGITS)
-    if isinstance(v, PartialQuotients):
-        return list(v.digits)
     if isinstance(v, float):
         return repr(v)
     if hasattr(v, "_asdict"):  # a library record: its fields, in order
@@ -194,7 +193,7 @@ def _cf_convergents(args):
 
 def _cf_cylinder(args):
     c = cylinder(_word(args.word))
-    return {**vars(c), "length": c.length}
+    return {**c._asdict(), "length": c.length}
 
 
 def _cf_delete(args):
@@ -493,6 +492,10 @@ def main(argv=None):
         "warnings": [warning] if warning else [],
         "version": __version__,
     }
-    print(_render(envelope, args.format))
+    try:
+        print(_render(envelope, args.format), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # a critical solve that did not converge still reports its bracket
     return 3 if result.get("converged") is False else 0

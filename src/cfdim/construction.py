@@ -220,9 +220,10 @@ def _nominal_cert(seq, en, ed):
 
 
 def _weight_test(eps, c1):
-    """(exceeds, c1_float): exceeds(p, m) decides log(p) > c1*m exactly for an integer p >= 1.
+    """(exceeds, c1_float): exceeds(p, m, log_p) decides log(p) > c1*m exactly.
 
-    Exactly one of eps and c1 is a positive Fraction; eps means
+    p is an integer >= 1 and log_p = math.log(p), taken once by the
+    caller.  Exactly one of eps and c1 is a positive Fraction; eps means
     c1 = eps*log(2)/2.  A near tie compares p^(2*ed) with 2^(en*m) in
     derived mode and escalates mpmath from 60 to 200 digits in explicit
     mode.  The float comparison needs c1 in the normal float range.
@@ -258,12 +259,12 @@ def _weight_test(eps, c1):
                         return diff > 0
             raise DomainError("could not separate log(p) from c1*m at 200 digits (m=%d)" % m)
 
-    def exceeds(p, m):
-        # p = 1 gives lhs = 0 < rhs: never a violation, and never exact
-        lhs, rhs = math.log(p), c1_float * m
-        if lhs > rhs * (1 + 1e-9):
+    def exceeds(p, m, log_p):
+        # p = 1 gives log_p = 0 < rhs: never a violation, and never exact
+        rhs = c1_float * m
+        if log_p > rhs * (1 + 1e-9):
             return True
-        if lhs < rhs * (1 - 1e-9):
+        if log_p < rhs * (1 - 1e-9):
             return False
         return exact(p, m)
 
@@ -338,9 +339,10 @@ def _last_violator(seq, limit, factor, exceeds, c1_float):
     for first, last, k in _runs(seq, limit):
         if k:
             p *= factor(k)
-        x = math.log(p) / c1_float
+        log_p = math.log(p)
+        x = log_p / c1_float
         guess = math.ceil(x) - 1 if x <= last else last
-        worst = max(worst, _last_bad(first, last, lambda m: exceeds(p, m), guess))
+        worst = max(worst, _last_bad(first, last, lambda m: exceeds(p, m, log_p), guess))
     return worst
 
 
@@ -522,7 +524,7 @@ def verify_size_bound(eps, seq, schedule, word):
     # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
     _, q, _, q_prev = _final_row(digits)
     big_l = q * (q + q_prev)
-    _, q, _, q_prev = _final_row(delete_indices(_wrap(digits), seq).digits)
+    _, q, _, q_prev = _final_row(delete_indices(_wrap(digits), seq))
     big_r = q * (q + q_prev)
     ok = _power_at_least(big_r, en + ed, big_l, ed)
     with mp.workdps(50):
@@ -654,8 +656,8 @@ def holder_check(seq, m_cap, eps, sample_pairs):
     scale = Fraction(9 * m_cap ** 3)
     reports = []
     for pair in sample_pairs:
-        x = PartialQuotients(as_word(pair[0]))
-        y = PartialQuotients(as_word(pair[1]))
+        x = PartialQuotients(pair[0])
+        y = PartialQuotients(pair[1])
         if x == y:
             reports.append(
                 HolderPairReport(x, y, len(x), Fraction(0), Fraction(0), True,
@@ -691,11 +693,9 @@ def holder_check(seq, m_cap, eps, sample_pairs):
         if gap == 0:
             reports.append(_skip(x, y, n, "continuations describe the same point"))
             continue
+        # both images keep the free digit n + 1, as n < min(len x, len y)
         dx = delete_indices(x, seq)
         dy = delete_indices(y, seq)
-        if not dx or not dy:
-            reports.append(_skip(x, y, n, "every digit is constrained"))
-            continue
         image_gap = abs(evaluate(dx) - evaluate(dy))
         ok = image_gap ** (en + ed) <= (scale * gap) ** ed
         reports.append(HolderPairReport(x, y, n, gap, image_gap, ok, ""))

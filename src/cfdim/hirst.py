@@ -13,7 +13,6 @@ by adding terms up to M, because the interesting M sit near 10^12.
 """
 
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -59,27 +58,22 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     int_at_least(floor_m, "floor")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
+        if digits.kind == "explicit":
+            return +mp.fsum(mp.power(a, -zm) for a in digits.values if a >= floor_m)
+        j0 = digits.first_at_least(floor_m)  # the tail is k_j0, k_(j0+1), ...
         if digits.kind == "arith":
             if not zm > 1:
                 raise DivergenceError("tail of a^-z over an integer ray needs z > 1")
-            start = max(floor_m, digits.params[0])
-            return zeta_tail(start, zm, ctx)
+            return zeta_tail(digits.nth(j0), zm, ctx)
         if digits.kind == "square":
             if not 2 * zm > 1:
                 raise DivergenceError("tail over squares needs z > 1/2")
-            j0 = 1 if floor_m <= 1 else isqrt(floor_m - 1) + 1
             return zeta_tail(j0, 2 * zm, ctx)
-        if digits.kind == "pow":
-            if not zm > 0:
-                raise DivergenceError("geometric digit tail needs z > 0")
-            b = digits.params[0]
-            j0, v = 1, b
-            while v < floor_m:
-                j0 += 1
-                v *= b
-            t = mp.power(b, -zm)
-            return +(mp.power(b, -j0 * zm) / (1 - t))
-        return +mp.fsum(mp.power(a, -zm) for a in digits.values if a >= floor_m)
+        if not zm > 0:
+            raise DivergenceError("geometric digit tail needs z > 0")
+        b = digits.params[0]
+        t = mp.power(b, -zm)
+        return +(mp.power(b, -j0 * zm) / (1 - t))
 
 
 class HirstDimension(NamedTuple):

@@ -193,21 +193,9 @@ class IndexSequence:
         """Least j with k_j >= v."""
         if int_at_least(v, "value", 0) <= self.nth(1):
             return 1
-        if self.kind == "arith":
-            a0, d = self.params
-            return (v - a0 + d - 1) // d + 1
-        if self.kind == "square":
-            r = isqrt(v - 1)
-            return r + 1
-        if self.kind == "pow":
-            j = 1
-            while self.nth(j) < v:
-                j += 1
-            return j
-        idx = bisect_left(self.values, v)
-        if idx >= len(self.values):
+        if self.kind == "explicit" and v > self.values[-1]:
             raise DomainError("explicit sequence never reaches %d within its window" % v)
-        return idx + 1
+        return self.count(v - 1) + 1
 
     @property
     def exact_density(self):

@@ -133,10 +133,7 @@ def _check_exponent(zm):
 
 def zeta(z, ctx=DEFAULT_CONTEXT):
     """Riemann zeta on the real ray z > 1 + 1e-9, within ctx.target_abs_tol."""
-    with mp.workdps(_dps(ctx)):
-        zm = as_real(z, "exponent")
-        _check_exponent(zm)
-        return +_series_from(1, zm, ctx)
+    return zeta_tail(1, z, ctx)
 
 
 def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):

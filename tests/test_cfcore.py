@@ -1,5 +1,8 @@
 """Exact word arithmetic: expansion, convergents, cylinders, deletion."""
 
+import copy
+import json
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -22,7 +25,8 @@ from cfdim import (
     normalize,
     quotient_ratio_check,
 )
-from cfdim.cfcore import _digit_tuple
+from cfdim.cfcore import Cylinder, _digit_tuple, _wrap
+from cfdim.cli import main
 from cfdim.errors import is_int
 
 
@@ -76,6 +80,31 @@ def test_word_parsing_and_text_round_trip():
         PartialQuotients((0,))
     with pytest.raises(DomainError):
         PartialQuotients((True,))
+
+
+def test_a_word_is_a_validated_tuple(capsys):
+    w = PartialQuotients((2, 1, 4))
+    assert len(w) == 3 and w[0] == 2 and w[-1] == 4
+    assert w[1:] == (1, 4) and list(w) == [2, 1, 4]
+    assert w and not PartialQuotients()
+    # it compares and hashes as the plain tuple of its digits
+    assert w == (2, 1, 4) and hash(w) == hash((2, 1, 4))
+    assert type(w.digits) is tuple and w.digits == (2, 1, 4)
+    with pytest.raises(AttributeError):
+        w.digits = (1,)
+    with pytest.raises(AttributeError):
+        w.note = "x"
+    for again in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(again) is PartialQuotients and again == w
+    assert type(_wrap((3, 5))) is PartialQuotients
+    assert repr(w) == "PartialQuotients([2,1,4])"
+    assert repr(PartialQuotients()) == "PartialQuotients([])"
+    assert w.extended(7, 1) == (2, 1, 4, 7, 1)
+    with pytest.raises(DomainError):
+        w.extended(0)
+    main(["cf", "cylinder", "--word", "2,1,4"])
+    keys = list(json.loads(capsys.readouterr().out)["result"])
+    assert list(Cylinder._fields) == [k for k in keys if k != "length"]
 
 
 def test_normalize_folds_trailing_one():

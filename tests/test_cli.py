@@ -4,6 +4,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +177,31 @@ def test_critical_step_limit_exits_3_with_the_bracket(capsys, monkeypatch):
     assert res["converged"] is False and "within 3 steps" in res["message"]
     lo, hi = (Fraction(x) for x in res["bracket"])
     assert lo < hi
+
+
+# the second program lowers the step limit so that the command's own exit code is 3
+_PIPE_PROGRAMS = [
+    ["-m", "cfdim", "seq", "tau", "--digits-spec", "square"],
+    ["-c", "import sys, cfdim.dimension as d, cfdim.cli as c; d._STEP_LIMIT = 3; "
+           "sys.exit(c.main(['dim', 'critical', '--M', '1000']))"],
+]
+
+
+@pytest.mark.parametrize("program", _PIPE_PROGRAMS, ids=["seq-tau", "critical-exit-3"])
+def test_closed_stdout_exits_quietly_with_the_normal_code(program):
+    normal = subprocess.run([sys.executable] + program, capture_output=True, timeout=120)
+    assert normal.stdout and normal.returncode in (0, 3)
+    # stdout is a pipe whose reader is already gone, as after `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run([sys.executable] + program, stdout=write_end,
+                                stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    err = closed.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert closed.returncode == normal.returncode
 
 
 def test_exit_code_4_on_resource_caps(capsys):

@@ -73,8 +73,8 @@ def test_schedule_exact_tie_is_not_a_violation():
     exceeds, _ = _weight_test(Fraction(1, 10), None)
     for n, k in ((380, 19), (400, 20)):
         assert SQ.count(n) == k
-        assert not exceeds(2 ** k, n)
-        assert exceeds(2 ** k, n - 1)
+        assert not exceeds(2 ** k, n, math.log(2 ** k))
+        assert exceeds(2 ** k, n - 1, math.log(2 ** k))
     assert choose_schedule(SQ, 1, 10000, eps="1/10").thresholds == (379,)
 
 
@@ -325,7 +325,7 @@ _derived_ties = st.builds(
 def test_derived_weight_test_matches_the_integer_powers(case):
     eps, p, m = case
     exceeds, _ = _weight_test(eps, None)
-    assert exceeds(p, m) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
+    assert exceeds(p, m, math.log(p)) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
 
 
 # (c1, p, m) for the explicit weight test, with m drawn around log(p)/c1;
@@ -343,7 +343,7 @@ def test_explicit_weight_test_matches_a_300_digit_log(case):
     c1, p, m = case
     exceeds, _ = _weight_test(None, c1)
     with mp.workdps(300):
-        assert exceeds(p, m) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
+        assert exceeds(p, m, math.log(p)) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
 
 
 def test_weight_test_refuses_c1_outside_the_float_range():

@@ -67,6 +67,24 @@ def test_digit_tail_power_sum_matches_direct():
         direct = mp.fsum(mpf(2) ** (-k) for k in range(4, 200))
         assert abs(digit_tail_power_sum(pw, 9, 1) - direct) < mpf("1e-30")
         assert abs(digit_tail_power_sum(ALL, 7, 2) - zeta_tail(7, 2)) < mpf("1e-30")
+        # floors one below, at and one above a member; the reference sums
+        # members >= floor read off a brute-force membership list
+        z = mpf("1.3")
+        squares = [j * j for j in range(1, 10)]
+        for floor in (8, 9, 10):
+            head = mp.fsum(mpf(a) ** -z for a in squares if a < floor)
+            got = digit_tail_power_sum(sq, floor, z)
+            assert abs(got - (mp.zeta(2 * z) - head)) < mpf("1e-12"), floor
+        cubes = parse_digit_set("pow:3")
+        for floor in (26, 27, 28):
+            direct = mp.fsum(mpf(3) ** (-k * z) for k in range(1, 300) if 3 ** k >= floor)
+            assert abs(digit_tail_power_sum(cubes, floor, z) - direct) < mpf("1e-30"), floor
+        geq7 = parse_digit_set("geq:7")
+        for floor in (6, 7, 8):
+            # non-members 1..6 and the members below the floor
+            head = mp.fsum(mpf(a) ** -2 for a in range(1, 20) if a < 7 or a < floor)
+            got = digit_tail_power_sum(geq7, floor, 2)
+            assert abs(got - (mp.zeta(2) - head)) < mpf("1e-12"), floor
 
 
 def test_hirst_dimension_flagship_values():

@@ -235,9 +235,9 @@ def test_choose_schedule_makes_about_one_exact_test_per_run(monkeypatch):
     def counting(eps, c1):
         exceeds, c1_float = real(eps, c1)
 
-        def counted(p, m):
+        def counted(p, m, log_p):
             calls.append(m)
-            return exceeds(p, m)
+            return exceeds(p, m, log_p)
         return counted, c1_float
     monkeypatch.setattr(construction, "_weight_test", counting)
     seq = parse_index_sequence("square")

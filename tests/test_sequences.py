@@ -251,6 +251,10 @@ def test_nth_count_and_first_at_least_agree(seq, j):
     assert seq.count(v) == j
     assert seq.first_at_least(v) == j
     assert v in seq
+    if seq.kind != "explicit" or j < len(seq.values):
+        assert seq.first_at_least(v + 1) == j + 1
+    if j == 1 or seq.nth(j - 1) < v - 1:
+        assert seq.first_at_least(v - 1) == j
 
 
 @_PROPS
