@@ -122,18 +122,20 @@ class StepSchedule:
         """Rebuild a schedule from its to_json form.
 
         With eps stored, c1 is display only: the schedule is rebuilt from
-        eps and c1 = eps log 2 / 2 is derived again.  A stored c1 is
-        still checked, in floats, and must lie within relative 1e-9 of
-        the derived value.  That margin passes the 25-digit rendering of
-        to_json and catches hand edits that contradict eps.
+        eps and c1 = eps log 2 / 2 is derived again.  A stored c1 must
+        still be an exact positive rational within relative 1e-9 of the
+        derived value, compared at 50 digits.  That margin passes the
+        25-digit rendering of to_json and catches hand edits that
+        contradict eps.  The N and n entries reach the constructor as
+        stored, so the integer rule decides them.
         """
         try:
             raw_c1 = data["c1"]
             raw_eps = data["eps"]
             horizon = data["horizon"]
-            thresholds = tuple(int(x) for x in data["N"])
-            breakpoints = tuple(int(x) for x in data["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+            thresholds = tuple(data["N"])
+            breakpoints = tuple(data["n"])
+        except (KeyError, TypeError) as exc:
             raise DomainError("malformed schedule JSON: %s" % exc)
         if raw_eps is None:
             return cls(None, exact_positive_fraction(raw_c1, "c1"),
@@ -142,13 +144,15 @@ class StepSchedule:
         sched = cls(eps, None, thresholds, breakpoints, horizon)
         if raw_c1 is not None:
             # the stored c1 is display only; catch edits that contradict eps
-            declared = float(Fraction(str(raw_c1)))
-            derived = float(eps) * _LOG2 / 2
-            if abs(declared - derived) > 1e-9 * derived:
-                raise DomainError(
-                    "schedule JSON has eps = %s but c1 = %s; derived c1 would be %.12g"
-                    % (raw_eps, raw_c1, derived)
-                )
+            declared = exact_positive_fraction(raw_c1, "c1")
+            with mp.workdps(50):
+                derived = sched.c1_value
+                gap = abs(mpf(declared.numerator) / declared.denominator - derived)
+                if gap > derived / 10 ** 9:
+                    raise DomainError(
+                        "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
+                        % (raw_eps, raw_c1, mp.nstr(derived, 12))
+                    )
         return sched
 
 
@@ -271,30 +275,14 @@ def _weight_test(eps, c1):
     return exceeds, c1_float
 
 
-# Every scan below looks for the last m in [1, limit] at which a
-# predicate in (m, k(m)) holds.  k(m) is constant on runs between
-# consecutive members of the sequence, and within a run each predicate
-# holds on a prefix (its right side grows with m while k stays fixed),
-# so the last violator of a run is the end of that prefix, and the
-# overall last violator is the largest of those.  Each scan guesses the
-# end of the prefix from the closed form of its inequality and confirms
-# the guess with the exact predicate; a wrong guess costs a bisection,
-# never a wrong integer.
-
-
-def _runs(seq, limit):
-    """(first, last, k) for each maximal run of m in [1, limit] with k(m) == k, ascending.
-
-    k(m) is the window count, and limit must be >= 1.  Members are read
-    one at a time, so memory stays constant however long the range.
-    """
-    first = 1
-    k_end = seq.count_window(limit)
-    for k, v in zip(range(k_end), seq.members()):
-        if v > first:
-            yield first, v - 1, k
-        first = v
-    yield first, limit, k_end
+# Every scan below looks for the last m in [1, limit] at which an
+# inequality in (m, k(m)) fails.  k(m) is constant on each run of
+# seq.runs(limit), and within a run the failing m form a prefix (the
+# right side grows with m while k stays fixed), so the last violator is
+# the end of the last nonempty prefix.  The nominal and certified onsets
+# read that end off an integer formula.  The two weight scans guess it
+# from the closed form of log(p) > c1*m and confirm the guess with the
+# exact test; a wrong guess costs a bisection, never a wrong integer.
 
 
 def _last_bad(first, last, bad, guess=None):
@@ -336,7 +324,7 @@ def _last_violator(seq, limit, factor, exceeds, c1_float):
     """
     p = 1
     worst = 0
-    for first, last, k in _runs(seq, limit):
+    for first, last, k in seq.runs(limit):
         if k:
             p *= factor(k)
         log_p = math.log(p)
@@ -472,8 +460,8 @@ def _last_nominal_violator(seq, en, ed, limit):
     # last m in [1, limit] failing the onset condition en*(m - 2k - 4) >= 2*ed;
     # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
     offset = 3 - (-2 * ed // en)
-    return max(_last_bad(first, last, lambda m: en * (m - 2 * k - 4) < 2 * ed, 2 * k + offset)
-               for first, last, k in _runs(seq, limit))
+    return max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
+                if 2 * k + offset >= first), default=0)
 
 
 def verify_size_bound(eps, seq, schedule, word):
@@ -552,17 +540,15 @@ def _certified_onset(seq, schedule, en, ed):
     limit = _covered_limit(seq, schedule)
     prod_sq = 1  # prod (step(j)+1)^2 over j <= k
     worst = 0
-    for first, last, k in _runs(seq, limit):
+    for first, last, k in seq.runs(limit):
         if k:
             prod_sq *= (step_value(schedule, k) + 1) ** 2
+        # the failing m have (m-k-2)*en < ceil(log2(rhs)) = (rhs - 1).bit_length(),
+        # so they run up to k + 1 + ceil(ceil(log2(rhs))/en)
         rhs = (2 * prod_sq) ** ed
-        bits = rhs.bit_length()
-
-        def bad(m):
-            e = (m - k - 2) * en
-            # 2^e >= rhs  iff  e+1 > bits, or e+1 == bits and rhs is that power of two
-            return e < 0 or not (e + 1 > bits or (e + 1 == bits and rhs == (1 << e)))
-        worst = max(worst, _last_bad(first, last, bad, k + 2 + (bits - 1) // en))
+        end = k + 1 - (-(rhs - 1).bit_length() // en)
+        if end >= first:
+            worst = min(last, end)
     if worst >= limit:
         return None
     return worst + 1

@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 
 from .cfcore import as_word, exact_positive_fraction
 from .errors import DivergenceError, DomainError, int_at_least, is_int
-from .sequences import tau
+from .sequences import _require_digit_set, tau
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta_tail
 
 __all__ = [
@@ -40,6 +40,7 @@ _FLOOR_CAP = 10 ** 18
 
 
 def _reject_window(digits):
+    _require_digit_set(digits)
     if digits.kind == "explicit" and digits.assume_infinite:
         raise DomainError(
             "a truncated window of an infinite digit set has no certified sums; "

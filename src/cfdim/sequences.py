@@ -20,6 +20,13 @@ arith (M, 1); a file holds one integer per line, ascending, at most
 10^6 entries.  A digit set needs a closed-form convergence exponent, so
 its progressions must have gap 1 ("all", "geq:M") and the digit set
 parser rejects "even" and "arith".
+
+k(n) is constant on each run between consecutive members, and
+``runs(limit)`` walks those runs; the certificate scans in
+``construction`` and ``density`` read whole runs instead of single
+indices.  On a run k/n is largest at its first index and smallest at
+its last, so ``density`` compares only run ends: O(sqrt h) members for
+square, O(log h) for pow and O(h/d) for a progression.
 """
 
 import itertools
@@ -197,6 +204,20 @@ class IndexSequence:
             raise DomainError("explicit sequence never reaches %d within its window" % v)
         return self.count(v - 1) + 1
 
+    def runs(self, limit):
+        """(first, last, k) for each maximal run of m in [1, limit] with k(m) == k, ascending.
+
+        k(m) is the window count; members are read one at a time.
+        """
+        int_at_least(limit, "limit")
+        first = 1
+        k_end = self.count_window(limit)
+        for k, v in zip(range(k_end), self.members()):
+            if v > first:
+                yield first, v - 1, k
+            first = v
+        yield first, limit, k_end
+
     @property
     def exact_density(self):
         """Exact limit of k(n)/n, or None when only a finite window is known."""
@@ -278,16 +299,18 @@ def density(seq, horizon):
             % (horizon, seq.values[-1])
         )
     lo = horizon // 2
-    ratios = (Fraction(seq.count(n), n) for n in range(lo, horizon + 1))
-    first = next(ratios)
-    lower = upper = first
-    for r in ratios:
-        if r < lower:
-            lower = r
-        elif r > upper:
-            upper = r
+    # k/n is largest at a run's first index and smallest at its last; every
+    # ratio lies in [0, 1], so 0/1 and 1/1 seed the max and the min
+    up_k, up_n, low_k, low_n = 0, 1, 1, 1
+    for first, last, k in seq.runs(horizon):
+        if last >= lo:
+            first = max(first, lo)
+            if k * up_n > up_k * first:
+                up_k, up_n = k, first
+            if k * low_n < low_k * last:
+                low_k, low_n = k, last
     exact = seq.exact_density
-    return DensityReport(horizon, lower, upper, exact, exact == 0)
+    return DensityReport(horizon, Fraction(low_k, low_n), Fraction(up_k, up_n), exact, exact == 0)
 
 
 @dataclass(frozen=True)
@@ -333,6 +356,14 @@ class TauResult(NamedTuple):
     warning: str = ""
 
 
+def _require_digit_set(digits):
+    # a plain IndexSequence may be a progression with gap > 1, which the
+    # digit-set closed forms would read as a ray
+    if not isinstance(digits, DigitSet):
+        raise DomainError("digits must be a DigitSet (see parse_digit_set), got %s"
+                          % type(digits).__name__)
+
+
 def tau(digits):
     """Exponent of convergence of a digit set.
 
@@ -341,6 +372,7 @@ def tau(digits):
     slope fit of rank against value, labeled "estimated"; it is a
     heuristic and never certifies convergence.
     """
+    _require_digit_set(digits)
     if digits.kind == "arith":
         return TauResult(Fraction(1), "analytic")
     if digits.kind == "square":

@@ -58,6 +58,20 @@ def test_exit_code_2_on_invalid_input(capsys):
     assert run(capsys, "cf", "eval", "--word", "1,0,3")[0] == 2
 
 
+# A derived-mode schedule file and edits that must each be refused: a
+# stored c1 that is not an exact rational or lies far past the float
+# range, and N or n entries that are not integers.
+_SCHEDULE = {"c1": None, "eps": "1/10", "horizon": 1000, "N": [0], "n": [5]}
+_BAD_SCHEDULES = {
+    "C1_TEXT": {"c1": "abc"},
+    "C1_LIST": {"c1": [1]},
+    "C1_BOOL": {"c1": True},
+    "C1_HUGE": {"c1": "1e400"},
+    "N_BOOL": {"N": [True]},
+    "BREAKPOINT_FLOAT": {"n": [20.9]},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -85,12 +99,15 @@ def test_exit_code_2_on_invalid_input(capsys):
         ["cf", "expand", "--decimal", "0.5", "--max-digits", "-1"],
         ["zeta", "value", "--z", "1.2", "--tol", "1e-80"],
         ["dim", "critical", "--M", "1000", "--tol", "1e-80"],
+        *(["construct", "point", "--seq", "square", "--schedule", key, "--M", "3",
+           "--depth", "12"] for key in _BAD_SCHEDULES),
     ],
     ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
          "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary",
          "factor-zero-den", "zeta-zero-den", "cover-zero-den", "product-zero-den",
          "rational-not-a-number", "rational-zero-den", "max-digits-negative",
-         "zeta-tol-unreachable", "critical-tol-unreachable"],
+         "zeta-tol-unreachable", "critical-tol-unreachable",
+         *("schedule-" + key.lower().replace("_", "-") for key in _BAD_SCHEDULES)],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
     not_json = tmp_path / "sched.json"
@@ -105,6 +122,10 @@ def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, ar
         "NOT_TEXT": str(not_text),
         "NOT_INTS": str(not_ints),
     }
+    for key, edit in _BAD_SCHEDULES.items():
+        path = tmp_path / ("%s.json" % key.lower())
+        path.write_text(json.dumps(dict(_SCHEDULE, **edit)))
+        paths[key] = str(path)
     for key, path in paths.items():
         argv = [a.replace(key, path) for a in argv]
     code, out, err = run(capsys, *argv)

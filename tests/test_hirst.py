@@ -31,7 +31,7 @@ from cfdim.construction import (
 )
 from cfdim.dimension import covering_sum_enumerated, recursion_factor
 from cfdim.hirst import digit_power_sum, digit_tail_power_sum
-from cfdim.sequences import DigitSet, IndexSequence, density
+from cfdim.sequences import DigitSet, IndexSequence, density, tau
 
 ALL = parse_digit_set("all")
 EVEN = parse_index_sequence("even")
@@ -99,6 +99,29 @@ def test_hirst_dimension_finite_set_warns(tmp_path):
     path.write_text("1\n2\n3\n")
     h = hirst_dimension(parse_digit_set("file:%s" % path))
     assert h.value == 0 and h.warning
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [EVEN, IndexSequence("arith", (1, 1)), IndexSequence("explicit", (), (2, 5))],
+    ids=["even", "all-as-sequence", "explicit-sequence"],
+)
+def test_index_sequence_is_not_a_digit_set(digits):
+    # read as digits, even once summed over every integer (zeta(2) - 1
+    # where the even digits give zeta(2)/4), and an explicit sequence
+    # escaped as an AttributeError
+    calls = [
+        lambda: tau(digits),
+        lambda: digit_power_sum(digits, 2),
+        lambda: digit_tail_power_sum(digits, 1, 2),
+        lambda: covering_condition(digits, EVEN, "1/5", 100),
+        lambda: estimate_condition_floor(digits, EVEN, "1/5"),
+        lambda: covering_product_bound(digits, EVEN, 2, 1, 0, 1, _EMPTY),
+        lambda: hirst_dimension(digits),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="digits must be a DigitSet"):
+            call()
 
 
 def test_covering_condition_flips_with_floor():
@@ -181,6 +204,8 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
         (lambda: parse_index_sequence("pow:2").first_at_least(2.5),
          "value must be an integer >= 0, got 2.5"),
         (lambda: _SQUARE.first_at_least(2.5), "value must be an integer >= 0, got 2.5"),
+        (lambda: list(_SQUARE.runs(2.5)), "limit must be an integer >= 1, got 2.5"),
+        (lambda: list(_SQUARE.runs(True)), "limit must be an integer >= 1, got True"),
         (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, spread=True),
          "spread must be an integer >= 1, got True"),
         (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, tail_max=0),
@@ -190,6 +215,7 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
         (lambda: expand_decimal("0.714285", max_digits=0), "max_digits must be an integer >= 1, got 0"),
         (lambda: zeta_tail(0, 2), "start must be an integer >= 1, got 0"),
         (lambda: density(_SQUARE, 99), "horizon must be an integer >= 100, got 99"),
+        (lambda: list(_SQUARE.runs(0)), "limit must be an integer >= 1, got 0"),
         (lambda: covering_sum_enumerated(2, 1, 0, 3), "levels must be an integer >= 1, got 0"),
         (lambda: build_point(_SQUARE, 3, _SCHED, 0), "depth must be an integer >= 1, got 0"),
         (lambda: covering_condition(ALL, EVEN, "1/5", 0),
@@ -201,9 +227,9 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
          "point-filler", "pairs-count", "pairs-min-prefix", "factor-odd", "factor-even",
          "cover-levels", "cover-cap", "ratio-k", "seq-nth", "seq-count",
          "seq-upto-float", "seq-upto-bool", "seq-window-float", "seq-first-pow-float",
-         "seq-first-square-float", "pairs-spread", "pairs-tail-max",
-         "rule-param", "cfcore-below", "special-below", "sequences-below",
-         "dimension-below", "construction-below", "hirst-below"],
+         "seq-first-square-float", "seq-runs-float", "seq-runs-bool", "pairs-spread",
+         "pairs-tail-max", "rule-param", "cfcore-below", "special-below", "sequences-below",
+         "runs-below", "dimension-below", "construction-below", "hirst-below"],
 )
 def test_bool_is_not_an_integer_argument(call, message):
     # bool subclasses int; the shared rule in cfdim.errors refuses it, and

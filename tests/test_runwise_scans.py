@@ -1,11 +1,12 @@
 """The run-wise certificate scans against per-index reference loops.
 
-The five scans in ``construction`` (thresholds in ``choose_schedule``,
-``schedule_onset``, the nominal and certified onsets of
-``verify_size_bound``, and ``nominal_onset``) confirm a guessed end of
-the violating prefix of each run of constant k(m), or bisect the run.
-The loops below test every index instead; both must give the same
-integers and raise the same errors.
+The five scans in ``construction`` walk the runs of constant k(m) from
+``IndexSequence.runs`` and find the end of the violating prefix of each
+run.  The nominal and certified onsets (of ``verify_size_bound`` and
+``nominal_onset``) read it off an integer formula; the two weight scans
+(thresholds in ``choose_schedule`` and ``schedule_onset``) confirm a
+guessed end or bisect the run.  The loops below test every index
+instead; both must give the same integers and raise the same errors.
 """
 
 import math
@@ -35,7 +36,6 @@ from cfdim.construction import (
     _last_bad,
     _nominal_cert,
     _ratio_cert_bound,
-    _runs,
 )
 
 
@@ -196,7 +196,7 @@ def test_runs_partition_the_range_by_window_count():
     cases = [(parse_index_sequence(s), limit) for s in seqs for limit in (1, 2, 17, 130)]
     cases += [(IndexSequence("explicit", (), (1, 2, 9, 40)), limit) for limit in (1, 8, 60)]
     for seq, limit in cases:
-        runs = list(_runs(seq, limit))
+        runs = list(seq.runs(limit))
         assert runs[0][0] == 1 and runs[-1][1] == limit
         for (_, last, k), (first, _, k_next) in zip(runs, runs[1:]):
             assert first == last + 1 and k_next == k + 1
@@ -246,14 +246,14 @@ def test_choose_schedule_makes_about_one_exact_test_per_run(monkeypatch):
         got = choose_schedule(seq, j_max, 10 ** 4, **kw)
         assert got == ref_choose_schedule(seq, j_max, 10 ** 4, **kw)
         c1_float = real(got.eps, got.c1)[1]
-        runs = sum(len(list(_runs(seq, _ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
+        runs = sum(len(list(seq.runs(_ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
                    for j in range(1, j_max + 1))
         assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
 
         del calls[:]
         onset = schedule_onset(seq, got)
         assert onset == ref_schedule_onset(seq, got)
-        runs = len(list(_runs(seq, onset.checked_to)))
+        runs = len(list(seq.runs(onset.checked_to)))
         assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
 
 
@@ -329,6 +329,19 @@ def test_scans_hit_the_edge_of_their_range():
     assert size_onsets("1/10", sq, edge)[1] is None
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 3), Fraction(5, 2), Fraction(3, 4)])
+def test_certified_onset_at_an_exact_power_of_two(eps):
+    # every step up to breakpoint 50 is 1, so on the run that decides the
+    # onset (2*prod(step+1)^2)^ed is 2^((2k+1)*ed) exactly, and en divides
+    # that exponent: ceil(log2) must not round the power up
+    sq = parse_index_sequence("square")
+    sched = StepSchedule(eps, None, (0,), (50,), 3000)
+    onset = ref_certified_onset(sq, sched, eps)
+    k = sq.count(onset - 1)
+    assert k <= 50 and (2 * k + 1) * eps.denominator % eps.numerator == 0
+    assert size_onsets(eps, sq, sched)[1] == onset
+
+
 def test_verify_size_bound_onset_is_limited_to_the_horizon():
     # below its horizon of 50, arith:100,1 constrains nothing, so the
     # onset is found there although nominal_onset rejects the sequence
@@ -398,7 +411,7 @@ def test_nominal_cert_leaves_no_violator_up_to_four_times_past_it(spec):
         except DomainError:
             assert seq.params[1] == 2 and en * (seq.params[0] - 6) < 2 * ed, eps
             continue
-        for first, last, k in _runs(seq, 4 * cert):
+        for first, last, k in seq.runs(4 * cert):
             if last > cert:
                 m = max(first, cert + 1)
                 assert en * (m - 2 * k - 4) >= 2 * ed, (eps, cert, m)
@@ -422,7 +435,7 @@ def test_ratio_cert_bound_leaves_no_violator_up_to_four_times_past_it(spec, mode
         violates = lambda k, n, j: _ratio_violates_explicit(value, k, n, j)
     for j in range(1, 31):
         cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
-        for first, last, k in _runs(seq, 4 * cert):
+        for first, last, k in seq.runs(4 * cert):
             if last > cert:
                 n = max(first, cert + 1)
                 assert not violates(k, n, j), (j, cert, n)

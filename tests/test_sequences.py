@@ -298,3 +298,45 @@ def test_digit_set_membership_matches_its_predicate(rule, p, a):
 def test_all_is_the_ray_from_one():
     assert parse_digit_set("all") == parse_digit_set("geq:1")
     assert parse_digit_set("all").upto(5) == [1, 2, 3, 4, 5]
+
+
+def _ref_density(seq, horizon):
+    """Min and max of k(n)/n, testing every n of the window [horizon//2, horizon]."""
+    ratios = [Fraction(seq.count(n), n) for n in range(horizon // 2, horizon + 1)]
+    return min(ratios), max(ratios)
+
+
+@st.composite
+def _density_cases(draw):
+    # the rules with runs shorter and longer than the window; an explicit
+    # list must reach the horizon
+    horizon = draw(st.integers(100, 3000))
+    top = draw(st.integers(horizon, 3500))
+    seq = draw(st.one_of(
+        st.builds(lambda a0, d: IndexSequence("arith", (a0, d)),
+                  _ints(1, 4000), _ints(1, 2000)),
+        st.just(IndexSequence("square")),
+        st.builds(lambda b: IndexSequence("pow", (b,)), _ints(2, 4000)),
+        st.lists(st.integers(1, top - 1), max_size=200, unique=True).map(
+            lambda vs: IndexSequence("explicit", (), tuple(sorted(vs)) + (top,))),
+    ))
+    return seq, horizon
+
+
+@_PROPS
+@given(_density_cases())
+@example((IndexSequence("square"), 101))  # odd; the window starts inside [49, 63]
+@example((IndexSequence("arith", (7, 13)), 999))
+@example((IndexSequence("pow", (3,)), 2999))
+@example((IndexSequence("arith", (1, 1)), 100))  # every ratio is 1
+@example((IndexSequence("arith", (3000, 1)), 2000))  # every ratio is 0
+def test_density_matches_the_per_index_window(case):
+    seq, horizon = case
+    rep = density(seq, horizon)
+    assert (rep.lower_est, rep.upper_est) == _ref_density(seq, horizon)
+    assert rep.horizon == horizon and rep.exact == seq.exact_density
+
+
+def test_density_refuses_a_horizon_past_an_explicit_window():
+    with pytest.raises(DomainError, match="exceeds the explicit window"):
+        density(IndexSequence("explicit", (), (1, 5, 150)), 151)
