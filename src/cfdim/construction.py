@@ -8,15 +8,18 @@ digits stays below c1 times the word length; c1 is either given
 directly or derived from an exponent eps as eps*log(2)/2.
 
 Everything decision-bearing is exact.  The weight inequality
-log(p) > c1*m, for an integer product p of digit factors, has one test
-in both modes: floats decide it unless the sides are within a relative
-1e-9.  A near tie compares the integers p^(2*ed) and 2^(en*m) when c1
-is derived from eps = en/ed; with an explicit rational c1 the sides
-cannot tie (log p is transcendental for p >= 2), so escalating
-precision always separates them.  The size/separation/Holder
-inequalities are checked on cross-multiplied integer powers of exact
-cylinder lengths.  Floats appear otherwise only as display values and
-as guesses that an exact test must confirm.
+log(p) > c1*m, for an integer product p of digit factors, is decided a
+run of constant k(m) at a time in both modes: the last failing m of a
+run is floor(log(p)/c1), read off a quotient accurate to 1/16 and
+clipped to the run, unless that quotient lies within a relative 1e-9
+of an integer r in the run.  Such a near tie is decided at r alone: by
+the integers p^(2*ed) and 2^(en*r) when c1 is derived from eps = en/ed;
+with an explicit rational c1 the sides cannot tie (log p is
+transcendental for p >= 2), so escalating precision always separates
+them.  The size/separation/Holder inequalities are checked on
+cross-multiplied integer powers of exact cylinder lengths.  Floats
+appear otherwise only as display values and in certificate bounds that
+carry a margin.
 """
 
 import math
@@ -223,14 +226,33 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
-def _weight_test(eps, c1):
-    """(exceeds, c1_float): exceeds(p, m, log_p) decides log(p) > c1*m exactly.
+def _log_exceeds(p, m, eps, c1):
+    """log(p) > c1*m exactly, for an integer p >= 2; c1 is None when eps gives it."""
+    if c1 is None:
+        # p^(2*ed) > 2^(en*m): the bit length decides unless it is en*m + 1
+        power, e = p ** (2 * eps.denominator), eps.numerator * m
+        bits = power.bit_length()
+        return bits > e + 1 or (bits == e + 1 and power != 1 << e)
+    # log(p) is irrational and c1*m rational: the raise below never fires
+    for dps in (60, 200):
+        with mp.workdps(dps):
+            lhs = mp.log(p)
+            rhs = mpf(c1.numerator) / c1.denominator * m
+            diff = lhs - rhs
+            if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
+                return diff > 0
+    raise DomainError("could not separate log(p) from c1*m at 200 digits (m=%d)" % m)
 
-    p is an integer >= 1 and log_p = math.log(p), taken once by the
-    caller.  Exactly one of eps and c1 is a positive Fraction; eps means
-    c1 = eps*log(2)/2.  A near tie compares p^(2*ed) with 2^(en*m) in
-    derived mode and escalates mpmath from 60 to 200 digits in explicit
-    mode.  The float comparison needs c1 in the normal float range.
+
+def _weight_test(eps, c1):
+    """(end, c1_float): end(p, first, last) is the last m in [first, last] with log(p) > c1*m, or 0.
+
+    p is an integer >= 1.  Exactly one of eps and c1 is a positive
+    Fraction; eps means c1 = eps*log(2)/2.  The answer is floor(x) for
+    x = log(p)/c1, clipped to [first, last], unless x lies within a
+    relative 1e-9 of an integer r in the run: then _log_exceeds at r
+    alone decides.  x is a float below 2^46 and has more digits past it.
+    The float quotient needs c1 in the normal float range.
     """
     try:
         c1_float = float(c1) if eps is None else float(eps) * _LOG2 / 2
@@ -242,37 +264,27 @@ def _weight_test(eps, c1):
             % ("c1" if eps is None else "eps", sys.float_info.min, sys.float_info.max)
         )
 
-    if c1 is None:
-        en, ed = eps.numerator, eps.denominator
+    def end(p, first, last):
+        # log(p) > c1*m holds exactly for m < log(p)/c1
+        log_p = math.log(p)
+        x = log_p / c1_float
+        if x < 2 ** 46:  # the float quotient is within 1/16 of log(p)/c1 here
+            m, r = math.floor(x), round(x)
+        elif x > 2 * last:
+            return last  # far past the run, or infinite: nothing to round
+        else:  # past 2^46 a float may miss by more than 1/2: use more digits
+            with mp.workdps(20 + len(str(last))):
+                x = mp.log(p) / (mpf(c1.numerator) / c1.denominator if eps is None
+                                 else mpf(eps.numerator) / eps.denominator * mp.ln2 / 2)
+                m, r = int(mp.floor(x)), int(mp.nint(x))
+        if first <= r <= last:
+            # a near tie, where floor(x) may be off by one; p = 1 stays out
+            rhs = c1_float * r
+            if rhs * (1 - 1e-9) <= log_p <= rhs * (1 + 1e-9):
+                m = r if _log_exceeds(p, r, eps, c1) else r - 1
+        return min(m, last) if m >= first else 0
 
-        def exact(p, m):
-            # p^(2*ed) > 2^(en*m): the bit length decides unless it is en*m + 1
-            power, e = p ** (2 * ed), en * m
-            bits = power.bit_length()
-            return bits > e + 1 or (bits == e + 1 and power != 1 << e)
-    else:
-        def exact(p, m):
-            # p >= 2 here, so log(p) is irrational and c1*m rational: the
-            # raise below never fires
-            for dps in (60, 200):
-                with mp.workdps(dps):
-                    lhs = mp.log(p)
-                    rhs = mpf(c1.numerator) / c1.denominator * m
-                    diff = lhs - rhs
-                    if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
-                        return diff > 0
-            raise DomainError("could not separate log(p) from c1*m at 200 digits (m=%d)" % m)
-
-    def exceeds(p, m, log_p):
-        # p = 1 gives log_p = 0 < rhs: never a violation, and never exact
-        rhs = c1_float * m
-        if log_p > rhs * (1 + 1e-9):
-            return True
-        if log_p < rhs * (1 - 1e-9):
-            return False
-        return exact(p, m)
-
-    return exceeds, c1_float
+    return end, c1_float
 
 
 # Every scan below looks for the last m in [1, limit] at which an
@@ -280,57 +292,19 @@ def _weight_test(eps, c1):
 # seq.runs(limit), and within a run the failing m form a prefix (the
 # right side grows with m while k stays fixed), so the last violator is
 # the end of the last nonempty prefix.  The nominal and certified onsets
-# read that end off an integer formula.  The two weight scans guess it
-# from the closed form of log(p) > c1*m and confirm the guess with the
-# exact test; a wrong guess costs a bisection, never a wrong integer.
+# read that end off an integer formula, the two weight scans off
+# floor(log(p)/c1), with one exact test where that quotient nearly ties
+# an integer inside the run.
 
 
-def _last_bad(first, last, bad, guess=None):
-    """Largest m in [first, last] with bad(m), or 0; bad must hold on a prefix.
-
-    A guess g in [first, last] (a larger one counts as last) is the
-    answer when bad(g) holds and bad(g + 1) fails or g == last;
-    otherwise those tests narrow the range that is bisected.  With no
-    guess, or one below first, the search starts by testing first, so a
-    run with no violator costs one test.
-    """
-    if guess is None or guess < first:
-        if not bad(first):
-            return 0
-    else:
-        g = guess if guess < last else last
-        if bad(g):
-            if g == last or not bad(g + 1):
-                return g
-            first = g + 1
-        elif g == first or not bad(first):
-            return 0
-        else:
-            last = g - 1
-    # bad(first) holds from here on
-    while first < last:
-        mid = (first + last + 1) // 2
-        if bad(mid):
-            first = mid
-        else:
-            last = mid - 1
-    return first
-
-
-def _last_violator(seq, limit, factor, exceeds, c1_float):
-    """Largest m in [1, limit] with exceeds(p, m) for p = prod_{i <= k(m)} factor(i), or 0.
-
-    On a run of constant k, log(p) > c1*m holds for m < log(p)/c1.
-    """
+def _last_violator(seq, limit, factor, end):
+    """Largest m in [1, limit] with log(p) > c1*m for p = prod_{i <= k(m)} factor(i), or 0."""
     p = 1
     worst = 0
     for first, last, k in seq.runs(limit):
         if k:
             p *= factor(k)
-        log_p = math.log(p)
-        x = log_p / c1_float
-        guess = math.ceil(x) - 1 if x <= last else last
-        worst = max(worst, _last_bad(first, last, lambda m: exceeds(p, m, log_p), guess))
+        worst = max(worst, end(p, first, last))
     return worst
 
 
@@ -341,8 +315,9 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     with k(n)/n > c1/log(j+1), where C_j is an analytic bound beyond
     which no violation can occur (0 when there is no violation at all).
     Each comparison is exact.  The search does not test each n: on every
-    run of constant k(n) it confirms ceil(k*log(j+1)/c1) - 1 as the
-    last violator, or bisects the run when that estimate is off.  C_j must
+    run of constant k(n) the last violator is floor(k*log(j+1)/c1),
+    clipped to the run, and an exact test at the nearest integer decides
+    only when that quotient nearly ties one inside the run.  C_j must
     fit under the horizon, otherwise the horizon cannot certify the
     threshold and the call fails rather than extrapolating.  Breakpoint
     n_j is the least index above n_{j-1} whose sequence member reaches
@@ -359,7 +334,7 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
         eps = exact_positive_fraction(eps, "eps")
     else:
         c1 = exact_positive_fraction(c1, "c1")
-    exceeds, c1_float = _weight_test(eps, c1)
+    end, c1_float = _weight_test(eps, c1)
 
     thresholds = []
     breakpoints = []
@@ -373,7 +348,7 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
                 "beyond the horizon %d" % (j, reach, horizon)
             )
         # k(n)*log(j+1) > c1*n: the product of k(n) factors j + 1
-        worst = _last_violator(seq, cert, lambda i: j + 1, exceeds, c1_float)
+        worst = _last_violator(seq, cert, lambda i: j + 1, end)
         thresholds.append(worst)
         n_j = max(prev + 1, seq.first_at_least(worst))
         breakpoints.append(n_j)
@@ -417,9 +392,8 @@ def schedule_onset(seq, schedule):
     limit = _covered_limit(seq, schedule)
     if limit < 1:
         raise DomainError("the schedule covers no positions at all")
-    exceeds, c1_float = _weight_test(schedule.eps, schedule.c1)
-    worst = _last_violator(seq, limit, lambda i: step_value(schedule, i) + 1,
-                           exceeds, c1_float)
+    end, _ = _weight_test(schedule.eps, schedule.c1)
+    worst = _last_violator(seq, limit, lambda i: step_value(schedule, i) + 1, end)
     if worst >= limit:
         raise InsufficientHorizonError(
             "the weight inequality still fails at %d, the edge of the checked "
@@ -499,7 +473,13 @@ def verify_size_bound(eps, seq, schedule, word):
     if n - k_n < 1:
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
-    worst = _last_nominal_violator(seq, en, ed, schedule.horizon)
+    # no violator lies past _nominal_cert, so a longer horizon cannot move
+    # the onset; the progressions it refuses are scanned to the horizon
+    try:
+        limit = min(schedule.horizon, _nominal_cert(seq, en, ed))
+    except DomainError:
+        limit = schedule.horizon
+    worst = _last_nominal_violator(seq, en, ed, limit)
     if worst >= schedule.horizon:
         raise InsufficientHorizonError(
             "the onset condition still fails at the horizon %d" % schedule.horizon

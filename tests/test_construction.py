@@ -70,11 +70,11 @@ def test_schedule_exact_tie_is_not_a_violation():
     # at n = 380 and 400 the two sides are equal integers,
     # 2^(2*ed*k) == 2^(en*n) with j + 1 = 2; the strict comparison keeps
     # them out of the violator set, and one index earlier they violate
-    exceeds, _ = _weight_test(Fraction(1, 10), None)
+    end, _ = _weight_test(Fraction(1, 10), None)
     for n, k in ((380, 19), (400, 20)):
         assert SQ.count(n) == k
-        assert not exceeds(2 ** k, n, math.log(2 ** k))
-        assert exceeds(2 ** k, n - 1, math.log(2 ** k))
+        assert end(2 ** k, n, n + 5) == 0
+        assert end(2 ** k, n - 1, n + 5) == n - 1
     assert choose_schedule(SQ, 1, 10000, eps="1/10").thresholds == (379,)
 
 
@@ -99,6 +99,22 @@ def test_schedule_explicit_c1_path():
     assert s.thresholds[0] <= 3
     p = choose_schedule(parse_index_sequence("pow:2"), 1, 10000, c1="1")
     assert p.breakpoints[0] >= 1
+
+
+def test_schedule_thresholds_past_two_to_the_46_are_exact():
+    # at c1 = 10^-15 each quotient k*log(j+1)/c1 passes 2^46, where a
+    # float misses its integer part (by 9 for N_2); a 300-digit log
+    # confirms that N_j violates and N_j + 1, on the same run, does not
+    seq = parse_index_sequence("pow:2")
+    c1 = Fraction(1, 10 ** 15)
+    s = choose_schedule(seq, 2, 10 ** 20, c1=c1)
+    assert s.thresholds == (38123094930796992, 60423675876746033)
+    with mp.workdps(300):
+        for j, n in enumerate(s.thresholds, start=1):
+            k = seq.count(n)
+            assert seq.count(n + 1) == k
+            lhs, rate = k * mp.log(j + 1), mpf(c1.numerator) / c1.denominator
+            assert lhs > rate * n and not lhs > rate * (n + 1)
 
 
 def test_schedule_json_round_trip_both_modes():
@@ -324,8 +340,8 @@ _derived_ties = st.builds(
 @given(st.one_of(_derived_any, _derived_ties))
 def test_derived_weight_test_matches_the_integer_powers(case):
     eps, p, m = case
-    exceeds, _ = _weight_test(eps, None)
-    assert exceeds(p, m, math.log(p)) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
+    end, _ = _weight_test(eps, None)
+    assert (end(p, m, m) == m) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
 
 
 # (c1, p, m) for the explicit weight test, with m drawn around log(p)/c1;
@@ -341,9 +357,39 @@ _explicit_cases = st.builds(
 @given(_explicit_cases)
 def test_explicit_weight_test_matches_a_300_digit_log(case):
     c1, p, m = case
-    exceeds, _ = _weight_test(None, c1)
+    end, _ = _weight_test(None, c1)
     with mp.workdps(300):
-        assert exceeds(p, m, math.log(p)) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
+        assert (end(p, m, m) == m) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
+
+
+# (eps, None, p) or (None, c1, p) from the draws above, exact ties
+# p = 2^(en*a) included, and a run [first, last] at most 40 wide placed
+# around x = log(p)/c1: wholly below x, containing it or wholly above it.
+# A c1 below 1e-12 puts x past 2^46, where a float quotient can miss the
+# integer part.
+_end_pairs = st.one_of(
+    st.tuples(_eps, st.none(), st.integers(1, 2 ** 300)),
+    st.builds(lambda eps, a: (eps, None, 2 ** (eps.numerator * a)), _eps, st.integers(0, 30)),
+    st.tuples(st.none(), _c1, st.integers(1, 2 ** 300)),
+    st.tuples(st.none(), st.builds(Fraction, st.integers(1, 100), st.integers(10 ** 13, 10 ** 22)),
+              st.integers(2, 2 ** 300)))
+
+
+@settings(max_examples=300)
+@given(_end_pairs, st.integers(-45, 5), st.integers(0, 39))
+def test_weight_end_is_the_last_failing_index_of_a_run(case, shift, width):
+    eps, c1, p = case
+    end, c1_float = _weight_test(eps, c1)
+    first = max(int(math.log(p) / c1_float) + shift, 1)
+    last = first + width
+    if c1 is None:
+        power = p ** (2 * eps.denominator)
+        fails = [m for m in range(first, last + 1) if power > 2 ** (eps.numerator * m)]
+    else:
+        with mp.workdps(300):
+            log_p, c1_mp = mp.log(p), mpf(c1.numerator) / c1.denominator
+            fails = [m for m in range(first, last + 1) if log_p > c1_mp * m]
+    assert end(p, first, last) == max(fails, default=0)
 
 
 def test_weight_test_refuses_c1_outside_the_float_range():

@@ -4,11 +4,14 @@ The five scans in ``construction`` walk the runs of constant k(m) from
 ``IndexSequence.runs`` and find the end of the violating prefix of each
 run.  The nominal and certified onsets (of ``verify_size_bound`` and
 ``nominal_onset``) read it off an integer formula; the two weight scans
-(thresholds in ``choose_schedule`` and ``schedule_onset``) confirm a
-guessed end or bisect the run.  The loops below test every index
-instead; both must give the same integers and raise the same errors.
+(thresholds in ``choose_schedule`` and ``schedule_onset``) read it off
+floor(log(p)/c1), clipped to the run, with one exact test where that
+quotient nearly ties an integer in the run.  The loops below test every
+index instead; both must give the same integers and raise the same
+errors.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -33,7 +36,6 @@ from cfdim import construction
 from cfdim.construction import (
     _LOG2,
     _covered_limit,
-    _last_bad,
     _nominal_cert,
     _ratio_cert_bound,
 )
@@ -204,57 +206,75 @@ def test_runs_partition_the_range_by_window_count():
         assert flat == [seq.count_window(m) for m in range(1, limit + 1)]
 
 
-def test_last_bad_finds_the_end_of_a_prefix():
-    # every guess, right, wrong or outside the run, gives the guess-free
-    # answer; a right one (after clipping to [first - 1, last]) costs at
-    # most two tests
-    for first in (1, 5):
-        for last in range(first, first + 12):
-            for end in range(first - 1, last + 1):
-                want = end if end >= first else 0
-                assert _last_bad(first, last, lambda m: m <= end) == want
-                for guess in [None, *range(first - 3, last + 4)]:
-                    tested = []
-
-                    def bad(m):
-                        assert first <= m <= last
-                        tested.append(m)
-                        return m <= end
-                    assert _last_bad(first, last, bad, guess) == want, guess
-                    if guess is not None and min(max(guess, first - 1), last) == end:
-                        assert len(tested) <= 2, (guess, tested)
-
-
-def test_choose_schedule_makes_about_one_exact_test_per_run(monkeypatch):
-    # bisecting every run took about seven tests per run; the guessed
-    # end of each violating prefix is confirmed by one or two, in both
-    # c1 modes and in both scans of the weight inequality
-    calls = []
-    real = construction._weight_test
+@pytest.mark.parametrize("spec,kw,j_max,exact_tests", [
+    ("square", {"eps": Fraction(1, 10)}, 30, (12, 3)),
+    ("pow:2", {"eps": Fraction(1, 10)}, 30, (6, 2)),
+    ("square", {"c1": Fraction(1, 30)}, 4, (0, 0)),
+    ("pow:2", {"c1": Fraction(1, 30)}, 4, (0, 0)),
+], ids=["square-eps", "pow2-eps", "square-c1", "pow2-c1"])
+def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
+        monkeypatch, spec, kw, j_max, exact_tests):
+    # both weight scans (thresholds, then onset) call end once per run,
+    # and the exact test runs only at a near tie inside a run.  In eps
+    # mode every quotient x for j + 1 = 2, 4, 8, 16 is an integer, as the
+    # two sides tie as integers there; on pow:2 most of those ties fall
+    # outside their run, and an end that tested them too makes 40 exact
+    # tests in the threshold scan instead of 6
+    ends, exact = [], []
+    real_weight, real_exact = construction._weight_test, construction._log_exceeds
 
     def counting(eps, c1):
-        exceeds, c1_float = real(eps, c1)
+        end, c1_float = real_weight(eps, c1)
 
-        def counted(p, m, log_p):
-            calls.append(m)
-            return exceeds(p, m, log_p)
+        def counted(p, first, last):
+            ends.append(first)
+            return end(p, first, last)
         return counted, c1_float
-    monkeypatch.setattr(construction, "_weight_test", counting)
-    seq = parse_index_sequence("square")
-    for kw, j_max in (({"eps": Fraction(1, 10)}, 30), ({"c1": Fraction(1, 30)}, 4)):
-        del calls[:]
-        got = choose_schedule(seq, j_max, 10 ** 4, **kw)
-        assert got == ref_choose_schedule(seq, j_max, 10 ** 4, **kw)
-        c1_float = real(got.eps, got.c1)[1]
-        runs = sum(len(list(seq.runs(_ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
-                   for j in range(1, j_max + 1))
-        assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
 
-        del calls[:]
-        onset = schedule_onset(seq, got)
-        assert onset == ref_schedule_onset(seq, got)
-        runs = len(list(seq.runs(onset.checked_to)))
-        assert len(calls) <= 1.5 * runs, (kw, len(calls), runs)
+    def counted_exact(p, m, eps, c1):
+        exact.append(m)
+        return real_exact(p, m, eps, c1)
+    monkeypatch.setattr(construction, "_weight_test", counting)
+    monkeypatch.setattr(construction, "_log_exceeds", counted_exact)
+    seq = parse_index_sequence(spec)
+    got = choose_schedule(seq, j_max, 10 ** 4, **kw)
+    assert got == ref_choose_schedule(seq, j_max, 10 ** 4, **kw)
+    c1_float = real_weight(got.eps, got.c1)[1]
+    runs = sum(len(list(seq.runs(_ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
+               for j in range(1, j_max + 1))
+    assert (len(ends), len(exact)) == (runs, exact_tests[0])
+
+    del ends[:], exact[:]
+    onset = schedule_onset(seq, got)
+    assert onset == ref_schedule_onset(seq, got)
+    assert (len(ends), len(exact)) == (len(list(seq.runs(onset.checked_to))), exact_tests[1])
+
+
+def test_size_bound_nominal_scan_stops_at_its_certificate(monkeypatch):
+    # no violator of the onset condition lies past _nominal_cert (36 for
+    # square at eps 1/10), so at a horizon of 10^12 the nominal scan walks
+    # the same six runs as at 10^4 and the report is the same
+    sq = parse_index_sequence("square")
+    short = choose_schedule(sq, 30, 10 ** 4, eps="1/10")
+    long = dataclasses.replace(short, horizon=10 ** 12)
+    word = build_point(sq, 3, short, 200)
+    walked = []
+    real = IndexSequence.runs
+
+    def counted(self, limit):
+        for run in real(self, limit):
+            walked.append(limit)
+            yield run
+    monkeypatch.setattr(IndexSequence, "runs", counted)
+    reports = []
+    for sched in (short, long):
+        del walked[:]
+        reports.append(verify_size_bound("1/10", sq, sched, word))
+        # the nominal scan, then the certified one up to the covered limit
+        assert sorted(set(walked)) == [_nominal_cert(sq, 1, 10), _covered_limit(sq, sched)]
+        assert walked.count(36) == 6
+    assert reports[0] == reports[1]
+    assert reports[0].onset == 34
 
 
 def _rule_grid():
