@@ -22,7 +22,6 @@ __all__ = [
     "Convergent",
     "Cylinder",
     "QuotientRatioCheck",
-    "as_word",
     "expand_rational",
     "expand_decimal",
     "evaluate",
@@ -58,12 +57,14 @@ class PartialQuotients(tuple):
 
     An immutable tuple whose digits are validated on construction; most
     functions in this module accept either this type or any iterable of
-    ints.
+    ints.  Built from a word that already is one, it returns that word.
     """
 
     __slots__ = ()
 
     def __new__(cls, digits=()):
+        if type(digits) is cls:
+            return digits
         return tuple.__new__(cls, _digit_tuple(digits))
 
     @property
@@ -90,13 +91,6 @@ class PartialQuotients(tuple):
 
     def __repr__(self):
         return "PartialQuotients([%s])" % self.to_text()
-
-
-def as_word(w):
-    """Coerce a PartialQuotients or iterable of ints to a validated tuple."""
-    if isinstance(w, PartialQuotients):
-        return w.digits
-    return _digit_tuple(w)
 
 
 def exact_positive_fraction(value, what):
@@ -147,17 +141,17 @@ def _final_row(digits):
 
 def convergents(word):
     """All convergents (p_k, q_k) for k = 1..n, as exact integers."""
-    return [Convergent(p, q) for p, q, _, _ in _convergent_rows(as_word(word))]
+    return [Convergent(p, q) for p, q, _, _ in _convergent_rows(PartialQuotients(word))]
 
 
 def continuant(word):
     """The denominator q_n of the word's final convergent (q of () is 1)."""
-    return _final_row(as_word(word))[1]
+    return _final_row(PartialQuotients(word))[1]
 
 
 def evaluate(word):
     """Exact value of [0; a_1, ..., a_n] as a Fraction; the word must be nonempty."""
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     if not digits:
         raise DomainError("evaluate needs a nonempty word")
     p, q, _, _ = _final_row(digits)
@@ -193,10 +187,10 @@ def expand_rational(x):
 
 def normalize(word):
     """Rewrite a trailing digit 1 via [..., a, 1] = [..., a+1]."""
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     if len(digits) >= 2 and digits[-1] == 1:
         return PartialQuotients(digits[:-2] + (digits[-2] + 1,))
-    return PartialQuotients(digits)
+    return digits
 
 
 _DECIMAL_RE = re.compile(r"(?:0)?\.(\d+)")
@@ -286,8 +280,7 @@ def cylinder(word):
     convergent; even length closes the left end, odd length the right.
     The exact length is 1/(q_n (q_n + q_{n-1})).
     """
-    if not isinstance(word, PartialQuotients):
-        word = PartialQuotients(word)  # validates the digits, once
+    word = PartialQuotients(word)
     if not word:
         raise DomainError("cylinder needs at least one digit")
     p, q, p_prev, q_prev = _final_row(word)
@@ -304,7 +297,7 @@ def delete_indices(word, positions):
     ``positions`` may be any iterable of ints, or an object exposing
     ``upto(n)`` returning its members at most n (index sequences do).
     """
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     n = len(digits)
     if hasattr(positions, "upto"):
         raw = positions.upto(n)
@@ -326,7 +319,7 @@ def quotient_ratio_check(word, k):
     Deleting one digit changes the continuant by a factor tied to that
     digit; this returns the exact ratio and both bounds.
     """
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     n = len(digits)
     if not is_int(k) or not 1 <= k <= n:
         raise DomainError("k must be in 1..%d, got %r" % (n, k))

@@ -35,14 +35,13 @@ from mpmath import mp, mpf
 from .cfcore import (
     PartialQuotients,
     _final_row,
-    _wrap,
-    as_word,
     cylinder,
     delete_indices,
     evaluate,
     exact_positive_fraction,
 )
-from .errors import DomainError, InsufficientHorizonError, int_at_least, is_int
+from .errors import DomainError, InsufficientHorizonError, ResourceCapError, int_at_least, is_int
+from .special import as_real
 
 __all__ = [
     "StepSchedule",
@@ -62,6 +61,12 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2)
+# the largest exact power, in bits, whose exponent eps may set; past it
+# a check raises ResourceCapError instead of exhausting memory or time
+_POWER_BITS = 1 << 24
+# sample_holder_pairs draws prefix lengths min_prefix + [0, 60) and tails of [0, 30) digits
+_PAIR_SPREAD = 60
+_PAIR_TAIL_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,8 @@ class StepSchedule:
         """c1 as a 50-digit float (derived mode computes eps*log2/2)."""
         with mp.workdps(50):
             if self.c1 is not None:
-                return mpf(self.c1.numerator) / self.c1.denominator
-            return +(mpf(self.eps.numerator) / self.eps.denominator * mp.log(2) / 2)
+                return as_real(self.c1)
+            return +(as_real(self.eps) * mp.log(2) / 2)
 
     def to_json(self):
         with mp.workdps(50):
@@ -150,7 +155,7 @@ class StepSchedule:
             declared = exact_positive_fraction(raw_c1, "c1")
             with mp.workdps(50):
                 derived = sched.c1_value
-                gap = abs(mpf(declared.numerator) / declared.denominator - derived)
+                gap = abs(as_real(declared) - derived)
                 if gap > derived / 10 ** 9:
                     raise DomainError(
                         "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
@@ -226,10 +231,25 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
+def _check_power(bits, eps):
+    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps sets its exponent."""
+    if bits > _POWER_BITS:
+        raise ResourceCapError(
+            "eps = %s needs an exact power of up to %d bits, past the budget of %d bits"
+            % (eps, bits, _POWER_BITS)
+        )
+
+
+def _fraction_bits(x):
+    # a power x^e of a Fraction has at most e times this many bits
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
 def _log_exceeds(p, m, eps, c1):
     """log(p) > c1*m exactly, for an integer p >= 2; c1 is None when eps gives it."""
     if c1 is None:
         # p^(2*ed) > 2^(en*m): the bit length decides unless it is en*m + 1
+        _check_power(2 * eps.denominator * p.bit_length(), eps)
         power, e = p ** (2 * eps.denominator), eps.numerator * m
         bits = power.bit_length()
         return bits > e + 1 or (bits == e + 1 and power != 1 << e)
@@ -237,7 +257,7 @@ def _log_exceeds(p, m, eps, c1):
     for dps in (60, 200):
         with mp.workdps(dps):
             lhs = mp.log(p)
-            rhs = mpf(c1.numerator) / c1.denominator * m
+            rhs = as_real(c1) * m
             diff = lhs - rhs
             if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
                 return diff > 0
@@ -274,8 +294,7 @@ def _weight_test(eps, c1):
             return last  # far past the run, or infinite: nothing to round
         else:  # past 2^46 a float may miss by more than 1/2: use more digits
             with mp.workdps(20 + len(str(last))):
-                x = mp.log(p) / (mpf(c1.numerator) / c1.denominator if eps is None
-                                 else mpf(eps.numerator) / eps.denominator * mp.ln2 / 2)
+                x = mp.log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
                 m, r = int(mp.floor(x)), int(mp.nint(x))
         if first <= r <= last:
             # a near tie, where floor(x) may be off by one; p = 1 stays out
@@ -402,21 +421,26 @@ def schedule_onset(seq, schedule):
     return ScheduleOnset(worst + 1, limit)
 
 
+def _constrained_digits(seq, schedule, n, what):
+    """(k_j, step j) for each constrained position k_j <= n; ``what`` names n in errors."""
+    k = seq.count_window(n)
+    if k > schedule.breakpoints[-1]:
+        raise DomainError(
+            "%s has %d constrained positions but the schedule stops at %d"
+            % (what, k, schedule.breakpoints[-1])
+        )
+    return [(seq.nth(j), step_value(schedule, j)) for j in range(1, k + 1)]
+
+
 def build_point(seq, m_cap, schedule, depth, filler=1):
     """Word of the given depth: step digits at constrained positions, filler elsewhere."""
     int_at_least(m_cap, "digit cap")
     int_at_least(depth, "depth")
     if not is_int(filler) or not 1 <= filler <= m_cap:
         raise DomainError("filler must be an integer in [1, %d]" % m_cap)
-    k = seq.count_window(depth)
-    if k > schedule.breakpoints[-1]:
-        raise DomainError(
-            "depth %d has %d constrained positions but the schedule stops at %d"
-            % (depth, k, schedule.breakpoints[-1])
-        )
     digits = [filler] * depth
-    for j in range(1, k + 1):
-        digits[seq.nth(j) - 1] = step_value(schedule, j)
+    for pos, want in _constrained_digits(seq, schedule, depth, "depth %d" % depth):
+        digits[pos - 1] = want
     return PartialQuotients(digits)
 
 
@@ -430,12 +454,33 @@ class SizeBoundReport(NamedTuple):
     ok: bool
 
 
-def _last_nominal_violator(seq, en, ed, limit):
-    # last m in [1, limit] failing the onset condition en*(m - 2k - 4) >= 2*ed;
+def _nominal_onset(seq, eps, horizon=None):
+    """Least n with en*(m - 2k(m) - 4) >= 2*ed for every m >= n, or every m in [n, horizon].
+
+    No violator lies past _nominal_cert, so a longer horizon cannot move
+    the onset.  The progressions _nominal_cert refuses raise DomainError
+    without a horizon and are scanned to it under one.
+    """
+    en, ed = eps.numerator, eps.denominator
+    try:
+        limit = _nominal_cert(seq, en, ed)
+    except DomainError:
+        if horizon is None:
+            raise
+        limit = horizon
+    if horizon is not None:
+        limit = min(limit, horizon)
     # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
     offset = 3 - (-2 * ed // en)
-    return max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
-                if 2 * k + offset >= first), default=0)
+    worst = max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
+                 if 2 * k + offset >= first), default=0)
+    if worst >= limit:
+        if limit == horizon:
+            raise InsufficientHorizonError(
+                "the onset condition still fails at the horizon %d" % horizon
+            )
+        raise DomainError("internal certificate bound too tight; please report")
+    return worst + 1
 
 
 def verify_size_bound(eps, seq, schedule, word):
@@ -452,47 +497,30 @@ def verify_size_bound(eps, seq, schedule, word):
     """
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     n = len(digits)
     if n == 0:
         raise DomainError("word must be nonempty")
-    k_n = seq.count_window(n)
-    if k_n > schedule.breakpoints[-1]:
-        raise DomainError(
-            "word has %d constrained positions but the schedule stops at %d"
-            % (k_n, schedule.breakpoints[-1])
-        )
-    for j in range(1, k_n + 1):
-        pos = seq.nth(j)
-        want = step_value(schedule, j)
+    constrained = _constrained_digits(seq, schedule, n, "word")
+    for pos, want in constrained:
         if digits[pos - 1] != want:
             raise DomainError(
                 "word is not admissible: position %d carries %d, the schedule says %d"
                 % (pos, digits[pos - 1], want)
             )
-    if n - k_n < 1:
+    if n - len(constrained) < 1:
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
-    # no violator lies past _nominal_cert, so a longer horizon cannot move
-    # the onset; the progressions it refuses are scanned to the horizon
-    try:
-        limit = min(schedule.horizon, _nominal_cert(seq, en, ed))
-    except DomainError:
-        limit = schedule.horizon
-    worst = _last_nominal_violator(seq, en, ed, limit)
-    if worst >= schedule.horizon:
-        raise InsufficientHorizonError(
-            "the onset condition still fails at the horizon %d" % schedule.horizon
-        )
-    onset = worst + 1
-
-    onset_certified = _certified_onset(seq, schedule, en, ed)
+    # the certified onset first: it refuses an eps past the power budget
+    # before the nominal scan walks to a certificate as long as 2/eps
+    onset_certified = _certified_onset(seq, schedule, eps)
+    onset = _nominal_onset(seq, eps, schedule.horizon)
 
     # |I(w)| = 1/L and |I(w')| = 1/R with L = q_n (q_n + q_{n-1}), so
     # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
     _, q, _, q_prev = _final_row(digits)
     big_l = q * (q + q_prev)
-    _, q, _, q_prev = _final_row(delete_indices(_wrap(digits), seq))
+    _, q, _, q_prev = _final_row(delete_indices(digits, seq))
     big_r = q * (q + q_prev)
     ok = _power_at_least(big_r, en + ed, big_l, ed)
     with mp.workdps(50):
@@ -515,17 +543,20 @@ def _power_at_least(x, a, y, b):
     return x ** a >= y ** b
 
 
-def _certified_onset(seq, schedule, en, ed):
+def _certified_onset(seq, schedule, eps):
     """Least m past which 2^((m-k-2)*en) >= (2*prod(step+1)^2)^ed keeps holding."""
+    en, ed = eps.numerator, eps.denominator
     limit = _covered_limit(seq, schedule)
-    prod_sq = 1  # prod (step(j)+1)^2 over j <= k
+    _check_power(ed + 1, eps)
+    rhs = 2 ** ed  # (2 * prod (step(j)+1)^2)^ed over j <= k
     worst = 0
     for first, last, k in seq.runs(limit):
         if k:
-            prod_sq *= (step_value(schedule, k) + 1) ** 2
+            factor = step_value(schedule, k) + 1
+            _check_power(rhs.bit_length() + 2 * ed * factor.bit_length(), eps)
+            rhs *= factor ** (2 * ed)
         # the failing m have (m-k-2)*en < ceil(log2(rhs)) = (rhs - 1).bit_length(),
         # so they run up to k + 1 + ceil(ceil(log2(rhs))/en)
-        rhs = (2 * prod_sq) ** ed
         end = k + 1 - (-(rhs - 1).bit_length() // en)
         if end >= first:
             worst = min(last, end)
@@ -549,9 +580,9 @@ def verify_separation(prefix, m_cap, x_tail, y_tail):
     two, and are rejected.
     """
     int_at_least(m_cap, "digit cap", 2)
-    pre = as_word(prefix)
-    xt = as_word(x_tail)
-    yt = as_word(y_tail)
+    pre = PartialQuotients(prefix)
+    xt = PartialQuotients(x_tail)
+    yt = PartialQuotients(y_tail)
     if not xt or not yt:
         raise DomainError("both continuations must be nonempty")
     if xt[0] == yt[0]:
@@ -582,13 +613,7 @@ def nominal_onset(seq, eps):
     en*(a0 - 6) >= 2*ed.  Other progressions never satisfy the condition
     from any onset on and are rejected.
     """
-    eps = exact_positive_fraction(eps, "eps")
-    en, ed = eps.numerator, eps.denominator
-    cert = _nominal_cert(seq, en, ed)
-    worst = _last_nominal_violator(seq, en, ed, cert)
-    if worst >= cert:
-        raise DomainError("internal certificate bound too tight; please report")
-    return worst + 1
+    return _nominal_onset(seq, exact_positive_fraction(eps, "eps"))
 
 
 class HolderPairReport(NamedTuple):
@@ -663,12 +688,14 @@ def holder_check(seq, m_cap, eps, sample_pairs):
         dx = delete_indices(x, seq)
         dy = delete_indices(y, seq)
         image_gap = abs(evaluate(dx) - evaluate(dy))
-        ok = image_gap ** (en + ed) <= (scale * gap) ** ed
+        bound = scale * gap
+        _check_power(max((en + ed) * _fraction_bits(image_gap), ed * _fraction_bits(bound)), eps)
+        ok = image_gap ** (en + ed) <= bound ** ed
         reports.append(HolderPairReport(x, y, n, gap, image_gap, ok, ""))
     return reports
 
 
-def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60, tail_max=30):
+def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix):
     """Deterministic random pairs in the holder_check configuration.
 
     Each pair shares a prefix of length at least min_prefix (step digits
@@ -680,8 +707,6 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60
     int_at_least(m_cap, "digit cap", 2)  # two differing digits must fit under it
     int_at_least(count, "count")
     int_at_least(min_prefix, "min_prefix")
-    int_at_least(spread, "spread")
-    int_at_least(tail_max, "tail_max")
     rng = random.Random(seed)
 
     def fill(pos):
@@ -691,7 +716,7 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60
 
     pairs = []
     for _ in range(count):
-        n = rng.randrange(min_prefix, min_prefix + spread)
+        n = rng.randrange(min_prefix, min_prefix + _PAIR_SPREAD)
         while (n + 1) in seq:
             n += 1
         prefix = [fill(i) for i in range(1, n + 1)]
@@ -699,7 +724,7 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix, spread=60
 
         def extend(first):
             word = prefix + [first]
-            for i in range(n + 2, n + 2 + rng.randrange(0, tail_max)):
+            for i in range(n + 2, n + 2 + rng.randrange(0, _PAIR_TAIL_MAX)):
                 word.append(fill(i))
             # trim back to a free final position, then keep its digit >= 2
             # so distinct pairs can never collide on a boundary alias

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .cfcore import _final_row, as_word
+from .cfcore import PartialQuotients, _final_row
 from .errors import DivergenceError, DomainError, ResourceCapError, int_at_least
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
 
@@ -49,7 +49,7 @@ def j_interval_length(word, m_floor):
     the value of the word extended by m_floor itself.  By the
     determinant identity that gap is 1/(q_n (M q_n + q_{n-1})).
     """
-    digits = as_word(word)
+    digits = PartialQuotients(word)
     if len(digits) % 2 == 0:
         raise DomainError("word must have odd length, got %d digits" % len(digits))
     int_at_least(m_floor, "digit floor")

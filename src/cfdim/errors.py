@@ -48,7 +48,7 @@ class InsufficientHorizonError(ToolkitError):
 
 
 class ResourceCapError(ToolkitError):
-    """An enumeration would exceed the configured work cap."""
+    """An enumeration or an exact power would exceed a fixed work cap."""
 
     exit_code = 4
 

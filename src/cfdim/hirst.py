@@ -17,13 +17,12 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .cfcore import as_word, exact_positive_fraction
+from .cfcore import PartialQuotients, exact_positive_fraction
 from .errors import DivergenceError, DomainError, int_at_least, is_int
 from .sequences import _require_digit_set, tau
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta_tail
 
 __all__ = [
-    "HirstDimension",
     "M0Condition",
     "FloorEstimate",
     "DichotomyResult",
@@ -77,16 +76,10 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
         return +(mp.power(b, -j0 * zm) / (1 - t))
 
 
-class HirstDimension(NamedTuple):
-    value: object  # Fraction when analytic, float when estimated
-    method: str
-    warning: str = ""
-
-
 def hirst_dimension(digits):
-    """tau(D)/2, the dimension of the set with digits from D at sparse positions."""
+    """tau(D)/2, the dimension of the set with digits from D at sparse positions, as a TauResult."""
     t = tau(digits)
-    return HirstDimension(t.value / 2, t.method, t.warning)
+    return t._replace(value=t.value / 2)
 
 
 def _analytic_pieces(digits, seq, eps):
@@ -135,7 +128,7 @@ def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
         tail = digit_tail_power_sum(digits, m_floor, z, ctx)
-        lhs = +(mp.power(full, mpf(e.numerator) / e.denominator) * tail)
+        lhs = +(mp.power(full, as_real(e)) * tail)
         return M0Condition(lhs, bool(lhs <= 1))
 
 
@@ -157,8 +150,8 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     eps, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
-        thr = mp.power(full, -mpf(e.numerator) / e.denominator)
-        zf = mpf(z.numerator) / z.denominator
+        thr = mp.power(full, -as_real(e))
+        zf = as_real(z)
         if digits.kind == "arith":
             # z = 1 + eps < 2 and thr <= 1 give est > 1, so a0 = 1 changes nothing
             est = max(mp.power((zf - 1) * thr, -1 / (zf - 1)), mpf(digits.params[0]))
@@ -208,7 +201,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     if not is_int(level) or level <= level_base:
         raise DomainError("the target level must exceed the base level %d, got %r"
                           % (level_base, level))
-    word = as_word(prefix)
+    word = PartialQuotients(prefix)
     k_base = seq.nth(level_base) if level_base >= 1 else 0
     k_top = seq.nth(level)
     if len(word) != k_base:
@@ -219,14 +212,9 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     for a in word:
         if a not in digits:
             raise DomainError("prefix digit %d is outside the digit set" % a)
-    t = tau(digits)
-    if t.method != "analytic":
-        raise DomainError(
-            "estimated convergence exponents cannot certify the product bound"
-        )
     with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
-        half_tau = mpf(t.value.numerator) / (2 * t.value.denominator)
+        half_tau = as_real(tau(digits).value / 2)
         if not sm > half_tau:
             raise DivergenceError(
                 "the level sums diverge for s <= tau/2 = %s" % mp.nstr(half_tau, 8)

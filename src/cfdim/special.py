@@ -18,6 +18,7 @@ and every tolerance >= 5e-47 from any start, for every admitted z (the
 bound at 2^16 is largest next to the pole, 5.2e-51 there).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,45 +83,38 @@ def euler_gamma(ctx=DEFAULT_CONTEXT):
         return +mpf(_EULER_GAMMA_30)
 
 
-_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
-_NEXT_BERNOULLI = Fraction(5, 66)
-_FACTORIAL = {2: 2, 4: 24, 6: 720, 8: 40320, 10: 3628800}
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
 _CUTOFF_CAP = 1 << 16
 
 
 def _tail_correction(n0, z):
-    # Euler-Maclaurin value of sum_{k >= n0} k^(-z)
+    # Euler-Maclaurin value of sum_{k >= n0} k^(-z) through B_8, and the
+    # magnitude of the first omitted (B_10) term, which bounds the remainder
     n0 = mpf(n0)
     total = n0 ** (1 - z) / (z - 1) + n0 ** (-z) / 2
     rising = z  # rising factorial (z)_{2j-1}, extended two factors per step
     for j, b in enumerate(_BERNOULLI, start=1):
-        coeff = mpf(b.numerator) / b.denominator / _FACTORIAL[2 * j]
-        total += coeff * rising * n0 ** (-z - 2 * j + 1)
+        term = as_real(b) / math.factorial(2 * j) * rising * n0 ** (-z - 2 * j + 1)
+        if j == len(_BERNOULLI):
+            return total, abs(term)
+        total += term
         rising *= (z + 2 * j - 1) * (z + 2 * j)
-    return total
-
-
-def _remainder_bound(n0, z):
-    # magnitude of the first omitted (B_10) correction term
-    rising = mpf(1)
-    for i in range(9):
-        rising *= z + i
-    scale = mpf(_NEXT_BERNOULLI.numerator) / _NEXT_BERNOULLI.denominator
-    return abs(scale / _FACTORIAL[10] * rising * mpf(n0) ** (-z - 9))
 
 
 def _series_from(start, z, ctx):
     cutoff = max(64, start)
     goal = mpf(ctx.target_abs_tol) / 8
-    while _remainder_bound(cutoff, z) > goal:
+    tail, bound = _tail_correction(cutoff, z)
+    while bound > goal:
         cutoff *= 2
         if cutoff > _CUTOFF_CAP:
             raise DomainError(
                 "tolerance %g is unreachable with B_8 corrections at z = %s"
                 % (ctx.target_abs_tol, z)
             )
+        tail, bound = _tail_correction(cutoff, z)
     head = mp.fsum(mpf(k) ** (-z) for k in range(start, cutoff))
-    return head + _tail_correction(cutoff, z)
+    return head + tail
 
 
 def _check_exponent(zm):

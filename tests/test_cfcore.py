@@ -82,6 +82,15 @@ def test_word_parsing_and_text_round_trip():
         PartialQuotients((True,))
 
 
+def test_a_word_built_from_a_word_is_that_word():
+    # the word is immutable and already checked, so no layer copies it
+    w = PartialQuotients((2, 1, 4))
+    assert PartialQuotients(w) is w
+    assert normalize(w) is w and cylinder(w).word is w
+    fresh = PartialQuotients((2, 1, 4))
+    assert fresh == w and fresh is not w and type(fresh) is PartialQuotients
+
+
 def test_a_word_is_a_validated_tuple(capsys):
     w = PartialQuotients((2, 1, 4))
     assert len(w) == 3 and w[0] == 2 and w[-1] == 4

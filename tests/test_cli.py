@@ -233,6 +233,16 @@ def test_exit_code_4_on_resource_caps(capsys):
     assert code == 4 and "cap" in err
 
 
+def test_exact_power_past_the_budget_exits_4_with_one_error_line(capsys):
+    # a weight tie at eps = 1e-12 would form p^(2 * 10^12)
+    code, out, err = run(
+        capsys, "construct", "schedule", "--seq", "pow:2", "--eps", "1/1000000000000",
+        "--j-max", "2", "--horizon", "100000000000000000000",
+    )
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err.startswith("error: eps = 1/1000000000000 ") and err.count("\n") == 1
+
+
 def test_csv_format_is_parsable(capsys):
     _, out, _ = run(capsys, "cf", "cylinder", "--word", "1,2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))

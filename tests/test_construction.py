@@ -1,6 +1,7 @@
 """Step schedules, point building, size/separation/Hölder verification."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from cfdim import (
     DomainError,
     InsufficientHorizonError,
     PartialQuotients,
+    ResourceCapError,
     StepSchedule,
     build_point,
     choose_schedule,
@@ -292,6 +294,32 @@ def test_size_bound_matches_cylinder_lengths():
         r = cylinder(delete_indices(digits, SQ)).length
         assert rep.lhs == lhs
         assert rep.ok == (lhs ** 10 >= r ** 11)
+
+
+def test_size_bound_report_carries_the_word_as_a_word():
+    s = square_schedule()
+    digits = list(build_point(SQ, 3, s, 60).digits)
+    word = verify_size_bound("1/10", SQ, s, digits).word
+    assert type(word) is PartialQuotients and word == tuple(digits)
+
+
+def test_exact_powers_past_the_budget_raise_resource_cap_error():
+    # each call forms a power whose exponent eps sets: p^(2*ed) at a weight
+    # tie, (2*prod(step+1)^2)^ed for the certified onset, and
+    # image_gap^(en+ed) in the Holder check; each is refused at once
+    tiny, near_one = Fraction(1, 10 ** 12), Fraction(10 ** 12 - 1, 10 ** 12)
+    long = choose_schedule(SQ, 30, 10 ** 13, eps="1/10")
+    pairs = sample_holder_pairs(SQ, 5, square_schedule(), 3, 3, nominal_onset(SQ, near_one))
+    calls = [
+        lambda: choose_schedule(parse_index_sequence("pow:2"), 2, 10 ** 20, eps=tiny),
+        lambda: verify_size_bound(tiny, SQ, long, [1] * 40),
+        lambda: holder_check(SQ, 5, near_one, pairs),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=r"^eps = \d+/1000000000000 needs"):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_size_bound_validates_the_word_once(monkeypatch):

@@ -1,4 +1,4 @@
-"""The integer rule in cfdim.errors, and the guard that keeps it the only spelling."""
+"""The integer rule in cfdim.errors, and the guards that keep it and as_real the only spellings."""
 
 import ast
 from pathlib import Path
@@ -46,3 +46,32 @@ def test_only_errors_module_spells_the_integer_check():
                  for p in paths if p.name != "errors.py"
                  for line in _int_isinstance_lines(p.read_text())]
     assert offenders == [], "use cfdim.errors.is_int / int_at_least instead"
+
+
+def _mpf_numerator_calls(source):
+    # (innermost enclosing function or None, line) of each mpf(<expr>.numerator)
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            arg = node.args[0]
+            if name == "mpf" and isinstance(arg, ast.Attribute) and arg.attr == "numerator":
+                yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+    return list(visit(ast.parse(source), None))
+
+
+def test_only_as_real_converts_a_fraction_to_mpf():
+    assert _mpf_numerator_calls("def f(x):\n    return mpf(x.numerator) / x.denominator\n") \
+        == [("f", 2)]
+    assert _mpf_numerator_calls("y = mp.mpf(c.value.numerator)\nmpf(x) + mpf(x.real)\n") \
+        == [(None, 1)]
+    special = (_SRC / "special.py").read_text()
+    assert [func for func, _ in _mpf_numerator_calls(special)] == ["as_real"]
+    offenders = ["%s:%d" % (p.name, line)
+                 for p in sorted(_SRC.glob("*.py"))
+                 for func, line in _mpf_numerator_calls(p.read_text())
+                 if (p.name, func) != ("special.py", "as_real")]
+    assert offenders == [], "use cfdim.special.as_real instead"

@@ -101,6 +101,23 @@ def test_hirst_dimension_finite_set_warns(tmp_path):
     assert h.value == 0 and h.warning
 
 
+def test_hirst_dimension_is_tau_with_the_value_halved(tmp_path):
+    finite, window = tmp_path / "digits.txt", tmp_path / "window.txt"
+    finite.write_text("1\n2\n3\n")
+    window.write_text("".join("%d\n" % (k * k) for k in range(1, 60)))
+    sets = [parse_digit_set(text) for text in ("all", "geq:5", "square", "pow:3")]
+    sets.append(parse_digit_set("file:%s" % finite))
+    sets.append(parse_digit_set("file:%s" % window, assume_infinite=True))
+    for digits in sets:
+        t, h = tau(digits), hirst_dimension(digits)
+        assert type(h) is type(t) and h == t._replace(value=t.value / 2)
+    assert hirst_dimension(sets[4]).warning == tau(sets[4]).warning != ""
+    assert hirst_dimension(sets[5]).method == "estimated"
+    # the one digit set with an estimated tau never reaches the product bound
+    with pytest.raises(DomainError, match="truncated window"):
+        covering_product_bound(sets[5], EVEN, 2, 1, 0, 1, _EMPTY)
+
+
 @pytest.mark.parametrize(
     "digits",
     [EVEN, IndexSequence("arith", (1, 1)), IndexSequence("explicit", (), (2, 5))],
@@ -206,10 +223,6 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
         (lambda: _SQUARE.first_at_least(2.5), "value must be an integer >= 0, got 2.5"),
         (lambda: list(_SQUARE.runs(2.5)), "limit must be an integer >= 1, got 2.5"),
         (lambda: list(_SQUARE.runs(True)), "limit must be an integer >= 1, got True"),
-        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, spread=True),
-         "spread must be an integer >= 1, got True"),
-        (lambda: sample_holder_pairs(_SQUARE, 3, _SCHED, 1, 0, 5, tail_max=0),
-         "tail_max must be an integer >= 1, got 0"),
         (lambda: IndexSequence("pow", (True,)), r"pow takes 1 integer parameter\(s\)"),
         # one value below the minimum per module
         (lambda: expand_decimal("0.714285", max_digits=0), "max_digits must be an integer >= 1, got 0"),
@@ -227,9 +240,9 @@ _SCHED = StepSchedule(Fraction(1, 10), None, (0, 0), (1, 2), 100)
          "point-filler", "pairs-count", "pairs-min-prefix", "factor-odd", "factor-even",
          "cover-levels", "cover-cap", "ratio-k", "seq-nth", "seq-count",
          "seq-upto-float", "seq-upto-bool", "seq-window-float", "seq-first-pow-float",
-         "seq-first-square-float", "seq-runs-float", "seq-runs-bool", "pairs-spread",
-         "pairs-tail-max", "rule-param", "cfcore-below", "special-below", "sequences-below",
-         "runs-below", "dimension-below", "construction-below", "hirst-below"],
+         "seq-first-square-float", "seq-runs-float", "seq-runs-bool", "rule-param",
+         "cfcore-below", "special-below", "sequences-below", "runs-below",
+         "dimension-below", "construction-below", "hirst-below"],
 )
 def test_bool_is_not_an_integer_argument(call, message):
     # bool subclasses int; the shared rule in cfdim.errors refuses it, and

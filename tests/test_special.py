@@ -15,6 +15,7 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
+from cfdim.special import _tail_correction
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
 
@@ -113,3 +114,15 @@ def test_precision_context_validation():
     ctx = PrecisionContext(target_abs_tol=1e-30, working_digits=80)
     with mp.workdps(60):
         assert abs(zeta(2, ctx) - mp.pi ** 2 / 6) < mpf("1e-28")
+
+
+@pytest.mark.parametrize("z", ["1.000000002", "1.2", "2", "3.5", "8"])
+def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
+    # the loop that sums the B_2..B_8 corrections returns the magnitude of
+    # the next (B_10) term as its remainder bound
+    with mp.workdps(50):
+        zm = mpf(z)
+        for n0 in (64, 1000, 2 ** 16):
+            _, bound = _tail_correction(n0, zm)
+            ref = abs(mp.bernoulli(10) / mp.factorial(10) * mp.rf(zm, 9) * mpf(n0) ** (-zm - 9))
+            assert abs(bound - ref) <= ref * mpf("1e-40"), n0
