@@ -10,7 +10,9 @@ so output is byte-identical across runs.  Exit codes:
 The subcommands form one table, ``_COMMANDS``.  Each row names its
 group and command, lists its flags (built from the flag shapes below)
 and holds a handler that returns the library result; ``main`` turns
-every result into the envelope's record along the same path.
+every result into the envelope's record along the same path.  It
+builds leaf parsers only for the group that argv names, and mpmath is
+loaded only by the commands that compute a real.
 """
 
 import argparse
@@ -21,8 +23,6 @@ import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import mp, mpf
 
 from . import __version__
 from .cfcore import (
@@ -113,10 +113,12 @@ def _read_text(path, what):
 def _ser(v):
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, mpf):
-        return mp.nstr(v, _REAL_DIGITS)
     if isinstance(v, float):
         return repr(v)
+    # no value is an mpf unless the command loaded mpmath to compute it
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(v, mpmath.mpf):
+        return mpmath.mp.nstr(v, _REAL_DIGITS)
     if hasattr(v, "_asdict"):  # a library record: its fields, in order
         v = {_RENAMED.get(k, k): x for k, x in v._asdict().items()}
     if isinstance(v, dict):
@@ -445,7 +447,8 @@ def _add_flags(p, flags):
             p.add_argument(*names, **kw)
 
 
-def build_parser():
+def build_parser(group=None):
+    """The cfdim parser; when ``group`` names a group, only its commands get a parser."""
     root = argparse.ArgumentParser(
         prog="cfdim",
         description="continued fraction cylinders, critical exponents, covering bounds",
@@ -457,6 +460,8 @@ def build_parser():
         for name, text in _GROUPS
     }
     for command in _COMMANDS:
+        if group in leaves and command.group != group:
+            continue
         p = leaves[command.group].add_parser(command.cmd)
         _add_flags(p, command.flags)
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -469,7 +474,11 @@ _SKIP_ECHO = ("command", "group", "cmd", "format", "threads")
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argv[0] names the group unless it is a root flag; the leaves of other
+    # groups are never reached, so they are not built
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     inputs = {
         k.replace("_", "-"): v

@@ -26,11 +26,8 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import mp, mpf
 
 from .cfcore import (
     PartialQuotients,
@@ -40,7 +37,14 @@ from .cfcore import (
     evaluate,
     exact_positive_fraction,
 )
-from .errors import DomainError, InsufficientHorizonError, ResourceCapError, int_at_least, is_int
+from .errors import (
+    DomainError,
+    FrozenRecord,
+    InsufficientHorizonError,
+    ResourceCapError,
+    int_at_least,
+    is_int,
+)
 from .special import as_real
 
 __all__ = [
@@ -69,8 +73,7 @@ _PAIR_SPREAD = 60
 _PAIR_TAIL_MAX = 30
 
 
-@dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(FrozenRecord):
     """Step function data: digit j equals the index of the first breakpoint >= j.
 
     Exactly one of ``eps`` (derived mode, c1 = eps*log2/2) and ``c1``
@@ -80,41 +83,42 @@ class StepSchedule:
     construction was checked.
     """
 
-    eps: object
-    c1: object
-    thresholds: tuple
-    breakpoints: tuple
-    horizon: int
+    __slots__ = ("eps", "c1", "thresholds", "breakpoints", "horizon")
 
-    def __post_init__(self):
-        if (self.eps is None) == (self.c1 is None):
+    def __init__(self, eps, c1, thresholds, breakpoints, horizon):
+        if (eps is None) == (c1 is None):
             raise DomainError("exactly one of eps and c1 must be set")
-        if self.eps is not None and not (isinstance(self.eps, Fraction) and self.eps > 0):
+        if eps is not None and not (isinstance(eps, Fraction) and eps > 0):
             raise DomainError("eps must be a positive Fraction")
-        if self.c1 is not None and not (isinstance(self.c1, Fraction) and self.c1 > 0):
+        if c1 is not None and not (isinstance(c1, Fraction) and c1 > 0):
             raise DomainError("c1 must be a positive Fraction")
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        if len(self.thresholds) != len(self.breakpoints):
+        thresholds, breakpoints = tuple(thresholds), tuple(breakpoints)
+        if len(thresholds) != len(breakpoints):
             raise DomainError("thresholds and breakpoints must have equal length")
-        if not self.breakpoints:
+        if not breakpoints:
             raise DomainError("a schedule needs at least one breakpoint")
         prev = 0
-        for b in self.breakpoints:
+        for b in breakpoints:
             prev = int_at_least(b, "each breakpoint", prev + 1)
-        for t in self.thresholds:
+        for t in thresholds:
             int_at_least(t, "each threshold", 0)
-        int_at_least(self.horizon, "horizon")
+        int_at_least(horizon, "horizon")
+        self._set(eps=eps, c1=c1, thresholds=thresholds, breakpoints=breakpoints,
+                  horizon=horizon)
 
     @property
     def c1_value(self):
         """c1 as a 50-digit float (derived mode computes eps*log2/2)."""
+        from mpmath import mp
+
         with mp.workdps(50):
             if self.c1 is not None:
                 return as_real(self.c1)
             return +(as_real(self.eps) * mp.log(2) / 2)
 
     def to_json(self):
+        from mpmath import mp
+
         with mp.workdps(50):
             c1_text = mp.nstr(self.c1_value, 25)
         return {
@@ -152,6 +156,8 @@ class StepSchedule:
         sched = cls(eps, None, thresholds, breakpoints, horizon)
         if raw_c1 is not None:
             # the stored c1 is display only; catch edits that contradict eps
+            from mpmath import mp
+
             declared = exact_positive_fraction(raw_c1, "c1")
             with mp.workdps(50):
                 derived = sched.c1_value
@@ -254,6 +260,8 @@ def _log_exceeds(p, m, eps, c1):
         bits = power.bit_length()
         return bits > e + 1 or (bits == e + 1 and power != 1 << e)
     # log(p) is irrational and c1*m rational: the raise below never fires
+    from mpmath import mp, mpf
+
     for dps in (60, 200):
         with mp.workdps(dps):
             lhs = mp.log(p)
@@ -293,6 +301,8 @@ def _weight_test(eps, c1):
         elif x > 2 * last:
             return last  # far past the run, or infinite: nothing to round
         else:  # past 2^46 a float may miss by more than 1/2: use more digits
+            from mpmath import mp
+
             with mp.workdps(20 + len(str(last))):
                 x = mp.log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
                 m, r = int(mp.floor(x)), int(mp.nint(x))
@@ -495,6 +505,8 @@ def verify_size_bound(eps, seq, schedule, word):
     is provable for every admissible word.  None means the checked
     range could not certify it.
     """
+    from mpmath import mp, mpf
+
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
     digits = PartialQuotients(word)
@@ -511,35 +523,38 @@ def verify_size_bound(eps, seq, schedule, word):
     if n - len(constrained) < 1:
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
-    # the certified onset first: it refuses an eps past the power budget
-    # before the nominal scan walks to a certificate as long as 2/eps
-    onset_certified = _certified_onset(seq, schedule, eps)
-    onset = _nominal_onset(seq, eps, schedule.horizon)
-
     # |I(w)| = 1/L and |I(w')| = 1/R with L = q_n (q_n + q_{n-1}), so
-    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
+    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed; decided before the
+    # onsets, whose carried product can take seconds where this power is
+    # refused at once
     _, q, _, q_prev = _final_row(digits)
     big_l = q * (q + q_prev)
     _, q, _, q_prev = _final_row(delete_indices(digits, seq))
     big_r = q * (q + q_prev)
-    ok = _power_at_least(big_r, en + ed, big_l, ed)
+    ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
+
+    # the certified onset next: it refuses an eps past the power budget
+    # before the nominal scan walks to a certificate as long as 2/eps
+    onset_certified = _certified_onset(seq, schedule, eps)
+    onset = _nominal_onset(seq, eps, schedule.horizon)
     with mp.workdps(50):
         rhs = +((mpf(1) / mpf(big_r)) ** (mpf(en + ed) / ed))
     return SizeBoundReport(eps, digits, onset, onset_certified, Fraction(1, big_l), rhs, ok)
 
 
-def _power_at_least(x, a, y, b):
-    """x**a >= y**b, exactly, for integers x, y >= 1 and a, b >= 1.
+def _power_at_least(x, a, y, b, eps):
+    """x**a >= y**b, exactly, for integers x, y >= 1 and a, b >= 1 that eps sets.
 
     Each power lies in a range of powers of two read off the bit length
     of its base (2^(bits-1) <= x < 2^bits); only when the two ranges
-    overlap are the powers formed.
+    overlap are the powers formed, and only within the power budget.
     """
     bx, by = x.bit_length(), y.bit_length()
     if a * (bx - 1) >= b * by:
         return True
     if a * bx <= b * (by - 1):
         return False
+    _check_power(max(a * bx, b * by), eps)
     return x ** a >= y ** b
 
 

@@ -19,8 +19,6 @@ cross-checking.
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .cfcore import PartialQuotients, _final_row
 from .errors import DivergenceError, DomainError, ResourceCapError, int_at_least
 from .special import DEFAULT_CONTEXT, _dps, as_real, zeta, zeta_tail
@@ -67,6 +65,8 @@ def recursion_factor(a_odd, a_even, m_floor):
 
 def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
     """(1+1/M)^s zeta(2s) zeta_tail(M, 2s); the covering sum contracts when < 1."""
+    from mpmath import mp, mpf
+
     int_at_least(m_floor, "digit floor", 2)
     with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
@@ -103,6 +103,8 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     there is no root in the bracket and the result says so (converged
     False) instead of raising.
     """
+    from mpmath import mp, mpf
+
     int_at_least(m_floor, "digit floor", 2)
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -157,6 +159,8 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
 
 def asymptotic_exponent(m_floor, ctx=DEFAULT_CONTEXT):
     """Large-M form of the critical exponent: 1/2 + (log log M - log 2)/log M."""
+    from mpmath import mp, mpf
+
     int_at_least(m_floor, "digit floor", 3)
     with mp.workdps(_dps(ctx)):
         x = mpf(m_floor)
@@ -188,6 +192,8 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     not the runtime; the largest admitted grid is ~3*10^8 words and
     takes hours, so keep digit_cap modest at levels = 3.
     """
+    from mpmath import mp, mpf
+
     int_at_least(m_floor, "digit floor")
     int_at_least(levels, "levels")
     if levels > _LEVEL_CAP:
@@ -227,6 +233,8 @@ def reference_bounds(m_floor, ctx=DEFAULT_CONTEXT):
     still computed.  good_f_hi needs log log(M-1), so it is None at
     M = 2.
     """
+    from mpmath import mp, mpf
+
     int_at_least(m_floor, "digit floor", 2)
     with mp.workdps(_dps(ctx)):
         m = mpf(m_floor)

@@ -15,8 +15,6 @@ by adding terms up to M, because the interesting M sit near 10^12.
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .cfcore import PartialQuotients, exact_positive_fraction
 from .errors import DivergenceError, DomainError, int_at_least, is_int
 from .sequences import _require_digit_set, tau
@@ -54,6 +52,8 @@ def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
 
 def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
+    from mpmath import mp
+
     _reject_window(digits)
     int_at_least(floor_m, "floor")
     with mp.workdps(_dps(ctx)):
@@ -123,6 +123,8 @@ class M0Condition(NamedTuple):
 
 def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
+    from mpmath import mp
+
     int_at_least(m_floor, "the digit floor")
     eps, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(_dps(ctx)):
@@ -147,6 +149,8 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     covering_condition, and doubled until the condition holds.  Floors
     beyond 10^18 are reported as exceeded rather than returned.
     """
+    from mpmath import mp, mpf
+
     eps, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(_dps(ctx)):
         full = digit_power_sum(digits, z, ctx)
@@ -195,6 +199,8 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     floor).  The prefix must reach exactly to position k_N with digits
     from D; its own weight multiplies the product.
     """
+    from mpmath import mp, mpf
+
     _reject_window(digits)
     int_at_least(m_floor, "the digit floor")
     int_at_least(level_base, "the base level", 0)

@@ -32,13 +32,12 @@ square, O(log h) for pow and O(h/d) for a progression.
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, int_at_least, is_int
+from .errors import DomainError, FrozenRecord, int_at_least, is_int
 
 __all__ = [
     "IndexSequence",
@@ -91,31 +90,28 @@ def _load_values(path):
     return _validated_values(values)
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(FrozenRecord):
     """Strictly increasing positive integer sequence with counting function."""
 
-    kind: str
-    params: tuple = ()
-    values: tuple = ()
+    __slots__ = ("kind", "params", "values")
 
-    def __post_init__(self):
-        arity = _ARITY.get(self.kind)
+    def __init__(self, kind, params=(), values=()):
+        arity = _ARITY.get(kind)
         if arity is None:
-            raise DomainError("unknown rule kind %r" % self.kind)
-        params = self.params
+            raise DomainError("unknown rule kind %r" % kind)
         if not (isinstance(params, tuple) and len(params) == arity
                 and all(is_int(p) for p in params)):
             raise DomainError("%s takes %d integer parameter(s), got %r"
-                              % (self.kind, arity, params))
-        if self.kind == "arith":
+                              % (kind, arity, params))
+        if kind == "arith":
             if min(params) < 1:
                 raise DomainError("arith needs a0 >= 1 and d >= 1")
-        elif self.kind == "pow":
+        elif kind == "pow":
             if params[0] < 2:
                 raise DomainError("pow base must be >= 2")
-        elif self.kind == "explicit":
-            object.__setattr__(self, "values", _validated_values(self.values))
+        elif kind == "explicit":
+            values = _validated_values(values)
+        self._set(kind=kind, params=params, values=values)
 
     def nth(self, j):
         """k_j for j >= 1."""
@@ -313,7 +309,6 @@ def density(seq, horizon):
     return DensityReport(horizon, Fraction(low_k, low_n), Fraction(up_k, up_n), exact, exact == 0)
 
 
-@dataclass(frozen=True)
 class DigitSet(IndexSequence):
     """Set of allowed partial quotients: an index sequence read as a set.
 
@@ -324,10 +319,11 @@ class DigitSet(IndexSequence):
     and disables the closed-form sums elsewhere.
     """
 
-    assume_infinite: bool = False
+    __slots__ = ("assume_infinite",)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, kind, params=(), values=(), assume_infinite=False):
+        super().__init__(kind, params, values)
+        self._set(assume_infinite=assume_infinite)
         if self.kind == "arith" and self.params[1] != 1:
             raise DomainError(
                 "a digit set progression needs gap 1 (all, geq:M), got arith:%d,%d"

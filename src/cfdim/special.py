@@ -1,8 +1,10 @@
 """High precision zeta values, tail sums, and pole-side approximations.
 
 Everything runs through mpmath at a pinned working precision (50 digits
-minimum). One Euler-Maclaurin routine serves both the full series and
-its tails: partial sum up to a cutoff N, then
+minimum); each function that computes a real imports mpmath itself, so
+importing the package does not load it. One Euler-Maclaurin routine
+serves both the full series and its tails: partial sum up to a cutoff
+N, then
 
     N^(1-z)/(z-1) + N^(-z)/2 + sum_j B_{2j}/(2j)! (z)_{2j-1} N^(-z-2j+1)
 
@@ -19,12 +21,9 @@ bound at 2^16 is largest next to the pole, 5.2e-51 there).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
-from .errors import DivergenceError, DomainError, PoleProximityError, int_at_least
+from .errors import DivergenceError, DomainError, FrozenRecord, PoleProximityError, int_at_least
 
 __all__ = [
     "PrecisionContext",
@@ -41,17 +40,16 @@ __all__ = [
 _EULER_GAMMA_30 = "0.577215664901532860606512090082"
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(FrozenRecord):
     """Accuracy goal (absolute) and internal working precision in digits."""
 
-    target_abs_tol: float = 1e-12
-    working_digits: int = 50
+    __slots__ = ("target_abs_tol", "working_digits")
 
-    def __post_init__(self):
-        if not self.target_abs_tol > 0:
+    def __init__(self, target_abs_tol=1e-12, working_digits=50):
+        if not target_abs_tol > 0:
             raise DomainError("target_abs_tol must be positive")
-        int_at_least(self.working_digits, "working_digits", 30)
+        int_at_least(working_digits, "working_digits", 30)
+        self._set(target_abs_tol=target_abs_tol, working_digits=working_digits)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -64,21 +62,27 @@ def _dps(ctx):
 
 def as_real(x, what="value"):
     """Coerce int/float/str/Fraction/mpf to a finite mpf at the current precision."""
+    # called once per term of the Euler-Maclaurin correction, where the
+    # plain import costs a fifth of a from-import
+    import mpmath
+
     if isinstance(x, bool):
         raise DomainError("expected a real %s, got a boolean" % what)
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
+        return mpmath.mpf(x.numerator) / x.denominator
     try:
-        xm = mpf(x)
+        xm = mpmath.mpf(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError("cannot interpret %r as a real %s" % (x, what))
-    if not mp.isfinite(xm):
+    if not mpmath.mp.isfinite(xm):
         raise DomainError("%s must be a finite real, got %s" % (what, xm))
     return xm
 
 
 def euler_gamma(ctx=DEFAULT_CONTEXT):
     """Euler-Mascheroni constant from the stored 30-digit reference."""
+    from mpmath import mp, mpf
+
     with mp.workdps(_dps(ctx)):
         return +mpf(_EULER_GAMMA_30)
 
@@ -90,6 +94,8 @@ _CUTOFF_CAP = 1 << 16
 def _tail_correction(n0, z):
     # Euler-Maclaurin value of sum_{k >= n0} k^(-z) through B_8, and the
     # magnitude of the first omitted (B_10) term, which bounds the remainder
+    from mpmath import mpf
+
     n0 = mpf(n0)
     total = n0 ** (1 - z) / (z - 1) + n0 ** (-z) / 2
     rising = z  # rising factorial (z)_{2j-1}, extended two factors per step
@@ -102,6 +108,8 @@ def _tail_correction(n0, z):
 
 
 def _series_from(start, z, ctx):
+    from mpmath import mp, mpf
+
     cutoff = max(64, start)
     goal = mpf(ctx.target_abs_tol) / 8
     tail, bound = _tail_correction(cutoff, z)
@@ -118,6 +126,8 @@ def _series_from(start, z, ctx):
 
 
 def _check_exponent(zm):
+    from mpmath import mpf
+
     if zm <= 1 + mpf("1e-9"):
         raise PoleProximityError(
             "z = %s is at or inside the guard window around the pole at 1 "
@@ -132,6 +142,8 @@ def zeta(z, ctx=DEFAULT_CONTEXT):
 
 def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
     """Sum of k^(-z) over k >= start; same domain and accuracy as zeta."""
+    from mpmath import mp
+
     int_at_least(start, "start")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
@@ -141,6 +153,8 @@ def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
 
 def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):
     """Integral of x^(-2s) over [start, inf): start^(1-2s)/(2s-1)."""
+    from mpmath import mp, mpf
+
     int_at_least(start, "start")
     with mp.workdps(_dps(ctx)):
         sm = as_real(s, "exponent")
@@ -151,6 +165,8 @@ def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):
 
 def laurent_zeta_approx(delta, ctx=DEFAULT_CONTEXT):
     """Two-term pole expansion 1/(2 delta) + gamma, approximating zeta(1+2 delta)."""
+    from mpmath import mp, mpf
+
     with mp.workdps(_dps(ctx)):
         d = as_real(delta, "delta")
         if not 0 < d <= mpf(1) / 2:

@@ -322,6 +322,19 @@ def test_exact_powers_past_the_budget_raise_resource_cap_error():
         assert time.perf_counter() - start < 1
 
 
+def test_size_check_refuses_final_powers_past_the_budget():
+    # the certified onset fits the budget (about 6*10^6 bits), but the two
+    # cylinder powers R^(en+ed) and L^ed overlap in bit range and would
+    # each take about 10^8 bits, which would cost minutes to form
+    s = square_schedule()
+    word = build_point(SQ, 3, s, 10200)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError,
+                       match=r"^eps = 229/7000 needs an exact power of up to 101379496 bits"):
+        verify_size_bound(Fraction(229, 7000), SQ, s, word)
+    assert time.perf_counter() - start < 1
+
+
 def test_size_bound_validates_the_word_once(monkeypatch):
     s = square_schedule()
     word = list(build_point(SQ, 3, s, 300).digits)
@@ -351,8 +364,8 @@ _ties = st.builds(lambda x, c, b, d: (x, b * c, max(x ** c + d, 1), b),
 @given(st.one_of(_generic, _twos, _ties))
 def test_power_comparison_matches_the_direct_one(case):
     x, a, y, b = case
-    assert _power_at_least(x, a, y, b) == (x ** a >= y ** b)
-    assert _power_at_least(y, b, x, a) == (y ** b >= x ** a)
+    assert _power_at_least(x, a, y, b, Fraction(1)) == (x ** a >= y ** b)
+    assert _power_at_least(y, b, x, a, Fraction(1)) == (y ** b >= x ** a)
 
 
 # (eps, p, m) for the derived weight test: any sizes, and exact ties

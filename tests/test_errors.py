@@ -75,3 +75,35 @@ def test_only_as_real_converts_a_fraction_to_mpf():
                  for func, line in _mpf_numerator_calls(p.read_text())
                  if (p.name, func) != ("special.py", "as_real")]
     assert offenders == [], "use cfdim.special.as_real instead"
+
+
+def _eager_imports(source):
+    # (module, line) of imports of mpmath run at import time and of any
+    # dataclasses import; an import inside a function runs on demand
+    def visit(node, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            in_function = True
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        for name in names:
+            top = name.partition(".")[0]
+            if top == "dataclasses" or (top == "mpmath" and not in_function):
+                yield top, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, in_function)
+    return list(visit(ast.parse(source), False))
+
+
+def test_no_module_imports_mpmath_eagerly_or_dataclasses_at_all():
+    assert _eager_imports(
+        "import mpmath\nfrom mpmath import mp\nclass C:\n    from mpmath.libmp import bitcount\n"
+        "def f():\n    from mpmath import mpf\n    import dataclasses\n"
+    ) == [("mpmath", 1), ("mpmath", 2), ("mpmath", 4), ("dataclasses", 7)]
+    assert _eager_imports("def f():\n    import mpmath\nfrom .special import mpmath_ish\n") == []
+    offenders = ["%s:%d %s" % (p.name, line, name)
+                 for p in sorted(_SRC.glob("*.py"))
+                 for name, line in _eager_imports(p.read_text())]
+    assert offenders == [], "import mpmath inside the function that computes a real"

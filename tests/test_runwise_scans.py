@@ -11,7 +11,6 @@ index instead; both must give the same integers and raise the same
 errors.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -256,7 +255,7 @@ def test_size_bound_nominal_scan_stops_at_its_certificate(monkeypatch):
     # the same six runs as at 10^4 and the report is the same
     sq = parse_index_sequence("square")
     short = choose_schedule(sq, 30, 10 ** 4, eps="1/10")
-    long = dataclasses.replace(short, horizon=10 ** 12)
+    long = StepSchedule(short.eps, short.c1, short.thresholds, short.breakpoints, 10 ** 12)
     word = build_point(sq, 3, short, 200)
     walked = []
     real = IndexSequence.runs
