@@ -300,11 +300,6 @@ def _hirst_m0(args):
     return {**est._asdict(), "warning": warning}
 
 
-def _exact_on_digits(fn):
-    """fn(digit set), computed exactly: --dps has no effect but is still validated."""
-    return lambda args: fn((_digits(args), _context(args))[0])
-
-
 def _hirst_product(args):
     digits = _digits(args)
     seq = parse_index_sequence(args.seq)
@@ -400,8 +395,7 @@ _COMMANDS = (
              + _DPS, _dim_cover),
     _Command("seq", "density", _SPEC + _HORIZON,
              lambda a: density(parse_index_sequence(a.spec), a.horizon)),
-    _Command("seq", "tau", _DIGIT_SET + _DPS,
-             _exact_on_digits(tau), "tau"),
+    _Command("seq", "tau", _DIGIT_SET, lambda a: tau(_digits(a)), "tau"),
     _Command("seq", "count", _SPEC + _flag("--n", type=int, required=True),
              lambda a: parse_index_sequence(a.spec).count(a.n), "count"),
     _Command("construct", "schedule", _SEQ + _flag("--eps") + _flag("--c1")
@@ -423,8 +417,7 @@ _COMMANDS = (
              + _flag("--sample", type=int, help="generate this many random pairs")
              + _flag("--seed", type=int, default=0)
              + _flag("--min-prefix", type=int), _construct_holder),
-    _Command("hirst", "dim", _DIGIT_SET + _DPS,
-             _exact_on_digits(hirst_dimension), "dim"),
+    _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst_dimension(_digits(a)), "dim"),
     _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True)
              + _flag("--M", type=int) + _flag("--estimate", action="store_true") + _DPS,
              _hirst_m0),

@@ -18,8 +18,7 @@ with an explicit rational c1 the sides cannot tie (log p is
 transcendental for p >= 2), so escalating precision always separates
 them.  The size/separation/Holder inequalities are checked on
 cross-multiplied integer powers of exact cylinder lengths.  Floats
-appear otherwise only as display values and in certificate bounds that
-carry a margin.
+appear otherwise only as display values.
 """
 
 import math
@@ -184,24 +183,6 @@ def _require_zero_density(seq):
         )
 
 
-def _ratio_cert_bound(seq, t):
-    """Smallest C such that k(n)/n <= t is guaranteed for every n > C; math.inf past floats."""
-    try:
-        if seq.kind == "square":
-            # k(n) <= sqrt(n), so 1/sqrt(n) <= t suffices
-            return int(1 / (t * t) * 1.001) + 10
-        if seq.kind == "pow":
-            b = seq.params[0]
-            # k(n) <= log_b(n); log_b(n)/n decreases once n >= 3
-            c = 8
-            while math.log(c) / math.log(b) / c > t * 0.999:
-                c *= 2
-            return c
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-    raise DomainError("no analytic tail certificate for kind %r" % seq.kind)
-
-
 def _nominal_cert(seq, en, ed):
     """An index C past the last m with en*(m - 2k(m) - 4) < 2*ed, exactly.
 
@@ -237,13 +218,21 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
-def _check_power(bits, eps):
-    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps sets its exponent."""
+def _check_power(bits, eps, name="eps"):
+    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps (or c1) sets it."""
     if bits > _POWER_BITS:
         raise ResourceCapError(
-            "eps = %s needs an exact power of up to %d bits, past the budget of %d bits"
-            % (eps, bits, _POWER_BITS)
+            "%s = %s needs an exact power of up to %d bits, past the budget of %d bits"
+            % (name, eps, bits, _POWER_BITS)
         )
+
+
+def _mp_log(p):
+    # mpmath strips an integer's trailing zero bits a byte at a time, in quadratic time
+    from mpmath import mp
+
+    zeros = (p & -p).bit_length() - 1
+    return mp.log(p >> zeros) + zeros * mp.ln2
 
 
 def _fraction_bits(x):
@@ -264,7 +253,7 @@ def _log_exceeds(p, m, eps, c1):
 
     for dps in (60, 200):
         with mp.workdps(dps):
-            lhs = mp.log(p)
+            lhs = _mp_log(p)
             rhs = as_real(c1) * m
             diff = lhs - rhs
             if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
@@ -273,7 +262,7 @@ def _log_exceeds(p, m, eps, c1):
 
 
 def _weight_test(eps, c1):
-    """(end, c1_float): end(p, first, last) is the last m in [first, last] with log(p) > c1*m, or 0.
+    """end(p, first, last): the last m in [first, last] with log(p) > c1*m, or 0.
 
     p is an integer >= 1.  Exactly one of eps and c1 is a positive
     Fraction; eps means c1 = eps*log(2)/2.  The answer is floor(x) for
@@ -304,7 +293,7 @@ def _weight_test(eps, c1):
             from mpmath import mp
 
             with mp.workdps(20 + len(str(last))):
-                x = mp.log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
+                x = _mp_log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
                 m, r = int(mp.floor(x)), int(mp.nint(x))
         if first <= r <= last:
             # a near tie, where floor(x) may be off by one; p = 1 stays out
@@ -313,15 +302,15 @@ def _weight_test(eps, c1):
                 m = r if _log_exceeds(p, r, eps, c1) else r - 1
         return min(m, last) if m >= first else 0
 
-    return end, c1_float
+    return end
 
 
-# Every scan below looks for the last m in [1, limit] at which an
+# The scans below look for the last m in [1, limit] at which an
 # inequality in (m, k(m)) fails.  k(m) is constant on each run of
 # seq.runs(limit), and within a run the failing m form a prefix (the
 # right side grows with m while k stays fixed), so the last violator is
 # the end of the last nonempty prefix.  The nominal and certified onsets
-# read that end off an integer formula, the two weight scans off
+# read that end off an integer formula, schedule_onset off
 # floor(log(p)/c1), with one exact test where that quotient nearly ties
 # an integer inside the run.
 
@@ -340,17 +329,16 @@ def _last_violator(seq, limit, factor, end):
 def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     """Thresholds and breakpoints for a zero-density sequence.
 
-    For each step j, the threshold N_j is the largest n in [1, C_j]
-    with k(n)/n > c1/log(j+1), where C_j is an analytic bound beyond
-    which no violation can occur (0 when there is no violation at all).
-    Each comparison is exact.  The search does not test each n: on every
-    run of constant k(n) the last violator is floor(k*log(j+1)/c1),
-    clipped to the run, and an exact test at the nearest integer decides
-    only when that quotient nearly ties one inside the run.  C_j must
-    fit under the horizon, otherwise the horizon cannot certify the
-    threshold and the call fails rather than extrapolating.  Breakpoint
-    n_j is the least index above n_{j-1} whose sequence member reaches
-    N_j.
+    For each step j, the threshold N_j is the largest n with
+    k(n)*log(j+1) > c1*n, or 0 when there is none.  Run k of constant
+    k(n) = k holds a violator exactly when its first index k_k does.  A
+    zero-density rule has k_k/k nondecreasing (see ``sequences``), so
+    those runs are 1..K-1, and N_j is the last violator of run K-1.  A
+    galloping search and a bisection find K, each probe testing a run's
+    first index with p = (j+1)^k inside the power budget, up to run
+    k(horizon) + 1, which starts past the horizon.  A threshold past the
+    horizon raises rather than extrapolating.  Breakpoint n_j is the
+    least index above n_{j-1} whose sequence member reaches N_j.
 
     Exactly one of c1 and eps is given; eps means c1 = eps*log2/2.
     """
@@ -363,21 +351,35 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
         eps = exact_positive_fraction(eps, "eps")
     else:
         c1 = exact_positive_fraction(c1, "c1")
-    end, c1_float = _weight_test(eps, c1)
+    end = _weight_test(eps, c1)
+    cap = seq.count(horizon) + 1
 
     thresholds = []
     breakpoints = []
     prev = 0
     for j in range(1, j_max + 1):
-        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
-        if cert > horizon:
-            reach = "up to %d" % cert if cert < math.inf else "past the float range"
+        def fails(k):
+            # k*log(j+1) > c1*k_k: run k holds a violator
+            _check_power(k * (j + 1).bit_length(), eps or c1, "c1" if eps is None else "eps")
+            first = seq.nth(k)
+            return end((j + 1) ** k, first, first) == first
+
+        # runs 1..lo fail and run hi is clean, unless lo == hi == cap
+        lo, hi = 0, 1
+        while lo < cap and fails(hi):
+            lo, hi = hi, min(2 * hi, cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fails(mid):
+                lo = mid
+            else:
+                hi = mid
+        worst = lo and end((j + 1) ** lo, seq.nth(lo), seq.nth(lo + 1) - 1)
+        if worst > horizon:
             raise InsufficientHorizonError(
-                "step %d needs a scan %s to certify its threshold, "
-                "beyond the horizon %d" % (j, reach, horizon)
+                "step %d has its threshold past the horizon %d, which cannot "
+                "certify it" % (j, horizon)
             )
-        # k(n)*log(j+1) > c1*n: the product of k(n) factors j + 1
-        worst = _last_violator(seq, cert, lambda i: j + 1, end)
         thresholds.append(worst)
         n_j = max(prev + 1, seq.first_at_least(worst))
         breakpoints.append(n_j)
@@ -421,7 +423,7 @@ def schedule_onset(seq, schedule):
     limit = _covered_limit(seq, schedule)
     if limit < 1:
         raise DomainError("the schedule covers no positions at all")
-    end, _ = _weight_test(schedule.eps, schedule.c1)
+    end = _weight_test(schedule.eps, schedule.c1)
     worst = _last_violator(seq, limit, lambda i: step_value(schedule, i) + 1, end)
     if worst >= limit:
         raise InsufficientHorizonError(
@@ -469,7 +471,7 @@ def _nominal_onset(seq, eps, horizon=None):
 
     No violator lies past _nominal_cert, so a longer horizon cannot move
     the onset.  The progressions _nominal_cert refuses raise DomainError
-    without a horizon and are scanned to it under one.
+    without a horizon; under one they are scanned to it unless it fails.
     """
     en, ed = eps.numerator, eps.denominator
     try:
@@ -482,14 +484,14 @@ def _nominal_onset(seq, eps, horizon=None):
         limit = min(limit, horizon)
     # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
     offset = 3 - (-2 * ed // en)
-    worst = max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
-                 if 2 * k + offset >= first), default=0)
-    if worst >= limit:
+    if 2 * seq.count_window(limit) + offset >= limit:
         if limit == horizon:
             raise InsufficientHorizonError(
                 "the onset condition still fails at the horizon %d" % horizon
             )
         raise DomainError("internal certificate bound too tight; please report")
+    worst = max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
+                 if 2 * k + offset >= first), default=0)
     return worst + 1
 
 

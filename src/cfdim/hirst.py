@@ -84,6 +84,8 @@ def hirst_dimension(digits):
 
 def _analytic_pieces(digits, seq, eps):
     """Shared preconditions: returns (eps, z, exponent e) as exact Fractions."""
+    # a window is the one digit set whose tau is estimated, not analytic
+    _reject_window(digits)
     eps = exact_positive_fraction(eps, "eps")
     # every rule sequence has a density, which is then its upper density
     dbar = seq.exact_density
@@ -102,11 +104,6 @@ def _analytic_pieces(digits, seq, eps):
             "eps must lie strictly below the upper density %s, got %s" % (dbar, eps)
         )
     t = tau(digits)
-    if t.method != "analytic":
-        raise DomainError(
-            "estimated convergence exponents cannot certify the condition; "
-            "use a rule digit set (all, geq:M, square, pow:b) or a finite list"
-        )
     if t.value == 0 and not digits.is_finite:
         raise DivergenceError(
             "tau = 0 on an infinite digit set makes the full sum diverge"

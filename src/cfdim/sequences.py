@@ -27,6 +27,14 @@ k(n) is constant on each run between consecutive members, and
 indices.  On a run k/n is largest at its first index and smallest at
 its last, so ``density`` compares only run ends: O(sqrt h) members for
 square, O(log h) for pow and O(h/d) for a progression.
+
+On every rule whose ``exact_density`` is 0 (square and pow) the ratio
+k_j/j never decreases, that is k_j*(j+1) <= k_{j+1}*j: for square the
+two sides are j^2*(j+1) and (j+1)^2*j, and for pow:b they are
+b^j*(j+1) and b^j*b*j, where b*j >= 2j >= j+1.  So a test k_j < j*r,
+for any fixed r, holds on an initial segment of j; the schedule
+thresholds in ``construction`` search for its end instead of walking
+every run.
 """
 
 import itertools

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,12 +156,24 @@ def test_non_finite_exponent_is_rejected_as_such(capsys, argv):
      ("--c1", "1e-200", 3), ("--c1", "1e-160", 3)],
 )
 def test_c1_past_the_float_range_exits_with_one_error_line(capsys, flag, value, code):
-    # a c1 whose float is 0 or overflows is refused; a certificate bound
-    # past the float range is a horizon no scan reaches
+    # a c1 whose float is 0 or overflows is refused; a tiny c1 puts the
+    # first threshold past the horizon
     got, out, err = run(capsys, "construct", "schedule", "--seq", "square", flag, value,
                         "--j-max", "1", "--horizon", "100")
     assert got == code and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_threshold_past_a_long_horizon_is_refused_fast(capsys):
+    # at c1 = 10^-7 run 10^6 + 1, the first past the horizon, still holds
+    # a violator; the search reaches it in 21 probes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "schedule", "--seq", "square", "--c1", "1e-7",
+                         "--j-max", "1", "--horizon", "1000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == ("error: step 1 has its threshold past the horizon 1000000000000, "
+                   "which cannot certify it\n")
 
 
 def test_cover_rejects_threads_below_one(capsys):
@@ -182,7 +195,7 @@ def test_exit_code_3_on_ambiguity_and_non_convergence(capsys):
     assert env["result"]["converged"] is False
     code, _, err = run(
         capsys, "construct", "schedule", "--seq", "square", "--eps", "1/10",
-        "--j-max", "31", "--horizon", "10000",
+        "--j-max", "32", "--horizon", "10000",
     )
     assert code == 3 and "horizon" in err
 

@@ -72,7 +72,7 @@ def test_schedule_exact_tie_is_not_a_violation():
     # at n = 380 and 400 the two sides are equal integers,
     # 2^(2*ed*k) == 2^(en*n) with j + 1 = 2; the strict comparison keeps
     # them out of the violator set, and one index earlier they violate
-    end, _ = _weight_test(Fraction(1, 10), None)
+    end = _weight_test(Fraction(1, 10), None)
     for n, k in ((380, 19), (400, 20)):
         assert SQ.count(n) == k
         assert end(2 ** k, n, n + 5) == 0
@@ -87,8 +87,12 @@ def test_schedule_rejects_positive_density_and_short_horizons():
         choose_schedule(SQ, 1, 10000)  # neither c1 nor eps
     with pytest.raises(DomainError):
         choose_schedule(SQ, 1, 10000, c1="1/20", eps="1/10")
-    with pytest.raises(InsufficientHorizonError):
-        choose_schedule(SQ, 31, 10000, eps="1/10")
+    # N_32 = 10088 lies past the horizon, N_31 = 9899 inside it (9900
+    # ties exactly); a horizon of 100 does not reach N_1 = 379
+    with pytest.raises(InsufficientHorizonError, match="step 32 has its threshold past"):
+        choose_schedule(SQ, 32, 10000, eps="1/10")
+    assert choose_schedule(SQ, 32, 10 ** 5, eps="1/10").thresholds[-1] == 10088
+    assert choose_schedule(SQ, 31, 10000, eps="1/10").thresholds[-1] == 9899
     with pytest.raises(InsufficientHorizonError):
         choose_schedule(SQ, 1, 100, eps="1/10")
 
@@ -117,6 +121,20 @@ def test_schedule_thresholds_past_two_to_the_46_are_exact():
             assert seq.count(n + 1) == k
             lhs, rate = k * mp.log(j + 1), mpf(c1.numerator) / c1.denominator
             assert lhs > rate * n and not lhs > rate * (n + 1)
+
+
+def test_schedule_threshold_on_a_power_of_two_is_exact_and_fast():
+    # at c1 = 10^-7 the last failing run of step 1 carries p = 2^6931471,
+    # and its near tie goes to the exact test; mpmath alone would strip
+    # the trailing zero bits of p a byte at a time, for minutes
+    start = time.perf_counter()
+    s = choose_schedule(SQ, 1, 10 ** 14, c1="1e-7")
+    assert time.perf_counter() - start < 5
+    n = s.thresholds[0]
+    assert n == 48045295807830 and SQ.count(n) == SQ.count(n + 1) == 6931471
+    with mp.workdps(300):
+        lhs, rate = 6931471 * mp.log(2), mpf(10) ** -7
+        assert lhs > rate * n and not lhs > rate * (n + 1)
 
 
 def test_schedule_json_round_trip_both_modes():
@@ -381,7 +399,7 @@ _derived_ties = st.builds(
 @given(st.one_of(_derived_any, _derived_ties))
 def test_derived_weight_test_matches_the_integer_powers(case):
     eps, p, m = case
-    end, _ = _weight_test(eps, None)
+    end = _weight_test(eps, None)
     assert (end(p, m, m) == m) == (p ** (2 * eps.denominator) > 2 ** (eps.numerator * m))
 
 
@@ -398,7 +416,7 @@ _explicit_cases = st.builds(
 @given(_explicit_cases)
 def test_explicit_weight_test_matches_a_300_digit_log(case):
     c1, p, m = case
-    end, _ = _weight_test(None, c1)
+    end = _weight_test(None, c1)
     with mp.workdps(300):
         assert (end(p, m, m) == m) == (mp.log(p) > mpf(c1.numerator) / c1.denominator * m)
 
@@ -420,7 +438,8 @@ _end_pairs = st.one_of(
 @given(_end_pairs, st.integers(-45, 5), st.integers(0, 39))
 def test_weight_end_is_the_last_failing_index_of_a_run(case, shift, width):
     eps, c1, p = case
-    end, c1_float = _weight_test(eps, c1)
+    end = _weight_test(eps, c1)
+    c1_float = float(c1) if eps is None else float(eps) * math.log(2) / 2
     first = max(int(math.log(p) / c1_float) + shift, 1)
     last = first + width
     if c1 is None:

@@ -107,3 +107,23 @@ def test_no_module_imports_mpmath_eagerly_or_dataclasses_at_all():
                  for p in sorted(_SRC.glob("*.py"))
                  for name, line in _eager_imports(p.read_text())]
     assert offenders == [], "import mpmath inside the function that computes a real"
+
+
+def _kind_reads(source):
+    # (innermost enclosing function or None, line) of each <expr>.kind read
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+    return list(visit(ast.parse(source), None))
+
+
+def test_construction_reads_the_rule_kind_only_in_the_nominal_certificate():
+    # every other scan in construction works from count, nth and runs, so
+    # a new rule needs no construction code beyond _nominal_cert
+    assert _kind_reads("def f(s):\n    return s.kind\ng.kind\n") == [("f", 2), (None, 3)]
+    reads = _kind_reads((_SRC / "construction.py").read_text())
+    assert reads and {func for func, _ in reads} == {"_nominal_cert"}

@@ -113,9 +113,14 @@ def test_hirst_dimension_is_tau_with_the_value_halved(tmp_path):
         assert type(h) is type(t) and h == t._replace(value=t.value / 2)
     assert hirst_dimension(sets[4]).warning == tau(sets[4]).warning != ""
     assert hirst_dimension(sets[5]).method == "estimated"
-    # the one digit set with an estimated tau never reaches the product bound
-    with pytest.raises(DomainError, match="truncated window"):
-        covering_product_bound(sets[5], EVEN, 2, 1, 0, 1, _EMPTY)
+    # the one digit set with an estimated tau never reaches the product
+    # bound or the covering condition
+    calls = [lambda: covering_product_bound(sets[5], EVEN, 2, 1, 0, 1, _EMPTY),
+             lambda: covering_condition(sets[5], EVEN, "1/10", 5),
+             lambda: estimate_condition_floor(sets[5], EVEN, "1/10")]
+    for call in calls:
+        with pytest.raises(DomainError, match="truncated window"):
+            call()
 
 
 @pytest.mark.parametrize(

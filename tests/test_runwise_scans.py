@@ -1,14 +1,15 @@
 """The run-wise certificate scans against per-index reference loops.
 
-The five scans in ``construction`` walk the runs of constant k(m) from
+Three scans in ``construction`` walk the runs of constant k(m) from
 ``IndexSequence.runs`` and find the end of the violating prefix of each
 run.  The nominal and certified onsets (of ``verify_size_bound`` and
-``nominal_onset``) read it off an integer formula; the two weight scans
-(thresholds in ``choose_schedule`` and ``schedule_onset``) read it off
-floor(log(p)/c1), clipped to the run, with one exact test where that
-quotient nearly ties an integer in the run.  The loops below test every
-index instead; both must give the same integers and raise the same
-errors.
+``nominal_onset``) read it off an integer formula; the weight scan of
+``schedule_onset`` reads it off floor(log(p)/c1), clipped to the run,
+with one exact test where that quotient nearly ties an integer in the
+run.  The thresholds of ``choose_schedule`` search for the first run
+whose first index holds no violator, and read the last violator of the
+run before it the same way.  The loops below test every index instead;
+both must give the same integers and raise the same errors.
 """
 
 import math
@@ -32,12 +33,7 @@ from cfdim import (
     verify_size_bound,
 )
 from cfdim import construction
-from cfdim.construction import (
-    _LOG2,
-    _covered_limit,
-    _nominal_cert,
-    _ratio_cert_bound,
-)
+from cfdim.construction import _LOG2, _covered_limit, _nominal_cert
 
 
 # Per-index threshold predicates, kept apart from the library's merged
@@ -62,11 +58,13 @@ def _ratio_violates_derived(en, ed, k, n, j):
 def _ratio_violates_explicit(c1, k, n, j):
     # k*log(j+1) > c1*n; a tie would make log(j+1) rational, impossible.
     # For k, j >= 1 the left side is irrational and the right rational,
-    # so the raise below never fires: the run-wise search in
-    # choose_schedule, which skips most n, drops no error that testing
-    # every n would raise.
+    # so the raise below never fires: the search in choose_schedule,
+    # which skips most n, drops no error that testing every n would raise.
     if k == 0:
         return False
+    lhs, rhs = k * math.log(j + 1), c1.numerator / c1.denominator * n
+    if abs(lhs - rhs) > 1e-9 * (lhs + rhs):
+        return lhs > rhs
     for dps in (60, 200):
         with mp.workdps(dps):
             lhs = k * mp.log(j + 1)
@@ -80,25 +78,35 @@ def _ratio_violates_explicit(c1, k, n, j):
     )
 
 
-def ref_choose_schedule(seq, j_max, horizon, c1=None, eps=None):
+def _ratio_violates(c1, eps):
     if eps is not None:
-        eps = Fraction(eps)
-        c1_float = eps.numerator / eps.denominator * _LOG2 / 2
-        violates = lambda k, n, j: _ratio_violates_derived(
-            eps.numerator, eps.denominator, k, n, j)
-    else:
-        c1 = Fraction(c1)
-        c1_float = c1.numerator / c1.denominator
-        violates = lambda k, n, j: _ratio_violates_explicit(c1, k, n, j)
+        en, ed = eps.numerator, eps.denominator
+        return lambda k, n, j: _ratio_violates_derived(en, ed, k, n, j)
+    return lambda k, n, j: _ratio_violates_explicit(c1, k, n, j)
+
+
+def ref_choose_schedule(seq, j_max, horizon, c1=None, eps=None):
+    # The gate: with h = max(horizon, k_1), a threshold past h leaves a
+    # violator in (h, 3h].  With r = log(j+1)/c1, run k holds a violator
+    # when k*r > k_k, and those runs are an initial segment (the fact
+    # pinned in test_sequences).  If the last of them starts at most at
+    # 3h, its first index or h + 1 is such a violator.  If it starts
+    # past 3h, the run m >= 1 holding 3h fails too: k_m is one when
+    # k_m > h, and otherwise (m+1)*r > k_(m+1) > 3h gives m*r > h + 1,
+    # so h + 1 violates.
+    eps = None if eps is None else Fraction(eps)
+    c1 = None if c1 is None else Fraction(c1)
+    violates = _ratio_violates(c1, eps)
+    top = 3 * max(horizon, seq.nth(1))
+    counts = [seq.count(n) for n in range(top + 1)]
     thresholds, breakpoints, prev = [], [], 0
     for j in range(1, j_max + 1):
-        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
-        if cert > horizon:
-            raise InsufficientHorizonError("step %d" % j)
         worst = 0
-        for n in range(1, cert + 1):
-            if violates(seq.count(n), n, j):
+        for n in range(1, top + 1):
+            if violates(counts[n], n, j):
                 worst = n
+        if worst > horizon:
+            raise InsufficientHorizonError("step %d" % j)
         thresholds.append(worst)
         prev = max(prev + 1, seq.first_at_least(worst))
         breakpoints.append(prev)
@@ -205,30 +213,31 @@ def test_runs_partition_the_range_by_window_count():
         assert flat == [seq.count_window(m) for m in range(1, limit + 1)]
 
 
-@pytest.mark.parametrize("spec,kw,j_max,exact_tests", [
-    ("square", {"eps": Fraction(1, 10)}, 30, (12, 3)),
-    ("pow:2", {"eps": Fraction(1, 10)}, 30, (6, 2)),
-    ("square", {"c1": Fraction(1, 30)}, 4, (0, 0)),
-    ("pow:2", {"c1": Fraction(1, 30)}, 4, (0, 0)),
+@pytest.mark.parametrize("spec,kw,j_max,threshold_calls,exact_tests", [
+    ("square", {"eps": Fraction(1, 10)}, 30, 415, (8, 3)),
+    ("pow:2", {"eps": Fraction(1, 10)}, 30, 262, (4, 2)),
+    ("square", {"c1": Fraction(1, 30)}, 4, 50, (0, 0)),
+    ("pow:2", {"c1": Fraction(1, 30)}, 4, 31, (0, 0)),
 ], ids=["square-eps", "pow2-eps", "square-c1", "pow2-c1"])
 def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
-        monkeypatch, spec, kw, j_max, exact_tests):
-    # both weight scans (thresholds, then onset) call end once per run,
-    # and the exact test runs only at a near tie inside a run.  In eps
-    # mode every quotient x for j + 1 = 2, 4, 8, 16 is an integer, as the
-    # two sides tie as integers there; on pow:2 most of those ties fall
-    # outside their run, and an end that tested them too makes 40 exact
-    # tests in the threshold scan instead of 6
+        monkeypatch, spec, kw, j_max, threshold_calls, exact_tests):
+    # the threshold search calls end once per probe of its galloping
+    # search and bisection, and once more for the last failing run of
+    # each step; the onset scan calls end once per run.
+    # The exact test runs only at a near tie inside a run.  In eps mode
+    # every quotient x for j + 1 = 2, 4, 8, 16 is an integer, as the two
+    # sides tie as integers there, but most of those ties fall outside
+    # the probed index or run
     ends, exact = [], []
     real_weight, real_exact = construction._weight_test, construction._log_exceeds
 
     def counting(eps, c1):
-        end, c1_float = real_weight(eps, c1)
+        end = real_weight(eps, c1)
 
         def counted(p, first, last):
             ends.append(first)
             return end(p, first, last)
-        return counted, c1_float
+        return counted
 
     def counted_exact(p, m, eps, c1):
         exact.append(m)
@@ -238,10 +247,7 @@ def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
     seq = parse_index_sequence(spec)
     got = choose_schedule(seq, j_max, 10 ** 4, **kw)
     assert got == ref_choose_schedule(seq, j_max, 10 ** 4, **kw)
-    c1_float = real_weight(got.eps, got.c1)[1]
-    runs = sum(len(list(seq.runs(_ratio_cert_bound(seq, c1_float / math.log(j + 1)))))
-               for j in range(1, j_max + 1))
-    assert (len(ends), len(exact)) == (runs, exact_tests[0])
+    assert (len(ends), len(exact)) == (threshold_calls, exact_tests[0])
 
     del ends[:], exact[:]
     onset = schedule_onset(seq, got)
@@ -274,6 +280,25 @@ def test_size_bound_nominal_scan_stops_at_its_certificate(monkeypatch):
         assert walked.count(36) == 6
     assert reports[0] == reports[1]
     assert reports[0].onset == 34
+
+
+def test_size_bound_nominal_scan_refuses_a_failing_horizon_without_walking(monkeypatch):
+    # even fails the onset condition at every member, so at the horizon
+    # 10^6 too: the nominal scan raises before walking a run, and only
+    # the certified onset walks its runs, up to the covered limit 11
+    even = parse_index_sequence("even")
+    sched = StepSchedule(Fraction(1, 10), None, (0,), (5,), 10 ** 6)
+    walked = []
+    real = IndexSequence.runs
+
+    def counted(self, limit):
+        for run in real(self, limit):
+            walked.append(limit)
+            yield run
+    monkeypatch.setattr(IndexSequence, "runs", counted)
+    with pytest.raises(InsufficientHorizonError, match="fails at the horizon 1000000$"):
+        verify_size_bound("1/10", even, sched, [1] * 10)
+    assert set(walked) == {_covered_limit(even, sched)} == {11}
 
 
 def _rule_grid():
@@ -438,23 +463,13 @@ def test_nominal_cert_leaves_no_violator_up_to_four_times_past_it(spec):
 
 @pytest.mark.parametrize("spec", ["square", "pow:2"])
 @pytest.mark.parametrize("mode,value", [("eps", Fraction(1, 10)), ("c1", Fraction(1, 30))])
-def test_ratio_cert_bound_leaves_no_violator_up_to_four_times_past_it(spec, mode, value):
-    # _ratio_cert_bound sets C_j from a float t = c1/log(j+1) with a
-    # margin: 1.001/t^2 + 10 for square, and a 0.999 slack on t for
-    # pow:b.  Scan (C_j, 4*C_j] for each step j <= 30.  Within a run of
-    # constant k the ratio test holds on a prefix, so the first index of
-    # each run (clipped to C_j + 1) is its worst point.
+def test_no_violator_up_to_four_times_past_each_threshold(spec, mode, value):
+    # N_j violates k(n)*log(j+1) > c1*n and no n in (N_j, 4*N_j] does,
+    # tested at every n for each step j <= 30
     seq = parse_index_sequence(spec)
-    if mode == "eps":
-        c1_float = value.numerator / value.denominator * _LOG2 / 2
-        violates = lambda k, n, j: _ratio_violates_derived(
-            value.numerator, value.denominator, k, n, j)
-    else:
-        c1_float = value.numerator / value.denominator
-        violates = lambda k, n, j: _ratio_violates_explicit(value, k, n, j)
-    for j in range(1, 31):
-        cert = _ratio_cert_bound(seq, c1_float / math.log(j + 1))
-        for first, last, k in seq.runs(4 * cert):
-            if last > cert:
-                n = max(first, cert + 1)
-                assert not violates(k, n, j), (j, cert, n)
+    violates = _ratio_violates(*((None, value) if mode == "eps" else (value, None)))
+    sched = choose_schedule(seq, 30, 10 ** 5, **{mode: value})
+    for j, big_n in enumerate(sched.thresholds, start=1):
+        assert big_n > 0 and violates(seq.count(big_n), big_n, j), j
+        for n in range(big_n + 1, 4 * big_n + 1):
+            assert not violates(seq.count(n), n, j), (j, big_n, n)

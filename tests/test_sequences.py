@@ -117,6 +117,19 @@ def test_exact_density_by_kind():
     assert IndexSequence("explicit", (), (1, 2, 3)).exact_density is None
 
 
+def test_zero_density_rules_have_a_nondecreasing_ratio():
+    # k_j/j never decreases on a rule of density 0, in integers; the
+    # schedule thresholds of construction rest on it
+    specs = ["square", "even", "all", "geq:7", "arith:1,3", "arith:40,9"]
+    specs += ["pow:%d" % b for b in range(2, 11)]
+    zero = [spec for spec in specs if parse_index_sequence(spec).exact_density == 0]
+    assert zero == ["square"] + specs[6:]
+    for spec in zero:
+        seq = parse_index_sequence(spec)
+        for j in range(1, 2001):
+            assert seq.nth(j) * (j + 1) <= seq.nth(j + 1) * j, (spec, j)
+
+
 def test_density_report_window_estimates():
     rep = density(parse_index_sequence("even"), 10000)
     assert rep.exact == Fraction(1, 2)
