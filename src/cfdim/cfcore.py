@@ -12,6 +12,7 @@ seeded with p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.
 """
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -84,13 +85,24 @@ class PartialQuotients(tuple):
         parts = [p.strip() for p in text.split(",")]
         if any(not re.fullmatch(r"\d+", p) for p in parts):
             raise DomainError("word must be comma separated positive integers: %r" % text)
-        return cls(int(p) for p in parts)
+        return cls(_read_int(p, "a word digit") for p in parts)
 
     def to_text(self):
         return ",".join(map(str, self))
 
     def __repr__(self):
         return "PartialQuotients([%s])" % self.to_text()
+
+
+def _read_int(digits, what):
+    """int of a string of decimal digits; one past the interpreter's limit is refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(
+            "%s has %d digits, more than the %d an integer is read from"
+            % (what, len(digits), sys.get_int_max_str_digits())
+        )
 
 
 def exact_positive_fraction(value, what):
@@ -212,7 +224,7 @@ def expand_decimal(text, max_digits=None):
     if not m:
         raise DomainError("expected a decimal literal like '0.318', got %r" % text)
     frac = m.group(1)
-    v = Fraction(int(frac), 10 ** len(frac))
+    v = Fraction(_read_int(frac, "the decimal literal"), 10 ** len(frac))
     half = Fraction(1, 2 * 10 ** len(frac))
     lo, hi = v - half, v + half
     if lo <= 0 or hi >= 1:

@@ -53,7 +53,7 @@ from .dimension import (
     per_level_factor,
     reference_bounds,
 )
-from .errors import DomainError, ToolkitError
+from .errors import DomainError, ResourceCapError, ToolkitError, is_int
 from .hirst import (
     covering_condition,
     covering_product_bound,
@@ -75,7 +75,7 @@ def _word(text):
 
 
 def _digits(args):
-    return parse_digit_set(args.digits_spec, args.assume_infinite)
+    return parse_digit_set(args.digits_spec)
 
 
 def _ints(text):
@@ -110,11 +110,33 @@ def _read_text(path, what):
         raise DomainError("%s %r is not text: %s" % (what, path, exc))
 
 
+def _check_digits(n):
+    """Refuse an int whose decimal text would pass the interpreter's digit limit.
+
+    str(), json and csv all raise ValueError past sys.get_int_max_str_digits();
+    the limit is decided here, once, so every format refuses the same
+    results.  n bits have at most floor(n * log10(2)) + 1 digits, so only
+    ints near the limit are converted to decide it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() * 30103 // 100000 >= limit:
+        try:
+            str(n)
+        except ValueError:
+            raise ResourceCapError(
+                "the result holds an integer of more than %d digits, "
+                "the most this interpreter prints" % limit
+            )
+
+
 def _ser(v):
     if isinstance(v, Fraction):
+        _check_digits(v.numerator)
+        _check_digits(v.denominator)
         return str(v)
-    if isinstance(v, float):
-        return repr(v)
+    if is_int(v):
+        _check_digits(v)
+        return v
     # no value is an mpf unless the command loaded mpmath to compute it
     mpmath = sys.modules.get("mpmath")
     if mpmath is not None and isinstance(v, mpmath.mpf):
@@ -166,6 +188,8 @@ def _schedule_from_args(args, seq):
             data = json.loads(_read_text(args.schedule, "schedule file"))
         except json.JSONDecodeError as exc:
             raise DomainError("schedule file %r is not valid JSON: %s" % (args.schedule, exc))
+        except RecursionError:
+            raise DomainError("schedule file %r nests too deeply to read" % args.schedule)
         return StepSchedule.from_json(data)
     if args.j_max is None or args.horizon is None:
         raise DomainError(
@@ -330,10 +354,7 @@ _PREFIX = _flag("--prefix", default="")
 _SEQ = _flag("--seq", required=True)
 _SPEC = _flag("--spec", required=True)
 _HORIZON = _flag("--horizon", type=int, required=True)
-_DIGIT_SET = (
-    _flag("--digits-spec", required=True)
-    + _flag("--assume-infinite", action="store_true")
-)
+_DIGIT_SET = _flag("--digits-spec", required=True)
 _DPS = _flag("--dps", type=int, help="working precision in decimal digits")
 _PRECISION = _DPS + _flag("--tol", help="target absolute tolerance")
 _SCHEDULE = (

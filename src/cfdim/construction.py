@@ -450,8 +450,10 @@ def build_point(seq, m_cap, schedule, depth, filler=1):
     int_at_least(depth, "depth")
     if not is_int(filler) or not 1 <= filler <= m_cap:
         raise DomainError("filler must be an integer in [1, %d]" % m_cap)
+    # the schedule's refusal comes before the word is allocated
+    constrained = _constrained_digits(seq, schedule, depth, "depth %d" % depth)
     digits = [filler] * depth
-    for pos, want in _constrained_digits(seq, schedule, depth, "depth %d" % depth):
+    for pos, want in constrained:
         digits[pos - 1] = want
     return PartialQuotients(digits)
 

@@ -36,15 +36,6 @@ __all__ = [
 _FLOOR_CAP = 10 ** 18
 
 
-def _reject_window(digits):
-    _require_digit_set(digits)
-    if digits.kind == "explicit" and digits.assume_infinite:
-        raise DomainError(
-            "a truncated window of an infinite digit set has no certified sums; "
-            "drop assume_infinite or use a rule set"
-        )
-
-
 def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D of a^-z, by closed form; raises when it diverges."""
     return digit_tail_power_sum(digits, 1, z, ctx)
@@ -54,7 +45,7 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
     from mpmath import mp
 
-    _reject_window(digits)
+    _require_digit_set(digits)
     int_at_least(floor_m, "floor")
     with mp.workdps(_dps(ctx)):
         zm = as_real(z, "exponent")
@@ -84,8 +75,7 @@ def hirst_dimension(digits):
 
 def _analytic_pieces(digits, seq, eps):
     """Shared preconditions: returns (eps, z, exponent e) as exact Fractions."""
-    # a window is the one digit set whose tau is estimated, not analytic
-    _reject_window(digits)
+    _require_digit_set(digits)
     eps = exact_positive_fraction(eps, "eps")
     # every rule sequence has a density, which is then its upper density
     dbar = seq.exact_density
@@ -198,7 +188,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     """
     from mpmath import mp, mpf
 
-    _reject_window(digits)
+    _require_digit_set(digits)
     int_at_least(m_floor, "the digit floor")
     int_at_least(level_base, "the base level", 0)
     if not is_int(level) or level <= level_base:

@@ -3,8 +3,8 @@
 An IndexSequence is a strictly increasing sequence of positive integers
 k_1 < k_2 < ..., with its counting function k(n) = #(members <= n).  A
 DigitSet is the same object read as a set of allowed partial quotients;
-it adds only ``assume_infinite`` for explicit windows.  Both are built
-from four rules:
+it adds no field, only the rule that a progression has gap 1.  Both are
+built from four rules:
 
     arith (a0, d)   a0, a0 + d, a0 + 2d, ...
     square          1, 4, 9, 16, ...
@@ -38,7 +38,6 @@ every run.
 """
 
 import itertools
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
@@ -321,17 +320,13 @@ class DigitSet(IndexSequence):
     """Set of allowed partial quotients: an index sequence read as a set.
 
     Rule sets are infinite by construction, and an arith rule must have
-    gap 1 (all, geq:M).  Explicit lists are finite windows;
-    ``assume_infinite`` marks a window as a truncation of an infinite
-    set, which turns the convergence exponent into a labeled estimate
-    and disables the closed-form sums elsewhere.
+    gap 1 (all, geq:M).  An explicit list is a finite set.
     """
 
-    __slots__ = ("assume_infinite",)
+    __slots__ = ()
 
-    def __init__(self, kind, params=(), values=(), assume_infinite=False):
+    def __init__(self, kind, params=(), values=()):
         super().__init__(kind, params, values)
-        self._set(assume_infinite=assume_infinite)
         if self.kind == "arith" and self.params[1] != 1:
             raise DomainError(
                 "a digit set progression needs gap 1 (all, geq:M), got arith:%d,%d"
@@ -340,23 +335,22 @@ class DigitSet(IndexSequence):
 
     @property
     def is_finite(self):
-        return self.kind == "explicit" and not self.assume_infinite
+        return self.kind == "explicit"
 
 
-def parse_digit_set(text, assume_infinite=False):
+def parse_digit_set(text):
     text = text.strip()
     if text == "even" or text.partition(":")[0] == "arith":
         raise DomainError(
             "%r has no closed-form convergence exponent; digit sets accept "
             "all, geq:M, square, pow:b, file:<path>" % text
         )
-    kind, params, values = _parse_rule(text, "digit set")
-    return DigitSet(kind, params, values, assume_infinite and kind == "explicit")
+    return DigitSet(*_parse_rule(text, "digit set"))
 
 
 class TauResult(NamedTuple):
-    value: object  # Fraction (analytic) or float (estimated)
-    method: str  # "analytic" | "estimated"
+    value: Fraction
+    method: str  # always "analytic": every exponent is a closed form
     warning: str = ""
 
 
@@ -371,10 +365,8 @@ def _require_digit_set(digits):
 def tau(digits):
     """Exponent of convergence of a digit set.
 
-    Closed forms for the rule kinds; explicit finite sets degenerate to
-    0 with a warning.  Explicit infinite-intent windows get a log-log
-    slope fit of rank against value, labeled "estimated"; it is a
-    heuristic and never certifies convergence.
+    Closed forms for the rule kinds; an explicit list is a finite set,
+    whose exponent degenerates to 0 with a warning.
     """
     _require_digit_set(digits)
     if digits.kind == "arith":
@@ -383,30 +375,8 @@ def tau(digits):
         return TauResult(Fraction(1, 2), "analytic")
     if digits.kind == "pow":
         return TauResult(Fraction(0), "analytic")
-    if digits.is_finite:
-        return TauResult(
-            Fraction(0),
-            "analytic",
-            "finite digit set: the convergence exponent degenerates to 0",
-        )
-    return TauResult(_estimate_tau(digits.values), "estimated",
-                     "window estimate; not a convergence certificate")
-
-
-def _estimate_tau(values):
-    # The counting function of a window growing like i^(1/t) satisfies
-    # #{v <= T} ~ T^t, so the slope of log(rank) against log(value) is
-    # the convergence exponent itself.  A least-squares fit over the
-    # window recovers t exactly for pure power growth and degrades
-    # gracefully otherwise.
-    pts = [(math.log(v), math.log(i))
-           for i, v in enumerate(values, start=1) if v >= 2]
-    if len(pts) < 2:
-        return 0.0
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    var = sum((x - mx) ** 2 for x, _ in pts)
-    if var == 0.0:
-        return 0.0
-    cov = sum((x - mx) * (y - my) for x, y in pts)
-    return max(cov / var, 0.0)
+    return TauResult(
+        Fraction(0),
+        "analytic",
+        "finite digit set: the convergence exponent degenerates to 0",
+    )

@@ -84,6 +84,8 @@ _BAD_SCHEDULES = {
          "--pairs-file", "MISSING"],
         ["construct", "point", "--seq", "square", "--schedule", "NOT_JSON",
          "--M", "3", "--depth", "12"],
+        ["construct", "point", "--seq", "square", "--schedule", "DEEP_JSON",
+         "--M", "3", "--depth", "12"],
         ["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5",
          "--pairs-file", "NOT_TEXT"],
         ["seq", "count", "--spec", "file:NOT_INTS", "--n", "2"],
@@ -100,19 +102,25 @@ _BAD_SCHEDULES = {
         ["cf", "expand", "--decimal", "0.5", "--max-digits", "-1"],
         ["zeta", "value", "--z", "1.2", "--tol", "1e-80"],
         ["dim", "critical", "--M", "1000", "--tol", "1e-80"],
+        # integers past the interpreter's 4,300-digit limit on reading one
+        ["cf", "eval", "--word", "7" * 5000],
+        ["cf", "expand", "--decimal", "0." + "3" * 5000],
         *(["construct", "point", "--seq", "square", "--schedule", key, "--M", "3",
            "--depth", "12"] for key in _BAD_SCHEDULES),
     ],
     ids=["critical-tol", "zeta-tol", "missing-schedule", "missing-pairs", "bad-json",
-         "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary",
+         "deep-json", "binary-pairs", "count-bad-line", "tau-bad-line", "count-binary", "tau-binary",
          "factor-zero-den", "zeta-zero-den", "cover-zero-den", "product-zero-den",
          "rational-not-a-number", "rational-zero-den", "max-digits-negative",
-         "zeta-tol-unreachable", "critical-tol-unreachable",
+         "zeta-tol-unreachable", "critical-tol-unreachable", "word-digit-too-long",
+         "decimal-too-long",
          *("schedule-" + key.lower().replace("_", "-") for key in _BAD_SCHEDULES)],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
     not_json = tmp_path / "sched.json"
     not_json.write_text("{\"N\": [379],")
+    deep_json = tmp_path / "deep.json"  # json.loads recurses once per level
+    deep_json.write_text("[" * 200000 + "]" * 200000)
     not_text = tmp_path / "pairs.bin"
     not_text.write_bytes(b"\xff\xfe1,2;3,4\n")
     not_ints = tmp_path / "values.txt"
@@ -120,6 +128,7 @@ def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, ar
     paths = {
         "MISSING": str(tmp_path / "absent.json"),
         "NOT_JSON": str(not_json),
+        "DEEP_JSON": str(deep_json),
         "NOT_TEXT": str(not_text),
         "NOT_INTS": str(not_ints),
     }
@@ -256,6 +265,21 @@ def test_exact_power_past_the_budget_exits_4_with_one_error_line(capsys):
     assert err.startswith("error: eps = 1/1000000000000 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("cmd, ones", [("eval", 20000), ("eval", 25000),
+                                       ("cylinder", 25000), ("convergents", 25000)])
+def test_result_past_the_int_string_limit_exits_4_in_every_format(capsys, cmd, ones, fmt):
+    # q of n ones has about 0.209 n digits: 4,180 at 20,000 still print, and
+    # 5,225 at 25,000 pass the 4,300 that str() allows
+    code, out, err = run(capsys, "cf", cmd, "--word", ",".join(["1"] * ones),
+                         "--format", fmt)
+    if ones == 20000:
+        assert code == 0 and out and err == ""
+    else:
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_csv_format_is_parsable(capsys):
     _, out, _ = run(capsys, "cf", "cylinder", "--word", "1,2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -376,8 +400,7 @@ def test_every_leaf_command_is_in_the_cli_matrix():
     [
         (["hirst", "product", "--level", "1", "--base-level", "0", "--s", "1",
           "--M", "2", "--seq", "even", "--digits-spec", "all"],
-         ["digits-spec", "assume-infinite", "seq", "M", "s", "base-level", "level",
-          "prefix"]),
+         ["digits-spec", "seq", "M", "s", "base-level", "level", "prefix"]),
         (["construct", "point", "--depth", "12", "--M", "3", "--horizon", "10000",
           "--j-max", "30", "--eps", "1/10", "--seq", "square"],
          ["seq", "eps", "j-max", "horizon", "M", "depth", "filler"]),
@@ -389,6 +412,43 @@ def test_inputs_echo_in_flag_declaration_order(capsys, argv, keys):
     assert code == 0
     inputs = json.loads(out, object_pairs_hook=list)[1][1]
     assert [k for k, _ in inputs] == keys
+
+
+def _floats(v):
+    if isinstance(v, float):
+        yield v
+    elif hasattr(v, "_asdict"):
+        yield from _floats(v._asdict())
+    elif isinstance(v, dict):
+        for x in v.values():
+            yield from _floats(x)
+    elif isinstance(v, (list, tuple)):
+        for x in v:
+            yield from _floats(x)
+
+
+@pytest.mark.parametrize("argv", CLI_MATRIX, ids=[" ".join(a[:2]) for a in CLI_MATRIX])
+def test_matrix_handlers_return_no_float(argv):
+    # every real is an exact rational or an mpf, so the serialiser has no
+    # float branch to reach
+    args = build_parser(argv[0]).parse_args(argv)
+    assert list(_floats(args.command.run(args))) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "tau", "--digits-spec", "square"],
+    ["hirst", "dim", "--digits-spec", "square"],
+    ["hirst", "m0", "--digits-spec", "all", "--seq", "even", "--eps", "1/5", "--M", "100"],
+    ["hirst", "product", "--digits-spec", "all", "--seq", "even", "--M", "2",
+     "--s", "1", "--base-level", "0", "--level", "1"],
+], ids=["seq-tau", "hirst-dim", "hirst-m0", "hirst-product"])
+def test_assume_infinite_is_a_usage_error(capsys, argv):
+    # the digit-set flags hold only --digits-spec: a file: list is a finite set
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--assume-infinite"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --assume-infinite" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -232,6 +232,21 @@ def test_build_point_places_step_digits():
     assert list(w) == [1, 2, 2, 1, 2, 2, 2, 2, 1, 2]  # steps at 1, 4, 9
 
 
+def test_build_point_refuses_a_deep_word_before_allocating_it():
+    import tracemalloc
+
+    s = square_schedule()  # its breakpoints stop at 100 = k(10^4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="schedule stops at 100"):
+            build_point(SQ, 3, s, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a word of 10^7 fillers would take 80 MB of list slots
+    assert peak < 2 * 2 ** 20
+
+
 def test_build_point_deeper_depth_extends_prefix():
     s = square_schedule()
     short = build_point(SQ, 4, s, 30)

@@ -44,7 +44,7 @@ def test_digit_power_sum_closed_forms():
         assert abs(digit_power_sum(parse_digit_set("square"), "0.8") - zeta("1.6")) < mpf("1e-30")
         # geometric: sum over 2^-k for k >= 1
         assert abs(digit_power_sum(parse_digit_set("pow:2"), 1) - 1) < mpf("1e-30")
-        few = DigitSet("explicit", (), (2, 5), False)
+        few = DigitSet("explicit", (), (2, 5))
         assert abs(digit_power_sum(few, 1) - (mpf(1) / 2 + mpf(1) / 5)) < mpf("1e-30")
 
 
@@ -102,25 +102,15 @@ def test_hirst_dimension_finite_set_warns(tmp_path):
 
 
 def test_hirst_dimension_is_tau_with_the_value_halved(tmp_path):
-    finite, window = tmp_path / "digits.txt", tmp_path / "window.txt"
+    finite = tmp_path / "digits.txt"
     finite.write_text("1\n2\n3\n")
-    window.write_text("".join("%d\n" % (k * k) for k in range(1, 60)))
     sets = [parse_digit_set(text) for text in ("all", "geq:5", "square", "pow:3")]
     sets.append(parse_digit_set("file:%s" % finite))
-    sets.append(parse_digit_set("file:%s" % window, assume_infinite=True))
     for digits in sets:
         t, h = tau(digits), hirst_dimension(digits)
         assert type(h) is type(t) and h == t._replace(value=t.value / 2)
+        assert type(t.value) is Fraction and t.method == "analytic"
     assert hirst_dimension(sets[4]).warning == tau(sets[4]).warning != ""
-    assert hirst_dimension(sets[5]).method == "estimated"
-    # the one digit set with an estimated tau never reaches the product
-    # bound or the covering condition
-    calls = [lambda: covering_product_bound(sets[5], EVEN, 2, 1, 0, 1, _EMPTY),
-             lambda: covering_condition(sets[5], EVEN, "1/10", 5),
-             lambda: estimate_condition_floor(sets[5], EVEN, "1/10")]
-    for call in calls:
-        with pytest.raises(DomainError, match="truncated window"):
-            call()
 
 
 @pytest.mark.parametrize(
@@ -335,7 +325,7 @@ def test_product_bound_prefix_weighting():
 def test_product_bound_dominates_enumeration():
     from cfdim import cylinder
 
-    d20 = DigitSet("explicit", (), tuple(range(1, 21)), False)
+    d20 = DigitSet("explicit", (), tuple(range(1, 21)))
     with mp.workdps(30):
         for n, length in ((1, 2), (2, 4)):
             bound = covering_product_bound(d20, EVEN, 2, "9/10", 0, n, PartialQuotients(()))

@@ -28,9 +28,9 @@ _CASES = [
      "IndexSequence(kind='explicit', params=(), values=(1, 3, 7))",
      IndexSequence("explicit", (), [1, 3])),
     (DigitSet("square"),
-     DigitSet(kind="square", assume_infinite=False),
-     "DigitSet(kind='square', params=(), values=(), assume_infinite=False)",
-     DigitSet("explicit", (), (1, 2), True)),
+     DigitSet(kind="square"),
+     "DigitSet(kind='square', params=(), values=())",
+     DigitSet("explicit", (), (1, 2))),
     (StepSchedule(Fraction(1, 10), None, [0, 5], [1, 3], 100),
      StepSchedule(eps=Fraction(1, 10), c1=None, thresholds=(0, 5), breakpoints=(1, 3),
                   horizon=100),

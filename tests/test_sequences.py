@@ -181,8 +181,6 @@ def test_explicit_digit_set_from_file(tmp_path):
     d = parse_digit_set("file:%s" % path)
     assert d.is_finite
     assert d.upto(6) == [2, 3, 5]
-    inf = parse_digit_set("file:%s" % path, assume_infinite=True)
-    assert not inf.is_finite
     bad = tmp_path / "bad.txt"
     bad.write_text("5\n3\n")
     with pytest.raises(DomainError):
@@ -206,14 +204,6 @@ def test_tau_finite_explicit_warns(tmp_path):
     path.write_text("1\n2\n3\n")
     t = tau(parse_digit_set("file:%s" % path))
     assert t.value == 0 and t.method == "analytic" and t.warning
-
-
-def test_tau_estimated_for_declared_infinite_lists(tmp_path):
-    path = tmp_path / "sq.txt"
-    path.write_text("\n".join(str(k * k) for k in range(1, 400)) + "\n")
-    t = tau(parse_digit_set("file:%s" % path, assume_infinite=True))
-    assert t.method == "estimated" and t.warning
-    assert abs(float(t.value) - 0.5) < 0.1
 
 
 def test_spec_string_round_trip():
