@@ -26,7 +26,7 @@ k(n) is constant on each run between consecutive members, and
 ``construction`` and ``density`` read whole runs instead of single
 indices.  On a run k/n is largest at its first index and smallest at
 its last, so ``density`` compares only run ends: O(sqrt h) members for
-square, O(log h) for pow and O(h/d) for a progression.
+square, O(log h) for pow, and three runs, whatever h, for a progression.
 
 On every rule whose ``exact_density`` is 0 (square and pow) the ratio
 k_j/j never decreases, that is k_j*(j+1) <= k_{j+1}*j: for square the
@@ -289,6 +289,23 @@ class DensityReport(NamedTuple):
     zero_certified: bool
 
 
+def _end_runs(seq, lo, horizon):
+    """The runs of a progression that hold the extremes of k(n)/n on [lo, horizon].
+
+    Run k >= 1 of (a0, d) is [a0 + (k-1)d, a0 + kd - 1].  Its ratio at the
+    first index, k/(kd + a0 - d), is monotone in k, rising or falling with
+    the sign of a0 - d; at the last index, k/(kd + a0 - 1) never decreases,
+    because a0 >= 1.  Let k1 and k2 be the runs holding lo and horizon.
+    The window cuts run k1 at lo and run k2 at horizon, and every run
+    between starts and ends inside it.  So the least ratio lies at the
+    end of run k1 or at horizon, and the greatest at lo or at the start of
+    run k1 + 1 or of run k2: the first two runs and the last are enough.
+    """
+    k1, k2 = seq.count(lo), seq.count(horizon)
+    for k in sorted({k1, min(k1 + 1, k2), k2}):
+        yield seq.nth(k) if k else 1, horizon if k == k2 else seq.nth(k + 1) - 1, k
+
+
 def density(seq, horizon):
     """Min and max of k(n)/n over the window [horizon/2, horizon].
 
@@ -302,10 +319,11 @@ def density(seq, horizon):
             % (horizon, seq.values[-1])
         )
     lo = horizon // 2
+    runs = _end_runs(seq, lo, horizon) if seq.kind == "arith" else seq.runs(horizon)
     # k/n is largest at a run's first index and smallest at its last; every
     # ratio lies in [0, 1], so 0/1 and 1/1 seed the max and the min
     up_k, up_n, low_k, low_n = 0, 1, 1, 1
-    for first, last, k in seq.runs(horizon):
+    for first, last, k in runs:
         if last >= lo:
             first = max(first, lo)
             if k * up_n > up_k * first:

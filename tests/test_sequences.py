@@ -318,6 +318,9 @@ def _density_cases(draw):
     seq = draw(st.one_of(
         st.builds(lambda a0, d: IndexSequence("arith", (a0, d)),
                   _ints(1, 4000), _ints(1, 2000)),
+        # progressions with many runs in the window, on both sides of a0 = d
+        st.builds(lambda a0, d: IndexSequence("arith", (a0, d)),
+                  st.integers(1, 40), st.integers(1, 40)),
         st.just(IndexSequence("square")),
         st.builds(lambda b: IndexSequence("pow", (b,)), _ints(2, 4000)),
         st.lists(st.integers(1, top - 1), max_size=200, unique=True).map(
@@ -330,6 +333,8 @@ def _density_cases(draw):
 @given(_density_cases())
 @example((IndexSequence("square"), 101))  # odd; the window starts inside [49, 63]
 @example((IndexSequence("arith", (7, 13)), 999))
+@example((IndexSequence("arith", (1, 10)), 100))  # the max is at the second run, 6/51
+@example((IndexSequence("arith", (10 ** 6, 1)), 3000))  # the window lies in run 0
 @example((IndexSequence("pow", (3,)), 2999))
 @example((IndexSequence("arith", (1, 1)), 100))  # every ratio is 1
 @example((IndexSequence("arith", (3000, 1)), 2000))  # every ratio is 0

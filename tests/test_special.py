@@ -1,7 +1,12 @@
 """Zeta values, tails, and pole-side approximations."""
 
+import math
+import tracemalloc
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cfdim import (
@@ -15,6 +20,7 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
+from cfdim.dimension import critical_exponent
 from cfdim.special import _tail_correction
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
@@ -126,3 +132,80 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
             _, bound = _tail_correction(n0, zm)
             ref = abs(mp.bernoulli(10) / mp.factorial(10) * mp.rf(zm, 9) * mpf(n0) ** (-zm - 9))
             assert abs(bound - ref) <= ref * mpf("1e-40"), n0
+
+
+def _count_noninteger_powers(monkeypatch):
+    counts = [0]
+    real_pow = mpmath.mpf.__pow__
+
+    def counting_pow(self, other):
+        if not mp.isint(other):
+            counts[0] += 1
+        return real_pow(self, other)
+
+    monkeypatch.setattr(mpmath.mpf, "__pow__", counting_pow)
+    return counts
+
+
+def test_zeta_takes_one_power_per_prime_below_the_cutoff(monkeypatch):
+    # 18 primes below the cutoff 64 and one for the tail; a power per head
+    # term and per correction term would make 70
+    counts = _count_noninteger_powers(monkeypatch)
+    zeta("2.5")
+    assert counts[0] == 19
+
+
+def test_a_critical_solve_takes_a_bounded_number_of_powers(monkeypatch):
+    # 21 per factor evaluation at a non-integer s: (1+1/M)^s, 19 for zeta(2s)
+    # and 1 for the tail from M = 1000, whose head is empty.  This solve
+    # makes 210, where a power per head and per correction term made 780
+    counts = _count_noninteger_powers(monkeypatch)
+    assert critical_exponent(1000).converged
+    assert counts[0] <= 210
+
+
+def _reference_zeta_tail(start, z, tol):
+    # direct powers for every head term and every Euler-Maclaurin term, the
+    # cutoff doubling from max(64, start) until the B_10 term is below tol/8
+    def tail(n0):
+        n0 = mpf(n0)
+        total = n0 ** (1 - z) / (z - 1) + n0 ** (-z) / 2
+        for j in range(1, 6):
+            term = mp.bernoulli(2 * j) / math.factorial(2 * j) * mp.rf(z, 2 * j - 1) \
+                * n0 ** (-z - 2 * j + 1)
+            if j == 5:
+                return total, abs(term)
+            total += term
+
+    cutoff = max(64, start)
+    value, bound = tail(cutoff)
+    while bound > mpf(tol) / 8:
+        cutoff *= 2
+        value, bound = tail(cutoff)
+    return mp.fsum(mpf(k) ** (-z) for k in range(start, cutoff)) + value
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 300), st.floats(-8, math.log10(7), exclude_min=True),
+       st.sampled_from([50, 100]), st.sampled_from([1e-12, 1e-20]))
+def test_zeta_tail_matches_direct_powers_and_hurwitz_zeta(start, log_gap, dps, tol):
+    z = "%.17g" % (1 + 10 ** log_gap)
+    ours = zeta_tail(start, z, PrecisionContext(tol, dps))
+    with mp.workdps(dps):
+        ref = _reference_zeta_tail(start, mpf(z), tol)
+        assert abs(ours - ref) <= 4 * mp.eps * abs(ref)
+    with mp.workdps(120):
+        assert abs(ours - mp.zeta(mpf(z), start)) <= tol
+
+
+def test_head_memo_stays_small_at_the_largest_cutoff():
+    # the cutoff reaches 2^16 here; fsum's list of the terms is most of the
+    # peak, and a memo of every term as an mpf would about double it
+    zeta(2)
+    tracemalloc.start()
+    try:
+        zeta_tail(1, "1.2", PrecisionContext(1e-46, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.2e6
