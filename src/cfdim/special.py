@@ -21,10 +21,12 @@ bound at 2^16 is largest next to the pole, 5.2e-51 there).
 
 Every term costs few non-integer powers.  The tail corrections take one,
 p = N^(-z), and form N^(1-z) = p*N and each N^(-z-2j+1) = p / N^(2j-1)
-from exact integer powers of N.  The head is multiplicative: k^(-z) is
-one power when k is prime, and otherwise the product of the terms of
-k's least prime factor and of its cofactor, both below N/2, where a
-memo for the one call keeps them.  So a zeta value costs one power per
+from exact integer powers of N.  The head is multiplicative, through a
+kernel that the covering sums of dimension share: k^(-z) for k < 2^16
+is one power when k is prime, and otherwise the product of the terms of
+k's least prime factor and of its cofactor, which a memo for the one call
+keeps below a limit.  For the head the limit is N/2, below which both
+factors of every composite term lie, so a zeta value costs one power per
 prime below the cutoff plus one per cutoff tried: 19 at N = 64, where
 one power per term made 70.  mp.fsum still adds the head exactly.  The
 price is rounding: a term of k with Omega(k) prime factors, counted
@@ -32,7 +34,8 @@ with multiplicity, carries Omega(k) rounded powers and Omega(k) - 1
 rounded products, at most 2*Omega(k) - 1 roundings of an ulp each.
 Omega(k) <= 15 for k < 2^16, so every term is within 29 ulp, below
 1e-48 relative at 50 digits; an enclosure of the head must widen each
-term by that much.
+term by that much.  A covering term q^(-s) r^(-s) takes one product
+more, so it carries at most 2*Omega(q r) - 1 <= 59 roundings.
 """
 
 import math
@@ -123,33 +126,69 @@ def _tail_correction(n0, z):
         rising *= (z + 2 * j - 1) * (z + 2 * j)
 
 
-def _head(start, cutoff, z):
-    # k^(-z) for k in [start, cutoff): one power for a prime k, and for a
-    # composite k the product of the terms of its least prime factor p and
-    # of its cofactor k/p.  Both are below cutoff/2, and only those are ever
-    # reused, so the memo keeps raw values for k < cutoff/2 alone; they are
-    # the very tuples fsum collects, so it costs one pointer per entry
-    from mpmath import mp, mpf
-    from mpmath.libmp import fone, mpf_mul, round_nearest
+# the 54 primes below 256: every composite k < 2^16 has its least prime
+# factor among them
+_SMALL_PRIMES = tuple(p for p in range(2, 256) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
-    if start >= cutoff:
-        return ()
+
+def _neg_powers(z, limit):
+    # k -> raw k^(-z) at the working precision, for 1 <= k < 2^16: one raw
+    # mpf_pow (the bits mpf.__pow__ gives) for a prime k, and for a
+    # composite k the product of the terms of its least prime factor and of
+    # its cofactor.  The memo keeps k < limit (limit >= 2).  power walks the
+    # chain of cofactors down to a memoised or prime one and multiplies back
+    # up, so no closure here refers to itself and the memo is freed with
+    # the last reference to power, not left in a cycle for the collector
+    from mpmath import mp
+    from mpmath.libmp import fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
+
     prec = mp.prec
-    memo = [None] * ((cutoff + 1) // 2)
+    nz = mpf_neg(z._mpf_)
+    memo = [None] * limit
     memo[1] = fone
 
-    def power(k):
-        v = memo[k] if 2 * k < cutoff else None
+    def prime(p):
+        v = memo[p] if p < limit else None
         if v is None:
-            p = next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)
+            v = mpf_pow(from_int(p), nz, prec, round_nearest)
+            if p < limit:
+                memo[p] = v
+        return v
+
+    def power(k):
+        v = memo[k] if k < limit else None
+        if v is not None:
+            return v
+        chain = []
+        while True:
+            p = next((p for p in _SMALL_PRIMES if k % p == 0), k)
             if p == k:
-                v = (mpf(k) ** (-z))._mpf_
-            else:
-                v = mpf_mul(power(p), power(k // p), prec, round_nearest)
-            if 2 * k < cutoff:
+                v = prime(k)
+                break
+            chain.append((k, p))
+            k //= p
+            v = memo[k] if k < limit else None
+            if v is not None:
+                break
+        for k, p in reversed(chain):
+            v = mpf_mul(prime(p), v, prec, round_nearest)
+            if k < limit:
                 memo[k] = v
         return v
 
+    return power
+
+
+def _head(start, cutoff, z):
+    # k^(-z) for k in [start, cutoff).  The least prime factor and the
+    # cofactor of a composite k are below cutoff/2, and only those are ever
+    # reused, so the memo keeps k < cutoff/2 alone; its raw values are the
+    # very tuples fsum collects, so it costs one pointer per entry
+    from mpmath import mp
+
+    if start >= cutoff:
+        return ()
+    power = _neg_powers(z, (cutoff + 1) // 2)
     return (mp.make_mpf(power(k)) for k in range(start, cutoff))
 
 

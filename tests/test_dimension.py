@@ -1,6 +1,7 @@
 """Level intervals, the critical equation, covering sums, reference windows."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -176,12 +177,13 @@ def test_covering_sum_disjointness_bound_at_s_one():
 
 
 def _telescoped_cover_sum(m_floor, s, levels, cap):
-    # reference: each |J(w)| as |value(w + [M]) - value(w)|, words in lex order
+    # reference: each |J(w)| as |value(w + [M]) - value(w)|, words in lex
+    # order, and one direct power per word
     ranges = [
         range(m_floor, cap + 1) if pos % 2 else range(1, cap + 1)
         for pos in range(2 * levels - 1)
     ]
-    sm = mpf(s)
+    sm = mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mpf(s)
     total = mpf(0)
     for w in product(*ranges):
         ln = abs(evaluate(w + (m_floor,)) - evaluate(w))
@@ -189,21 +191,53 @@ def _telescoped_cover_sum(m_floor, s, levels, cap):
     return +total
 
 
+def _assert_cover_sum_matches_reference(m_floor, s, levels, cap):
+    # a kernel term carries at most 2 Omega(q r) - 1 <= 59 roundings, so a
+    # sum of positive terms stays within 1e-45 relative at 50 digits; at
+    # s = 1 each term is the one rounded quotient the reference takes too
+    with mp.workdps(50):
+        expect = _telescoped_cover_sum(m_floor, s, levels, cap)
+        got = covering_sum_enumerated(m_floor, s, levels, cap)
+        if s == 1:
+            assert got == expect, (m_floor, s, levels, cap)
+        else:
+            assert abs(got - expect) <= mpf("1e-45") * expect, (m_floor, s, levels, cap)
+
+
 def test_covering_sum_matches_direct_enumeration():
-    # the library pins 50 digits; the reference repeats its exact
-    # accumulation order there, so the sums agree bit for bit
     cases = [
         (3, "0.8", 2, 6),
         (2, "0.7", 1, 9),  # a single level
         (2, "0.9", 3, 4),  # three levels
         (3, 2, 2, 5),  # integer exponent
+        (2, 1, 2, 6),  # s = 1: every term is one exact quotient
         (5, "0.65", 2, 5),  # cap equal to the floor
+        (4, "0.85", 3, 8),  # 231 of the words have M q + q' >= 2^16
     ]
-    with mp.workdps(50):
-        for m_floor, s, levels, cap in cases:
-            expect = _telescoped_cover_sum(m_floor, s, levels, cap)
-            got = covering_sum_enumerated(m_floor, s, levels, cap)
-            assert got == expect, (m_floor, s, levels, cap)
+    for case in cases:
+        _assert_cover_sum_matches_reference(*case)
+
+
+_EXPONENTS = st.one_of(
+    st.sampled_from([1, 2]),
+    st.integers(1, 40).flatmap(
+        lambda q: st.integers(q // 2 + 1, 2 * q).map(lambda p: Fraction(p, q))),
+)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 6), _EXPONENTS, st.sampled_from([1, 2]), st.integers(0, 8))
+def test_covering_sum_matches_direct_powers_on_small_grids(m_floor, s, levels, extra):
+    # M in [2, 6], s rational in (1/2, 2], cap in [M, min(M + 8, 10)]
+    _assert_cover_sum_matches_reference(m_floor, s, levels, min(m_floor + extra, 10))
+
+
+def test_covering_sum_at_a_huge_integer_exponent_is_quick():
+    # one rounded integer power per word; an exact (q r)^s would not finish
+    start = time.perf_counter()
+    total = covering_sum_enumerated(2, 10 ** 5, 2, 6)
+    assert time.perf_counter() - start < 1
+    assert 0 < total < mpf(3) ** -100000
 
 
 def test_covering_sum_caps():

@@ -1,7 +1,9 @@
 """Zeta values, tails, and pole-side approximations."""
 
+import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,7 +22,7 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
-from cfdim.dimension import critical_exponent
+from cfdim.dimension import covering_sum_enumerated, critical_exponent
 from cfdim.special import _tail_correction
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
@@ -135,15 +137,25 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
 
 
 def _count_noninteger_powers(monkeypatch):
+    # mpf ** mpf, and the raw libmp.mpf_pow that the multiplicative kernel
+    # and the direct covering terms call.  mpf.__pow__ calls its own binding
+    # of mpf_pow, so no power is counted twice
     counts = [0]
     real_pow = mpmath.mpf.__pow__
+    real_raw_pow = mpmath.libmp.mpf_pow
 
     def counting_pow(self, other):
         if not mp.isint(other):
             counts[0] += 1
         return real_pow(self, other)
 
+    def counting_raw_pow(s, t, *args):
+        if not mp.isint(mp.make_mpf(t)):
+            counts[0] += 1
+        return real_raw_pow(s, t, *args)
+
     monkeypatch.setattr(mpmath.mpf, "__pow__", counting_pow)
+    monkeypatch.setattr(mpmath.libmp, "mpf_pow", counting_raw_pow)
     return counts
 
 
@@ -162,6 +174,15 @@ def test_a_critical_solve_takes_a_bounded_number_of_powers(monkeypatch):
     counts = _count_noninteger_powers(monkeypatch)
     assert critical_exponent(1000).converged
     assert counts[0] <= 210
+
+
+def test_a_covering_sum_takes_a_power_per_prime_met(monkeypatch):
+    # the largest op of the benchmark's cover round at seed 1: 3,196 prime
+    # powers from the kernel and 56 direct powers, where one power per word
+    # made 10,944
+    counts = _count_noninteger_powers(monkeypatch)
+    covering_sum_enumerated(6, Fraction(23, 26), 2, 24)
+    assert counts[0] <= 3300
 
 
 def _reference_zeta_tail(start, z, tol):
@@ -196,6 +217,21 @@ def test_zeta_tail_matches_direct_powers_and_hurwitz_zeta(start, log_gap, dps, t
         assert abs(ours - ref) <= 4 * mp.eps * abs(ref)
     with mp.workdps(120):
         assert abs(ours - mp.zeta(mpf(z), start)) <= tol
+
+
+def test_a_zeta_call_leaves_no_reference_cycle():
+    # the head's memo is freed with the call, not held in a cycle until
+    # the collector runs
+    ctx = PrecisionContext(1e-46, 50)
+    gc.collect()
+    gc.disable()
+    try:
+        zeta_tail(1, "1.2", ctx)
+        zeta_tail(1, "1.2", ctx)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found < 100
 
 
 def test_head_memo_stays_small_at_the_largest_cutoff():
