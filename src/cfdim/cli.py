@@ -89,15 +89,14 @@ def _ints(text):
 
 
 def _context(args):
-    kw = {}
-    if getattr(args, "dps", None) is not None:
-        kw["working_digits"] = args.dps
-    if getattr(args, "tol", None) is not None:
-        try:
-            kw["target_abs_tol"] = float(args.tol)
-        except ValueError:
-            raise DomainError("--tol must be a number, got %r" % args.tol)
-    return PrecisionContext(**kw) if kw else PrecisionContext()
+    # the library's context, with the target tolerance from --tol if given
+    if args.tol is None:
+        return PrecisionContext()
+    try:
+        tol = float(args.tol)
+    except ValueError:
+        raise DomainError("--tol must be a number, got %r" % args.tol)
+    return PrecisionContext(target_abs_tol=tol)
 
 
 def _read_text(path, what):
@@ -241,9 +240,7 @@ def _dim_critical(args):
 def _dim_cover(args):
     if args.threads < 1:
         raise DomainError("threads must be an integer >= 1")
-    total = covering_sum_enumerated(
-        args.M, args.s, args.levels, args.digit_cap, ctx=_context(args)
-    )
+    total = covering_sum_enumerated(args.M, args.s, args.levels, args.digit_cap)
     return {"sum": total, "levels": args.levels, "digit_cap": args.digit_cap}
 
 
@@ -318,8 +315,8 @@ def _hirst_m0(args):
     if (args.M is None) == (not args.estimate):
         raise DomainError("give exactly one of --M and --estimate")
     if args.M is not None:
-        return covering_condition(digits, seq, args.eps, args.M, _context(args))
-    est = estimate_condition_floor(digits, seq, args.eps, _context(args))
+        return covering_condition(digits, seq, args.eps, args.M)
+    est = estimate_condition_floor(digits, seq, args.eps)
     warning = "the required floor exceeds 10^18" if est.exceeded else ""
     return {**est._asdict(), "warning": warning}
 
@@ -328,8 +325,7 @@ def _hirst_product(args):
     digits = _digits(args)
     seq = parse_index_sequence(args.seq)
     return covering_product_bound(
-        digits, seq, args.M, args.s, args.base_level, args.level,
-        _word(args.prefix), _context(args),
+        digits, seq, args.M, args.s, args.base_level, args.level, _word(args.prefix)
     )
 
 
@@ -355,8 +351,7 @@ _SEQ = _flag("--seq", required=True)
 _SPEC = _flag("--spec", required=True)
 _HORIZON = _flag("--horizon", type=int, required=True)
 _DIGIT_SET = _flag("--digits-spec", required=True)
-_DPS = _flag("--dps", type=int, help="working precision in decimal digits")
-_PRECISION = _DPS + _flag("--tol", help="target absolute tolerance")
+_TOL = _flag("--tol", help="target absolute tolerance")
 _SCHEDULE = (
     _flag("--schedule", help="path to a schedule JSON file")
     + _flag("--eps", help="exponent, e.g. 1/10 (derives c1 = eps*log2/2)")
@@ -396,24 +391,22 @@ _COMMANDS = (
              + _flag("--positions", help="comma separated 1-based positions")
              + _flag("--seq", help="index sequence spec, e.g. square"),
              _cf_delete, "digits"),
-    _Command("zeta", "value", _Z + _PRECISION, lambda a: zeta(a.z, _context(a))),
-    _Command("zeta", "tail", _flag("--start", type=int, required=True) + _Z + _PRECISION,
+    _Command("zeta", "value", _Z + _TOL, lambda a: zeta(a.z, _context(a))),
+    _Command("zeta", "tail", _flag("--start", type=int, required=True) + _Z + _TOL,
              lambda a: zeta_tail(a.start, a.z, _context(a))),
-    _Command("dim", "factor", _M + _S + _DPS,
-             lambda a: per_level_factor(a.M, a.s, _context(a)), "factor"),
+    _Command("dim", "factor", _M + _S, lambda a: per_level_factor(a.M, a.s), "factor"),
     _Command("dim", "critical", _M + _flag("--tol", default="1e-12")
-             + _flag("--s-max", default="2") + _DPS, _dim_critical),
-    _Command("dim", "asymptotic", _M + _DPS,
-             lambda a: asymptotic_exponent(a.M, _context(a))),
-    _Command("dim", "reference", _M + _DPS, lambda a: reference_bounds(a.M, _context(a))),
+             + _flag("--s-max", default="2"), _dim_critical),
+    _Command("dim", "asymptotic", _M, lambda a: asymptotic_exponent(a.M)),
+    _Command("dim", "reference", _M, lambda a: reference_bounds(a.M)),
     _Command("dim", "jlen", _WORD + _M,
              lambda a: j_interval_length(_word(a.word), a.M), "length"),
     _Command("dim", "cover", _M + _S
              + _flag("--levels", type=int, required=True)
              + _flag("--digit-cap", type=int, required=True)
              + _flag("--threads", type=int, default=1,
-                     help="accepted for compatibility; has no effect")
-             + _DPS, _dim_cover),
+                     help="accepted for compatibility; has no effect"),
+             _dim_cover),
     _Command("seq", "density", _SPEC + _HORIZON,
              lambda a: density(parse_index_sequence(a.spec), a.horizon)),
     _Command("seq", "tau", _DIGIT_SET, lambda a: tau(_digits(a)), "tau"),
@@ -440,11 +433,11 @@ _COMMANDS = (
              + _flag("--min-prefix", type=int), _construct_holder),
     _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst_dimension(_digits(a)), "dim"),
     _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True)
-             + _flag("--M", type=int) + _flag("--estimate", action="store_true") + _DPS,
+             + _flag("--M", type=int) + _flag("--estimate", action="store_true"),
              _hirst_m0),
     _Command("hirst", "product", _DIGIT_SET + _SEQ + _M + _S
              + _flag("--base-level", type=int, required=True)
-             + _flag("--level", type=int, required=True) + _PREFIX + _DPS,
+             + _flag("--level", type=int, required=True) + _PREFIX,
              _hirst_product, "bound"),
     _Command("hirst", "theorem", _SEQ,
              lambda a: dimension_dichotomy(parse_index_sequence(a.seq))),

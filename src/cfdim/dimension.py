@@ -21,7 +21,9 @@ from typing import NamedTuple
 
 from .cfcore import PartialQuotients, _final_row
 from .errors import DivergenceError, DomainError, ResourceCapError, int_at_least
-from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _dps, _neg_powers, as_real, zeta, zeta_tail
+from .special import (
+    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_tolerance, _neg_power, as_real, zeta, zeta_tail,
+)
 
 __all__ = [
     "CriticalSolveResult",
@@ -70,7 +72,7 @@ def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     int_at_least(m_floor, "digit floor", 2)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:
             raise DivergenceError("the level sums diverge for s <= 1/2")
@@ -108,9 +110,8 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     int_at_least(m_floor, "digit floor", 2)
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    with mp.workdps(_dps(ctx)):
+    _check_tolerance(tol, "tol")
+    with mp.workdps(ctx.working_digits):
         lo = mpf("0.5") + mpf("1e-9")
         hi = as_real(s_max, "s_max")
         if not lo < hi <= 8:
@@ -164,7 +165,7 @@ def asymptotic_exponent(m_floor, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     int_at_least(m_floor, "digit floor", 3)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         x = mpf(m_floor)
         return +(mpf(1) / 2 + (mp.log(mp.log(x)) - mp.log(2)) / mp.log(x))
 
@@ -193,11 +194,12 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
 
     At an integer s a term is one rounded integer power of q r.
     Otherwise, when r < 2^16 (so q < 2^16 too), it is q^(-s) r^(-s) from
-    special's multiplicative kernel: one non-integer power per prime,
-    taken once for the primes below 2^12 that its memo keeps, and
-    products of those for composites.  Past 2^16 a term is one direct
-    power of q r.  A kernel term carries at most 2 Omega(q r) - 1
-    roundings (see special).
+    special's recursive kernel _neg_power, which makes a term the product
+    of the terms of its least prime factor and of its cofactor, down to
+    one non-integer power per prime.  The sum passes it one memo of the
+    terms below 2^12, so each prime there takes its power once.  Past
+    2^16 a term is one direct power of q r.  A kernel term carries at
+    most 2 Omega(q r) - 1 roundings (see special).
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
     not the runtime: the largest admitted grid is ~3*10^8 words at about
@@ -216,7 +218,7 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     int_at_least(digit_cap, "digit cap", m_floor)
     if digit_cap > _DIGIT_CAP:
         raise ResourceCapError("digit cap is %d, got %d" % (_DIGIT_CAP, digit_cap))
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         sm = as_real(s, "exponent")
         if not sm > 0:
             raise DomainError("exponent s must be positive")
@@ -228,11 +230,12 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
                 term = mpf_pow_int(from_int(q * r), n, prec, round_nearest)
                 total = mpf_add(total, term, prec, round_nearest)
         else:
-            power = _neg_powers(sm, _COVER_MEMO)
+            memo = [None] * _COVER_MEMO
             nz = mpf_neg(sm._mpf_)
             for q, r in _j_factors(m_floor, levels, digit_cap):
                 if r < _CUTOFF_CAP:
-                    term = mpf_mul(power(q), power(r), prec, round_nearest)
+                    term = mpf_mul(_neg_power(q, memo, nz, prec), _neg_power(r, memo, nz, prec),
+                                   prec, round_nearest)
                 else:
                     term = mpf_pow(from_int(q * r), nz, prec, round_nearest)
                 total = mpf_add(total, term, prec, round_nearest)
@@ -263,7 +266,7 @@ def reference_bounds(m_floor, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     int_at_least(m_floor, "digit floor", 2)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         m = mpf(m_floor)
         log2 = mp.log(2)
         jarnik_lo = 1 - 4 / (m * log2)

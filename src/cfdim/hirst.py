@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .cfcore import PartialQuotients, exact_positive_fraction
 from .errors import DivergenceError, DomainError, int_at_least, is_int
 from .sequences import _require_digit_set, tau
-from .special import DEFAULT_CONTEXT, _dps, as_real, zeta_tail
+from .special import DEFAULT_CONTEXT, as_real, zeta_tail
 
 __all__ = [
     "M0Condition",
@@ -47,7 +47,7 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
 
     _require_digit_set(digits)
     int_at_least(floor_m, "floor")
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         zm = as_real(z, "exponent")
         if digits.kind == "explicit":
             return +mp.fsum(mp.power(a, -zm) for a in digits.values if a >= floor_m)
@@ -114,7 +114,7 @@ def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
 
     int_at_least(m_floor, "the digit floor")
     eps, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         full = digit_power_sum(digits, z, ctx)
         tail = digit_tail_power_sum(digits, m_floor, z, ctx)
         lhs = +(mp.power(full, as_real(e)) * tail)
@@ -139,7 +139,7 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     eps, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         full = digit_power_sum(digits, z, ctx)
         thr = mp.power(full, -as_real(e))
         zf = as_real(z)
@@ -205,7 +205,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     for a in word:
         if a not in digits:
             raise DomainError("prefix digit %d is outside the digit set" % a)
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         sm = as_real(s, "exponent")
         half_tau = as_real(tau(digits).value / 2)
         if not sm > half_tau:

@@ -1,10 +1,10 @@
 """High precision zeta values, tail sums, and pole-side approximations.
 
-Everything runs through mpmath at a pinned working precision (50 digits
-minimum); each function that computes a real imports mpmath itself, so
-importing the package does not load it. One Euler-Maclaurin routine
-serves both the full series and its tails: partial sum up to a cutoff
-N, then
+Everything runs through mpmath at the working_digits of a
+PrecisionContext, which never holds fewer than 50; each function that
+computes a real imports mpmath itself, so importing the package does
+not load it. One Euler-Maclaurin routine serves both the full series
+and its tails: partial sum up to a cutoff N, then
 
     N^(1-z)/(z-1) + N^(-z)/2 + sum_j B_{2j}/(2j)! (z)_{2j-1} N^(-z-2j+1)
 
@@ -21,12 +21,15 @@ bound at 2^16 is largest next to the pole, 5.2e-51 there).
 
 Every term costs few non-integer powers.  The tail corrections take one,
 p = N^(-z), and form N^(1-z) = p*N and each N^(-z-2j+1) = p / N^(2j-1)
-from exact integer powers of N.  The head is multiplicative, through a
-kernel that the covering sums of dimension share: k^(-z) for k < 2^16
-is one power when k is prime, and otherwise the product of the terms of
-k's least prime factor and of its cofactor, which a memo for the one call
-keeps below a limit.  For the head the limit is N/2, below which both
-factors of every composite term lie, so a zeta value costs one power per
+from exact integer powers of N.  The head is multiplicative, through
+_neg_power, a recursive kernel that the covering sums of dimension
+share: k^(-z) for k < 2^16 is one power when k is prime, and otherwise
+the product of the terms of k's least prime factor and of its cofactor,
+so the recursion is at most Omega(k) deep.  The caller passes a list as
+the memo, which keeps the terms below its length and is freed with the
+call: a module-level function holds no reference to itself, so no cycle
+keeps it.  For the head the memo is N/2 long, below which both factors
+of every composite term lie, so a zeta value costs one power per
 prime below the cutoff plus one per cutoff tried: 19 at N = 64, where
 one power per term made 70.  mp.fsum still adds the head exactly.  The
 price is rounding: a term of k with Omega(k) prime factors, counted
@@ -58,24 +61,27 @@ __all__ = [
 _EULER_GAMMA_30 = "0.577215664901532860606512090082"
 
 
+def _check_tolerance(tol, what):
+    # nan fails the first test and inf the second
+    if not tol > 0:
+        raise DomainError("%s must be positive" % what)
+    if not tol < math.inf:
+        raise DomainError("%s must be finite, got %s" % (what, tol))
+
+
 class PrecisionContext(FrozenRecord):
-    """Accuracy goal (absolute) and internal working precision in digits."""
+    """Accuracy goal (absolute) and internal working precision in digits, at least 50."""
 
     __slots__ = ("target_abs_tol", "working_digits")
 
     def __init__(self, target_abs_tol=1e-12, working_digits=50):
-        if not target_abs_tol > 0:
-            raise DomainError("target_abs_tol must be positive")
+        _check_tolerance(target_abs_tol, "target_abs_tol")
         int_at_least(working_digits, "working_digits", 30)
-        self._set(target_abs_tol=target_abs_tol, working_digits=working_digits)
+        # 30 to 49 are held as 50, which absorbs the cancellation near the pole
+        self._set(target_abs_tol=target_abs_tol, working_digits=max(50, working_digits))
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-
-
-def _dps(ctx):
-    # never drop below 50 digits: cancellation near the pole at z = 1
-    return max(50, ctx.working_digits)
 
 
 def as_real(x, what="value"):
@@ -101,7 +107,7 @@ def euler_gamma(ctx=DEFAULT_CONTEXT):
     """Euler-Mascheroni constant from the stored 30-digit reference."""
     from mpmath import mp, mpf
 
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         return +mpf(_EULER_GAMMA_30)
 
 
@@ -131,52 +137,30 @@ def _tail_correction(n0, z):
 _SMALL_PRIMES = tuple(p for p in range(2, 256) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
-def _neg_powers(z, limit):
-    # k -> raw k^(-z) at the working precision, for 1 <= k < 2^16: one raw
-    # mpf_pow (the bits mpf.__pow__ gives) for a prime k, and for a
-    # composite k the product of the terms of its least prime factor and of
-    # its cofactor.  The memo keeps k < limit (limit >= 2).  power walks the
-    # chain of cofactors down to a memoised or prime one and multiplies back
-    # up, so no closure here refers to itself and the memo is freed with
-    # the last reference to power, not left in a cycle for the collector
-    from mpmath import mp
-    from mpmath.libmp import fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
-
-    prec = mp.prec
-    nz = mpf_neg(z._mpf_)
-    memo = [None] * limit
-    memo[1] = fone
-
-    def prime(p):
-        v = memo[p] if p < limit else None
-        if v is None:
-            v = mpf_pow(from_int(p), nz, prec, round_nearest)
-            if p < limit:
-                memo[p] = v
+def _neg_power(k, memo, nz, prec):
+    # raw k^(-z) for 1 <= k < 2^16, nz the raw -z: one raw mpf_pow (the bits
+    # mpf.__pow__ gives) for a prime k, and for a composite k the product of
+    # the terms of its least prime factor and of its cofactor.  memo, a
+    # list, keeps every term below its length
+    v = memo[k] if k < len(memo) else None
+    if v is not None:
         return v
+    # most calls of a covering sum miss (r is mostly above its memo), and
+    # there the plain import costs a fifth of a from-import
+    import mpmath
 
-    def power(k):
-        v = memo[k] if k < limit else None
-        if v is not None:
-            return v
-        chain = []
-        while True:
-            p = next((p for p in _SMALL_PRIMES if k % p == 0), k)
-            if p == k:
-                v = prime(k)
-                break
-            chain.append((k, p))
-            k //= p
-            v = memo[k] if k < limit else None
-            if v is not None:
-                break
-        for k, p in reversed(chain):
-            v = mpf_mul(prime(p), v, prec, round_nearest)
-            if k < limit:
-                memo[k] = v
-        return v
-
-    return power
+    libmp = mpmath.libmp
+    p = next((p for p in _SMALL_PRIMES if k % p == 0), k)
+    if k == 1:
+        v = libmp.fone
+    elif p == k:
+        v = libmp.mpf_pow(libmp.from_int(k), nz, prec, libmp.round_nearest)
+    else:
+        v = libmp.mpf_mul(_neg_power(p, memo, nz, prec), _neg_power(k // p, memo, nz, prec),
+                          prec, libmp.round_nearest)
+    if k < len(memo):
+        memo[k] = v
+    return v
 
 
 def _head(start, cutoff, z):
@@ -185,11 +169,14 @@ def _head(start, cutoff, z):
     # reused, so the memo keeps k < cutoff/2 alone; its raw values are the
     # very tuples fsum collects, so it costs one pointer per entry
     from mpmath import mp
+    from mpmath.libmp import mpf_neg
 
     if start >= cutoff:
         return ()
-    power = _neg_powers(z, (cutoff + 1) // 2)
-    return (mp.make_mpf(power(k)) for k in range(start, cutoff))
+    prec = mp.prec
+    nz = mpf_neg(z._mpf_)
+    memo = [None] * ((cutoff + 1) // 2)
+    return (mp.make_mpf(_neg_power(k, memo, nz, prec)) for k in range(start, cutoff))
 
 
 def _series_from(start, z, ctx):
@@ -229,7 +216,7 @@ def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
     from mpmath import mp
 
     int_at_least(start, "start")
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         zm = as_real(z, "exponent")
         _check_exponent(zm)
         return +_series_from(start, zm, ctx)
@@ -240,7 +227,7 @@ def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):
     from mpmath import mp, mpf
 
     int_at_least(start, "start")
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:
             raise DivergenceError("the tail integral diverges for s <= 1/2")
@@ -251,7 +238,7 @@ def laurent_zeta_approx(delta, ctx=DEFAULT_CONTEXT):
     """Two-term pole expansion 1/(2 delta) + gamma, approximating zeta(1+2 delta)."""
     from mpmath import mp, mpf
 
-    with mp.workdps(_dps(ctx)):
+    with mp.workdps(ctx.working_digits):
         d = as_real(delta, "delta")
         if not 0 < d <= mpf(1) / 2:
             raise DomainError("delta must lie in (0, 1/2], got %s" % d)

@@ -451,6 +451,44 @@ def test_assume_infinite_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --assume-infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "value", "--z", "2"],
+    ["zeta", "tail", "--start", "10", "--z", "2.4"],
+    ["dim", "factor", "--M", "5", "--s", "0.75"],
+    ["dim", "critical", "--M", "100"],
+    ["dim", "asymptotic", "--M", "100"],
+    ["dim", "reference", "--M", "100"],
+    ["dim", "cover", "--M", "2", "--s", "0.7", "--levels", "1", "--digit-cap", "5"],
+    ["hirst", "m0", "--digits-spec", "all", "--seq", "even", "--eps", "1/5", "--M", "100"],
+    ["hirst", "product", "--digits-spec", "all", "--seq", "even", "--M", "2",
+     "--s", "0.8", "--base-level", "0", "--level", "1"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_dps_is_a_usage_error(capsys, argv):
+    # the command line computes every real at 50 digits; only the library's
+    # PrecisionContext takes more
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dps", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dps 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "critical", "--M", "1000", "--tol", "inf"], "must be finite, got inf"),
+    # float() reads 1e400 as inf
+    (["dim", "critical", "--M", "1000", "--tol", "1e400"], "must be finite, got inf"),
+    (["zeta", "value", "--z", "2", "--tol", "inf"], "must be finite, got inf"),
+    (["dim", "critical", "--M", "1000", "--tol", "0"], "must be positive"),
+    (["dim", "critical", "--M", "1000", "--tol", "nan"], "must be positive"),
+    (["zeta", "value", "--z", "2", "--tol=-1e-12"], "must be positive"),
+], ids=["critical-inf", "critical-1e400", "zeta-inf", "critical-zero", "critical-nan",
+        "zeta-negative"])
+def test_tol_must_be_positive_and_finite(capsys, argv, message):
+    # an infinite tolerance would accept a critical solve's first interpolant
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: target_abs_tol %s\n" % message)
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cf", "nonsense"])

@@ -23,7 +23,7 @@ from cfdim import (
     zeta_tail,
 )
 from cfdim.dimension import covering_sum_enumerated, critical_exponent
-from cfdim.special import _tail_correction
+from cfdim.special import _neg_power, _tail_correction, as_real
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
 
@@ -122,6 +122,59 @@ def test_precision_context_validation():
     ctx = PrecisionContext(target_abs_tol=1e-30, working_digits=80)
     with mp.workdps(60):
         assert abs(zeta(2, ctx) - mp.pi ** 2 / 6) < mpf("1e-28")
+
+
+def test_working_digits_below_50_are_stored_as_50():
+    low = PrecisionContext(working_digits=30)
+    assert low == PrecisionContext() and low.working_digits == 50
+    assert zeta("2.5", low)._mpf_ == zeta("2.5")._mpf_
+    assert critical_exponent(100, ctx=low).s_star._mpf_ == critical_exponent(100).s_star._mpf_
+
+
+@pytest.mark.parametrize("tol, message", [
+    (math.inf, "must be finite"),
+    (mpf("inf"), "must be finite"),
+    (0, "must be positive"),
+    (-1e-12, "must be positive"),
+    (math.nan, "must be positive"),
+])
+def test_a_tolerance_must_be_positive_and_finite(tol, message):
+    with pytest.raises(DomainError, match="^target_abs_tol " + message):
+        PrecisionContext(target_abs_tol=tol)
+    with pytest.raises(DomainError, match="^tol " + message):
+        critical_exponent(1000, tol=tol)
+
+
+def _big_omega(k):
+    # prime factors of k counted with multiplicity
+    n, d = 0, 2
+    while d * d <= k:
+        while k % d == 0:
+            k //= d
+            n += 1
+        d += 1
+    return n + (k > 1)
+
+
+@pytest.mark.parametrize("z", ["0.7", "2.5", Fraction(10, 7)])
+def test_kernel_terms_are_within_their_rounding_budget(z):
+    # a term of k carries Omega(k) rounded powers and Omega(k) - 1 rounded
+    # products, each within an ulp.  65537 is prime and 257 * 263 has no
+    # factor below 256, so each takes one power; 2^15 has the most factors
+    # of any argument below 2^16.  The memo is short, so most composites
+    # recurse to their primes
+    ks = list(range(1, 1 << 12)) + [65537, 257 * 263, 1 << 15]
+    with mp.workdps(50):
+        zm = as_real(z)
+        prec = mp.prec
+        memo = [None] * 64
+        nz = mpmath.libmp.mpf_neg(zm._mpf_)
+        raw = [_neg_power(k, memo, nz, prec) for k in ks]
+    with mp.workdps(120):
+        for k, v in zip(ks, raw):
+            ulp = mp.ldexp(1, v[2] + v[3] - prec)
+            err = abs(mp.make_mpf(v) - mpf(k) ** -zm)
+            assert err <= max(2 * _big_omega(k) - 1, 0) * ulp, k
 
 
 @pytest.mark.parametrize("z", ["1.000000002", "1.2", "2", "3.5", "8"])
