@@ -7,17 +7,18 @@ breakpoints are chosen so the logarithmic weight of the constrained
 digits stays below c1 times the word length; c1 is either given
 directly or derived from an exponent eps as eps*log(2)/2.
 
-Everything decision-bearing is exact.  The weight inequality
-log(p) > c1*m, for an integer product p of digit factors, is decided a
-run of constant k(m) at a time in both modes: the last failing m of a
-run is floor(log(p)/c1), read off a quotient accurate to 1/16 and
-clipped to the run, unless that quotient lies within a relative 1e-9
-of an integer r in the run.  Such a near tie is decided at r alone: by
-the integers p^(2*ed) and 2^(en*r) when c1 is derived from eps = en/ed;
-with an explicit rational c1 the sides cannot tie (log p is
+Everything decision-bearing is exact.  A weight inequality
+e*log(p) > c1*m, for an integer product p of digit factors, is decided
+a run of constant k(m) at a time: the last failing m of a run is
+floor(e*log(p)/c1), read off a quotient accurate to 1/16 and clipped to
+the run, unless that quotient lies within a relative 1e-9 of an integer
+r in the run.  Such a near tie is decided at r alone: by the integers
+(p^e)^v and 2^(u*r), u/v = eps/2 in lowest terms, when c1 is derived
+from eps; with an explicit rational c1 the sides cannot tie (log p is
 transcendental for p >= 2), so escalating precision always separates
-them.  The size/separation/Holder inequalities are checked on
-cross-multiplied integer powers of exact cylinder lengths.  Floats
+them.  The certified chain 2^((m-k-2)*en) >= (2*P^2)^ed is that test at
+2*eps on p = 2*P^2.  The size/separation/Holder inequalities are checked
+on cross-multiplied integer powers of exact cylinder lengths.  Floats
 appear otherwise only as display values.
 """
 
@@ -218,12 +219,12 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
-def _check_power(bits, eps, name="eps"):
-    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps (or c1) sets it."""
+def _check_power(bits, eps):
+    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps sets it."""
     if bits > _POWER_BITS:
         raise ResourceCapError(
-            "%s = %s needs an exact power of up to %d bits, past the budget of %d bits"
-            % (name, eps, bits, _POWER_BITS)
+            "eps = %s needs an exact power of up to %d bits, past the budget of %d bits"
+            % (eps, bits, _POWER_BITS)
         )
 
 
@@ -240,20 +241,24 @@ def _fraction_bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _log_exceeds(p, m, eps, c1):
-    """log(p) > c1*m exactly, for an integer p >= 2; c1 is None when eps gives it."""
+def _log_exceeds(p, e, m, eps, c1):
+    """e*log(p) > c1*m exactly, for integers p >= 2, e >= 1; c1 is None when eps gives it."""
     if c1 is None:
-        # p^(2*ed) > 2^(en*m): the bit length decides unless it is en*m + 1
-        _check_power(2 * eps.denominator * p.bit_length(), eps)
-        power, e = p ** (2 * eps.denominator), eps.numerator * m
+        # (p^e)^v > 2^(u*m), u/v = eps/2 in lowest terms: the bit length decides unless u*m + 1
+        g = 2 - eps.numerator % 2
+        u, v = eps.numerator // g, 2 * eps.denominator // g
+        _check_power(e * p.bit_length(), eps)
+        p = p ** e
+        _check_power(v * p.bit_length(), eps)
+        power, b = p ** v, u * m
         bits = power.bit_length()
-        return bits > e + 1 or (bits == e + 1 and power != 1 << e)
+        return bits > b + 1 or (bits == b + 1 and power != 1 << b)
     # log(p) is irrational and c1*m rational: the raise below never fires
     from mpmath import mp, mpf
 
     for dps in (60, 200):
         with mp.workdps(dps):
-            lhs = _mp_log(p)
+            lhs = e * _mp_log(p)
             rhs = as_real(c1) * m
             diff = lhs - rhs
             if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
@@ -262,14 +267,15 @@ def _log_exceeds(p, m, eps, c1):
 
 
 def _weight_test(eps, c1):
-    """end(p, first, last): the last m in [first, last] with log(p) > c1*m, or 0.
+    """end(p, first, last, e=1): the last m in [first, last] with e*log(p) > c1*m, or 0.
 
-    p is an integer >= 1.  Exactly one of eps and c1 is a positive
-    Fraction; eps means c1 = eps*log(2)/2.  The answer is floor(x) for
-    x = log(p)/c1, clipped to [first, last], unless x lies within a
-    relative 1e-9 of an integer r in the run: then _log_exceeds at r
-    alone decides.  x is a float below 2^46 and has more digits past it.
-    The float quotient needs c1 in the normal float range.
+    p and e are integers >= 1, and p^e is never formed outside a near
+    tie.  Exactly one of eps and c1 is a positive Fraction; eps means
+    c1 = eps*log(2)/2.  The answer is floor(x) for x = e*log(p)/c1,
+    clipped to [first, last], unless x lies within a relative 1e-9 of an
+    integer r in the run: then _log_exceeds at r alone decides.  x is a
+    float below 2^46 and has more digits past it.  The float quotient
+    needs c1 in the normal float range.
     """
     try:
         c1_float = float(c1) if eps is None else float(eps) * _LOG2 / 2
@@ -281,11 +287,13 @@ def _weight_test(eps, c1):
             % ("c1" if eps is None else "eps", sys.float_info.min, sys.float_info.max)
         )
 
-    def end(p, first, last):
-        # log(p) > c1*m holds exactly for m < log(p)/c1
-        log_p = math.log(p)
+    def end(p, first, last, e=1):
+        # e*log(p) > c1*m holds exactly for m < e*log(p)/c1
+        log_p = e * math.log(p)
         x = log_p / c1_float
-        if x < 2 ** 46:  # the float quotient is within 1/16 of log(p)/c1 here
+        if x < 2 ** 46:  # the float quotient is within 1/16 of e*log(p)/c1 here
+            if x < first - 1:
+                return 0  # the run holds no failing m and no near tie
             m, r = math.floor(x), round(x)
         elif x > 2 * last:
             return last  # far past the run, or infinite: nothing to round
@@ -293,13 +301,13 @@ def _weight_test(eps, c1):
             from mpmath import mp
 
             with mp.workdps(20 + len(str(last))):
-                x = _mp_log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
+                x = e * _mp_log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
                 m, r = int(mp.floor(x)), int(mp.nint(x))
         if first <= r <= last:
             # a near tie, where floor(x) may be off by one; p = 1 stays out
             rhs = c1_float * r
             if rhs * (1 - 1e-9) <= log_p <= rhs * (1 + 1e-9):
-                m = r if _log_exceeds(p, r, eps, c1) else r - 1
+                m = r if _log_exceeds(p, e, r, eps, c1) else r - 1
         return min(m, last) if m >= first else 0
 
     return end
@@ -309,21 +317,22 @@ def _weight_test(eps, c1):
 # inequality in (m, k(m)) fails.  k(m) is constant on each run of
 # seq.runs(limit), and within a run the failing m form a prefix (the
 # right side grows with m while k stays fixed), so the last violator is
-# the end of the last nonempty prefix.  The nominal and certified onsets
-# read that end off an integer formula, schedule_onset off
-# floor(log(p)/c1), with one exact test where that quotient nearly ties
-# an integer inside the run.
+# the end of the last nonempty prefix.  The nominal onset reads it off an
+# integer formula on the few runs where it can lie, the weight and the
+# certified onsets off the weight test on the product _step_products carries.
 
 
-def _last_violator(seq, limit, factor, end):
-    """Largest m in [1, limit] with log(p) > c1*m for p = prod_{i <= k(m)} factor(i), or 0."""
-    p = 1
-    worst = 0
+def _step_products(seq, schedule, limit):
+    """(first, last, k, prod_{j <= k} (step(j) + 1)) for each run of seq.runs(limit)."""
+    # step(k) = i + 1 for the first breakpoint bps[i] >= k, so i moves at most one a run
+    bps = schedule.breakpoints
+    p, i = 1, 0
     for first, last, k in seq.runs(limit):
         if k:
-            p *= factor(k)
-        worst = max(worst, end(p, first, last))
-    return worst
+            if bps[i] < k:
+                i += 1
+            p *= i + 2
+        yield first, last, k, p
 
 
 def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
@@ -335,10 +344,10 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     zero-density rule has k_k/k nondecreasing (see ``sequences``), so
     those runs are 1..K-1, and N_j is the last violator of run K-1.  A
     galloping search and a bisection find K, each probe testing a run's
-    first index with p = (j+1)^k inside the power budget, up to run
-    k(horizon) + 1, which starts past the horizon.  A threshold past the
-    horizon raises rather than extrapolating.  Breakpoint n_j is the
-    least index above n_{j-1} whose sequence member reaches N_j.
+    first index with k*log(j+1), up to run k(horizon) + 1, which starts
+    past the horizon.  A threshold past the horizon raises rather than
+    extrapolating.  Breakpoint n_j is the least index above n_{j-1}
+    whose sequence member reaches N_j.
 
     Exactly one of c1 and eps is given; eps means c1 = eps*log2/2.
     """
@@ -360,9 +369,8 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     for j in range(1, j_max + 1):
         def fails(k):
             # k*log(j+1) > c1*k_k: run k holds a violator
-            _check_power(k * (j + 1).bit_length(), eps or c1, "c1" if eps is None else "eps")
             first = seq.nth(k)
-            return end((j + 1) ** k, first, first) == first
+            return end(j + 1, first, first, k) == first
 
         # runs 1..lo fail and run hi is clean, unless lo == hi == cap
         lo, hi = 0, 1
@@ -374,7 +382,7 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
                 lo = mid
             else:
                 hi = mid
-        worst = lo and end((j + 1) ** lo, seq.nth(lo), seq.nth(lo + 1) - 1)
+        worst = lo and end(j + 1, seq.nth(lo), seq.nth(lo + 1) - 1, lo)
         if worst > horizon:
             raise InsufficientHorizonError(
                 "step %d has its threshold past the horizon %d, which cannot "
@@ -424,7 +432,8 @@ def schedule_onset(seq, schedule):
     if limit < 1:
         raise DomainError("the schedule covers no positions at all")
     end = _weight_test(schedule.eps, schedule.c1)
-    worst = _last_violator(seq, limit, lambda i: step_value(schedule, i) + 1, end)
+    runs = _step_products(seq, schedule, limit)
+    worst = max(end(p, first, last) for first, last, _, p in runs)
     if worst >= limit:
         raise InsufficientHorizonError(
             "the weight inequality still fails at %d, the edge of the checked "
@@ -473,7 +482,10 @@ def _nominal_onset(seq, eps, horizon=None):
 
     No violator lies past _nominal_cert, so a longer horizon cannot move
     the onset.  The progressions _nominal_cert refuses raise DomainError
-    without a horizon; under one they are scanned to it unless it fails.
+    without a horizon; under one they are read to it unless it fails.
+    Run k >= 1 holds a violator when k_k - 2k <= offset, and k_k - 2k is
+    monotone on every rule (see ``sequences``), so the last such run is
+    run 0 or one of the last two below the limit: ``end_runs`` reads those.
     """
     en, ed = eps.numerator, eps.denominator
     try:
@@ -492,7 +504,7 @@ def _nominal_onset(seq, eps, horizon=None):
                 "the onset condition still fails at the horizon %d" % horizon
             )
         raise DomainError("internal certificate bound too tight; please report")
-    worst = max((min(last, 2 * k + offset) for first, last, k in seq.runs(limit)
+    worst = max((min(last, 2 * k + offset) for first, last, k in seq.end_runs(1, limit)
                  if 2 * k + offset >= first), default=0)
     return worst + 1
 
@@ -528,17 +540,13 @@ def verify_size_bound(eps, seq, schedule, word):
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
     # |I(w)| = 1/L and |I(w')| = 1/R with L = q_n (q_n + q_{n-1}), so
-    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed; decided before the
-    # onsets, whose carried product can take seconds where this power is
-    # refused at once
+    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
     _, q, _, q_prev = _final_row(digits)
     big_l = q * (q + q_prev)
     _, q, _, q_prev = _final_row(delete_indices(digits, seq))
     big_r = q * (q + q_prev)
     ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
 
-    # the certified onset next: it refuses an eps past the power budget
-    # before the nominal scan walks to a certificate as long as 2/eps
     onset_certified = _certified_onset(seq, schedule, eps)
     onset = _nominal_onset(seq, eps, schedule.horizon)
     with mp.workdps(50):
@@ -563,25 +571,21 @@ def _power_at_least(x, a, y, b, eps):
 
 
 def _certified_onset(seq, schedule, eps):
-    """Least m past which 2^((m-k-2)*en) >= (2*prod(step+1)^2)^ed keeps holding."""
-    en, ed = eps.numerator, eps.denominator
+    """Least m past which 2^((m-k-2)*en) >= (2*P^2)^ed, P = prod(step+1), keeps holding.
+
+    It fails exactly when log(2P^2) > eps*log(2)*(m-k-2): at every m <= k + 2, and past
+    that where the weight test at 2*eps says so.  No float holds an eps past 2^900, and
+    no P that fits in memory fails at m > k + 2 there, so 2^900 stands in for it.
+    """
     limit = _covered_limit(seq, schedule)
-    _check_power(ed + 1, eps)
-    rhs = 2 ** ed  # (2 * prod (step(j)+1)^2)^ed over j <= k
+    end = _weight_test(2 * eps if eps < 2 ** 900 else Fraction(2 ** 901), None)
     worst = 0
-    for first, last, k in seq.runs(limit):
-        if k:
-            factor = step_value(schedule, k) + 1
-            _check_power(rhs.bit_length() + 2 * ed * factor.bit_length(), eps)
-            rhs *= factor ** (2 * ed)
-        # the failing m have (m-k-2)*en < ceil(log2(rhs)) = (rhs - 1).bit_length(),
-        # so they run up to k + 1 + ceil(ceil(log2(rhs))/en)
-        end = k + 1 - (-(rhs - 1).bit_length() // en)
-        if end >= first:
-            worst = min(last, end)
-    if worst >= limit:
-        return None
-    return worst + 1
+    for first, last, k, p in _step_products(seq, schedule, limit):
+        shift = k + 2
+        m = shift + (last > shift and end(2 * p * p, max(first - shift, 1), last - shift))
+        if m >= first:
+            worst = min(m, last)
+    return None if worst >= limit else worst + 1
 
 
 class SeparationReport(NamedTuple):

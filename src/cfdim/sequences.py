@@ -25,8 +25,22 @@ k(n) is constant on each run between consecutive members, and
 ``runs(limit)`` walks those runs; the certificate scans in
 ``construction`` and ``density`` read whole runs instead of single
 indices.  On a run k/n is largest at its first index and smallest at
-its last, so ``density`` compares only run ends: O(sqrt h) members for
-square, O(log h) for pow, and three runs, whatever h, for a progression.
+its last, so ``density`` compares only run ends.
+
+Three quantities of run k >= 1, which starts at k_k and ends at
+k_(k+1) - 1, are monotone in k on every rule:
+
+- arith (a0, d): k/k_k moves with the sign of a0 - d,
+  k/(k_(k+1) - 1) = k/(kd + a0 - 1) never falls as a0 >= 1, and
+  k_k - 2k = a0 - d + k(d - 2) moves with the sign of d - 2;
+- square: 1/k and 1/(k + 2) fall, and (k - 1)^2 - 1 rises;
+- pow:b: k/b^k and k/(b^(k+1) - 1) fall as kb >= k + 1, and b^k - 2k
+  never falls.
+
+So ``end_runs`` reads only the four runs at the two ends of a window,
+whatever its length: ``density`` takes the extremes of k/n there, and
+the nominal onset of ``construction`` its last violator.  An explicit
+list has no such order and is walked.
 
 On every rule whose ``exact_density`` is 0 (square and pow) the ratio
 k_j/j never decreases, that is k_j*(j+1) <= k_{j+1}*j: for square the
@@ -221,6 +235,28 @@ class IndexSequence(FrozenRecord):
             first = v
         yield first, limit, k_end
 
+    def end_runs(self, lo, limit):
+        """The runs of [lo, limit] that can hold its extremes, clipped to it.
+
+        Each is (first, last, k) as in ``runs``, with first raised to lo.
+        Let k1 and k2 be the runs holding lo and limit; the runs between
+        lie wholly inside.  On a rule, the run k that starts at k_k and
+        ends at k_(k+1) - 1 has k/k_k, k/(k_(k+1) - 1) and k_k - 2k each
+        monotone in k >= 1 (see the module docstring), so over those
+        runs each takes its extremes at k1 + 1 or k2 - 1.  With the two
+        clipped runs k1 and k2 that makes four, read by ``count`` and
+        ``nth``.  An explicit list walks every run.
+        """
+        if self.kind == "explicit":
+            runs = self.runs(limit)
+        else:
+            k1, k2 = self.count(lo), self.count(limit)
+            runs = ((self.nth(k) if k else 1, limit if k == k2 else self.nth(k + 1) - 1, k)
+                    for k in sorted({k1, min(k1 + 1, k2), max(k2 - 1, k1), k2}))
+        for first, last, k in runs:
+            if last >= lo:
+                yield max(first, lo), last, k
+
     @property
     def exact_density(self):
         """Exact limit of k(n)/n, or None when only a finite window is known."""
@@ -289,23 +325,6 @@ class DensityReport(NamedTuple):
     zero_certified: bool
 
 
-def _end_runs(seq, lo, horizon):
-    """The runs of a progression that hold the extremes of k(n)/n on [lo, horizon].
-
-    Run k >= 1 of (a0, d) is [a0 + (k-1)d, a0 + kd - 1].  Its ratio at the
-    first index, k/(kd + a0 - d), is monotone in k, rising or falling with
-    the sign of a0 - d; at the last index, k/(kd + a0 - 1) never decreases,
-    because a0 >= 1.  Let k1 and k2 be the runs holding lo and horizon.
-    The window cuts run k1 at lo and run k2 at horizon, and every run
-    between starts and ends inside it.  So the least ratio lies at the
-    end of run k1 or at horizon, and the greatest at lo or at the start of
-    run k1 + 1 or of run k2: the first two runs and the last are enough.
-    """
-    k1, k2 = seq.count(lo), seq.count(horizon)
-    for k in sorted({k1, min(k1 + 1, k2), k2}):
-        yield seq.nth(k) if k else 1, horizon if k == k2 else seq.nth(k + 1) - 1, k
-
-
 def density(seq, horizon):
     """Min and max of k(n)/n over the window [horizon/2, horizon].
 
@@ -318,18 +337,14 @@ def density(seq, horizon):
             "horizon %d exceeds the explicit window (max entry %d)"
             % (horizon, seq.values[-1])
         )
-    lo = horizon // 2
-    runs = _end_runs(seq, lo, horizon) if seq.kind == "arith" else seq.runs(horizon)
     # k/n is largest at a run's first index and smallest at its last; every
     # ratio lies in [0, 1], so 0/1 and 1/1 seed the max and the min
     up_k, up_n, low_k, low_n = 0, 1, 1, 1
-    for first, last, k in runs:
-        if last >= lo:
-            first = max(first, lo)
-            if k * up_n > up_k * first:
-                up_k, up_n = k, first
-            if k * low_n < low_k * last:
-                low_k, low_n = k, last
+    for first, last, k in seq.end_runs(horizon // 2, horizon):
+        if k * up_n > up_k * first:
+            up_k, up_n = k, first
+        if k * low_n < low_k * last:
+            low_k, low_n = k, last
     exact = seq.exact_density
     return DensityReport(horizon, Fraction(low_k, low_n), Fraction(up_k, up_n), exact, exact == 0)
 

@@ -265,6 +265,42 @@ def test_exact_power_past_the_budget_exits_4_with_one_error_line(capsys):
     assert err.startswith("error: eps = 1/1000000000000 ") and err.count("\n") == 1
 
 
+def test_threshold_probe_forms_no_power_and_exits_3_past_the_horizon(capsys):
+    # on square the search probes run k ~ 10^10 with k*log(2); forming 2^k
+    # was refused with exit 4, but the threshold simply lies past 10^20
+    code, out, err = run(
+        capsys, "construct", "schedule", "--seq", "square", "--eps", "1/1000000000000",
+        "--j-max", "2", "--horizon", "100000000000000000000",
+    )
+    assert code == 3 and out == ""
+    assert err == ("error: step 1 has its threshold past the horizon 100000000000000000000, "
+                   "which cannot certify it\n")
+
+
+def test_holder_nominal_onset_of_a_progression_reads_three_runs(capsys, tmp_path):
+    # the last violator of the onset condition on arith:1,5 at eps 10^-9
+    # ends run 666,666,669; walking every run to it did not finish in 30 s
+    path = tmp_path / "pairs.txt"
+    path.write_text("2,3;2,4\n")
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "construct", "holder", "--seq", "arith:1,5", "--eps", "1/1000000000",
+        "--M", "5", "--pairs-file", str(path),
+    )
+    assert code == 0 and time.perf_counter() - start < 3
+    res = json.loads(out)["result"]
+    assert res["skipped"] == 1 and res["pairs"][0]["reason"] == "below onset (need 3333333342)"
+
+
+def test_density_of_square_reads_four_runs(capsys):
+    # the least ratio ends run 10^9 - 1, one before the run of the horizon
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "seq", "density", "--spec", "square", "--horizon", str(10 ** 18))
+    assert code == 0 and time.perf_counter() - start < 1
+    res = json.loads(out)["result"]
+    assert (res["lower_est"], res["upper_est"]) == ("1/1000000001", "707106781/500000000000000000")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("cmd, ones", [("eval", 20000), ("eval", 25000),
                                        ("cylinder", 25000), ("convergents", 25000)])

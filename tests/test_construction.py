@@ -337,15 +337,15 @@ def test_size_bound_report_carries_the_word_as_a_word():
 
 
 def test_exact_powers_past_the_budget_raise_resource_cap_error():
-    # each call forms a power whose exponent eps sets: p^(2*ed) at a weight
-    # tie, (2*prod(step+1)^2)^ed for the certified onset, and
-    # image_gap^(en+ed) in the Holder check; each is refused at once
+    # two calls form a power whose exponent eps sets: p^(2*ed) at a weight
+    # tie and image_gap^(en+ed) in the Holder check; each is refused at
+    # once.  The certified onset forms no power: at eps = 10^-12 it finds
+    # no onset in range, and the size check answers within the same second
     tiny, near_one = Fraction(1, 10 ** 12), Fraction(10 ** 12 - 1, 10 ** 12)
     long = choose_schedule(SQ, 30, 10 ** 13, eps="1/10")
     pairs = sample_holder_pairs(SQ, 5, square_schedule(), 3, 3, nominal_onset(SQ, near_one))
     calls = [
         lambda: choose_schedule(parse_index_sequence("pow:2"), 2, 10 ** 20, eps=tiny),
-        lambda: verify_size_bound(tiny, SQ, long, [1] * 40),
         lambda: holder_check(SQ, 5, near_one, pairs),
     ]
     for call in calls:
@@ -353,6 +353,10 @@ def test_exact_powers_past_the_budget_raise_resource_cap_error():
         with pytest.raises(ResourceCapError, match=r"^eps = \d+/1000000000000 needs"):
             call()
         assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    rep = verify_size_bound(tiny, SQ, long, [1] * 40)
+    assert time.perf_counter() - start < 1
+    assert rep.ok is False and rep.onset_certified is None
 
 
 def test_size_check_refuses_final_powers_past_the_budget():

@@ -1,12 +1,12 @@
 """The run-wise certificate scans against per-index reference loops.
 
-Three scans in ``construction`` walk the runs of constant k(m) from
-``IndexSequence.runs`` and find the end of the violating prefix of each
-run.  The nominal and certified onsets (of ``verify_size_bound`` and
-``nominal_onset``) read it off an integer formula; the weight scan of
-``schedule_onset`` reads it off floor(log(p)/c1), clipped to the run,
-with one exact test where that quotient nearly ties an integer in the
-run.  The thresholds of ``choose_schedule`` search for the first run
+The scans in ``construction`` find the end of the violating prefix of
+each run of constant k(m).  The nominal onset (of ``verify_size_bound``
+and ``nominal_onset``) reads it off an integer formula on the few runs
+``IndexSequence.end_runs`` returns.  The certified onset and the weight
+scan of ``schedule_onset`` walk ``IndexSequence.runs`` and read it off
+floor(log(p)/c1), clipped to the run, with one exact test where that
+quotient nearly ties an integer in the run.  The thresholds of ``choose_schedule`` search for the first run
 whose first index holds no violator, and read the last violator of the
 run before it the same way.  The loops below test every index instead;
 both must give the same integers and raise the same errors.
@@ -14,9 +14,12 @@ both must give the same integers and raise the same errors.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cfdim import (
@@ -33,7 +36,7 @@ from cfdim import (
     verify_size_bound,
 )
 from cfdim import construction
-from cfdim.construction import _LOG2, _covered_limit, _nominal_cert
+from cfdim.construction import _LOG2, _certified_onset, _covered_limit, _nominal_cert
 
 
 # Per-index threshold predicates, kept apart from the library's merged
@@ -234,14 +237,14 @@ def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
     def counting(eps, c1):
         end = real_weight(eps, c1)
 
-        def counted(p, first, last):
+        def counted(p, first, last, e=1):
             ends.append(first)
-            return end(p, first, last)
+            return end(p, first, last, e)
         return counted
 
-    def counted_exact(p, m, eps, c1):
+    def counted_exact(p, e, m, eps, c1):
         exact.append(m)
-        return real_exact(p, m, eps, c1)
+        return real_exact(p, e, m, eps, c1)
     monkeypatch.setattr(construction, "_weight_test", counting)
     monkeypatch.setattr(construction, "_log_exceeds", counted_exact)
     seq = parse_index_sequence(spec)
@@ -255,10 +258,11 @@ def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
     assert (len(ends), len(exact)) == (len(list(seq.runs(onset.checked_to))), exact_tests[1])
 
 
-def test_size_bound_nominal_scan_stops_at_its_certificate(monkeypatch):
+def test_size_bound_nominal_onset_walks_no_run(monkeypatch):
     # no violator of the onset condition lies past _nominal_cert (36 for
-    # square at eps 1/10), so at a horizon of 10^12 the nominal scan walks
-    # the same six runs as at 10^4 and the report is the same
+    # square at eps 1/10), and the nominal onset reads the runs below it
+    # by count and nth: at horizons 10^4 and 10^12 only the certified
+    # onset walks runs, up to the covered limit, and the reports are equal
     sq = parse_index_sequence("square")
     short = choose_schedule(sq, 30, 10 ** 4, eps="1/10")
     long = StepSchedule(short.eps, short.c1, short.thresholds, short.breakpoints, 10 ** 12)
@@ -275,9 +279,7 @@ def test_size_bound_nominal_scan_stops_at_its_certificate(monkeypatch):
     for sched in (short, long):
         del walked[:]
         reports.append(verify_size_bound("1/10", sq, sched, word))
-        # the nominal scan, then the certified one up to the covered limit
-        assert sorted(set(walked)) == [_nominal_cert(sq, 1, 10), _covered_limit(sq, sched)]
-        assert walked.count(36) == 6
+        assert set(walked) == {_covered_limit(sq, sched)}
     assert reports[0] == reports[1]
     assert reports[0].onset == 34
 
@@ -384,6 +386,37 @@ def test_certified_onset_at_an_exact_power_of_two(eps):
     k = sq.count(onset - 1)
     assert k <= 50 and (2 * k + 1) * eps.denominator % eps.numerator == 0
     assert size_onsets(eps, sq, sched)[1] == onset
+
+
+# hand-built schedules: up to 12 breakpoints below 80, on a rule or a
+# short explicit list, with a covered range small enough for the per-index
+# reference, and eps with denominators up to 50
+_onset_seqs = st.one_of(
+    st.sampled_from([IndexSequence("square"), IndexSequence("pow", (2,)),
+                     IndexSequence("pow", (3,)), IndexSequence("arith", (4, 5))]),
+    st.lists(st.integers(1, 400), min_size=1, max_size=30, unique=True).map(
+        lambda vs: IndexSequence("explicit", (), tuple(sorted(vs)))))
+_onset_schedules = st.builds(
+    lambda bps, h: StepSchedule(Fraction(1, 10), None, (0,) * len(bps), tuple(sorted(bps)), h),
+    st.sets(st.integers(1, 80), min_size=1, max_size=12), st.integers(1, 600))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_onset_seqs, _onset_schedules,
+       st.builds(Fraction, st.integers(1, 30), st.integers(1, 50)))
+def test_certified_onset_matches_the_per_index_chain(seq, schedule, eps):
+    assert _certified_onset(seq, schedule, eps) == ref_certified_onset(seq, schedule, eps)
+
+
+@pytest.mark.parametrize("eps", [Fraction(229, 7000), Fraction(3, 10007)])
+def test_certified_onset_forms_no_power_of_the_product(eps):
+    # carrying (2*P^2)^ed took seconds at these denominators; the weight
+    # test on 2*P^2 finds in well under a second that no onset fits
+    sq = parse_index_sequence("square")
+    sched = choose_schedule(sq, 30, 10 ** 4, eps="1/10")
+    start = time.perf_counter()
+    assert _certified_onset(sq, sched, eps) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_size_bound_onset_is_limited_to_the_horizon():

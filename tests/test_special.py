@@ -2,6 +2,7 @@
 
 import gc
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from cfdim import (
     DomainError,
     PoleProximityError,
     PrecisionContext,
+    ResourceCapError,
     euler_gamma,
     laurent_zeta_approx,
     tail_integral_approx,
@@ -129,6 +131,14 @@ def test_working_digits_below_50_are_stored_as_50():
     assert low == PrecisionContext() and low.working_digits == 50
     assert zeta("2.5", low)._mpf_ == zeta("2.5")._mpf_
     assert critical_exponent(100, ctx=low).s_star._mpf_ == critical_exponent(100).s_star._mpf_
+
+
+def test_working_digits_past_1000_are_refused_at_once():
+    assert PrecisionContext(working_digits=1000).working_digits == 1000
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="^working_digits cap is 1000, got 1001$") as exc:
+        PrecisionContext(working_digits=1001)
+    assert time.perf_counter() - start < 0.1 and exc.value.exit_code == 4
 
 
 @pytest.mark.parametrize("tol, message", [
