@@ -12,14 +12,15 @@ e*log(p) > c1*m, for an integer product p of digit factors, is decided
 a run of constant k(m) at a time: the last failing m of a run is
 floor(e*log(p)/c1), read off a quotient accurate to 1/16 and clipped to
 the run, unless that quotient lies within a relative 1e-9 of an integer
-r in the run.  Such a near tie is decided at r alone: by the integers
-(p^e)^v and 2^(u*r), u/v = eps/2 in lowest terms, when c1 is derived
-from eps; with an explicit rational c1 the sides cannot tie (log p is
+r in the run.  Such a near tie is decided at r alone: by p^(e*v)
+against 2^(u*r), u/v = eps/2 in lowest terms, when c1 is derived from
+eps; with an explicit rational c1 the sides cannot tie (log p is
 transcendental for p >= 2), so escalating precision always separates
 them.  The certified chain 2^((m-k-2)*en) >= (2*P^2)^ed is that test at
-2*eps on p = 2*P^2.  The size/separation/Holder inequalities are checked
-on cross-multiplied integer powers of exact cylinder lengths.  Floats
-appear otherwise only as display values.
+2*eps on p = 2*P^2.  That near tie, the size bound and the Holder bound
+each compare x^a with y^b on exact rationals in one place,
+_power_at_least, which forms the powers only when the powers of two
+around them overlap.  Floats appear otherwise only as display values.
 """
 
 import math
@@ -219,15 +220,6 @@ def _nominal_cert(seq, en, ed):
     return 2 * len(seq.values) + int(need) + 6
 
 
-def _check_power(bits, eps):
-    """Refuse an exact power of up to ``bits`` bits past _POWER_BITS; eps sets it."""
-    if bits > _POWER_BITS:
-        raise ResourceCapError(
-            "eps = %s needs an exact power of up to %d bits, past the budget of %d bits"
-            % (eps, bits, _POWER_BITS)
-        )
-
-
 def _mp_log(p):
     # mpmath strips an integer's trailing zero bits a byte at a time, in quadratic time
     from mpmath import mp
@@ -236,23 +228,13 @@ def _mp_log(p):
     return mp.log(p >> zeros) + zeros * mp.ln2
 
 
-def _fraction_bits(x):
-    # a power x^e of a Fraction has at most e times this many bits
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def _log_exceeds(p, e, m, eps, c1):
     """e*log(p) > c1*m exactly, for integers p >= 2, e >= 1; c1 is None when eps gives it."""
     if c1 is None:
-        # (p^e)^v > 2^(u*m), u/v = eps/2 in lowest terms: the bit length decides unless u*m + 1
+        # p^(e*v) > 2^(u*m), u/v = eps/2 in lowest terms
         g = 2 - eps.numerator % 2
         u, v = eps.numerator // g, 2 * eps.denominator // g
-        _check_power(e * p.bit_length(), eps)
-        p = p ** e
-        _check_power(v * p.bit_length(), eps)
-        power, b = p ** v, u * m
-        bits = power.bit_length()
-        return bits > b + 1 or (bits == b + 1 and power != 1 << b)
+        return not _power_at_least(2, u * m, p, e * v, eps)
     # log(p) is irrational and c1*m rational: the raise below never fires
     from mpmath import mp, mpf
 
@@ -282,10 +264,9 @@ def _weight_test(eps, c1):
     except OverflowError:
         c1_float = math.inf
     if not sys.float_info.min <= c1_float < math.inf:
-        raise DomainError(
-            "%s is out of range: c1 must lie between %g and %g"
-            % ("c1" if eps is None else "eps", sys.float_info.min, sys.float_info.max)
-        )
+        name, rate = ("c1", "c1") if eps is None else ("eps", "eps*log(2)/2")
+        raise DomainError("%s is out of range: %s must lie between %g and %g"
+                          % (name, rate, sys.float_info.min, sys.float_info.max))
 
     def end(p, first, last, e=1):
         # e*log(p) > c1*m holds exactly for m < e*log(p)/c1
@@ -554,19 +535,37 @@ def verify_size_bound(eps, seq, schedule, word):
     return SizeBoundReport(eps, digits, onset, onset_certified, Fraction(1, big_l), rhs, ok)
 
 
-def _power_at_least(x, a, y, b, eps):
-    """x**a >= y**b, exactly, for integers x, y >= 1 and a, b >= 1 that eps sets.
+def _log2_bracket(x):
+    """(k, h) for a positive rational x: 2^k <= x < 2^h = 2^(k+1), or x = 2^k = 2^h."""
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()  # 2^(k-1) < x < 2^(k+1)
+    if (n >> k if k >= 0 else n << -k) < d:
+        return k - 1, k
+    return k, k + (n.bit_count() + d.bit_count() > 2)
 
-    Each power lies in a range of powers of two read off the bit length
-    of its base (2^(bits-1) <= x < 2^bits); only when the two ranges
-    overlap are the powers formed, and only within the power budget.
+
+def _power_at_least(x, a, y, b, eps):
+    """x**a >= y**b, exactly, for positive rationals x, y and exponents a, b >= 1 that eps sets.
+
+    Each power lies in a range of powers of two read off the bracket of its base.  Only
+    when the two ranges overlap is a power formed, never one of a power of two, and only
+    while a lower bound on its larger part, a*max(k, -k-1) + 1 bits, fits _POWER_BITS.
     """
-    bx, by = x.bit_length(), y.bit_length()
-    if a * (bx - 1) >= b * by:
+    (kx, hx), (ky, hy) = _log2_bracket(x), _log2_bracket(y)
+    if a * kx >= b * hy:
         return True
-    if a * bx <= b * (by - 1):
+    if a * hx <= b * ky:
         return False
-    _check_power(max(a * bx, b * by), eps)
+    bits = max(c * max(k, -k - 1) + 1 for c, k, h in ((a, kx, hx), (b, ky, hy)) if h > k)
+    if bits > _POWER_BITS:
+        raise ResourceCapError(
+            "eps = %s needs an exact power of at least %d bits, past the budget of %d bits"
+            % (eps, bits, _POWER_BITS)
+        )
+    if hy == ky:  # y**b == 2**(b*ky)
+        return _log2_bracket(x ** a)[0] >= b * ky
+    if hx == kx:
+        return _log2_bracket(y ** b)[1] <= a * kx
     return x ** a >= y ** b
 
 
@@ -574,10 +573,13 @@ def _certified_onset(seq, schedule, eps):
     """Least m past which 2^((m-k-2)*en) >= (2*P^2)^ed, P = prod(step+1), keeps holding.
 
     It fails exactly when log(2P^2) > eps*log(2)*(m-k-2): at every m <= k + 2, and past
-    that where the weight test at 2*eps says so.  No float holds an eps past 2^900, and
+    that where the weight test at 2*eps says so.  With eps*limit <= 1 it fails at every
+    m <= limit, as eps*log(2)*(m-k-2) < log(2).  No float holds an eps past 2^900, and
     no P that fits in memory fails at m > k + 2 there, so 2^900 stands in for it.
     """
     limit = _covered_limit(seq, schedule)
+    if eps * limit <= 1:
+        return None
     end = _weight_test(2 * eps if eps < 2 ** 900 else Fraction(2 ** 901), None)
     worst = 0
     for first, last, k, p in _step_products(seq, schedule, limit):
@@ -711,9 +713,7 @@ def holder_check(seq, m_cap, eps, sample_pairs):
         dx = delete_indices(x, seq)
         dy = delete_indices(y, seq)
         image_gap = abs(evaluate(dx) - evaluate(dy))
-        bound = scale * gap
-        _check_power(max((en + ed) * _fraction_bits(image_gap), ed * _fraction_bits(bound)), eps)
-        ok = image_gap ** (en + ed) <= bound ** ed
+        ok = image_gap == 0 or _power_at_least(scale * gap, ed, image_gap, en + ed, eps)
         reports.append(HolderPairReport(x, y, n, gap, image_gap, ok, ""))
     return reports
 

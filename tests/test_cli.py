@@ -256,7 +256,8 @@ def test_exit_code_4_on_resource_caps(capsys):
 
 
 def test_exact_power_past_the_budget_exits_4_with_one_error_line(capsys):
-    # a weight tie at eps = 1e-12 would form p^(2 * 10^12)
+    # step 1's tie between powers of two is decided from the exponents; the
+    # weight tie of step 2 at eps = 1e-12 would form 3^(47 * 2 * 10^12)
     code, out, err = run(
         capsys, "construct", "schedule", "--seq", "pow:2", "--eps", "1/1000000000000",
         "--j-max", "2", "--horizon", "100000000000000000000",

@@ -1,9 +1,11 @@
 """Step schedules, point building, size/separation/Hölder verification."""
 
 import math
+import re
 import time
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from cfdim import (
     verify_separation,
     verify_size_bound,
 )
-from cfdim import cfcore
+from cfdim import cfcore, construction
 from cfdim.construction import _power_at_least, _weight_test
 
 SQ = parse_index_sequence("square")
@@ -337,22 +339,27 @@ def test_size_bound_report_carries_the_word_as_a_word():
 
 
 def test_exact_powers_past_the_budget_raise_resource_cap_error():
-    # two calls form a power whose exponent eps sets: p^(2*ed) at a weight
-    # tie and image_gap^(en+ed) in the Holder check; each is refused at
-    # once.  The certified onset forms no power: at eps = 10^-12 it finds
-    # no onset in range, and the size check answers within the same second
+    # on pow:2 at eps = 10^-12, step 1 ends at the tie (2^46)^(2*10^12)
+    # against 2^(46*2*10^12), between powers of two, which the exponents
+    # decide; the weight tie of step 2 (p = 3) would form 3^(47*2*10^12)
+    # and is refused at once.  The Holder check near eps = 1 has bases
+    # whose brackets separate the two sides, and the certified onset forms
+    # no power: at eps = 10^-12 it finds no onset in range, and the size
+    # check answers within a second
     tiny, near_one = Fraction(1, 10 ** 12), Fraction(10 ** 12 - 1, 10 ** 12)
-    long = choose_schedule(SQ, 30, 10 ** 13, eps="1/10")
+    pow2 = parse_index_sequence("pow:2")
+    start = time.perf_counter()
+    assert choose_schedule(pow2, 1, 10 ** 20, eps=tiny).thresholds == (91999999999999,)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"^eps = 1/1000000000000 needs an exact power"):
+        choose_schedule(pow2, 2, 10 ** 20, eps=tiny)
+    assert time.perf_counter() - start < 1
     pairs = sample_holder_pairs(SQ, 5, square_schedule(), 3, 3, nominal_onset(SQ, near_one))
-    calls = [
-        lambda: choose_schedule(parse_index_sequence("pow:2"), 2, 10 ** 20, eps=tiny),
-        lambda: holder_check(SQ, 5, near_one, pairs),
-    ]
-    for call in calls:
-        start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match=r"^eps = \d+/1000000000000 needs"):
-            call()
-        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert [r.ok for r in holder_check(SQ, 5, near_one, pairs)] == [True, True, True]
+    assert time.perf_counter() - start < 1
+    long = choose_schedule(SQ, 30, 10 ** 13, eps="1/10")
     start = time.perf_counter()
     rep = verify_size_bound(tiny, SQ, long, [1] * 40)
     assert time.perf_counter() - start < 1
@@ -360,14 +367,13 @@ def test_exact_powers_past_the_budget_raise_resource_cap_error():
 
 
 def test_size_check_refuses_final_powers_past_the_budget():
-    # the certified onset fits the budget (about 6*10^6 bits), but the two
-    # cylinder powers R^(en+ed) and L^ed overlap in bit range and would
-    # each take about 10^8 bits, which would cost minutes to form
+    # the two cylinder powers R^(en+ed) and L^ed overlap in bit range and
+    # would each take about 10^8 bits, which would cost minutes to form
     s = square_schedule()
     word = build_point(SQ, 3, s, 10200)
     start = time.perf_counter()
     with pytest.raises(ResourceCapError,
-                       match=r"^eps = 229/7000 needs an exact power of up to 101379496 bits"):
+                       match=r"^eps = 229/7000 needs an exact power of at least 101372268 bits"):
         verify_size_bound(Fraction(229, 7000), SQ, s, word)
     assert time.perf_counter() - start < 1
 
@@ -387,7 +393,10 @@ def test_size_bound_validates_the_word_once(monkeypatch):
 
 
 # (x, a, y, b) for x^a >= y^b: any sizes, powers of two, and near-ties
-# y = x^c + d with a = b*c, where only the exact powers can decide
+# y = x^c + d with a = b*c, where only the exact powers can decide; then
+# the same shapes on rationals on both sides of 1: 2^(+-k), and ties
+# (t^c)^b against t^(b*c) moved by a factor 1 + d/10^12; and x^a against
+# 2^(floor(log2 x^a) + d), where only x^a is formed and its bracket decides
 _generic = st.tuples(st.integers(1, 2 ** 70), st.integers(1, 12),
                      st.integers(1, 2 ** 70), st.integers(1, 12))
 _twos = st.builds(lambda i, a, j, b: (2 ** i, a, 2 ** j, b),
@@ -395,14 +404,58 @@ _twos = st.builds(lambda i, a, j, b: (2 ** i, a, 2 ** j, b),
 _ties = st.builds(lambda x, c, b, d: (x, b * c, max(x ** c + d, 1), b),
                   st.integers(1, 2 ** 40), st.integers(1, 4), st.integers(1, 6),
                   st.integers(-1, 1))
+_rationals = st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(1, 2 ** 70))
+_fraction_generic = st.tuples(_rationals, st.integers(1, 12), _rationals, st.integers(1, 12))
+_fraction_twos = st.builds(lambda i, a, j, b: (Fraction(2) ** i, a, Fraction(2) ** j, b),
+                           st.integers(-70, 70), st.integers(1, 12),
+                           st.integers(-70, 70), st.integers(1, 12))
+_fraction_ties = st.builds(
+    lambda t, c, b, d: (t ** c * Fraction(10 ** 12 + d, 10 ** 12), b, t, b * c),
+    st.builds(Fraction, st.integers(1, 2 ** 30), st.integers(1, 2 ** 30)),
+    st.integers(1, 4), st.integers(1, 6), st.integers(-1, 1))
 
 
-@settings(max_examples=300)
-@given(st.one_of(_generic, _twos, _ties))
+def _floor_log2(q):
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    return k - (Fraction(2) ** k > q)
+
+
+_near_twos = st.builds(
+    lambda x, a, d: (x, a, Fraction(2) ** (_floor_log2(Fraction(x) ** a) + d), 1),
+    st.one_of(st.integers(1, 2 ** 70), _rationals,
+              st.builds(lambda n: Fraction(1, n), st.integers(1, 2 ** 70))),
+    st.integers(1, 12), st.integers(-1, 1))
+_power_cases = st.one_of(_generic, _twos, _ties, _fraction_generic, _fraction_twos, _fraction_ties,
+                         _near_twos)
+
+
+@settings(max_examples=500)
+@given(_power_cases)
 def test_power_comparison_matches_the_direct_one(case):
     x, a, y, b = case
     assert _power_at_least(x, a, y, b, Fraction(1)) == (x ** a >= y ** b)
     assert _power_at_least(y, b, x, a, Fraction(1)) == (y ** b >= x ** a)
+
+
+@settings(max_examples=300)
+@given(_power_cases, st.integers(1, 60))
+def test_power_comparison_refuses_only_past_a_lower_bound_on_the_budget(case, scale):
+    # under a 600-bit budget the helper answers exactly or refuses, and a
+    # refusal names a bound that passes the budget and that the larger
+    # numerator or denominator of the two powers really reaches; scaling
+    # both exponents keeps the answer and carries ties past the budget
+    x, a, y, b = case
+    a, b = a * scale, b * scale
+    formed = max(part.bit_length() for z in (Fraction(x) ** a, Fraction(y) ** b)
+                 for part in (z.numerator, z.denominator))
+    with patch.object(construction, "_POWER_BITS", 600):
+        try:
+            got = _power_at_least(x, a, y, b, Fraction(1))
+        except ResourceCapError as exc:
+            bits = int(re.search(r"at least (\d+) bits", str(exc)).group(1))
+            assert 600 < bits <= formed
+        else:
+            assert got == (x ** a >= y ** b)
 
 
 # (eps, p, m) for the derived weight test: any sizes, and exact ties
@@ -480,6 +533,16 @@ def test_weight_test_refuses_c1_outside_the_float_range():
     tiny = StepSchedule(None, Fraction(1, 10 ** 400), (0,), (5,), 100)
     with pytest.raises(DomainError, match="out of range"):
         schedule_onset(SQ, tiny)
+    # an eps below the float range is named with its rate, not as c1
+    with pytest.raises(DomainError, match=r"^eps is out of range: eps\*log\(2\)/2 must lie"):
+        choose_schedule(SQ, 1, 10 ** 4, eps=Fraction(1, 10 ** 400))
+
+
+def test_size_check_at_a_tiny_eps_reports_the_nominal_horizon():
+    # with eps*limit <= 1 the certified chain fails at every m in range,
+    # decided before any float, so the nominal onset is the one to refuse
+    with pytest.raises(InsufficientHorizonError, match="still fails at the horizon 10000"):
+        verify_size_bound(Fraction(1, 10 ** 400), SQ, square_schedule(), [1] * 40)
 
 
 def test_size_bound_rejects_inadmissible_words():
