@@ -12,11 +12,12 @@ seeded with p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.
 """
 
 import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundaryAmbiguityError, DomainError, int_at_least, is_int
+from .errors import (
+    BoundaryAmbiguityError, DomainError, int_at_least, is_int, quoted, read_int, read_ints,
+)
 
 __all__ = [
     "PartialQuotients",
@@ -79,47 +80,13 @@ class PartialQuotients(tuple):
     @classmethod
     def from_text(cls, text):
         """Parse a comma separated digit list, e.g. ``"2,1,4"``."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        parts = [p.strip() for p in text.split(",")]
-        if any(not re.fullmatch(r"\d+", p) for p in parts):
-            raise DomainError("word must be comma separated positive integers: %r" % text)
-        return cls(_read_int(p, "a word digit") for p in parts)
+        return cls(read_ints(text, "a word digit"))
 
     def to_text(self):
         return ",".join(map(str, self))
 
     def __repr__(self):
         return "PartialQuotients([%s])" % self.to_text()
-
-
-def _read_int(digits, what):
-    """int of a string of decimal digits; one past the interpreter's limit is refused."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise DomainError(
-            "%s has %d digits, more than the %d an integer is read from"
-            % (what, len(digits), sys.get_int_max_str_digits())
-        )
-
-
-def exact_positive_fraction(value, what):
-    """Coerce to a positive Fraction, refusing floats (their rounding is silent)."""
-    if isinstance(value, bool):
-        raise DomainError("%s must be a number, got a bool" % what)
-    if isinstance(value, float):
-        raise DomainError(
-            "%s must be exact (int, Fraction or string like '1/10'), not a float" % what
-        )
-    try:
-        out = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise DomainError("%s is not a rational: %r" % (what, value))
-    if out <= 0:
-        raise DomainError("%s must be positive, got %s" % (what, out))
-    return out
 
 
 class Convergent(NamedTuple):
@@ -182,7 +149,7 @@ def expand_rational(x):
     try:
         x = Fraction(x[0], x[1]) if isinstance(x, tuple) else Fraction(x)
     except (IndexError, TypeError, ValueError, ZeroDivisionError):
-        raise DomainError("cannot interpret %r as a rational" % (x,))
+        raise DomainError("cannot interpret %s as a rational" % quoted(x))
     if not 0 < x < 1:
         raise DomainError("expand_rational needs 0 < x < 1, got %s" % x)
     digits = []
@@ -205,7 +172,8 @@ def normalize(word):
     return digits
 
 
-_DECIMAL_RE = re.compile(r"(?:0)?\.(\d+)")
+# [0-9], not \d, which also matches non-ASCII digits
+_DECIMAL_RE = re.compile(r"(?:0)?\.([0-9]+)")
 
 
 def expand_decimal(text, max_digits=None):
@@ -222,9 +190,9 @@ def expand_decimal(text, max_digits=None):
         int_at_least(max_digits, "max_digits")
     m = _DECIMAL_RE.fullmatch(text.strip())
     if not m:
-        raise DomainError("expected a decimal literal like '0.318', got %r" % text)
+        raise DomainError("expected a decimal literal like '0.318', got %s" % quoted(text))
     frac = m.group(1)
-    v = Fraction(_read_int(frac, "the decimal literal"), 10 ** len(frac))
+    v = Fraction(read_int(frac, "the decimal literal"), 10 ** len(frac))
     half = Fraction(1, 2 * 10 ** len(frac))
     lo, hi = v - half, v + half
     if lo <= 0 or hi >= 1:

@@ -53,7 +53,9 @@ from .dimension import (
     per_level_factor,
     reference_bounds,
 )
-from .errors import DomainError, ResourceCapError, ToolkitError, is_int
+from .errors import (
+    DomainError, ResourceCapError, ToolkitError, is_int, quoted, read_int, read_ints, read_lines,
+)
 from .hirst import (
     covering_condition,
     covering_product_bound,
@@ -78,16 +80,6 @@ def _digits(args):
     return parse_digit_set(args.digits_spec)
 
 
-def _ints(text):
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise DomainError("expected comma separated integers, got %r" % text)
-
-
 def _context(args):
     # the library's context, with the target tolerance from --tol if given
     if args.tol is None:
@@ -95,18 +87,8 @@ def _context(args):
     try:
         tol = float(args.tol)
     except ValueError:
-        raise DomainError("--tol must be a number, got %r" % args.tol)
+        raise DomainError("--tol must be a number, got %s" % quoted(args.tol))
     return PrecisionContext(target_abs_tol=tol)
-
-
-def _read_text(path, what):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DomainError("cannot read %s %r: %s" % (what, path, exc.strerror))
-    except UnicodeDecodeError as exc:
-        raise DomainError("%s %r is not text: %s" % (what, path, exc))
 
 
 def _check_digits(n):
@@ -184,7 +166,8 @@ def _render(envelope, fmt):
 def _schedule_from_args(args, seq):
     if getattr(args, "schedule", None):
         try:
-            data = json.loads(_read_text(args.schedule, "schedule file"))
+            data = json.loads("".join(read_lines(args.schedule, "schedule file")),
+                              parse_int=lambda t: read_int(t, "a schedule integer"))
         except json.JSONDecodeError as exc:
             raise DomainError("schedule file %r is not valid JSON: %s" % (args.schedule, exc))
         except RecursionError:
@@ -226,7 +209,7 @@ def _cf_delete(args):
     if (args.positions is None) == (args.seq is None):
         raise DomainError("give exactly one of --positions and --seq")
     positions = (
-        _ints(args.positions) if args.positions is not None
+        read_ints(args.positions, "a position") if args.positions is not None
         else parse_index_sequence(args.seq)
     )
     return delete_indices(word, positions)
@@ -282,8 +265,7 @@ def _construct_holder(args):
         raise DomainError("--eps is required when no schedule carries one")
     if args.pairs_file is not None:
         pairs = []
-        lines = _read_text(args.pairs_file, "pairs file").splitlines()
-        for line_no, line in enumerate(lines, start=1):
+        for line_no, line in enumerate(read_lines(args.pairs_file, "pairs file"), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -36,15 +36,16 @@ from .cfcore import (
     cylinder,
     delete_indices,
     evaluate,
-    exact_positive_fraction,
 )
 from .errors import (
     DomainError,
     FrozenRecord,
     InsufficientHorizonError,
     ResourceCapError,
+    exact_positive_fraction,
     int_at_least,
     is_int,
+    quoted,
 )
 from .special import as_real
 
@@ -166,7 +167,7 @@ class StepSchedule(FrozenRecord):
                 if gap > derived / 10 ** 9:
                     raise DomainError(
                         "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
-                        % (raw_eps, raw_c1, mp.nstr(derived, 12))
+                        % (quoted(raw_eps), quoted(raw_c1), mp.nstr(derived, 12))
                     )
         return sched
 

@@ -20,10 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfcore import PartialQuotients, _final_row
-from .errors import DivergenceError, DomainError, ResourceCapError, int_at_least
-from .special import (
-    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_tolerance, _neg_power, as_real, zeta, zeta_tail,
-)
+from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
+from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _neg_power, as_real, zeta, zeta_tail
 
 __all__ = [
     "CriticalSolveResult",

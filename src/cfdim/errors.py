@@ -1,4 +1,4 @@
-"""Exception types shared across the package, its one integer rule, and its record base.
+"""Exception types shared across the package, its input rules, and its record base.
 
 Every structured failure carries an ``exit_code`` so the command line
 front end can map it without a lookup table: 2 for domain and
@@ -6,12 +6,22 @@ convergence problems, 3 for inputs that are too coarse or horizons that
 are too short, 4 for deliberate resource caps.
 
 Integer arguments (indices, digits, floors, levels, caps, horizons) are
-checked only through the two functions at the end: an integer is an
-``int`` that is not a ``bool``, so ``True`` never passes as 1.
+checked only through ``is_int`` and ``int_at_least``: an integer is an
+``int`` that is not a ``bool``, so ``True`` never passes as 1.  Outside
+input enters only through the readers after them: an integer typed as
+text through ``read_int`` (ASCII decimal digits, blanks stripped, no
+longer than the interpreter reads), a list of them through ``read_ints``,
+a file through ``read_lines`` and a rational through
+``exact_positive_fraction``.  A refusal quotes at most 40 characters of
+its input.
 
 The validated value records (PrecisionContext, IndexSequence, DigitSet,
 StepSchedule) derive from ``FrozenRecord`` at the end.
 """
+
+import math
+import sys
+from fractions import Fraction
 
 
 class ToolkitError(Exception):
@@ -66,6 +76,68 @@ def int_at_least(x, what, minimum=1):
     if not is_int(x) or x < minimum:
         raise DomainError("%s must be an integer >= %d, got %r" % (what, minimum, x))
     return x
+
+
+def quoted(value):
+    """repr of value, cut to 40 characters so that a refusal never echoes unbounded input."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def read_int(text, what):
+    """The int of text in ASCII decimal digits, blanks stripped, within the int-string limit."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError("%s must be written in decimal digits, got %s" % (what, quoted(digits)))
+    try:  # int refuses text past the limit by its length, before converting
+        return int(digits)
+    except ValueError:
+        raise DomainError("%s has %d digits, more than the %d an integer is read from"
+                          % (what, len(digits), sys.get_int_max_str_digits())) from None
+
+
+def read_ints(text, what):
+    """The ints of a comma separated list, each read by ``read_int``; blank text is ()."""
+    if not text.strip():
+        return ()
+    return tuple(read_int(part, what) for part in text.split(","))
+
+
+def read_lines(path, what):
+    """The lines of a text file, streamed; an unreadable or non-text file raises DomainError."""
+    try:
+        with open(path) as fh:
+            yield from fh
+    except OSError as exc:
+        raise DomainError("cannot read %s %r: %s" % (what, path, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise DomainError("%s %r is not text: %s" % (what, path, exc))
+
+
+def exact_positive_fraction(value, what):
+    """Coerce to a positive Fraction, refusing floats (their rounding is silent)."""
+    if isinstance(value, bool):
+        raise DomainError("%s must be a number, got a bool" % what)
+    if isinstance(value, float):
+        raise DomainError(
+            "%s must be exact (int, Fraction or string like '1/10'), not a float" % what
+        )
+    try:
+        out = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise DomainError("%s is not a rational: %s" % (what, quoted(value)))
+    if out <= 0:
+        # the input, not out: str(out) fails past the int-string limit
+        raise DomainError("%s must be positive, got %s" % (what, quoted(value)))
+    return out
+
+
+def _check_tolerance(tol, what):
+    # nan fails the first test and inf the second
+    if not tol > 0:
+        raise DomainError("%s must be positive" % what)
+    if not tol < math.inf:
+        raise DomainError("%s must be finite, got %s" % (what, tol))
 
 
 class FrozenRecord:

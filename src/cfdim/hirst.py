@@ -15,8 +15,8 @@ by adding terms up to M, because the interesting M sit near 10^12.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfcore import PartialQuotients, exact_positive_fraction
-from .errors import DivergenceError, DomainError, int_at_least, is_int
+from .cfcore import PartialQuotients
+from .errors import DivergenceError, DomainError, exact_positive_fraction, int_at_least, is_int
 from .sequences import _require_digit_set, tau
 from .special import DEFAULT_CONTEXT, as_real, zeta_tail
 

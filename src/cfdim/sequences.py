@@ -17,9 +17,11 @@ and parsed from one spec language:
 
 "even" is arith (2, 2), "all" is arith (1, 1) and "geq:M" is
 arith (M, 1); a file holds one integer per line, ascending, at most
-10^6 entries.  A digit set needs a closed-form convergence exponent, so
-its progressions must have gap 1 ("all", "geq:M") and the digit set
-parser rejects "even" and "arith".
+10^6 entries, and blank lines are skipped.  Every integer of a spec, a
+parameter or a line, is ASCII decimal digits read by
+``cfdim.errors.read_int``.  A digit set needs a closed-form
+convergence exponent, so its progressions must have gap 1 ("all",
+"geq:M") and the digit set parser rejects "even" and "arith".
 
 k(n) is constant on each run between consecutive members, and
 ``runs(limit)`` walks those runs; the certificate scans in
@@ -58,7 +60,9 @@ from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, FrozenRecord, int_at_least, is_int
+from .errors import (
+    DomainError, FrozenRecord, int_at_least, is_int, quoted, read_int, read_ints, read_lines,
+)
 
 __all__ = [
     "IndexSequence",
@@ -92,22 +96,12 @@ def _validated_values(values):
 
 def _load_values(path):
     values = []
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(int(line))
-                except ValueError:
-                    raise DomainError(
-                        "line %d of %s: expected an integer, got %r" % (line_no, path, line)
-                    )
-    except OSError as e:
-        raise DomainError("cannot read %s: %s" % (path, e))
-    except UnicodeDecodeError as e:
-        raise DomainError("%s is not text: %s" % (path, e))
+    for line_no, line in enumerate(read_lines(path, "sequence file"), start=1):
+        if not line.isspace():
+            try:
+                values.append(read_int(line, "an entry"))
+            except DomainError as exc:
+                raise DomainError("line %d of %s: %s" % (line_no, path, exc)) from None
     return _validated_values(values)
 
 
@@ -286,31 +280,20 @@ def _parse_rule(text, noun):
         return "arith", (1, 1), ()
     head, sep, rest = text.partition(":")
     if head == "arith" and sep:
-        parts = rest.split(",")
-        if len(parts) != 2:
+        params = read_ints(rest, "an arith parameter")
+        if len(params) != 2:
             raise DomainError("arith spec needs two parameters, e.g. arith:3,5")
-        try:
-            a0, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DomainError("malformed arith spec %r" % text)
-        return "arith", (a0, d), ()
+        return "arith", params, ()
     if head == "pow" and sep:
-        try:
-            b = int(rest)
-        except ValueError:
-            raise DomainError("malformed pow spec %r" % text)
-        return "pow", (b,), ()
+        return "pow", (read_int(rest, "a pow base"),), ()
     if head == "geq" and sep:
-        try:
-            m = int(rest)
-        except ValueError:
-            raise DomainError("malformed geq spec %r" % text)
+        m = read_int(rest, "a geq floor")
         if m < 1:
             raise DomainError("geq floor must be >= 1")
         return "arith", (m, 1), ()
     if head == "file" and sep:
         return "explicit", (), _load_values(rest)
-    raise DomainError("unrecognized %s spec %r" % (noun, text))
+    raise DomainError("unrecognized %s spec %s" % (noun, quoted(text)))
 
 
 def parse_index_sequence(text):
@@ -375,8 +358,8 @@ def parse_digit_set(text):
     text = text.strip()
     if text == "even" or text.partition(":")[0] == "arith":
         raise DomainError(
-            "%r has no closed-form convergence exponent; digit sets accept "
-            "all, geq:M, square, pow:b, file:<path>" % text
+            "%s has no closed-form convergence exponent; digit sets accept "
+            "all, geq:M, square, pow:b, file:<path>" % quoted(text)
         )
     return DigitSet(*_parse_rule(text, "digit set"))
 

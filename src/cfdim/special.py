@@ -45,12 +45,8 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    DivergenceError,
-    DomainError,
-    FrozenRecord,
-    PoleProximityError,
-    ResourceCapError,
-    int_at_least,
+    DivergenceError, DomainError, FrozenRecord, PoleProximityError, ResourceCapError,
+    _check_tolerance, int_at_least, quoted,
 )
 
 __all__ = [
@@ -68,14 +64,10 @@ __all__ = [
 _EULER_GAMMA_30 = "0.577215664901532860606512090082"
 # critical_exponent(10) takes about 0.8 s at 1,000 digits and 43 s at 10,000
 _MAX_DIGITS = 1000
-
-
-def _check_tolerance(tol, what):
-    # nan fails the first test and inf the second
-    if not tol > 0:
-        raise DomainError("%s must be positive" % what)
-    if not tol < math.inf:
-        raise DomainError("%s must be finite, got %s" % (what, tol))
+# as_real refuses a caller's exponent above it: zeta("1e1000") takes 5 s
+# and zeta("1e2000") 29 s, while at 10^6 every exponent function takes ms.
+# An mpf exponent is one computed inside, such as the 2s of a factor at s
+_MAX_EXPONENT = 10 ** 6
 
 
 class PrecisionContext(FrozenRecord):
@@ -103,14 +95,17 @@ def as_real(x, what="value"):
 
     if isinstance(x, bool):
         raise DomainError("expected a real %s, got a boolean" % what)
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    try:
-        xm = mpmath.mpf(x)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise DomainError("cannot interpret %r as a real %s" % (x, what))
-    if not mpmath.mp.isfinite(xm):
-        raise DomainError("%s must be a finite real, got %s" % (what, xm))
+    if isinstance(x, Fraction):  # always finite
+        xm = mpmath.mpf(x.numerator) / x.denominator
+    else:
+        try:
+            xm = mpmath.mpf(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError("cannot interpret %s as a real %s" % (quoted(x), what))
+        if not mpmath.mp.isfinite(xm):
+            raise DomainError("%s must be a finite real, got %s" % (what, xm))
+    if what == "exponent" and not isinstance(x, mpmath.mpf) and xm > _MAX_EXPONENT:
+        raise ResourceCapError("exponent cap is %d, got %s" % (_MAX_EXPONENT, xm))
     return xm
 
 

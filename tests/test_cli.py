@@ -105,6 +105,12 @@ _BAD_SCHEDULES = {
         # integers past the interpreter's 4,300-digit limit on reading one
         ["cf", "eval", "--word", "7" * 5000],
         ["cf", "expand", "--decimal", "0." + "3" * 5000],
+        ["construct", "point", "--seq", "square", "--schedule", "BIG_JSON_INT",
+         "--M", "3", "--depth", "5"],
+        ["seq", "count", "--spec", "file:BIG_LINE", "--n", "2"],
+        ["seq", "count", "--spec", "pow:" + "7" * 5000, "--n", "2"],
+        ["construct", "schedule", "--seq", "square", "--eps=-1e5000", "--j-max", "1",
+         "--horizon", "100"],
         *(["construct", "point", "--seq", "square", "--schedule", key, "--M", "3",
            "--depth", "12"] for key in _BAD_SCHEDULES),
     ],
@@ -113,7 +119,8 @@ _BAD_SCHEDULES = {
          "factor-zero-den", "zeta-zero-den", "cover-zero-den", "product-zero-den",
          "rational-not-a-number", "rational-zero-den", "max-digits-negative",
          "zeta-tol-unreachable", "critical-tol-unreachable", "word-digit-too-long",
-         "decimal-too-long",
+         "decimal-too-long", "schedule-int-too-long", "file-line-too-long", "pow-too-long",
+         "eps-negative-past-the-int-string-limit",
          *("schedule-" + key.lower().replace("_", "-") for key in _BAD_SCHEDULES)],
 )
 def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv):
@@ -125,12 +132,19 @@ def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, ar
     not_text.write_bytes(b"\xff\xfe1,2;3,4\n")
     not_ints = tmp_path / "values.txt"
     not_ints.write_text("1\nx\n3\n")
+    # written as text: json.dumps cannot write an int past the int-string limit
+    big_json_int = tmp_path / "big.json"
+    big_json_int.write_text(json.dumps(_SCHEDULE).replace("[5]", "[%s]" % ("7" * 5000)))
+    big_line = tmp_path / "big.txt"
+    big_line.write_text("1\n%s\n" % ("7" * 5000))
     paths = {
         "MISSING": str(tmp_path / "absent.json"),
         "NOT_JSON": str(not_json),
         "DEEP_JSON": str(deep_json),
         "NOT_TEXT": str(not_text),
         "NOT_INTS": str(not_ints),
+        "BIG_JSON_INT": str(big_json_int),
+        "BIG_LINE": str(big_line),
     }
     for key, edit in _BAD_SCHEDULES.items():
         path = tmp_path / ("%s.json" % key.lower())
@@ -141,6 +155,84 @@ def test_bad_tol_and_file_inputs_exit_2_with_one_error_line(capsys, tmp_path, ar
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_X = "x" + "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "count", "--spec", "file:BIG_LINE", "--n", "2"],
+        ["construct", "point", "--seq", "square", "--schedule", "LONG_C1", "--M", "3",
+         "--depth", "5"],
+        ["construct", "schedule", "--seq", "square", "--eps", "7" * 5000 + "/3",
+         "--j-max", "1", "--horizon", "100"],
+        ["cf", "expand", "--rational", _X],
+        ["hirst", "m0", "--digits-spec", "all", "--seq", "square", "--eps", _X, "--M", "3"],
+        ["cf", "eval", "--word", "1," + _X],
+        ["seq", "count", "--spec", "pow:" + _X, "--n", "2"],
+        ["seq", "count", "--spec", _X, "--n", "2"],
+        ["seq", "tau", "--digits-spec", "arith:" + _X],
+        ["cf", "expand", "--decimal", _X],
+        ["zeta", "value", "--z", _X],
+        ["zeta", "value", "--z", "2", "--tol", _X],
+    ],
+    ids=["file-line", "schedule-c1", "eps-numerator", "rational", "hirst-eps", "word-digit",
+         "pow-base", "spec", "digit-set-spec", "decimal", "real", "tol"],
+)
+def test_no_refusal_echoes_unbounded_input(capsys, tmp_path, argv):
+    big_line = tmp_path / "big.txt"
+    big_line.write_text("7" * 5000 + "\n")
+    long_c1 = tmp_path / "c1.json"  # a c1 that contradicts eps, in 4,000 digits
+    long_c1.write_text(json.dumps(dict(_SCHEDULE, c1="0.0346" + "5" * 4000)))
+    code, out, err = run(capsys, *(a.replace("BIG_LINE", str(big_line))
+                                   .replace("LONG_C1", str(long_c1)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "count", "--spec", "pow:1_0", "--n", "100"],
+        ["seq", "count", "--spec", "arith:+3,5", "--n", "100"],
+        ["cf", "delete", "--word", "1,2,3", "--positions", "+2"],
+        ["cf", "delete", "--word", "1,2,3", "--positions", "-1"],
+        ["seq", "count", "--spec", "file:PLUS", "--n", "1"],
+        ["seq", "count", "--spec", "file:UNDERSCORE", "--n", "1"],
+        ["cf", "eval", "--word", "\u0661,2"],
+        ["cf", "expand", "--decimal", "0.\u0663"],
+    ],
+    ids=["pow-underscore", "arith-plus", "position-plus", "position-minus", "file-plus",
+         "file-underscore", "word-arabic-indic", "decimal-arabic-indic"],
+)
+def test_an_integer_typed_as_text_is_ascii_decimal_digits(capsys, tmp_path, argv):
+    (tmp_path / "plus.txt").write_text("1\n+4\n")
+    (tmp_path / "underscore.txt").write_text("1\n4_0\n")
+    argv = [a.replace("PLUS", str(tmp_path / "plus.txt"))
+            .replace("UNDERSCORE", str(tmp_path / "underscore.txt")) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "value", "--z", "1e1000"],
+        ["zeta", "tail", "--start", "3", "--z", "1e2000"],
+        ["dim", "factor", "--M", "5", "--s", "1e300"],
+        ["dim", "cover", "--M", "2", "--s", "1e300", "--levels", "2", "--digit-cap", "6"],
+    ],
+    ids=["zeta", "tail", "factor", "cover"],
+)
+def test_an_exponent_past_a_million_exits_4_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err.startswith("error: exponent cap is 1000000, got ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
-"""The integer rule in cfdim.errors, and the guards that keep it and as_real the only spellings."""
+"""The integer rule and the input readers in cfdim.errors, and the guards that keep them and
+as_real the only spellings."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from cfdim.errors import DomainError, int_at_least, is_int
+from cfdim.errors import (
+    DomainError, exact_positive_fraction, int_at_least, is_int, quoted, read_int, read_ints,
+    read_lines,
+)
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "cfdim"
 
@@ -23,6 +27,53 @@ def test_int_at_least_returns_its_argument_or_names_it():
         with pytest.raises(DomainError) as exc:
             int_at_least(bad, "depth")
         assert str(exc.value) == "depth must be an integer >= 1, got %s" % text
+
+
+def test_read_int_takes_ascii_digits_with_blanks_stripped():
+    assert read_int("42", "n") == 42 and read_int(" 007\t\n", "n") == 7
+    assert read_int("9" * 4300, "n") == 10 ** 4300 - 1
+    for bad in ("", " ", "+2", "-1", "1_0", "1.0", "0x10", "\u0661", "\u00b2", "1 2"):
+        with pytest.raises(DomainError, match="^n must be written in decimal digits, got "):
+            read_int(bad, "n")
+    with pytest.raises(DomainError, match="^n has 4301 digits, more than the 4300 an integer"):
+        read_int(" " + "9" * 4301, "n")
+
+
+def test_read_ints_reads_a_comma_separated_list():
+    assert read_ints(" 2, 1 ,4 ", "a digit") == (2, 1, 4)
+    assert read_ints("", "a digit") == () and read_ints("  ", "a digit") == ()
+    for bad in ("2,,1", "2,", ",2", "2;1"):
+        with pytest.raises(DomainError, match="^a digit must be written in decimal digits"):
+            read_ints(bad, "a digit")
+
+
+def test_a_refusal_quotes_at_most_40_characters():
+    assert quoted("abc") == "'abc'" and quoted((1, 0)) == "(1, 0)"
+    assert quoted("x" * 38) == "'%s'" % ("x" * 38)
+    assert quoted("x" * 39) == "'%s..." % ("x" * 36)
+    for bad in ("x" * 5000, "1/" + "x" * 5000):
+        with pytest.raises(DomainError) as exc:
+            read_int(bad, "n")
+        assert len(str(exc.value)) < 100
+        with pytest.raises(DomainError) as exc:
+            exact_positive_fraction(bad, "eps")
+        assert str(exc.value) == "eps is not a rational: %s" % quoted(bad)
+
+
+def test_read_lines_streams_a_file_and_refuses_what_it_cannot_read(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("1\n\n2")
+    assert list(read_lines(str(path), "a list")) == ["1\n", "\n", "2"]
+    lines = read_lines(str(path), "a list")  # lines arrive one at a time
+    assert next(lines) == "1\n"
+    lines.close()
+    with pytest.raises(DomainError, match="^cannot read a list '.*absent': No such file"):
+        list(read_lines(str(tmp_path / "absent"), "a list"))
+    with pytest.raises(DomainError, match="^cannot read a list '.*': Is a directory"):
+        list(read_lines(str(tmp_path), "a list"))
+    (tmp_path / "bin").write_bytes(b"1\n\xff\xfe\n")
+    with pytest.raises(DomainError, match="^a list '.*bin' is not text"):
+        list(read_lines(str(tmp_path / "bin"), "a list"))
 
 
 def _int_isinstance_lines(source):
@@ -127,3 +178,53 @@ def test_construction_reads_the_rule_kind_only_in_the_nominal_certificate():
     assert _kind_reads("def f(s):\n    return s.kind\ng.kind\n") == [("f", 2), (None, 3)]
     reads = _kind_reads((_SRC / "construction.py").read_text())
     assert reads and {func for func, _ in reads} == {"_nominal_cert"}
+
+
+def _calls(source, name, nargs=None):
+    # (innermost enclosing function or None, line) of each call of the bare name
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name
+                and (nargs is None or len(node.args) + len(node.keywords) == nargs)):
+            yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+    return list(visit(ast.parse(source), None))
+
+
+def _offenders(name, nargs, allowed):
+    return ["%s:%d %s" % (p.name, line, func)
+            for p in sorted(_SRC.glob("*.py"))
+            for func, line in _calls(p.read_text(), name, nargs)
+            if (p.name, func) not in allowed]
+
+
+def test_only_read_lines_opens_a_file():
+    assert _calls("def f(p):\n    with open(p) as fh:\n        pass\nopen(q, 'w')\n", "open") \
+        == [("f", 2), (None, 4)]
+    assert _calls("fh.open(p)\nos.open(p, 0)\n", "open") == []
+    assert [func for func, _ in _calls((_SRC / "errors.py").read_text(), "open")] \
+        == ["read_lines"]
+    assert _offenders("open", None, {("errors.py", "read_lines")}) == [], \
+        "read files through cfdim.errors.read_lines"
+
+
+# int() of an mpmath or Fraction value, never of text
+_INT_OF_A_NUMBER = {
+    ("construction.py", "_nominal_cert"),
+    ("construction.py", "end"),  # the closure of _weight_test
+    ("dimension.py", "covering_sum_enumerated"),
+    ("hirst.py", "estimate_condition_floor"),
+}
+
+
+def test_only_read_int_turns_text_into_an_int():
+    assert _calls("def f(t):\n    return int(t), int(t, 16), int(x=t)\n", "int", 1) \
+        == [("f", 2), ("f", 2)]
+    assert _calls("isinstance(x, int)\nmath.floor(int)\n", "int", 1) == []
+    assert [func for func, _ in _calls((_SRC / "errors.py").read_text(), "int", 1)] \
+        == ["read_int"]
+    offenders = _offenders("int", 1, _INT_OF_A_NUMBER | {("errors.py", "read_int")})
+    assert offenders == [], "read integers typed as text through cfdim.errors.read_int"

@@ -24,7 +24,9 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
-from cfdim.dimension import covering_sum_enumerated, critical_exponent
+from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_level_factor
+from cfdim.hirst import covering_product_bound
+from cfdim.sequences import parse_digit_set, parse_index_sequence
 from cfdim.special import _neg_power, _tail_correction, as_real
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
@@ -139,6 +141,31 @@ def test_working_digits_past_1000_are_refused_at_once():
     with pytest.raises(ResourceCapError, match="^working_digits cap is 1000, got 1001$") as exc:
         PrecisionContext(working_digits=1001)
     assert time.perf_counter() - start < 0.1 and exc.value.exit_code == 4
+
+
+_EXPONENT_FUNCTIONS = {
+    "zeta": lambda s: zeta(s),
+    "zeta_tail": lambda s: zeta_tail(5, s),
+    "tail_integral_approx": lambda s: tail_integral_approx(3, s),
+    "per_level_factor": lambda s: per_level_factor(5, s),
+    "covering_sum_enumerated": lambda s: covering_sum_enumerated(2, s, 2, 6),
+    "covering_product_bound": lambda s: covering_product_bound(
+        parse_digit_set("all"), parse_index_sequence("even"), 2, s, 0, 1, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPONENT_FUNCTIONS))
+def test_an_exponent_past_a_million_is_refused_at_once(name):
+    call = _EXPONENT_FUNCTIONS[name]
+    for s in (10 ** 6, "1e6", Fraction(10 ** 6)):
+        start = time.perf_counter()
+        assert 0 < call(s) <= 1
+        assert time.perf_counter() - start < 0.5
+    for s in ("1000000.5", 10 ** 6 + 1, "1e300", Fraction(10 ** 1000), "1e5000"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="^exponent cap is 1000000, got ") as exc:
+            call(s)
+        assert time.perf_counter() - start < 0.1 and exc.value.exit_code == 4
 
 
 @pytest.mark.parametrize("tol, message", [
