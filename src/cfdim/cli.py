@@ -72,6 +72,17 @@ _REAL_DIGITS = 25
 _RENAMED = {"m_floor": "M"}
 
 
+def _integer(text):
+    """An integer flag, read by read_int; a minus sign is left to the library's range checks."""
+    digits = text.strip()
+    negative = digits[:1] == "-" and digits[1:2].isdigit()
+    try:
+        n = read_int(digits[1:] if negative else digits, "the value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return -n if negative else n
+
+
 def _word(text):
     return PartialQuotients.from_text(text)
 
@@ -324,22 +335,22 @@ def _one_of(*specs):
 
 
 # flag shapes taken by more than one command
-_M = _flag("--M", type=int, required=True)
+_M = _flag("--M", type=_integer, required=True)
 _S = _flag("--s", required=True)
 _Z = _flag("--z", required=True)
 _WORD = _flag("--word", required=True)
 _PREFIX = _flag("--prefix", default="")
 _SEQ = _flag("--seq", required=True)
 _SPEC = _flag("--spec", required=True)
-_HORIZON = _flag("--horizon", type=int, required=True)
+_HORIZON = _flag("--horizon", type=_integer, required=True)
 _DIGIT_SET = _flag("--digits-spec", required=True)
 _TOL = _flag("--tol", help="target absolute tolerance")
 _SCHEDULE = (
     _flag("--schedule", help="path to a schedule JSON file")
     + _flag("--eps", help="exponent, e.g. 1/10 (derives c1 = eps*log2/2)")
     + _flag("--c1", help="explicit rational weight bound")
-    + _flag("--j-max", type=int)
-    + _flag("--horizon", type=int)
+    + _flag("--j-max", type=_integer)
+    + _flag("--horizon", type=_integer)
 )
 
 
@@ -365,7 +376,7 @@ _COMMANDS = (
     _Command("cf", "expand", _one_of(
         _flag("--rational", help="exact rational in (0,1), e.g. 7/10"),
         _flag("--decimal", help="decimal literal; only certain digits emitted"),
-    ) + _flag("--max-digits", type=int), _cf_expand, "digits"),
+    ) + _flag("--max-digits", type=_integer), _cf_expand, "digits"),
     _Command("cf", "eval", _WORD, lambda a: evaluate(_word(a.word))),
     _Command("cf", "convergents", _WORD, _cf_convergents),
     _Command("cf", "cylinder", _WORD, _cf_cylinder),
@@ -374,7 +385,7 @@ _COMMANDS = (
              + _flag("--seq", help="index sequence spec, e.g. square"),
              _cf_delete, "digits"),
     _Command("zeta", "value", _Z + _TOL, lambda a: zeta(a.z, _context(a))),
-    _Command("zeta", "tail", _flag("--start", type=int, required=True) + _Z + _TOL,
+    _Command("zeta", "tail", _flag("--start", type=_integer, required=True) + _Z + _TOL,
              lambda a: zeta_tail(a.start, a.z, _context(a))),
     _Command("dim", "factor", _M + _S, lambda a: per_level_factor(a.M, a.s), "factor"),
     _Command("dim", "critical", _M + _flag("--tol", default="1e-12")
@@ -384,24 +395,24 @@ _COMMANDS = (
     _Command("dim", "jlen", _WORD + _M,
              lambda a: j_interval_length(_word(a.word), a.M), "length"),
     _Command("dim", "cover", _M + _S
-             + _flag("--levels", type=int, required=True)
-             + _flag("--digit-cap", type=int, required=True)
-             + _flag("--threads", type=int, default=1,
+             + _flag("--levels", type=_integer, required=True)
+             + _flag("--digit-cap", type=_integer, required=True)
+             + _flag("--threads", type=_integer, default=1,
                      help="accepted for compatibility; has no effect"),
              _dim_cover),
     _Command("seq", "density", _SPEC + _HORIZON,
              lambda a: density(parse_index_sequence(a.spec), a.horizon)),
     _Command("seq", "tau", _DIGIT_SET, lambda a: tau(_digits(a)), "tau"),
-    _Command("seq", "count", _SPEC + _flag("--n", type=int, required=True),
+    _Command("seq", "count", _SPEC + _flag("--n", type=_integer, required=True),
              lambda a: parse_index_sequence(a.spec).count(a.n), "count"),
     _Command("construct", "schedule", _SEQ + _flag("--eps") + _flag("--c1")
-             + _flag("--j-max", type=int, required=True) + _HORIZON
+             + _flag("--j-max", type=_integer, required=True) + _HORIZON
              + _flag("--onset", action="store_true",
                      help="also certify the weight inequality onset"),
              _construct_schedule),
     _Command("construct", "point", _SEQ + _SCHEDULE + _M
-             + _flag("--depth", type=int, required=True)
-             + _flag("--filler", type=int, default=1), _construct_point),
+             + _flag("--depth", type=_integer, required=True)
+             + _flag("--filler", type=_integer, default=1), _construct_point),
     _Command("construct", "verify-size", _SEQ + _SCHEDULE + _WORD, _construct_verify_size),
     _Command("construct", "verify-sep", _PREFIX + _M
              + _flag("--x-tail", required=True) + _flag("--y-tail", required=True),
@@ -410,16 +421,16 @@ _COMMANDS = (
     _Command("construct", "holder", _SEQ + _SCHEDULE + _M
              + _flag("--pairs-file",
                      help="lines of 'word;word' with comma separated digits")
-             + _flag("--sample", type=int, help="generate this many random pairs")
-             + _flag("--seed", type=int, default=0)
-             + _flag("--min-prefix", type=int), _construct_holder),
+             + _flag("--sample", type=_integer, help="generate this many random pairs")
+             + _flag("--seed", type=_integer, default=0)
+             + _flag("--min-prefix", type=_integer), _construct_holder),
     _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst_dimension(_digits(a)), "dim"),
     _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True)
-             + _flag("--M", type=int) + _flag("--estimate", action="store_true"),
+             + _flag("--M", type=_integer) + _flag("--estimate", action="store_true"),
              _hirst_m0),
     _Command("hirst", "product", _DIGIT_SET + _SEQ + _M + _S
-             + _flag("--base-level", type=int, required=True)
-             + _flag("--level", type=int, required=True) + _PREFIX,
+             + _flag("--base-level", type=_integer, required=True)
+             + _flag("--level", type=_integer, required=True) + _PREFIX,
              _hirst_product, "bound"),
     _Command("hirst", "theorem", _SEQ,
              lambda a: dimension_dichotomy(parse_index_sequence(a.seq))),

@@ -38,8 +38,8 @@ __all__ = [
 _STEP_LIMIT = 200
 _LEVEL_CAP = 3
 _DIGIT_CAP = 50
-# terms of primes and cofactors below 2^12 are kept while a covering sum runs
-_COVER_MEMO = 1 << 12
+# terms of primes and cofactors below 2^13 are kept while a covering sum runs
+_COVER_MEMO = 1 << 13
 
 
 def j_interval_length(word, m_floor):
@@ -192,16 +192,17 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
 
     At an integer s a term is one rounded integer power of q r.
     Otherwise, when r < 2^16 (so q < 2^16 too), it is q^(-s) r^(-s) from
-    special's recursive kernel _neg_power, which makes a term the product
-    of the terms of its least prime factor and of its cofactor, down to
-    one non-integer power per prime.  The sum passes it one memo of the
-    terms below 2^12, so each prime there takes its power once.  Past
-    2^16 a term is one direct power of q r.  A kernel term carries at
-    most 2 Omega(q r) - 1 roundings (see special).
+    special's kernel _neg_power, which makes a term the product of the
+    terms of its least prime factor and of its cofactor, down to one
+    non-integer power per prime.  The sum keeps one memo of the terms
+    below 2^13, so each prime there takes its power once, and reads it
+    before calling the kernel, so a hit makes no call.  Past 2^16 a term
+    is one direct power of q r.  A kernel term carries at most
+    2 Omega(q r) - 1 roundings (see special).
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
     not the runtime: the largest admitted grid is ~3*10^8 words at about
-    24 us a word (its first 10^5 words at s = 7/10, 2-core x86 VM), about
+    22 us a word (its first 10^5 words at s = 7/10, 2-core Xeon VM), about
     two hours, so keep digit_cap modest at levels = 3.
     """
     from mpmath import mp
@@ -232,8 +233,14 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
             nz = mpf_neg(sm._mpf_)
             for q, r in _j_factors(m_floor, levels, digit_cap):
                 if r < _CUTOFF_CAP:
-                    term = mpf_mul(_neg_power(q, memo, nz, prec), _neg_power(r, memo, nz, prec),
-                                   prec, round_nearest)
+                    # the kernel is called only on a memo miss
+                    tq = memo[q] if q < _COVER_MEMO else None
+                    if tq is None:
+                        tq = _neg_power(q, memo, nz, prec)
+                    tr = memo[r] if r < _COVER_MEMO else None
+                    if tr is None:
+                        tr = _neg_power(r, memo, nz, prec)
+                    term = mpf_mul(tq, tr, prec, round_nearest)
                 else:
                     term = mpf_pow(from_int(q * r), nz, prec, round_nearest)
                 total = mpf_add(total, term, prec, round_nearest)

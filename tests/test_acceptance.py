@@ -45,6 +45,7 @@ from cfdim import (
     zeta_tail,
 )
 from cfdim.construction import PartialQuotients
+from spawn import child_env
 
 SQ = parse_index_sequence("square")
 EVEN = parse_index_sequence("even")
@@ -298,6 +299,7 @@ def run_cli(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "cfdim"] + argv,
         capture_output=True,
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, (argv, proc.stderr)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cfdim.cli import build_parser, main
+from spawn import child_env
 from test_acceptance import CLI_MATRIX
 
 
@@ -192,6 +193,23 @@ def test_no_refusal_echoes_unbounded_input(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
 
 
+@pytest.mark.parametrize("value", ["+3", "1_0", "\u0661", "7" * 5000],
+                         ids=["plus", "underscore", "arabic-indic-one", "5000-digits"])
+@pytest.mark.parametrize("argv", [
+    ["dim", "critical", "--M"],
+    ["cf", "expand", "--decimal", "0.5", "--max-digits"],
+], ids=["M", "max-digits"])
+def test_integer_flags_take_decimal_digits_only(capsys, argv, value):
+    # the rule read_int keeps for every other integer typed as text; the
+    # refusal is argparse's, and quotes at most 40 characters of the value
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument %s: the value " % argv[-1] in out.err
+    assert len(out.err) < 400, out.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -324,14 +342,15 @@ _PIPE_PROGRAMS = [
 
 @pytest.mark.parametrize("program", _PIPE_PROGRAMS, ids=["seq-tau", "critical-exit-3"])
 def test_closed_stdout_exits_quietly_with_the_normal_code(program):
-    normal = subprocess.run([sys.executable] + program, capture_output=True, timeout=120)
+    normal = subprocess.run([sys.executable] + program, capture_output=True, env=child_env(),
+                            timeout=120)
     assert normal.stdout and normal.returncode in (0, 3)
     # stdout is a pipe whose reader is already gone, as after `| head -0`
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         closed = subprocess.run([sys.executable] + program, stdout=write_end,
-                                stderr=subprocess.PIPE, timeout=120)
+                                stderr=subprocess.PIPE, env=child_env(), timeout=120)
     finally:
         os.close(write_end)
     err = closed.stderr.decode()

@@ -232,6 +232,23 @@ def test_covering_sum_matches_direct_powers_on_small_grids(m_floor, s, levels, e
     _assert_cover_sum_matches_reference(m_floor, s, levels, min(m_floor + extra, 10))
 
 
+@pytest.mark.parametrize("m_floor, s, levels, cap, raw", [
+    (3, 1, 2, 10, (0, 0x71225e8953118ab2787cd3d4b310984f346570a2c9, -170, 167)),
+    (2, 2, 1, 30, (0, 0xffd1421a17cf861d823a1da71127fdd9b6afebf967, -171, 168)),
+    (2, Fraction(7, 10), 1, 30, (0, 0x52fe1a43a7a87d2d9ad255cbbbb567b92e98188ebb, -166, 167)),
+    (6, Fraction(23, 26), 2, 24,
+     (0, 0x1e344f29aa27030bf7a6780f2e1a2663b9afb56717, -168, 165)),
+    (4, Fraction(17, 20), 3, 8, (0, 0xc6c29c2cd717200b88c8680b3e3254a460ad769531, -172, 168)),
+    (3, Fraction(5, 8), 3, 5, (0, 0x112ff278546b8130493e909aafbf64241b9234324c9, -169, 169)),
+], ids=["s1-level2", "s2-level1", "level1", "largest-cover-op-seed-1", "r-past-2^16", "level3"])
+def test_covering_sum_keeps_its_bits(m_floor, s, levels, cap, raw):
+    # the raw mpf of the sum at 50 digits: a change to the kernel or the
+    # walk that reorders no rounded product keeps every bit.  The largest op
+    # of the benchmark's cover round at seed 1, (6, 23/26, 2, 24), and
+    # (4, 17/20, 3, 8) reach M q + q' >= 2^16
+    assert covering_sum_enumerated(m_floor, s, levels, cap)._mpf_ == raw
+
+
 def test_covering_sum_at_a_huge_integer_exponent_is_quick():
     # one rounded integer power per word; an exact (q r)^s would not finish
     start = time.perf_counter()

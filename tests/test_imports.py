@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+from spawn import child_env
+
 _LAYERS = ["cfdim.cfcore", "cfdim.construction", "cfdim.dimension", "cfdim.errors",
            "cfdim.hirst", "cfdim.sequences", "cfdim.special"]
 
@@ -24,7 +26,7 @@ for argv in json.loads(sys.argv[1]):
 
 def _fresh(*args):
     proc = subprocess.run([sys.executable] + list(args), capture_output=True, text=True,
-                          timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
 
 from cfdim import (
     DivergenceError,
@@ -27,7 +28,7 @@ from cfdim import (
 from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_level_factor
 from cfdim.hirst import covering_product_bound
 from cfdim.sequences import parse_digit_set, parse_index_sequence
-from cfdim.special import _neg_power, _tail_correction, as_real
+from cfdim.special import _LPF, _neg_power, _tail_correction, as_real
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
 
@@ -199,13 +200,13 @@ def test_kernel_terms_are_within_their_rounding_budget(z):
     # products, each within an ulp.  65537 is prime and 257 * 263 has no
     # factor below 256, so each takes one power; 2^15 has the most factors
     # of any argument below 2^16.  The memo is short, so most composites
-    # recurse to their primes
+    # walk down to their primes
     ks = list(range(1, 1 << 12)) + [65537, 257 * 263, 1 << 15]
     with mp.workdps(50):
         zm = as_real(z)
         prec = mp.prec
         memo = [None] * 64
-        nz = mpmath.libmp.mpf_neg(zm._mpf_)
+        nz = mpf_neg(zm._mpf_)
         raw = [_neg_power(k, memo, nz, prec) for k in ks]
     with mp.workdps(120):
         for k, v in zip(ks, raw):
@@ -213,6 +214,34 @@ def test_kernel_terms_are_within_their_rounding_budget(z):
             err = abs(mp.make_mpf(v) - mpf(k) ** -zm)
             assert err <= max(2 * _big_omega(k) - 1, 0) * ulp, k
 
+
+def _least_prime_factor(k):
+    # trial division by 2 .. min(isqrt(k), 255): 0 for 0, 1, a prime, or a
+    # k >= 2^16 without a factor below 256
+    return next((d for d in range(2, min(math.isqrt(k), 255) + 1) if k % d == 0), 0)
+
+
+def test_the_least_prime_factor_table_is_trial_division():
+    assert list(_LPF) == [_least_prime_factor(k) for k in range(1 << 16)]
+
+
+def test_the_kernel_makes_the_products_of_a_reference():
+    # the reference splits k into its least prime factor and the cofactor and
+    # multiplies their terms, in increasing k so that both are at hand.  A
+    # short memo makes the kernel walk long chains and power the primes
+    # above it again; the covering sum's memo keeps most of them
+    ks = list(range(1, 1 << 16)) + [65537, 257 * 263]
+    prec = 53
+    nz = mpf_neg(mpf("0.7")._mpf_)
+    ref = {1: fone}
+    for k in ks[1:]:
+        p = _least_prime_factor(k)
+        ref[k] = (mpf_mul(ref[p], ref[k // p], prec, round_nearest) if p
+                  else mpf_pow(from_int(k), nz, prec, round_nearest))
+    want = [ref[k] for k in ks]
+    for length in (64, 1 << 13):
+        memo = [None] * length
+        assert [_neg_power(k, memo, nz, prec) for k in ks] == want, length
 
 @pytest.mark.parametrize("z", ["1.000000002", "1.2", "2", "3.5", "8"])
 def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
@@ -267,12 +296,13 @@ def test_a_critical_solve_takes_a_bounded_number_of_powers(monkeypatch):
 
 
 def test_a_covering_sum_takes_a_power_per_prime_met(monkeypatch):
-    # the largest op of the benchmark's cover round at seed 1: 3,196 prime
-    # powers from the kernel and 56 direct powers, where one power per word
-    # made 10,944
+    # the largest op of the benchmark's cover round at seed 1: 2,463 prime
+    # powers from the kernel, whose memo keeps the terms below 2^13, and 56
+    # direct powers, where one power per word made 10,944 and a memo below
+    # 2^12 made 3,252
     counts = _count_noninteger_powers(monkeypatch)
     covering_sum_enumerated(6, Fraction(23, 26), 2, 24)
-    assert counts[0] <= 3300
+    assert counts[0] <= 2519
 
 
 def _reference_zeta_tail(start, z, tol):
