@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
-    BoundaryAmbiguityError, DomainError, int_at_least, is_int, quoted, read_int, read_ints,
+    BoundaryAmbiguityError, DomainError, exact_positive_fraction, int_at_least, is_int, quoted,
+    read_int, read_ints,
 )
 
 __all__ = [
@@ -138,19 +139,12 @@ def evaluate(word):
 
 
 def expand_rational(x):
-    """Digits of a rational x in (0,1), last digit >= 2 by convention.
+    """Digits of a rational x in (0,1), read by ``exact_positive_fraction``.
 
-    Accepts a Fraction, an (int, int) pair, or a string like "7/10".
-    Floats are rejected, their binary rounding would silently change
-    the expansion.
+    Euclid on a reduced fraction never ends in 1, so the last digit is >= 2.
     """
-    if isinstance(x, float):
-        raise DomainError("refusing float input, pass an exact rational ('p/q' or Fraction)")
-    try:
-        x = Fraction(x[0], x[1]) if isinstance(x, tuple) else Fraction(x)
-    except (IndexError, TypeError, ValueError, ZeroDivisionError):
-        raise DomainError("cannot interpret %s as a rational" % quoted(x))
-    if not 0 < x < 1:
+    x = exact_positive_fraction(x, "x")
+    if not x < 1:
         raise DomainError("expand_rational needs 0 < x < 1, got %s" % x)
     digits = []
     p, q = x.numerator, x.denominator
@@ -158,10 +152,7 @@ def expand_rational(x):
         a, r = divmod(q, p)
         digits.append(a)
         p, q = r, p
-    # Euclid on a reduced fraction cannot end in 1 (a trailing 1 would
-    # mean the previous remainder equalled the divisor), but normalize
-    # defensively so the uniqueness convention is a guarantee.
-    return normalize(digits)
+    return PartialQuotients(digits)
 
 
 def normalize(word):
@@ -243,7 +234,6 @@ class Cylinder(NamedTuple):
         return self.right - self.left
 
     def contains(self, x):
-        x = Fraction(x)
         if self.left < x < self.right:
             return True
         if x == self.left:

@@ -54,7 +54,8 @@ from .dimension import (
     reference_bounds,
 )
 from .errors import (
-    DomainError, ResourceCapError, ToolkitError, is_int, quoted, read_int, read_ints, read_lines,
+    DomainError, ResourceCapError, ToolkitError, is_int, nearest_float, read_fraction, read_int,
+    read_ints, read_lines,
 )
 from .hirst import (
     covering_condition,
@@ -95,11 +96,7 @@ def _context(args):
     # the library's context, with the target tolerance from --tol if given
     if args.tol is None:
         return PrecisionContext()
-    try:
-        tol = float(args.tol)
-    except ValueError:
-        raise DomainError("--tol must be a number, got %s" % quoted(args.tol))
-    return PrecisionContext(target_abs_tol=tol)
+    return PrecisionContext(target_abs_tol=nearest_float(read_fraction(args.tol, "--tol")))
 
 
 def _check_digits(n):
@@ -217,8 +214,6 @@ def _cf_cylinder(args):
 
 def _cf_delete(args):
     word = _word(args.word)
-    if (args.positions is None) == (args.seq is None):
-        raise DomainError("give exactly one of --positions and --seq")
     positions = (
         read_ints(args.positions, "a position") if args.positions is not None
         else parse_index_sequence(args.seq)
@@ -264,14 +259,8 @@ def _construct_verify_size(args):
 
 def _construct_holder(args):
     seq = parse_index_sequence(args.seq)
-    if (args.pairs_file is None) == (args.sample is None):
-        raise DomainError("give exactly one of --pairs-file and --sample")
-    sched = None
-    if args.sample is not None or args.schedule:
-        sched = _schedule_from_args(args, seq)
-    eps = args.eps
-    if eps is None and sched is not None:
-        eps = sched.eps
+    sched = _schedule_from_args(args, seq) if args.sample is not None or args.schedule else None
+    eps = args.eps if args.eps is not None or sched is None else sched.eps
     if eps is None:
         raise DomainError("--eps is required when no schedule carries one")
     if args.pairs_file is not None:
@@ -282,17 +271,12 @@ def _construct_holder(args):
                 continue
             halves = line.split(";")
             if len(halves) != 2:
-                raise DomainError(
-                    "line %d of %s: expected 'word;word'" % (line_no, args.pairs_file)
-                )
+                raise DomainError("line %d of %s: expected 'word;word'"
+                                  % (line_no, args.pairs_file))
             pairs.append((_word(halves[0]), _word(halves[1])))
     else:
-        min_prefix = args.min_prefix
-        if min_prefix is None:
-            min_prefix = nominal_onset(seq, eps)
-        pairs = sample_holder_pairs(
-            seq, args.M, sched, args.sample, args.seed, min_prefix
-        )
+        min_prefix = nominal_onset(seq, eps) if args.min_prefix is None else args.min_prefix
+        pairs = sample_holder_pairs(seq, args.M, sched, args.sample, args.seed, min_prefix)
     reports = holder_check(seq, args.M, eps, pairs)
     return {
         "pairs": reports,
@@ -305,8 +289,6 @@ def _construct_holder(args):
 def _hirst_m0(args):
     digits = _digits(args)
     seq = parse_index_sequence(args.seq)
-    if (args.M is None) == (not args.estimate):
-        raise DomainError("give exactly one of --M and --estimate")
     if args.M is not None:
         return covering_condition(digits, seq, args.eps, args.M)
     est = estimate_condition_floor(digits, seq, args.eps)
@@ -380,10 +362,10 @@ _COMMANDS = (
     _Command("cf", "eval", _WORD, lambda a: evaluate(_word(a.word))),
     _Command("cf", "convergents", _WORD, _cf_convergents),
     _Command("cf", "cylinder", _WORD, _cf_cylinder),
-    _Command("cf", "delete", _WORD
-             + _flag("--positions", help="comma separated 1-based positions")
-             + _flag("--seq", help="index sequence spec, e.g. square"),
-             _cf_delete, "digits"),
+    _Command("cf", "delete", _WORD + _one_of(
+        _flag("--positions", help="comma separated 1-based positions"),
+        _flag("--seq", help="index sequence spec, e.g. square"),
+    ), _cf_delete, "digits"),
     _Command("zeta", "value", _Z + _TOL, lambda a: zeta(a.z, _context(a))),
     _Command("zeta", "tail", _flag("--start", type=_integer, required=True) + _Z + _TOL,
              lambda a: zeta_tail(a.start, a.z, _context(a))),
@@ -418,16 +400,15 @@ _COMMANDS = (
              + _flag("--x-tail", required=True) + _flag("--y-tail", required=True),
              lambda a: verify_separation(
                  _word(a.prefix), a.M, _word(a.x_tail), _word(a.y_tail))),
-    _Command("construct", "holder", _SEQ + _SCHEDULE + _M
-             + _flag("--pairs-file",
-                     help="lines of 'word;word' with comma separated digits")
-             + _flag("--sample", type=_integer, help="generate this many random pairs")
-             + _flag("--seed", type=_integer, default=0)
-             + _flag("--min-prefix", type=_integer), _construct_holder),
+    _Command("construct", "holder", _SEQ + _SCHEDULE + _M + _one_of(
+        _flag("--pairs-file", help="lines of 'word;word' with comma separated digits"),
+        _flag("--sample", type=_integer, help="generate this many random pairs"),
+    ) + _flag("--seed", type=_integer, default=0) + _flag("--min-prefix", type=_integer),
+        _construct_holder),
     _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst_dimension(_digits(a)), "dim"),
-    _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True)
-             + _flag("--M", type=_integer) + _flag("--estimate", action="store_true"),
-             _hirst_m0),
+    _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True) + _one_of(
+        _flag("--M", type=_integer), _flag("--estimate", action="store_true"),
+    ), _hirst_m0),
     _Command("hirst", "product", _DIGIT_SET + _SEQ + _M + _S
              + _flag("--base-level", type=_integer, required=True)
              + _flag("--level", type=_integer, required=True) + _PREFIX,

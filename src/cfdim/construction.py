@@ -45,6 +45,7 @@ from .errors import (
     exact_positive_fraction,
     int_at_least,
     is_int,
+    nearest_float,
     quoted,
 )
 from .special import as_real
@@ -260,10 +261,7 @@ def _weight_test(eps, c1):
     float below 2^46 and has more digits past it.  The float quotient
     needs c1 in the normal float range.
     """
-    try:
-        c1_float = float(c1) if eps is None else float(eps) * _LOG2 / 2
-    except OverflowError:
-        c1_float = math.inf
+    c1_float = nearest_float(c1) if eps is None else nearest_float(eps) * _LOG2 / 2
     if not sys.float_info.min <= c1_float < math.inf:
         name, rate = ("c1", "c1") if eps is None else ("eps", "eps*log(2)/2")
         raise DomainError("%s is out of range: %s must lie between %g and %g"
@@ -411,8 +409,6 @@ def schedule_onset(seq, schedule):
     prod (step(j)+1)^(2*ed) <= 2^(en*m).
     """
     limit = _covered_limit(seq, schedule)
-    if limit < 1:
-        raise DomainError("the schedule covers no positions at all")
     end = _weight_test(schedule.eps, schedule.c1)
     runs = _step_products(seq, schedule, limit)
     worst = max(end(p, first, last) for first, last, _, p in runs)

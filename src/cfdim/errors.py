@@ -11,15 +11,17 @@ checked only through ``is_int`` and ``int_at_least``: an integer is an
 input enters only through the readers after them: an integer typed as
 text through ``read_int`` (ASCII decimal digits, blanks stripped, no
 longer than the interpreter reads), a list of them through ``read_ints``,
-a file through ``read_lines`` and a rational through
-``exact_positive_fraction``.  A refusal quotes at most 40 characters of
-its input.
+a file through ``read_lines``, and any other number typed as text in the
+grammar of ``match_number`` (a sign, then p/q or ASCII digits with a
+point and exponent), read exactly by ``read_fraction``.  A refusal
+quotes at most 40 characters of its input.
 
 The validated value records (PrecisionContext, IndexSequence, DigitSet,
 StepSchedule) derive from ``FrozenRecord`` at the end.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -114,18 +116,51 @@ def read_lines(path, what):
         raise DomainError("%s %r is not text: %s" % (what, path, exc))
 
 
+# one number typed as text: an optional sign, then p/q or ASCII digits with
+# an optional point and exponent; the exponent is the one group
+_NUMBER = re.compile(r"[+-]?(?:\d+/\d+|(?=\.?\d)\d*(?:\.\d*)?(?:e([+-]?\d+))?)", re.ASCII | re.I)
+
+
+def match_number(text):
+    """The match of text, blanks stripped, in the one number grammar, or None."""
+    return _NUMBER.fullmatch(text.strip())
+
+
+def read_fraction(text, what):
+    """The exact Fraction of a number typed as text, in the grammar of ``match_number``."""
+    found = match_number(text)
+    if found is None:
+        raise DomainError("%s is not a rational: %s" % (what, quoted(text)))
+    limit = sys.get_int_max_str_digits()
+    # 10^|e| has |e| + 1 digits: past the limit it is refused before it is built
+    if found[1] and limit and read_int(found[1].lstrip("+-"), "the exponent of " + what) >= limit:
+        raise DomainError("%s has an exponent past the %d digits an integer is read from: %s"
+                          % (what, limit, quoted(text)))
+    try:
+        return Fraction(found[0])
+    except (ValueError, ZeroDivisionError):  # a part past the limit, or q = 0
+        raise DomainError("%s is not a rational: %s" % (what, quoted(text))) from None
+
+
+def nearest_float(x):
+    """The float nearest a rational, or an infinity past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def exact_positive_fraction(value, what):
-    """Coerce to a positive Fraction, refusing floats (their rounding is silent)."""
+    """A positive Fraction of an int, a Fraction or text read by ``read_fraction``; no float."""
     if isinstance(value, bool):
         raise DomainError("%s must be a number, got a bool" % what)
-    if isinstance(value, float):
-        raise DomainError(
-            "%s must be exact (int, Fraction or string like '1/10'), not a float" % what
-        )
+    if isinstance(value, float):  # its rounding is silent
+        raise DomainError("%s must be exact (int, Fraction or string like '1/10'), not a float"
+                          % what)
     try:
-        out = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise DomainError("%s is not a rational: %s" % (what, quoted(value)))
+        out = read_fraction(value, what) if isinstance(value, str) else Fraction(value)
+    except TypeError:
+        raise DomainError("%s is not a rational: %s" % (what, quoted(value))) from None
     if out <= 0:
         # the input, not out: str(out) fails past the int-string limit
         raise DomainError("%s must be positive, got %s" % (what, quoted(value)))

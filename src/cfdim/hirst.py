@@ -149,20 +149,13 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
         elif digits.kind == "square":
             r = mp.power((2 * zf - 1) * thr, -1 / (2 * zf - 1))
             est = r * r
-        elif digits.kind == "pow":
-            b = digits.params[0]
-            t = mp.power(b, -zf)
-            j0 = mp.ceil(mp.log(1 / (thr * (1 - t))) / (zf * mp.log(b)))
-            est = mp.power(b, max(j0, 1))
         else:
-            acc = mpf(0)
-            est = mpf(digits.values[-1] + 1)
-            for a in reversed(digits.values):
-                nxt = acc + mp.power(a, -zf)
-                if nxt > thr:
-                    break
-                acc = nxt
-                est = mpf(a)
+            # a finite set (pow:b has tau = 0 too, but _analytic_pieces refused
+            # it): z = 0, so each of the n digits adds 1 to a tail and
+            # thr = n^(-e) <= 1.  Only the empty tail fits, or the whole set
+            # when n = 1 and thr = 1
+            n = len(digits.values)
+            est = mpf(digits.values[0] if n == 1 else digits.values[-1] + 1)
         if est > _FLOOR_CAP:
             return FloorEstimate(None, None, False, True)
         m = max(1, int(mp.ceil(est * (1 + mpf("1e-9")))))

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .errors import (
     DivergenceError, DomainError, FrozenRecord, PoleProximityError, ResourceCapError,
-    _check_tolerance, int_at_least, quoted,
+    _check_tolerance, int_at_least, match_number, quoted,
 )
 
 __all__ = [
@@ -91,7 +91,7 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 
 def as_real(x, what="value"):
-    """Coerce int/float/str/Fraction/mpf to a finite mpf at the current precision."""
+    """Coerce int/float/Fraction/mpf or number text to a finite mpf at the current precision."""
     # called once per term of the Euler-Maclaurin correction, where the
     # plain import costs a fifth of a from-import
     import mpmath
@@ -102,6 +102,8 @@ def as_real(x, what="value"):
         xm = mpmath.mpf(x.numerator) / x.denominator
     else:
         try:
+            if isinstance(x, str) and match_number(x) is None:
+                raise ValueError  # mpmath reads only text in the one number grammar
             xm = mpmath.mpf(x)
         except (TypeError, ValueError, ZeroDivisionError):
             raise DomainError("cannot interpret %s as a real %s" % (quoted(x), what))
@@ -152,21 +154,20 @@ def _sieve(n, divisors):
     return table
 
 
-# the 54 primes below 256, and the least prime factor of every composite
-# k < 2^16, which is among them; 0 at 0, 1 and every prime
-_SMALL_PRIMES = tuple(p for p, d in enumerate(_sieve(256, range(2, 16))) if p > 1 and not d)
-_LPF = _sieve(_CUTOFF_CAP, _SMALL_PRIMES)
+# the least prime factor of every composite k < 2^16, which is one of the
+# 54 primes below 256; 0 at 0, 1 and every prime
+_LPF = _sieve(_CUTOFF_CAP, [p for p, d in enumerate(_sieve(256, range(2, 16)))
+                            if p > 1 and not d])
 
 
 def _neg_power(k, memo, nz, prec):
-    # raw k^(-z) for k >= 1, nz the raw -z: one raw mpf_pow (the bits
-    # mpf.__pow__ gives) for a prime k, and for a composite k the product of
-    # the terms of its least prime factor and of its cofactor.  Past 2^16
-    # only factors below 256 are split off, and a k without one takes one
-    # power.  The loop walks the chain of cofactors down to a memo hit or a
-    # prime, then multiplies the factors' terms back in.  memo, a list,
-    # keeps every term below its length.  The plain import costs a fifth
-    # of a from-import
+    # raw k^(-z) for 1 <= k < 2^16, nz the raw -z: one raw mpf_pow (the
+    # bits mpf.__pow__ gives) for a prime k, and for a composite k the
+    # product of the terms of its least prime factor and of its cofactor.
+    # The loop walks the chain of cofactors down to a memo hit or a prime,
+    # then multiplies the factors' terms back in.  memo, a list, keeps
+    # every term below its length.  The plain import costs a fifth of a
+    # from-import
     import mpmath
 
     libmp = mpmath.libmp
@@ -174,7 +175,7 @@ def _neg_power(k, memo, nz, prec):
     v = memo[k] if k < n else None
     links = []
     while v is None:
-        p = _LPF[k] if k < _CUTOFF_CAP else next((p for p in _SMALL_PRIMES if k % p == 0), 0)
+        p = _LPF[k]
         if p:
             links.append((k, p))
             k //= p

@@ -1,6 +1,7 @@
 """Envelope schema, exit codes, formats, and flag validation for the CLI."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,10 +12,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfdim.cli import build_parser, main
 from spawn import child_env
 from test_acceptance import CLI_MATRIX
+from test_errors import NOT_NUMBER_TEXT, NUMBER_TEXT
 
 
 def run(capsys, *argv):
@@ -264,9 +268,72 @@ def test_an_exponent_past_a_million_exits_4_at_once(capsys, argv):
     ids=["factor", "cover", "product"],
 )
 def test_non_finite_exponent_is_rejected_as_such(capsys, argv):
+    # nan is outside the number grammar, so as_real refuses the text
+    # before mpmath reads it
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: exponent must be a finite real, got nan\n"
+    assert err == "error: cannot interpret 'nan' as a real exponent\n"
+
+
+_SCHEDULE_ARGV = ["construct", "schedule", "--seq", "square", "--j-max", "1", "--horizon", "100"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SCHEDULE_ARGV + ["--eps", "1e-10000000"],
+     "eps has an exponent past the 4300 digits an integer is read from: '1e-10000000'"),
+    (_SCHEDULE_ARGV + ["--c1", "1e-10000000"],
+     "c1 has an exponent past the 4300 digits an integer is read from: '1e-10000000'"),
+    (["cf", "expand", "--rational", "1e-10000000"],
+     "x has an exponent past the 4300 digits an integer is read from: '1e-10000000'"),
+    (["zeta", "value", "--z", "\u0662.\u0665"],
+     "cannot interpret '\u0662.\u0665' as a real exponent"),
+    (_SCHEDULE_ARGV + ["--eps", "\u0661/\u0661\u0660"],
+     "eps is not a rational: '\u0661/\u0661\u0660'"),
+    (["dim", "factor", "--M", "5", "--s", "0.75L"], "cannot interpret '0.75L' as a real exponent"),
+    (["zeta", "value", "--z", "2", "--tol", "1_0e-13"], "--tol is not a rational: '1_0e-13'"),
+], ids=["eps-long-exponent", "c1-long-exponent", "rational-long-exponent", "z-arabic-indic",
+        "eps-arabic-indic", "s-long-suffix", "tol-underscore"])
+def test_a_number_outside_the_grammar_exits_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_tol_takes_a_rational_read_to_its_nearest_float(capsys):
+    code, out, _ = run(capsys, "zeta", "value", "--z", "2", "--tol", "1/3")
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(
+        run(capsys, "zeta", "value", "--z", "2", "--tol", repr(1 / 3))[1])["result"]
+
+
+# each flag read as a number typed as text, on a command that answers in ms
+_NUMBER_FLAGS = {
+    "--s": ["dim", "factor", "--M", "5"],
+    "--z": ["zeta", "value"],
+    "--tol": ["zeta", "value", "--z", "2"],
+    "--eps": _SCHEDULE_ARGV,
+    "--c1": _SCHEDULE_ARGV,
+    "--rational": ["cf", "expand"],
+    "--s-max": ["dim", "critical", "--M", "2"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_NUMBER_FLAGS))
+@settings(max_examples=60)
+@given(drawn=st.one_of(NUMBER_TEXT.map(lambda t: (t, True)),
+                       NOT_NUMBER_TEXT.map(lambda t: (t, False))))
+def test_a_number_flag_exits_with_a_documented_code(flag, drawn):
+    # flag=text binds the text even when it starts with a sign
+    # (a critical solve that does not converge exits 3 with its envelope)
+    text, in_grammar = drawn
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_NUMBER_FLAGS[flag] + ["%s=%s" % (flag, text)])
+    assert code in (0, 2, 3, 4)
+    err = err.getvalue()
+    assert err == "" or err.startswith("error: ") and err.count("\n") == 1
+    assert in_grammar or code == 2 and err
 
 
 @pytest.mark.parametrize(
@@ -485,17 +552,57 @@ def test_schedule_file_feeds_downstream_commands(capsys, tmp_path):
     assert code == 0 and json.loads(out)["result"]["ok"] is True
 
 
-def test_mutually_exclusive_flag_groups(capsys):
-    code, _, err = run(capsys, "cf", "delete", "--word", "1,2,3")
-    assert code == 2 and "exactly one" in err
-    code, _, err = run(
-        capsys, "cf", "delete", "--word", "1,2,3", "--positions", "1", "--seq", "even"
-    )
-    assert code == 2
-    code, _, err = run(
-        capsys, "hirst", "m0", "--digits-spec", "all", "--seq", "even", "--eps", "1/5"
-    )
-    assert code == 2 and "exactly one" in err
+def test_mutually_exclusive_flag_groups(capsys, tmp_path):
+    # each pair is declared with _one_of, so argparse refuses neither and both
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1,2;1,3\n")
+    for base, first, second in [
+        (["cf", "delete", "--word", "1,2,3"], ["--positions", "1"], ["--seq", "even"]),
+        (["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5"],
+         ["--pairs-file", str(pairs)], ["--sample", "2"]),
+        (["hirst", "m0", "--digits-spec", "all", "--seq", "even", "--eps", "1/5"],
+         ["--M", "100"], ["--estimate"]),
+    ]:
+        for argv, message in [
+            (base, "one of the arguments %s %s is required" % (first[0], second[0])),
+            (base + first + second,
+             "argument %s: not allowed with argument %s" % (second[0], first[0])),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "error: %s\n" % message in out.err
+        assert run(capsys, *base, *first)[0] == 0
+
+
+@pytest.mark.parametrize("flag", [["--estimate"], ["--M", "100"]], ids=["estimate", "M"])
+def test_hirst_m0_refuses_a_digit_set_with_tau_zero(capsys, flag):
+    # pow:2 is the one digit rule with tau = 0 on an infinite set
+    code, out, err = run(capsys, "hirst", "m0", "--digits-spec", "pow:2", "--seq", "even",
+                         "--eps", "1/5", *flag)
+    assert (code, out) == (2, "")
+    assert err == "error: tau = 0 on an infinite digit set makes the full sum diverge\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--j-max", "3"], ["--horizon", "2000"]],
+                         ids=["neither", "j-max-only", "horizon-only"])
+def test_point_needs_a_schedule_or_the_flags_that_choose_one(capsys, extra):
+    code, out, err = run(capsys, "construct", "point", "--seq", "square", "--eps", "1/10",
+                         "--M", "3", "--depth", "12", *extra)
+    assert (code, out) == (2, "")
+    assert err == ("error: give --schedule FILE, or --j-max and --horizon with --eps/--c1 "
+                   "to construct one\n")
+
+
+def test_schedule_refuses_an_explicit_list(capsys, tmp_path):
+    path = tmp_path / "k.txt"
+    path.write_text("1\n4\n9\n")
+    code, out, err = run(capsys, "construct", "schedule", "--seq", "file:%s" % path,
+                         "--eps", "1/10", "--j-max", "1", "--horizon", "100")
+    assert (code, out) == (2, "")
+    assert err == ("error: an explicit finite list cannot certify zero density; "
+                   "use a rule-based sequence (square, pow:b)\n")
 
 
 def test_holder_pairs_file(capsys, tmp_path):
@@ -511,6 +618,22 @@ def test_holder_pairs_file(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)["result"]
     assert res["checked"] == 1 and res["passed"] == 1 and res["skipped"] == 0
+
+
+def test_pairs_file_skips_blank_lines_and_refuses_a_line_without_a_semicolon(capsys, tmp_path):
+    prefix = ",".join(["1"] * 36)
+    pair = "%s,2,5;%s,3,5" % (prefix, prefix)
+    path = tmp_path / "pairs.txt"
+    argv = ["construct", "holder", "--seq", "square", "--eps", "1/10", "--M", "5",
+            "--pairs-file", str(path)]
+    path.write_text("\n%s\n  \n" % pair)
+    code, out, _ = run(capsys, *argv)
+    result = json.loads(out)["result"]
+    assert (code, len(result["pairs"]), result["passed"]) == (0, 1, 1)
+    path.write_text("%s\n\n1,2,3\n" % pair)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3 of %s: expected 'word;word'\n" % path
 
 
 def test_warnings_surface_in_envelope(capsys, tmp_path):
@@ -622,19 +745,21 @@ def test_dps_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["dim", "critical", "--M", "1000", "--tol", "inf"], "must be finite, got inf"),
-    # float() reads 1e400 as inf
-    (["dim", "critical", "--M", "1000", "--tol", "1e400"], "must be finite, got inf"),
-    (["zeta", "value", "--z", "2", "--tol", "inf"], "must be finite, got inf"),
-    (["dim", "critical", "--M", "1000", "--tol", "0"], "must be positive"),
-    (["dim", "critical", "--M", "1000", "--tol", "nan"], "must be positive"),
-    (["zeta", "value", "--z", "2", "--tol=-1e-12"], "must be positive"),
+    # inf and nan are outside the number grammar
+    (["dim", "critical", "--M", "1000", "--tol", "inf"], "--tol is not a rational: 'inf'"),
+    # nearest_float reads 1e400 as inf, as float() does
+    (["dim", "critical", "--M", "1000", "--tol", "1e400"],
+     "target_abs_tol must be finite, got inf"),
+    (["zeta", "value", "--z", "2", "--tol", "inf"], "--tol is not a rational: 'inf'"),
+    (["dim", "critical", "--M", "1000", "--tol", "0"], "target_abs_tol must be positive"),
+    (["dim", "critical", "--M", "1000", "--tol", "nan"], "--tol is not a rational: 'nan'"),
+    (["zeta", "value", "--z", "2", "--tol=-1e-12"], "target_abs_tol must be positive"),
 ], ids=["critical-inf", "critical-1e400", "zeta-inf", "critical-zero", "critical-nan",
         "zeta-negative"])
 def test_tol_must_be_positive_and_finite(capsys, argv, message):
     # an infinite tolerance would accept a critical solve's first interpolant
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: target_abs_tol %s\n" % message)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

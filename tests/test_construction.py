@@ -632,6 +632,14 @@ def test_holder_check_skip_reasons():
     assert reports[3].ok is None and "exceeds the cap" in reports[3].reason
 
 
+def test_holder_check_skips_a_pair_whose_words_share_a_whole_word():
+    # one word is a prefix of the other, so no digit follows the shared prefix
+    x = (1,) * 38
+    for pair in ((x, x + (2,)), (x + (3, 1), x)):
+        (report,) = holder_check(SQ, 5, "1/10", [pair])
+        assert report == (*pair, 38, None, None, None, "no continuation digit")
+
+
 def test_holder_check_rejects_boundary_alias_pairs():
     base = (1,) * 38
     reports = holder_check(SQ, 5, "1/10", [(base + (2, 1), base + (3,))])

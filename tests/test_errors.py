@@ -2,14 +2,21 @@
 as_real the only spellings."""
 
 import ast
+import math
+import time
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfdim.errors import (
-    DomainError, exact_positive_fraction, int_at_least, is_int, quoted, read_int, read_ints,
-    read_lines,
+    DomainError, exact_positive_fraction, int_at_least, is_int, match_number, quoted,
+    nearest_float, read_fraction, read_int, read_ints, read_lines,
 )
+from cfdim.special import as_real
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "cfdim"
 
@@ -58,6 +65,114 @@ def test_a_refusal_quotes_at_most_40_characters():
         with pytest.raises(DomainError) as exc:
             exact_positive_fraction(bad, "eps")
         assert str(exc.value) == "eps is not a rational: %s" % quoted(bad)
+
+
+# numbers typed as text: inside the grammar, a sign, then p/q or digits with
+# an optional point and exponent, between blanks; outside it, each of these
+# with a character the grammar has no place for, or a missing part
+_SIGN = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=8)
+_MANTISSA = st.one_of(
+    _DIGITS,
+    st.builds("{}.{}".format, _DIGITS, st.text("0123456789", max_size=8)),
+    st.builds(".{}".format, _DIGITS),
+)
+_EXPONENT = st.one_of(st.just(""), st.builds(
+    "{}{}{}".format, st.sampled_from("eE"), _SIGN,
+    st.one_of(st.integers(0, 400), st.integers(4000, 10 ** 8))))
+_BLANKS = st.sampled_from(["", " ", "\t", " \n"])
+_CORE = st.one_of(st.builds("{}{}/{}".format, _SIGN, _DIGITS, _DIGITS),
+                  st.builds("{}{}{}".format, _SIGN, _MANTISSA, _EXPONENT))
+NUMBER_TEXT = st.builds("{}{}{}".format, _BLANKS, _CORE, _BLANKS)
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+NOT_NUMBER_TEXT = st.one_of(
+    # a suffix: the long suffix mpmath takes, an imaginary unit, an underscore
+    st.builds("{}{}".format, _CORE, st.sampled_from(["L", "j", "_0", "e", "e+", "/", "x", "%"])),
+    st.builds(lambda t: t.replace("1", "1_1"), _CORE.filter(lambda t: "1" in t)),
+    st.builds(lambda t: t.translate(_ARABIC_INDIC), _CORE),
+    st.sampled_from(["", " ", ".", "+", "-", "e5", "inf", "-inf", "nan", "0x10", "1/2/3", "1.5/2",
+                     "1/-2", "1e5/2", "1 2", "\u00bd", "\u00b2", "\uff11", "7" * 5000 + "L"]),
+)
+
+
+def test_one_grammar_for_a_number_typed_as_text():
+    for text in ("7", " -3/4\t", "+0.5", "5.", ".5", "1e-3", "2.5E+7", "0/1", "1/0"):
+        assert match_number(text), text
+    for text in ("", ".", "e5", "1e", "1/", "/2", "1/-2", "1.5/2", "0x10", "1_0", "inf", "nan",
+                 "0.75L", "1j", "\u0662.\u0665", "\u0661/\u0661\u0660", "1 2", "--1"):
+        assert match_number(text) is None, text
+
+
+@settings(max_examples=300)
+@given(NUMBER_TEXT)
+def test_text_in_the_grammar_reads_as_fraction_float_and_mpmath_read_it(text):
+    # the readers change no value: Fraction, float() and mpmath are the oracles
+    exponent = match_number(text)[1]
+    if exponent and abs(int(exponent)) >= 4300:
+        with pytest.raises(DomainError, match="an exponent past the 4300 digits"):
+            read_fraction(text, "t")
+        return
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is None:
+        with pytest.raises(DomainError, match="^t is not a rational: "):
+            read_fraction(text, "t")
+    else:
+        assert read_fraction(text, "t") == want
+        # float() reads no p/q, whose nearest float int division gives
+        assert nearest_float(want) == (want.numerator / want.denominator if "/" in text
+                                       else float(text))
+        with mpmath.mp.workdps(50):
+            try:
+                real = mpmath.mpf(text)
+            except ValueError:  # mpmath misreads a few zeros, such as ".0"
+                with pytest.raises(DomainError, match="^cannot interpret "):
+                    as_real(text)
+            else:
+                assert as_real(text) == real
+        if want > 0:
+            assert exact_positive_fraction(text, "t") == want
+
+
+@settings(max_examples=200)
+@given(NOT_NUMBER_TEXT)
+def test_text_outside_the_grammar_is_refused_by_every_reader(text):
+    assert match_number(text) is None
+    with pytest.raises(DomainError, match="^t is not a rational: "):
+        read_fraction(text, "t")
+    with pytest.raises(DomainError, match="^t is not a rational: "):
+        exact_positive_fraction(text, "t")
+    with pytest.raises(DomainError, match="^cannot interpret .* as a real t$"):
+        as_real(text, "t")
+
+
+def test_an_exponent_past_the_int_string_limit_is_refused_before_its_power_is_built():
+    # Fraction("1e-10000000") builds 10^(10^7) first, about 10 s
+    start = time.perf_counter()
+    for text in ("1e-10000000", "1e10000000", "-1e5000", "1e4300", "1e-4300", "1e" + "9" * 4300):
+        with pytest.raises(DomainError, match="^eps has an exponent past the 4300 digits an "
+                                              "integer is read from: "):
+            exact_positive_fraction(text, "eps")
+    assert time.perf_counter() - start < 1
+    with pytest.raises(DomainError, match="^the exponent of eps has 4301 digits, more than the "
+                                          "4300 an integer is read from"):
+        exact_positive_fraction("1e" + "9" * 4301, "eps")
+    assert read_fraction("1e4299", "eps") == 10 ** 4299
+    assert read_fraction("1e-4299", "eps") == Fraction(1, 10 ** 4299)
+    assert read_fraction("0.5e4299", "eps") == 5 * 10 ** 4298
+    # mpmath has no such limit, so as_real reads the text and its cap decides
+    with mpmath.mp.workdps(50):
+        assert as_real("1e-10000000") == mpmath.mpf("1e-10000000")
+
+
+def test_nearest_float_rounds_as_float_does_and_overflows_to_inf():
+    assert nearest_float(Fraction(1, 3)) == 1 / 3
+    assert nearest_float(read_fraction("1e-12", "tol")) == 1e-12
+    assert nearest_float(10 ** 400) == math.inf
+    assert nearest_float(Fraction(-10 ** 400, 3)) == -math.inf
+    assert nearest_float(Fraction(1, 10 ** 400)) == 0.0
 
 
 def test_read_lines_streams_a_file_and_refuses_what_it_cannot_read(tmp_path):
@@ -228,3 +343,52 @@ def test_only_read_int_turns_text_into_an_int():
         == ["read_int"]
     offenders = _offenders("int", 1, _INT_OF_A_NUMBER | {("errors.py", "read_int")})
     assert offenders == [], "read integers typed as text through cfdim.errors.read_int"
+
+
+def _text_conversions(source):
+    # (innermost enclosing function or None, line) of each one-argument
+    # Fraction() or float() call whose argument is neither an int literal
+    # nor arithmetic: the calls that could turn text into a number
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("Fraction", "float")
+                and len(node.args) == 1 and not node.keywords):
+            arg = node.args[0]
+            if not (isinstance(arg, ast.BinOp)
+                    or isinstance(arg, ast.Constant) and is_int(arg.value)):
+                yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+    return list(visit(ast.parse(source), None))
+
+
+def test_only_errors_turns_text_into_a_fraction_or_a_float():
+    assert _text_conversions(
+        "def f(t):\n    return Fraction(t), float(t.x), Fraction(p, q)\n"
+        "Fraction(1) + Fraction(2 ** 9) + Fraction(9 * m ** 3) + float('1')\n"
+    ) == [("f", 2), ("f", 2), (None, 3)]
+    assert {func for func, _ in _text_conversions((_SRC / "errors.py").read_text())} \
+        == {"read_fraction", "nearest_float", "exact_positive_fraction"}
+    # construction's weight test takes the float of eps and c1 through nearest_float too
+    offenders = ["%s:%d %s" % (p.name, line, func)
+                 for p in sorted(_SRC.glob("*.py")) if p.name != "errors.py"
+                 for func, line in _text_conversions(p.read_text())]
+    assert offenders == [], "read numbers typed as text through cfdim.errors"
+
+
+def test_as_real_hands_mpmath_text_only_after_the_grammar_check():
+    tree = ast.parse((_SRC / "special.py").read_text())
+    (func,) = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == "as_real"]
+    calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+    checks = [n.lineno for n in calls if getattr(n.func, "id", None) == "match_number"]
+    reads = [n.lineno for n in calls if getattr(n.func, "attr", None) == "mpf"
+             and isinstance(n.args[0], ast.Name) and n.args[0].id == "x"]
+    assert checks and reads and max(checks) < min(reads)
+    # mpmath alone reads the long suffix, non-ASCII digits and underscores
+    for text in ("0.75L", "\u0662.\u0665", "1_0"):
+        assert mpmath.mpf(text)
+        with pytest.raises(DomainError, match="^cannot interpret .* as a real value$"):
+            as_real(text)

@@ -253,6 +253,33 @@ def test_estimate_condition_floor_flagship():
     assert not covering_condition(ALL, EVEN, "1/5", est.value // 10).ok
 
 
+def test_estimate_doubles_a_floor_that_fails():
+    # the inverted tail at geq:2 and eps 2/5 undershoots: its floor fails
+    # by 1e-10, and the doubled one is returned
+    geq2 = parse_digit_set("geq:2")
+    low = covering_condition(geq2, EVEN, "2/5", 186450034)
+    assert not low.ok and 1 < low.lhs < 1 + mpf("1e-9")
+    est = estimate_condition_floor(geq2, EVEN, "2/5")
+    assert (est.value, est.ok, est.exceeded) == (372900068, True, False)
+
+
+def test_estimate_on_an_explicit_digit_set(tmp_path):
+    # tau = 0 on a finite set, so every digit's term is 1 and only the
+    # empty tail meets the condition: past the largest digit, 89, where the
+    # 1e-9 bump lifts the estimate 90 to 91.  One digit alone meets it
+    # with its whole tail, 1 = 1^(-e), so its estimate is the digit, 7
+    path = tmp_path / "digits.txt"
+    path.write_text("1\n2\n3\n5\n8\n13\n21\n34\n55\n89\n")
+    digits = parse_digit_set("file:%s" % path)
+    est = estimate_condition_floor(digits, EVEN, "1/5")
+    assert (est.value, est.lhs, est.ok) == (91, 0, True)
+    assert not covering_condition(digits, EVEN, "1/5", 89).ok
+    path.write_text("7\n")
+    one = parse_digit_set("file:%s" % path)
+    assert covering_condition(one, EVEN, "1/5", 7) == (1, True)
+    assert estimate_condition_floor(one, EVEN, "1/5")[:3] == (8, 0, True)
+
+
 def test_covering_condition_square_digits_at_large_floor():
     # squares decay so slowly (tail ~ M^(-0.05) at eps = 1/10) that the
     # condition only turns true around 10^51; the estimator reports the

@@ -197,11 +197,10 @@ def _big_omega(k):
 @pytest.mark.parametrize("z", ["0.7", "2.5", Fraction(10, 7)])
 def test_kernel_terms_are_within_their_rounding_budget(z):
     # a term of k carries Omega(k) rounded powers and Omega(k) - 1 rounded
-    # products, each within an ulp.  65537 is prime and 257 * 263 has no
-    # factor below 256, so each takes one power; 2^15 has the most factors
-    # of any argument below 2^16.  The memo is short, so most composites
-    # walk down to their primes
-    ks = list(range(1, 1 << 12)) + [65537, 257 * 263, 1 << 15]
+    # products, each within an ulp.  2^15 has the most factors of any
+    # argument below 2^16, where the kernel's arguments lie.  The memo is
+    # short, so most composites walk down to their primes
+    ks = list(range(1, 1 << 12)) + [1 << 15]
     with mp.workdps(50):
         zm = as_real(z)
         prec = mp.prec
@@ -216,8 +215,7 @@ def test_kernel_terms_are_within_their_rounding_budget(z):
 
 
 def _least_prime_factor(k):
-    # trial division by 2 .. min(isqrt(k), 255): 0 for 0, 1, a prime, or a
-    # k >= 2^16 without a factor below 256
+    # trial division by 2 .. min(isqrt(k), 255): 0 for 0, 1 and a prime below 2^16
     return next((d for d in range(2, min(math.isqrt(k), 255) + 1) if k % d == 0), 0)
 
 
@@ -230,7 +228,7 @@ def test_the_kernel_makes_the_products_of_a_reference():
     # multiplies their terms, in increasing k so that both are at hand.  A
     # short memo makes the kernel walk long chains and power the primes
     # above it again; the covering sum's memo keeps most of them
-    ks = list(range(1, 1 << 16)) + [65537, 257 * 263]
+    ks = list(range(1, 1 << 16))
     prec = 53
     nz = mpf_neg(mpf("0.7")._mpf_)
     ref = {1: fone}
