@@ -248,21 +248,24 @@ def _construct_point(args):
     return {"digits": word, "value": evaluate(word)}
 
 
+def _eps_of(args, sched):
+    """--eps, or else the eps of the schedule (None for no schedule)."""
+    eps = args.eps if args.eps is not None or sched is None else sched.eps
+    if eps is None:
+        raise DomainError("--eps is required when no schedule carries one")
+    return eps
+
+
 def _construct_verify_size(args):
     seq = parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq)
-    eps = args.eps if args.eps is not None else sched.eps
-    if eps is None:
-        raise DomainError("--eps is required when the schedule does not carry one")
-    return verify_size_bound(eps, seq, sched, _word(args.word))
+    return verify_size_bound(_eps_of(args, sched), seq, sched, _word(args.word))
 
 
 def _construct_holder(args):
     seq = parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq) if args.sample is not None or args.schedule else None
-    eps = args.eps if args.eps is not None or sched is None else sched.eps
-    if eps is None:
-        raise DomainError("--eps is required when no schedule carries one")
+    eps = _eps_of(args, sched)
     if args.pairs_file is not None:
         pairs = []
         for line_no, line in enumerate(read_lines(args.pairs_file, "pairs file"), start=1):

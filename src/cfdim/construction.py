@@ -187,39 +187,42 @@ def _require_zero_density(seq):
         )
 
 
+def _last_holding(holds, cap=None):
+    """The last k >= 0, never past cap, with holds(i) for every i in 1..k.
+
+    holds is true on an initial segment of 1, 2, ...: k doubles until
+    holds fails or k reaches cap, then a bisection closes in.
+    """
+    lo, hi = 0, 1  # holds on 1..lo, and fails at hi unless lo == hi == cap
+    while (cap is None or lo < cap) and holds(hi):
+        lo, hi = hi, 2 * hi if cap is None else min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def _nominal_cert(seq, en, ed):
     """An index C past the last m with en*(m - 2k(m) - 4) < 2*ed, exactly.
 
-    With need = 4 + 2*ed/en the condition reads m - 2k(m) >= need.  On
-    a run of constant k = j the worst m is the member k_j that starts
+    With need = ceil(4 + 2*ed/en) the condition reads m - 2k(m) >= need.
+    On a run of constant k = j the worst m is the member k_j that starts
     it, so C = k_J works once k_j - 2j >= need at j = J and k_j - 2j
-    never decreases after J.
+    never decreases after J: below density 1/2 it rises without bound,
+    and on the one density-1/2 rule it is constant (see ``sequences``).
     """
-    need = 4 + Fraction(2 * ed, en)
-    if seq.kind == "square":
-        # j^2 - 2j >= need  <=>  (j - 1)^2 >= need + 1
-        j = math.isqrt(math.ceil(need)) + 2
-        return j * j
-    if seq.kind == "pow":
-        # b^j - 2j rises with j
-        b, j = seq.params[0], 1
-        while b ** j - 2 * j < need:
-            j += 1
-        return b ** j
-    if seq.kind == "arith":
-        # k_j - 2j = a0 - d + j*(d - 2): it falls for d = 1, is a0 - 2
-        # for d = 2 and rises for d >= 3
-        a0, d = seq.params
-        if d == 1 or (d == 2 and a0 - 2 < need):
-            raise DomainError(
-                "the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
-                "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps"
-                % seq.spec_string()
-            )
-        j = 1 if d == 2 else max(1, math.ceil((need - a0 + d) / (d - 2)))
-        return a0 + (j - 1) * d
-    # an explicit list keeps k(m) <= its length
-    return 2 * len(seq.values) + int(need) + 6
+    need = 4 - (-2 * ed // en)
+    density = seq.exact_density
+    if density is None:
+        # an explicit list keeps k(m) <= its length
+        return 2 * len(seq.values) + 2 * ed // en + 10
+    if 2 * density > 1 or 2 * density == 1 and seq.nth(1) - 2 < need:
+        raise DomainError(
+            "the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
+            "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps"
+            % seq.spec_string()
+        )
+    return seq.nth(_last_holding(lambda j: seq.nth(j) - 2 * j < need) + 1)
 
 
 def _mp_log(p):
@@ -322,10 +325,10 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
     k(n)*log(j+1) > c1*n, or 0 when there is none.  Run k of constant
     k(n) = k holds a violator exactly when its first index k_k does.  A
     zero-density rule has k_k/k nondecreasing (see ``sequences``), so
-    those runs are 1..K-1, and N_j is the last violator of run K-1.  A
-    galloping search and a bisection find K, each probe testing a run's
-    first index with k*log(j+1), up to run k(horizon) + 1, which starts
-    past the horizon.  A threshold past the horizon raises rather than
+    those runs are 1..K-1, and N_j is the last violator of run K-1.
+    ``_last_holding`` finds K - 1, each probe testing a run's first
+    index with k*log(j+1), up to run k(horizon) + 1, which starts past
+    the horizon.  A threshold past the horizon raises rather than
     extrapolating.  Breakpoint n_j is the least index above n_{j-1}
     whose sequence member reaches N_j.
 
@@ -352,16 +355,7 @@ def choose_schedule(seq, j_max, horizon, c1=None, eps=None):
             first = seq.nth(k)
             return end(j + 1, first, first, k) == first
 
-        # runs 1..lo fail and run hi is clean, unless lo == hi == cap
-        lo, hi = 0, 1
-        while lo < cap and fails(hi):
-            lo, hi = hi, min(2 * hi, cap)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fails(mid):
-                lo = mid
-            else:
-                hi = mid
+        lo = _last_holding(fails, cap)
         worst = lo and end(j + 1, seq.nth(lo), seq.nth(lo + 1) - 1, lo)
         if worst > horizon:
             raise InsufficientHorizonError(
@@ -477,11 +471,10 @@ def _nominal_onset(seq, eps, horizon=None):
     # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
     offset = 3 - (-2 * ed // en)
     if 2 * seq.count_window(limit) + offset >= limit:
-        if limit == horizon:
-            raise InsufficientHorizonError(
-                "the onset condition still fails at the horizon %d" % horizon
-            )
-        raise DomainError("internal certificate bound too tight; please report")
+        # the condition holds at _nominal_cert, so only a shorter horizon fails here
+        raise InsufficientHorizonError(
+            "the onset condition still fails at the horizon %d" % horizon
+        )
     worst = max((min(last, 2 * k + offset) for first, last, k in seq.end_runs(1, limit)
                  if 2 * k + offset >= first), default=0)
     return worst + 1
@@ -629,11 +622,10 @@ def verify_separation(prefix, m_cap, x_tail, y_tail):
 def nominal_onset(seq, eps):
     """Horizon-free onset: least n with en*(m - 2k(m) - 4) >= 2*ed for all m >= n.
 
-    Works for sequences whose counting function is provably sublinear
-    enough: square, powers, finite explicit lists, arithmetic
-    progressions with gap >= 3, and gap-2 progressions with
-    en*(a0 - 6) >= 2*ed.  Other progressions never satisfy the condition
-    from any onset on and are rejected.
+    Works on every rule of density below 1/2 (square, powers, progressions
+    with gap >= 3), on finite explicit lists, and on gap-2 progressions
+    with en*(a0 - 6) >= 2*ed.  Other progressions never satisfy the
+    condition from any onset on and are rejected.
     """
     return _nominal_onset(seq, exact_positive_fraction(eps, "eps"))
 
@@ -677,22 +669,13 @@ def holder_check(seq, m_cap, eps, sample_pairs):
                                  "identical points")
             )
             continue
-        bad = ""
-        for w in (x, y):
-            for i, a in enumerate(w, start=1):
-                if a > m_cap and i not in seq:
-                    bad = "free digit %d at position %d exceeds the cap %d" % (a, i, m_cap)
-                    break
-            if bad:
-                break
-        if bad:
-            reports.append(_skip(x, y, 0, bad))
+        over = next(((a, i) for w in (x, y) for i, a in enumerate(w, start=1)
+                     if a > m_cap and i not in seq), None)
+        if over:
+            reports.append(_skip(x, y, 0, "free digit %d at position %d exceeds the cap %d"
+                                 % (*over, m_cap)))
             continue
-        n = 0
-        for ax, ay in zip(x, y):
-            if ax != ay:
-                break
-            n += 1
+        n = next((i for i, (ax, ay) in enumerate(zip(x, y)) if ax != ay), min(len(x), len(y)))
         if n == min(len(x), len(y)):
             reports.append(_skip(x, y, n, "no continuation digit"))
             continue

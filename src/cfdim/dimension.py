@@ -114,7 +114,7 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
         hi = as_real(s_max, "s_max")
         if not lo < hi <= 8:
             raise DomainError("s_max must lie in (0.5 + 1e-9, 8]")
-        tol_m = mpf(tol)
+        tol_m = as_real(tol)
         f_hi = per_level_factor(m_floor, hi, ctx)
         if f_hi > 1:
             return CriticalSolveResult(

@@ -108,17 +108,20 @@ class M0Condition(NamedTuple):
     ok: bool
 
 
-def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
-    """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
+def _condition_at(digits, full, z, e, m_floor, ctx):
+    """full^e * (tail sum at m_floor) against 1, at the context's working digits."""
     from mpmath import mp
 
+    with mp.workdps(ctx.working_digits):
+        lhs = +(mp.power(full, as_real(e)) * digit_tail_power_sum(digits, m_floor, z, ctx))
+        return M0Condition(lhs, bool(lhs <= 1))
+
+
+def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
+    """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
     int_at_least(m_floor, "the digit floor")
     eps, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(ctx.working_digits):
-        full = digit_power_sum(digits, z, ctx)
-        tail = digit_tail_power_sum(digits, m_floor, z, ctx)
-        lhs = +(mp.power(full, as_real(e)) * tail)
-        return M0Condition(lhs, bool(lhs <= 1))
+    return _condition_at(digits, digit_power_sum(digits, z, ctx), z, e, m_floor, ctx)
 
 
 class FloorEstimate(NamedTuple):
@@ -132,9 +135,9 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     """Invert the tail's integral form to estimate the least workable floor.
 
     The closed-form inversion is bumped by a hair (the integral form
-    slightly undershoots the true tail), verified through
-    covering_condition, and doubled until the condition holds.  Floors
-    beyond 10^18 are reported as exceeded rather than returned.
+    slightly undershoots the true tail), verified by the covering
+    condition, and doubled until the condition holds.  Floors beyond
+    10^18 are reported as exceeded rather than returned.
     """
     from mpmath import mp, mpf
 
@@ -160,7 +163,7 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
             return FloorEstimate(None, None, False, True)
         m = max(1, int(mp.ceil(est * (1 + mpf("1e-9")))))
         while True:
-            res = covering_condition(digits, seq, eps, m, ctx)
+            res = _condition_at(digits, full, z, e, m, ctx)
             if res.ok:
                 return FloorEstimate(m, res.lhs, True, False)
             if m > _FLOOR_CAP // 2:

@@ -51,6 +51,13 @@ b^j*(j+1) and b^j*b*j, where b*j >= 2j >= j+1.  So a test k_j < j*r,
 for any fixed r, holds on an initial segment of j; the schedule
 thresholds in ``construction`` search for its end instead of walking
 every run.
+
+On every rule of ``exact_density`` below 1/2 (square, pow, arith with
+d >= 3) k_j - 2j never decreases and grows without bound, and on
+arith (a0, 2), the one rule of density 1/2, it is the constant a0 - 2.
+So a test k_j - 2j < r holds on a finite initial segment of j, or at
+density 1/2 on all j or none; the nominal onset certificate in
+``construction`` searches for its end without reading the rule.
 """
 
 import itertools

@@ -214,10 +214,10 @@ def _head(start, cutoff, z):
 
 
 def _series_from(start, z, ctx):
-    from mpmath import mp, mpf
+    from mpmath import mp
 
     cutoff = max(64, start)
-    goal = mpf(ctx.target_abs_tol) / 8
+    goal = as_real(ctx.target_abs_tol) / 8
     tail, bound = _tail_correction(cutoff, z)
     while bound > goal:
         cutoff *= 2

@@ -162,11 +162,18 @@ def test_cylinder_orientation_and_length():
         assert cylinder(w).length == Fraction(1, qn * (qn + qn1))
 
 
+def test_cylinder_needs_a_digit():
+    with pytest.raises(DomainError, match="^cylinder needs at least one digit$"):
+        cylinder(())
+
+
 def test_cylinder_contains_its_value_and_splits_digits():
     for w in ((1,), (2, 3), (1, 1, 2)):
         c = cylinder(w)
         assert c.contains(evaluate(w))
         inside = (c.left + c.right) / 2
+        assert c.contains(inside)
+        assert not c.contains(c.left - c.length) and not c.contains(c.right + c.length)
         assert list(expand_rational(inside))[: len(w)] == list(w)
 
 

@@ -510,6 +510,47 @@ def test_table_format_aligns_key_value(capsys):
     assert any(line.startswith("result.count") and line.endswith("10") for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_a_list_of_records_flattens_to_indexed_fields(capsys, fmt):
+    code, out, _ = run(capsys, "cf", "convergents", "--word", "2,1,4", "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        fields = dict(list(csv.reader(io.StringIO(out)))[1:])
+    else:
+        fields = {k: v.strip() for k, _, v in (line.partition("  ") for line in out.splitlines())}
+    assert [fields["result.convergents[%d].%s" % (i, name)]
+            for i in range(3) for name in ("k", "digit", "q")] \
+        == ["1", "2", "2", "2", "1", "3", "3", "4", "14"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "cover", "--M", "2", "--s", "0", "--levels", "1", "--digit-cap", "3"],
+     "exponent s must be positive"),
+    (["cf", "expand", "--decimal", "0.0"],
+     "value together with its half-ulp uncertainty must stay inside (0,1)"),
+], ids=["cover-s-0", "expand-0.0"])
+def test_a_value_on_the_edge_of_its_domain_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("verify-size", ["--word", ",".join(["1"] * 40)]),
+    ("holder", ["--M", "5", "--sample", "3", "--seed", "1"]),
+])
+def test_size_and_holder_checks_take_eps_from_the_schedule(capsys, tmp_path, command, extra):
+    # without --eps, a schedule file's eps is used and a c1 schedule is refused
+    path = tmp_path / "sched.json"
+    _, out, _ = run(capsys, "construct", "schedule", "--seq", "square", "--eps", "1/10",
+                    "--j-max", "30", "--horizon", "10000")
+    path.write_text(json.dumps(json.loads(out)["result"]))
+    code, out, _ = run(capsys, "construct", command, "--seq", "square", "--schedule", str(path),
+                       *extra)
+    assert code == 0 and "eps" not in json.loads(out)["inputs"]
+    argv = ["construct", command, "--seq", "square", "--c1", "1/30", "--j-max", "4",
+            "--horizon", "10000", *extra]
+    assert run(capsys, *argv) == (2, "", "error: --eps is required when no schedule carries one\n")
+
+
 def test_schedule_subcommand_emits_exact_schema(capsys):
     _, out, _ = run(
         capsys, "construct", "schedule", "--seq", "square", "--eps", "1/10",

@@ -555,6 +555,15 @@ def test_size_bound_rejects_inadmissible_words():
         verify_size_bound(0.1, SQ, s, PartialQuotients((1,) * 40))
 
 
+def test_size_bound_refuses_a_word_with_no_free_digit():
+    s = square_schedule()
+    with pytest.raises(DomainError, match="^word must be nonempty$"):
+        verify_size_bound("1/10", SQ, s, ())
+    # position 1 is the square 1, so its one digit is constrained
+    with pytest.raises(DomainError, match="^every digit is constrained; nothing remains"):
+        verify_size_bound("1/10", SQ, s, (1,))
+
+
 def test_separation_gap_dominates_cylinder_scaled_bound():
     rep = verify_separation((2, 1), 3, (1, 2), (2, 1))
     assert rep.gap == Fraction(3, 143)
@@ -593,6 +602,8 @@ def test_separation_validation():
         verify_separation((), 3, (4, 1), (2, 2))  # digit above the cap
     with pytest.raises(DomainError):
         verify_separation((), 1, (1,), (1,))
+    with pytest.raises(DomainError, match="^both continuations must be nonempty$"):
+        verify_separation((2,), 3, (), (1,))
 
 
 def test_nominal_onset_values():
@@ -624,12 +635,14 @@ def test_holder_check_skip_reasons():
             ((1, 2), (1, 3)),  # below the onset
             (w.digits[:35] + (2,), w.digits[:35] + (3,)),  # position 36 constrained
             ((1,) * 38 + (9,), (1,) * 38 + (2,)),  # free digit above the cap
+            ((1,) * 38 + (2,), (1,) * 38 + (7,)),  # the same, in the second word
         ],
     )
     assert reports[0].ok is True and reports[0].reason == "identical points"
     assert reports[1].ok is None and "below onset" in reports[1].reason
     assert reports[2].ok is None and "constrained" in reports[2].reason
     assert reports[3].ok is None and "exceeds the cap" in reports[3].reason
+    assert reports[4].reason == "free digit 7 at position 39 exceeds the cap 5"
 
 
 def test_holder_check_skips_a_pair_whose_words_share_a_whole_word():

@@ -275,24 +275,38 @@ def test_no_module_imports_mpmath_eagerly_or_dataclasses_at_all():
     assert offenders == [], "import mpmath inside the function that computes a real"
 
 
-def _kind_reads(source):
-    # (innermost enclosing function or None, line) of each <expr>.kind read
+def _attribute_reads(source, names):
+    # (innermost enclosing function or None, line) of each <expr>.<name> read, name in names
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "kind":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             yield func, node.lineno
         for child in ast.iter_child_nodes(node):
             yield from visit(child, func)
     return list(visit(ast.parse(source), None))
 
 
-def test_construction_reads_the_rule_kind_only_in_the_nominal_certificate():
-    # every other scan in construction works from count, nth and runs, so
-    # a new rule needs no construction code beyond _nominal_cert
-    assert _kind_reads("def f(s):\n    return s.kind\ng.kind\n") == [("f", 2), (None, 3)]
-    reads = _kind_reads((_SRC / "construction.py").read_text())
-    assert reads and {func for func, _ in reads} == {"_nominal_cert"}
+def _doubling_loops(source):
+    # (innermost enclosing function or None, line) of each while loop whose
+    # body doubles a value: x *= 2, a shift left, or a product with 2
+    def doubles(node):
+        if isinstance(node, ast.AugAssign):
+            node = ast.BinOp(node.target, node.op, node.value)
+        return isinstance(node, ast.BinOp) and (isinstance(node.op, ast.LShift) or (
+            isinstance(node.op, ast.Mult) and any(
+                isinstance(side, ast.Constant) and side.value == 2
+                for side in (node.left, node.right))))
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.While) and any(
+                doubles(sub) for stmt in node.body for sub in ast.walk(stmt)):
+            yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+    return list(visit(ast.parse(source), None))
 
 
 def _calls(source, name, nargs=None):
@@ -314,6 +328,22 @@ def _offenders(name, nargs, allowed):
             for p in sorted(_SRC.glob("*.py"))
             for func, line in _calls(p.read_text(), name, nargs)
             if (p.name, func) not in allowed]
+
+
+def test_construction_reads_no_rule_and_gallops_in_one_place():
+    # construction works from exact_density, count, nth and runs, so a new
+    # rule needs no construction code; its searches share _last_holding
+    assert _attribute_reads("def f(s):\n    return s.kind\ng.params[0]\nh.values\n",
+                            {"kind", "params"}) == [("f", 2), (None, 3)]
+    assert _doubling_loops(
+        "def f(n):\n    while n:\n        n *= 2\nwhile m:\n    m = min(2 * m, c)\n"
+        "while k:\n    k <<= 1\nwhile i:\n    i = (i + j) // 2\nwhile n * 2:\n    n += 1\n"
+    ) == [("f", 2), (None, 4), (None, 6)]
+    source = (_SRC / "construction.py").read_text()
+    assert _attribute_reads(source, {"kind", "params"}) == []
+    assert sorted(func for func, _ in _calls(source, "_last_holding")) \
+        == ["_nominal_cert", "choose_schedule"]
+    assert [func for func, _ in _doubling_loops(source)] == ["_last_holding"]
 
 
 def test_only_read_lines_opens_a_file():

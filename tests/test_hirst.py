@@ -345,6 +345,8 @@ def test_product_bound_prefix_weighting():
         assert abs(b - weight * free) < mpf("1e-30")
     with pytest.raises(DomainError):
         covering_product_bound(ALL, EVEN, 2, 1, 1, 2, PartialQuotients((1,)))
+    with pytest.raises(DomainError, match="^prefix digit 2 is outside the digit set$"):
+        covering_product_bound(parse_digit_set("geq:3"), EVEN, 3, 1, 1, 2, PartialQuotients((3, 2)))
     with pytest.raises(DivergenceError):
         covering_product_bound(ALL, EVEN, 2, "0.5", 0, 1, PartialQuotients(()))
 

@@ -14,6 +14,7 @@ both must give the same integers and raise the same errors.
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -492,6 +493,53 @@ def test_nominal_cert_leaves_no_violator_up_to_four_times_past_it(spec):
             if last > cert:
                 m = max(first, cert + 1)
                 assert en * (m - 2 * k - 4) >= 2 * ed, (eps, cert, m)
+
+
+_WALK_CAP = 2048
+_REFUSAL = ("the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
+            "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps")
+
+
+def ref_nominal_cert(seq, need):
+    # the member k_J of the least J with k_J - 2J >= need, walking the
+    # members one j at a time, or None past _WALK_CAP.  k_j - 2j falls on
+    # gap-1 progressions and is a0 - 2 on gap-2 ones, so those are refused
+    # unless that constant reaches need; an explicit list keeps its bound
+    if seq.kind == "explicit":
+        return 2 * len(seq.values) + int(need) + 6
+    if seq.kind == "arith" and seq.params[1] <= 2 and (seq.params[1] == 1
+                                                       or seq.params[0] - 2 < need):
+        return _REFUSAL % seq.spec_string()
+    for j, k in zip(range(1, _WALK_CAP + 1), seq.members()):
+        if k - 2 * j >= need:
+            return k
+    return None
+
+
+def test_nominal_cert_is_the_member_a_per_index_walk_stops_at():
+    # past the walk, the library's J is checked from both sides instead
+    seqs = ([parse_index_sequence(spec) for spec in ["square"] + ["pow:%d" % b for b in range(2, 6)]]
+            + [IndexSequence("arith", (a0, d)) for a0 in range(1, 41) for d in range(1, 9)]
+            + [_nominal_seq("explicit")])
+    start = time.perf_counter()
+    for seq in seqs:
+        for eps in (Fraction(7), Fraction(5, 2), Fraction(1), Fraction(1, 3), Fraction(1, 10),
+                    Fraction(3, 100), Fraction(1, 1000), Fraction(1, 10 ** 6)):
+            en, ed = eps.numerator, eps.denominator
+            need = 4 + Fraction(2 * ed, en)
+            want = ref_nominal_cert(seq, need)
+            if isinstance(want, str):
+                with pytest.raises(DomainError, match="^%s$" % re.escape(want)):
+                    _nominal_cert(seq, en, ed)
+                continue
+            got = _nominal_cert(seq, en, ed)
+            if want is None:
+                j = seq.count(got)
+                assert j > _WALK_CAP and seq.nth(j) == got, (seq, eps)
+                assert got - 2 * j >= need > seq.nth(j - 1) - 2 * (j - 1), (seq, eps)
+            else:
+                assert got == want, (seq, eps)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("spec", ["square", "pow:2"])

@@ -66,6 +66,8 @@ def test_explicit_sequence_window_semantics():
         ex.count(8)  # beyond the recorded window
     assert ex.count_window(8) == 3  # the list taken as the whole sequence
     assert ex.first_at_least(6) == 3
+    with pytest.raises(DomainError, match="^explicit sequence never reaches 8 within its window$"):
+        ex.first_at_least(8)
 
 
 def test_parse_rejects_malformed_specs():
@@ -188,6 +190,9 @@ def test_explicit_digit_set_from_file(tmp_path):
     bad.write_text("5\n7x\n")
     with pytest.raises(DomainError, match="line 2 of .*bad.txt"):
         parse_digit_set("file:%s" % bad)
+    bad.write_text("\n")
+    with pytest.raises(DomainError, match="^explicit list must be nonempty$"):
+        parse_index_sequence("file:%s" % bad)
 
 
 def test_tau_closed_forms():

@@ -175,12 +175,28 @@ def test_an_exponent_past_a_million_is_refused_at_once(name):
     (0, "must be positive"),
     (-1e-12, "must be positive"),
     (math.nan, "must be positive"),
+    ("1e-12", "must be an int, float, Fraction or mpf, got '1e-12'"),
+    (True, "must be an int, float, Fraction or mpf, got True"),
 ])
 def test_a_tolerance_must_be_positive_and_finite(tol, message):
     with pytest.raises(DomainError, match="^target_abs_tol " + message):
         PrecisionContext(target_abs_tol=tol)
     with pytest.raises(DomainError, match="^tol " + message):
         critical_exponent(1000, tol=tol)
+
+
+def test_a_fraction_or_mpf_tolerance_acts_as_its_float():
+    want = critical_exponent(1000, tol=1e-12).s_star
+    for tol in (Fraction(1, 10 ** 12), mpf(1e-12)):
+        assert critical_exponent(1000, tol=tol).s_star == want
+        assert zeta("2.5", PrecisionContext(tol)) == zeta("2.5")
+
+
+def test_as_real_refuses_a_bool_and_an_infinity():
+    with pytest.raises(DomainError, match="^expected a real value, got a boolean$"):
+        as_real(True)
+    with pytest.raises(DomainError, match=r"^value must be a finite real, got \+inf$"):
+        as_real(float("inf"))
 
 
 def _big_omega(k):
