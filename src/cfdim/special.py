@@ -42,8 +42,27 @@ Omega(k) <= 15 for k < 2^16, so every term is within 29 ulp, below
 1e-48 relative at 50 digits; an enclosure of the head must widen each
 term by that much.  A covering term q^(-s) r^(-s) takes one product
 more, so it carries at most 2*Omega(q r) - 1 <= 59 roundings.
+
+A prime's power p^(-z) has the bits that mpf.__pow__ gives.  At an
+exponent that is neither an integer nor a half-integer, mpmath 1.3
+forms it as exp(-z log p), with log p rounded to 10 guard bits, and
+_prime_power keeps that logarithm for each prime below 2^12: such a
+prime costs one exponential per power and one logarithm per working
+precision.  _coefficients keeps the B_2j/(2j)! of the corrections the
+same way.  Both are functools.lru_cache tables, the one state of the
+module: the coefficients of four precisions, and at most four times
+the 564 logarithms of the primes below 2^12, about 700 bytes each with
+the table's own entry at 50 digits.  Each value kept is the very value
+the computation would round again, so no bit of any result depends on
+what the tables hold, and every caller in the process can share them.
+The primes past 2^12, which only a head or a covering sum of a large
+cutoff meets, take mpf_pow as before, so a call keeps at most the
+logarithms of 564 primes, some 400 KB at 50 digits.  The formula is
+mpmath 1.3.x's; test_a_prime_power_has_the_bits_of_mpf_pow checks it
+against the mpmath in use.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -92,8 +111,6 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 def as_real(x, what="value"):
     """Coerce int/float/Fraction/mpf or number text to a finite mpf at the current precision."""
-    # called once per term of the Euler-Maclaurin correction, where the
-    # plain import costs a fifth of a from-import
     import mpmath
 
     if isinstance(x, bool):
@@ -125,19 +142,19 @@ def euler_gamma(ctx=DEFAULT_CONTEXT):
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
 _CUTOFF_CAP = 1 << 16
 
-
 def _tail_correction(n0, z):
     # Euler-Maclaurin value of sum_{k >= n0} k^(-z) through B_8, and the
     # magnitude of the first omitted (B_10) term, which bounds the remainder;
     # one power p = n0^(-z) and exact integer powers of n0 make every term
-    from mpmath import mpf
+    from mpmath import mp, mpf
 
     p = mpf(n0) ** (-z)
     total = p * n0 / (z - 1) + p / 2
     rising = z  # rising factorial (z)_{2j-1}, extended two factors per step
-    for j, b in enumerate(_BERNOULLI, start=1):
-        term = as_real(b) / math.factorial(2 * j) * rising * p / n0 ** (2 * j - 1)
-        if j == len(_BERNOULLI):
+    coefficients = _coefficients(mp.prec)
+    for j, c in enumerate(coefficients, start=1):
+        term = c * rising * p / n0 ** (2 * j - 1)
+        if j == len(coefficients):
             return total, abs(term)
         total += term
         rising *= (z + 2 * j - 1) * (z + 2 * j)
@@ -160,14 +177,54 @@ _LPF = _sieve(_CUTOFF_CAP, [p for p, d in enumerate(_sieve(256, range(2, 16)))
                             if p > 1 and not d])
 
 
-def _neg_power(k, memo, nz, prec):
-    # raw k^(-z) for 1 <= k < 2^16, nz the raw -z: one raw mpf_pow (the
-    # bits mpf.__pow__ gives) for a prime k, and for a composite k the
-    # product of the terms of its least prime factor and of its cofactor.
-    # The loop walks the chain of cofactors down to a memo hit or a prime,
-    # then multiplies the factors' terms back in.  memo, a list, keeps
-    # every term below its length.  The plain import costs a fifth of a
+# a logarithm is kept for each prime below _LOG_CUTOFF, at most as many as
+# four precisions hold; the module docstring says why they are shared
+_LOG_CUTOFF = 1 << 12
+_PRECISIONS_KEPT = 4
+
+
+@functools.lru_cache(maxsize=_PRECISIONS_KEPT)
+def _coefficients(prec):
+    # B_2j/(2j)! for each B_2j of _BERNOULLI, rounded to prec bits
+    from mpmath import mp
+
+    with mp.workprec(prec):
+        return tuple(as_real(b) / math.factorial(2 * j)
+                     for j, b in enumerate(_BERNOULLI, start=1))
+
+
+@functools.lru_cache(maxsize=_PRECISIONS_KEPT * sum(not d for d in _LPF[2:_LOG_CUTOFF]))
+def _log_prime(p, prec):
+    # log p rounded to prec + 10 bits, the logarithm mpf_pow forms
+    import mpmath
+
+    libmp = mpmath.libmp
+    return libmp.mpf_log(libmp.from_int(p), prec + 10, libmp.round_nearest)
+
+
+def _prime_power(p, nz, prec):
+    # raw p^(-z) for a prime p, nz the raw -z: the bits of
+    # mpf_pow(from_int(p), nz, prec, round_nearest) (mpf.__pow__ gives the
+    # same).  For an nz that is neither an integer nor a half-integer,
+    # mpmath 1.3's mpf_pow forms exp(nz * log p) with log p at prec + 10
+    # bits, and below _LOG_CUTOFF that logarithm is kept.  This copies
+    # mpmath 1.3.x; test_a_prime_power_has_the_bits_of_mpf_pow checks that
+    # the mpmath in use agrees.  The plain import costs a fifth of a
     # from-import
+    import mpmath
+
+    libmp = mpmath.libmp
+    if nz[2] >= -1 or p >= _LOG_CUTOFF:
+        return libmp.mpf_pow(libmp.from_int(p), nz, prec, libmp.round_nearest)
+    return libmp.mpf_exp(libmp.mpf_mul(nz, _log_prime(p, prec)), prec, libmp.round_nearest)
+
+
+def _neg_power(k, memo, nz, prec):
+    # raw k^(-z) for 1 <= k < 2^16, nz the raw -z: _prime_power for a
+    # prime k, and for a composite k the product of the terms of its least
+    # prime factor and of its cofactor.  The loop walks the chain of
+    # cofactors down to a memo hit or a prime, then multiplies the factors'
+    # terms back in.  memo, a list, keeps every term below its length
     import mpmath
 
     libmp = mpmath.libmp
@@ -181,14 +238,13 @@ def _neg_power(k, memo, nz, prec):
             k //= p
             v = memo[k] if k < n else None
         else:
-            v = libmp.fone if k == 1 else libmp.mpf_pow(libmp.from_int(k), nz, prec,
-                                                        libmp.round_nearest)
+            v = libmp.fone if k == 1 else _prime_power(k, nz, prec)
             if k < n:
                 memo[k] = v
     for k, p in reversed(links):
         f = memo[p] if p < n else None
         if f is None:
-            f = libmp.mpf_pow(libmp.from_int(p), nz, prec, libmp.round_nearest)
+            f = _prime_power(p, nz, prec)
             if p < n:
                 memo[p] = f
         v = libmp.mpf_mul(f, v, prec, libmp.round_nearest)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfdim.cli import build_parser, main
+import golden_cli
 from spawn import child_env
 from test_acceptance import CLI_MATRIX
 from test_errors import NOT_NUMBER_TEXT, NUMBER_TEXT
@@ -705,6 +706,16 @@ def test_every_leaf_command_is_in_the_cli_matrix():
         for cmd in _subcommands(sub)
     }
     assert leaves == {tuple(argv[:2]) for argv in CLI_MATRIX}
+
+
+def test_every_command_prints_its_committed_output():
+    # the rows of golden_cli.jsonl, each run in this process; a change
+    # that moves an output on purpose rewrites the table (see golden_cli)
+    rows = golden_cli.read_rows()
+    assert all(argv in [row["argv"] for row in rows] for argv in CLI_MATRIX)
+    assert {2, 3, 4} <= {row["exit"] for row in rows}
+    differ = [row["argv"] for row in rows if golden_cli.run(row["argv"]) != row]
+    assert differ == []
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
+from mpmath.libmp import dps_to_prec, fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
 
 from cfdim import (
     DivergenceError,
@@ -21,6 +22,7 @@ from cfdim import (
     ResourceCapError,
     euler_gamma,
     laurent_zeta_approx,
+    special,
     tail_integral_approx,
     zeta,
     zeta_tail,
@@ -28,7 +30,7 @@ from cfdim import (
 from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_level_factor
 from cfdim.hirst import covering_product_bound
 from cfdim.sequences import parse_digit_set, parse_index_sequence
-from cfdim.special import _LPF, _neg_power, _tail_correction, as_real
+from cfdim.special import _LPF, _neg_power, _prime_power, _tail_correction, as_real
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
 
@@ -257,6 +259,106 @@ def test_the_kernel_makes_the_products_of_a_reference():
         memo = [None] * length
         assert [_neg_power(k, memo, nz, prec) for k in ks] == want, length
 
+
+_PRIMES = [k for k in range(2, 1 << 16) if not _LPF[k]]
+_KEPT_PRIMES = [p for p in _PRIMES if p < special._LOG_CUTOFF]
+
+
+def _empty_tables():
+    # the constants special keeps, emptied as in a new process
+    special._log_prime.cache_clear()
+    special._coefficients.cache_clear()
+
+
+@pytest.fixture
+def cold_tables():
+    _empty_tables()
+
+
+@pytest.mark.parametrize("digits, sample", [(50, None), (100, 300), (1000, 20)])
+def test_a_prime_power_has_the_bits_of_mpf_pow(cold_tables, digits, sample):
+    # every prime below 2^16 at 50 digits, and at 100 and 1,000 a seeded
+    # sample of the primes below the cutoff, whose logarithms are kept; the
+    # first exponent keeps them and the others read them.  The kept
+    # logarithm copies mpmath 1.3's mpf_pow, so this is the check that the
+    # mpmath in use agrees
+    primes = _PRIMES if sample is None else random.Random(digits).sample(_KEPT_PRIMES, sample)
+    with mp.workdps(digits):
+        prec = mp.prec
+        for z in ("0.7", Fraction(10, 7), "1.000000002", "3.75"):
+            nz = mpf_neg(as_real(z)._mpf_)
+            want = [mpf_pow(from_int(p), nz, prec, round_nearest) for p in primes]
+            assert [_prime_power(p, nz, prec) for p in primes] == want, z
+    info = special._log_prime.cache_info()
+    assert info.currsize == info.misses == sum(p < special._LOG_CUTOFF for p in primes)
+
+
+@pytest.mark.parametrize("z", [2, "2.5"])
+def test_an_integer_or_half_integer_prime_power_is_mpf_pow_itself(monkeypatch, cold_tables, z):
+    # mpf_pow forms these without a logarithm, so none is kept
+    calls = []
+    monkeypatch.setattr(mpmath.libmp, "mpf_pow",
+                        lambda *args: calls.append(args) or mpf_pow(*args))
+    with mp.workdps(50):
+        nz = mpf_neg(as_real(z)._mpf_)
+        want = [mpf_pow(from_int(p), nz, mp.prec, round_nearest) for p in _PRIMES[:100]]
+        assert [_prime_power(p, nz, mp.prec) for p in _PRIMES[:100]] == want
+    assert len(calls) == 100 and special._log_prime.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("digits, zeta_raw, tail_raw, s_raw", [
+    (50,
+     (0, 0x1f74a1c9d20a2d6a57c9f48c369a49d657e1221cf27, -167, 169),
+     (0, 0x973108de57a130ab78c57e2f5a2331366af3c85fb5, -169, 168),
+     (0, 0x156f42bbb567b72111a8f7c496a5652018da1cb4b3, -165, 165)),
+    (100,
+     (0, 0x3ee94393a4145ad4af93e9186d3493acafc24439e50ea42581b0f1c1fc9259afa1f00c84d3afb66e58c1,
+      -332, 334),
+     (0, 0x973108de57a130ab78c57e2f5a2331366af3c85fb4dbd2b675a6d3d2d673f54c50c14efbf0bcfd5fc123,
+      -337, 336),
+     (0, 0xab7a15ddab3db9088d47be24b52b2900c6d0e5a597ed2608b790ea6621ea790694fad3900d39d8d84747,
+      -336, 336)),
+])
+def test_zeta_tail_and_the_critical_exponent_keep_their_bits(cold_tables, digits, zeta_raw,
+                                                             tail_raw, s_raw):
+    # raw mpf values at exponents whose prime powers take kept logarithms,
+    # from empty tables and again from full ones
+    ctx = PrecisionContext(1e-12, digits)
+    for _ in range(2):
+        assert zeta("1.3", ctx)._mpf_ == zeta_raw
+        assert zeta_tail(10, "1.7", ctx)._mpf_ == tail_raw
+        assert critical_exponent(1000, ctx=ctx).s_star._mpf_ == s_raw
+
+
+@pytest.mark.parametrize("digits", [50, 100, 1000])
+def test_the_kept_coefficients_are_those_of_the_working_precision(digits):
+    # B_2j/(2j)! as the correction once formed it at every call
+    with mp.workdps(digits):
+        want = [(as_real(b) / math.factorial(2 * j))._mpf_
+                for j, b in enumerate(special._BERNOULLI, start=1)]
+        assert [c._mpf_ for c in special._coefficients(mp.prec)] == want
+
+
+def test_the_tables_keep_four_precisions(cold_tables, monkeypatch):
+    # a fifth precision drops the coefficients of the first, and the
+    # logarithms of every prime below the cutoff at five precisions leave
+    # those of the last four; a value computed again after its precision
+    # was dropped has the same bits
+    precs = [dps_to_prec(d) for d in (50, 60, 70, 80, 90)]
+    first = [zeta("1.3", PrecisionContext(1e-12, d))._mpf_ for d in (50, 60, 70, 80, 90)]
+    assert special._coefficients.cache_info().currsize == 4
+    for prec in precs:
+        for p in _KEPT_PRIMES:
+            special._log_prime(p, prec)
+    assert special._log_prime.cache_info().currsize == 4 * len(_KEPT_PRIMES)
+    counts = _count_logarithms(monkeypatch)
+    for prec in precs[1:]:
+        special._log_prime(_KEPT_PRIMES[-1], prec)
+    assert counts[0] == 0
+    assert zeta("1.3")._mpf_ == first[0]
+    assert counts[0] == 18
+
+
 @pytest.mark.parametrize("z", ["1.000000002", "1.2", "2", "3.5", "8"])
 def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
     # the loop that sums the B_2..B_8 corrections returns the magnitude of
@@ -270,12 +372,15 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
 
 
 def _count_noninteger_powers(monkeypatch):
-    # mpf ** mpf, and the raw libmp.mpf_pow that the multiplicative kernel
-    # and the direct covering terms call.  mpf.__pow__ calls its own binding
-    # of mpf_pow, so no power is counted twice
+    # mpf ** mpf, the raw libmp.mpf_pow of the direct covering terms, and
+    # the kernel's prime powers.  A prime power at an integer or
+    # half-integer exponent, or of a prime past the cutoff, calls mpf_pow,
+    # and every other one takes its kept logarithm; mpf.__pow__ calls its
+    # own binding of mpf_pow.  So no power is counted twice
     counts = [0]
     real_pow = mpmath.mpf.__pow__
     real_raw_pow = mpmath.libmp.mpf_pow
+    real_prime_power = special._prime_power
 
     def counting_pow(self, other):
         if not mp.isint(other):
@@ -287,8 +392,28 @@ def _count_noninteger_powers(monkeypatch):
             counts[0] += 1
         return real_raw_pow(s, t, *args)
 
+    def counting_prime_power(p, nz, prec):
+        if nz[2] < -1 and p < special._LOG_CUTOFF:
+            counts[0] += 1
+        return real_prime_power(p, nz, prec)
+
     monkeypatch.setattr(mpmath.mpf, "__pow__", counting_pow)
     monkeypatch.setattr(mpmath.libmp, "mpf_pow", counting_raw_pow)
+    monkeypatch.setattr(special, "_prime_power", counting_prime_power)
+    return counts
+
+
+def _count_logarithms(monkeypatch):
+    # the raw libmp.mpf_log that the kernel calls for a logarithm it does
+    # not hold yet
+    counts = [0]
+    real_log = mpmath.libmp.mpf_log
+
+    def counting_log(*args):
+        counts[0] += 1
+        return real_log(*args)
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_log", counting_log)
     return counts
 
 
@@ -307,6 +432,16 @@ def test_a_critical_solve_takes_a_bounded_number_of_powers(monkeypatch):
     counts = _count_noninteger_powers(monkeypatch)
     assert critical_exponent(1000).converged
     assert counts[0] <= 210
+
+
+def test_a_critical_solve_takes_a_logarithm_per_prime_once(cold_tables, monkeypatch):
+    # the 18 primes below the cutoff 64, each once at this precision; a
+    # second solve finds them all kept
+    counts = _count_logarithms(monkeypatch)
+    critical_exponent(1000)
+    assert counts[0] == 18
+    critical_exponent(1000)
+    assert counts[0] == 18
 
 
 def test_a_covering_sum_takes_a_power_per_prime_met(monkeypatch):
@@ -369,9 +504,12 @@ def test_a_zeta_call_leaves_no_reference_cycle():
 
 
 def test_head_memo_stays_small_at_the_largest_cutoff():
-    # the cutoff reaches 2^16 here; fsum's list of the terms is most of the
-    # peak, and a memo of every term as an mpf would about double it
+    # the cutoff reaches 2^15 here; fsum's list of the terms is most of the
+    # peak, and a memo of every term as an mpf would about double it.  The
+    # call starts from empty tables, as each CLI command does, so the peak
+    # also holds the logarithms it keeps of the 564 primes below 2^12
     zeta(2)
+    _empty_tables()
     tracemalloc.start()
     try:
         zeta_tail(1, "1.2", PrecisionContext(1e-46, 50))
