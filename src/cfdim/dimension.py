@@ -21,7 +21,9 @@ from typing import NamedTuple
 
 from .cfcore import PartialQuotients, _final_row
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
-from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _neg_power, as_real, zeta, zeta_tail
+from .special import (
+    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _neg_power, _series_from, as_real,
+)
 
 __all__ = [
     "CriticalSolveResult",
@@ -75,8 +77,20 @@ def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
         if not sm > mpf(1) / 2:
             raise DivergenceError("the level sums diverge for s <= 1/2")
         z = 2 * sm
+        # the two series as zeta and zeta_tail form them, less their set-up,
+        # which is a no-op on z at the working precision
+        _check_exponent(z)
         base = (1 + mpf(1) / m_floor) ** sm
-        return +(base * zeta(z, ctx) * zeta_tail(m_floor, z, ctx))
+        return +(base * _series_from(1, z, ctx) * _series_from(m_floor, z, ctx))
+
+
+def _exact(tol):
+    # the rational value of a number that _check_tolerance admitted, which
+    # is never text
+    from mpmath.libmp import to_rational
+
+    p, q = to_rational(tol._mpf_) if hasattr(tol, "_mpf_") else tol.as_integer_ratio()
+    return Fraction(p, q)
 
 
 class CriticalSolveResult(NamedTuple):
@@ -101,14 +115,18 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     1 - g(new)/g(replaced), or by 1/2 when that is not positive
     (Anderson-Bjorck), so that stale end cannot stall the bracket.  The
     bracket always keeps factor(lo) > 1 > factor(hi).  Stops when
-    |factor - 1| <= tol.  When the factor is still above 1 at s_max
-    there is no root in the bracket and the result says so (converged
-    False) instead of raising.
+    |factor - 1| <= tol; a tol below ctx.target_abs_tol, the accuracy of
+    each factor value, is refused.  When the factor is still above 1 at
+    s_max there is no root in the bracket and the result says so
+    (converged False) instead of raising.
     """
     from mpmath import mp, mpf
 
     int_at_least(m_floor, "digit floor", 2)
     _check_tolerance(tol, "tol")
+    if _exact(tol) < _exact(ctx.target_abs_tol):
+        raise DomainError("tol %s is below ctx.target_abs_tol %s, the accuracy of each factor "
+                          "value" % (tol, ctx.target_abs_tol))
     with mp.workdps(ctx.working_digits):
         lo = mpf("0.5") + mpf("1e-9")
         hi = as_real(s_max, "s_max")

@@ -34,10 +34,15 @@ call: a module-level function holds no reference to itself, so no cycle
 keeps it.  For the head the memo is N/2 long, below which both factors
 of every composite term lie, so a zeta value costs one power per
 prime below the cutoff plus one per cutoff tried: 19 at N = 64, where
-one power per term made 70.  mp.fsum still adds the head exactly.  The
-price is rounding: a term of k with Omega(k) prime factors, counted
-with multiplicity, carries Omega(k) rounded powers and Omega(k) - 1
-rounded products, at most 2*Omega(k) - 1 roundings of an ulp each.
+one power per term made 70.  The head stays raw: libmp.mpf_sum adds its
+terms exactly and rounds once, as mp.fsum does once it has unwrapped
+them, and the tail corrections run on raw values too.  Raw code keeps
+the bits of the mpf expression it replaced: it does each of that
+expression's operations, in its order, rounded once to nearest at
+mp.prec, so only the wrapping goes.  The price of the kernel is
+rounding: a term of k with Omega(k) prime factors, counted with
+multiplicity, carries Omega(k) rounded powers and Omega(k) - 1 rounded
+products, at most 2*Omega(k) - 1 roundings of an ulp each.
 Omega(k) <= 15 for k < 2^16, so every term is within 29 ulp, below
 1e-48 relative at 50 digits; an enclosure of the head must widen each
 term by that much.  A covering term q^(-s) r^(-s) takes one product
@@ -145,19 +150,32 @@ _CUTOFF_CAP = 1 << 16
 def _tail_correction(n0, z):
     # Euler-Maclaurin value of sum_{k >= n0} k^(-z) through B_8, and the
     # magnitude of the first omitted (B_10) term, which bounds the remainder;
-    # one power p = n0^(-z) and exact integer powers of n0 make every term
-    from mpmath import mp, mpf
+    # one power p = n0^(-z) and exact integer powers of n0 make every term.
+    # It runs on raw values, each operation of the mpf expression
+    #   p = mpf(n0) ** -z;  total = p * n0 / (z - 1) + p / 2
+    #   term_j = c_j * rising * p / n0 ** (2j - 1);  total += term_j
+    #   rising *= (z + 2j - 1) * (z + 2j)
+    # in its order and rounded once, so the bits are that expression's
+    import mpmath
 
-    p = mpf(n0) ** (-z)
-    total = p * n0 / (z - 1) + p / 2
-    rising = z  # rising factorial (z)_{2j-1}, extended two factors per step
-    coefficients = _coefficients(mp.prec)
+    libmp, mp = mpmath.libmp, mpmath.mp
+    add, sub, mul, div = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
+    from_int, fone = libmp.from_int, libmp.fone
+    prec, rnd = mp.prec, libmp.round_nearest
+    zr = z._mpf_
+    p = libmp.mpf_pow(from_int(n0, prec, rnd), libmp.mpf_neg(zr, prec, rnd), prec, rnd)
+    total = add(div(libmp.mpf_mul_int(p, n0, prec, rnd), sub(zr, fone, prec, rnd), prec, rnd),
+                div(p, libmp.ftwo, prec, rnd), prec, rnd)
+    rising = zr  # rising factorial (z)_{2j-1}, extended two factors per step
+    coefficients = _coefficients(prec)
     for j, c in enumerate(coefficients, start=1):
-        term = c * rising * p / n0 ** (2 * j - 1)
+        term = div(mul(mul(c._mpf_, rising, prec, rnd), p, prec, rnd),
+                   from_int(n0 ** (2 * j - 1)), prec, rnd)
         if j == len(coefficients):
-            return total, abs(term)
-        total += term
-        rising *= (z + 2 * j - 1) * (z + 2 * j)
+            return mp.make_mpf(total), mp.make_mpf(libmp.mpf_abs(term))
+        total = add(total, term, prec, rnd)
+        even = add(zr, from_int(2 * j), prec, rnd)  # z + 2j, and z + 2j - 1 from it
+        rising = mul(rising, mul(sub(even, fone, prec, rnd), even, prec, rnd), prec, rnd)
 
 
 def _sieve(n, divisors):
@@ -254,10 +272,10 @@ def _neg_power(k, memo, nz, prec):
 
 
 def _head(start, cutoff, z):
-    # k^(-z) for k in [start, cutoff).  The least prime factor and the
+    # raw k^(-z) for k in [start, cutoff).  The least prime factor and the
     # cofactor of a composite k are below cutoff/2, and only those are ever
     # reused, so the memo keeps k < cutoff/2 alone; its raw values are the
-    # very tuples fsum collects, so it costs one pointer per entry
+    # very tuples mpf_sum adds, so it costs one pointer per entry
     from mpmath import mp
     from mpmath.libmp import mpf_neg
 
@@ -266,12 +284,16 @@ def _head(start, cutoff, z):
     prec = mp.prec
     nz = mpf_neg(z._mpf_)
     memo = [None] * ((cutoff + 1) // 2)
-    return (mp.make_mpf(_neg_power(k, memo, nz, prec)) for k in range(start, cutoff))
+    return (_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
 
 
 def _series_from(start, z, ctx):
-    from mpmath import mp
+    # sum of k^(-z) over k >= start at the working precision, z an mpf
+    # already checked against the pole: the head, added exactly and rounded
+    # once as mp.fsum adds it, plus the corrected tail from the cutoff
+    import mpmath
 
+    libmp, mp = mpmath.libmp, mpmath.mp
     cutoff = max(64, start)
     goal = as_real(ctx.target_abs_tol) / 8
     tail, bound = _tail_correction(cutoff, z)
@@ -283,7 +305,9 @@ def _series_from(start, z, ctx):
                 % (ctx.target_abs_tol, z)
             )
         tail, bound = _tail_correction(cutoff, z)
-    return mp.fsum(_head(start, cutoff, z)) + tail
+    prec, rnd = mp.prec, libmp.round_nearest
+    head = libmp.mpf_sum(_head(start, cutoff, z), prec, rnd)
+    return mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd))
 
 
 def _check_exponent(zm):

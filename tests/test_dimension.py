@@ -23,6 +23,8 @@ from cfdim import (
     per_level_factor,
     recursion_factor,
     reference_bounds,
+    zeta,
+    zeta_tail,
 )
 
 
@@ -90,6 +92,19 @@ def test_per_level_factor_decreases_in_s_and_M():
         per_level_factor(1, "0.8")
 
 
+@settings(max_examples=30)
+@given(st.one_of(st.integers(2, 70), st.integers(2, 10 ** 7)), st.floats(0.5 + 1e-6, 3),
+       st.sampled_from([50, 100]))
+def test_per_level_factor_is_the_product_of_the_public_series(m_floor, s, dps):
+    # the factor calls the series directly; below M = 64 its tail has a head
+    ctx = PrecisionContext(working_digits=dps)
+    with mp.workdps(dps):
+        sm = mpf(s)
+        base = (1 + mpf(1) / m_floor) ** sm
+        want = +(base * zeta(2 * sm, ctx) * zeta_tail(m_floor, 2 * sm, ctx))
+    assert per_level_factor(m_floor, s, ctx)._mpf_ == want._mpf_
+
+
 def test_critical_exponent_solves_factor_equals_one():
     with mp.workdps(40):
         for m_floor in (2, 10, 1000):
@@ -146,13 +161,46 @@ def test_critical_exponent_needs_few_factor_evaluations(monkeypatch, dps):
         assert len(calls) <= 12, (m_floor, len(calls))
 
 
-def test_critical_exponent_step_limit_keeps_an_open_bracket():
-    # no 50-digit factor value lies within 1e-80 of 1
-    res = critical_exponent(1000, tol=1e-80)
+def test_critical_exponent_step_limit_keeps_an_open_bracket(monkeypatch):
+    # the solve at M = 1000 takes more than three steps
+    monkeypatch.setattr("cfdim.dimension._STEP_LIMIT", 3)
+    res = critical_exponent(1000)
     assert not res.converged and res.s_star is None
-    assert res.iterations == 200 and "within 200 steps" in res.message
+    assert res.iterations == 3 and "within 3 steps" in res.message
     lo, hi = res.bracket
     assert lo < hi
+
+
+def test_a_tol_below_the_context_tolerance_is_refused():
+    # the factor is computed to ctx.target_abs_tol, so a residual below it
+    # says nothing: at tol 1e-30 the 50-digit solve at M = 2 reported
+    # 5.6e-39, where the 80-digit |factor - 1| is 1.6e-21
+    with pytest.raises(DomainError, match="^tol 1e-30 is below ctx.target_abs_tol 1e-12, "):
+        critical_exponent(2, tol=1e-30)
+    assert critical_exponent(2, tol=1e-30, ctx=PrecisionContext(1e-30)).converged
+    # the comparison is exact: 10^-12 lies above the float 1e-12, and a
+    # value a hair below that float is refused, as a Fraction and as an mpf
+    assert Fraction(1, 10 ** 12) > Fraction(1e-12)
+    assert critical_exponent(1000, tol=Fraction(1, 10 ** 12)).converged
+    below = Fraction(1e-12) - Fraction(1, 10 ** 40)
+    with mp.workdps(50):
+        below_mpf = mpf(1e-12) - mpf("1e-40")
+    for tol in (below, below_mpf):
+        with pytest.raises(DomainError, match="^tol .* is below ctx.target_abs_tol 1e-12, "):
+            critical_exponent(1000, tol=tol)
+
+
+@pytest.mark.parametrize("m_floor, s_raw", [
+    (12, (0, 0xcb3f5e13c391f7ea2ccef23d04e0c6918f4710616f93c76039350c15afd5a34b226eda7e7c3f0643a251,
+          -336, 336)),
+    (2612212,
+     (0, 0x9b9d57843bbdd8f0a5da5a97a2c1d4b00a2090e087c8e5334a4acf2f4692a76f1a46610eec8c40f7507d,
+      -336, 336)),
+])
+def test_critical_exponent_keeps_its_bits_at_a_small_and_a_large_floor(m_floor, s_raw):
+    # 100-digit roots with a head in the tail series (M < 64) and without
+    res = critical_exponent(m_floor, ctx=PrecisionContext(working_digits=100))
+    assert res.s_star._mpf_ == s_raw
 
 
 def test_asymptotic_exponent_values():

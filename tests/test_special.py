@@ -371,6 +371,40 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
             assert abs(bound - ref) <= ref * mpf("1e-40"), n0
 
 
+def _mpf_tail_correction(n0, z):
+    # the mpf expression whose operations _tail_correction does on raw values
+    p = mpf(n0) ** (-z)
+    total = p * n0 / (z - 1) + p / 2
+    rising = z
+    coefficients = special._coefficients(mp.prec)
+    for j, c in enumerate(coefficients, start=1):
+        term = c * rising * p / n0 ** (2 * j - 1)
+        if j == len(coefficients):
+            return total, abs(term)
+        total += term
+        rising *= (z + 2 * j - 1) * (z + 2 * j)
+
+
+# exponents in (1 + 2e-9, 8]: a float times a factor near 1 whose
+# denominator is not a power of two, so that its mpf fills the mantissa
+# and a sum such as z + 2j rounds, and every integer and half-integer
+_TAIL_EXPONENTS = st.one_of(
+    st.floats(1 + 2e-9, 8, exclude_min=True)
+    .map(lambda x: min(Fraction(x) * Fraction(3 * 10 ** 20 + 1, 3 * 10 ** 20), Fraction(8))),
+    st.integers(3, 16).map(lambda k: Fraction(k, 2)),
+)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 10 ** 9), _TAIL_EXPONENTS, st.integers(50, 300))
+def test_the_raw_tail_correction_has_the_bits_of_the_mpf_expression(n0, z, digits):
+    with mp.workdps(digits):
+        zm = as_real(z)
+        got = _tail_correction(n0, zm)
+        want = _mpf_tail_correction(n0, zm)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
 def _count_noninteger_powers(monkeypatch):
     # mpf ** mpf, the raw libmp.mpf_pow of the direct covering terms, and
     # the kernel's prime powers.  A prime power at an integer or
@@ -454,6 +488,27 @@ def test_a_covering_sum_takes_a_power_per_prime_met(monkeypatch):
     assert counts[0] <= 2519
 
 
+def test_the_head_stays_raw(monkeypatch):
+    # raw values wrapped as mpf objects through mp.make_mpf, which mp.fsum
+    # also calls for its sum.  A series wraps the tail's sum and bound and
+    # its own value: 3 for zeta, and 6 for a factor, whose second series
+    # starts at 1000.  An mpf for each of the 63 head terms and for the sum
+    # made 64 and 65
+    counts = [0]
+    real_make_mpf = mp.make_mpf
+
+    def counting_make_mpf(v):
+        counts[0] += 1
+        return real_make_mpf(v)
+
+    monkeypatch.setattr(mp, "make_mpf", counting_make_mpf)
+    zeta("2.5")
+    assert counts[0] <= 3
+    counts[0] = 0
+    per_level_factor(1000, "0.75")
+    assert counts[0] <= 6
+
+
 def _reference_zeta_tail(start, z, tol):
     # direct powers for every head term and every Euler-Maclaurin term, the
     # cutoff doubling from max(64, start) until the B_10 term is below tol/8
@@ -504,10 +559,12 @@ def test_a_zeta_call_leaves_no_reference_cycle():
 
 
 def test_head_memo_stays_small_at_the_largest_cutoff():
-    # the cutoff reaches 2^15 here; fsum's list of the terms is most of the
-    # peak, and a memo of every term as an mpf would about double it.  The
-    # call starts from empty tables, as each CLI command does, so the peak
-    # also holds the logarithms it keeps of the 564 primes below 2^12
+    # the cutoff reaches 2^15 here; mpf_sum takes the raw terms one at a
+    # time, so the peak is the memo of the terms below 2^14 (2.9 MB, where
+    # mp.fsum's list of the terms made 5.7 MB), and a memo of every term as
+    # an mpf would about double it.  The call starts from empty tables, as
+    # each CLI command does, so the peak also holds the logarithms it keeps
+    # of the 564 primes below 2^12
     zeta(2)
     _empty_tables()
     tracemalloc.start()
