@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .cfcore import PartialQuotients, _final_row
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
 from .special import (
-    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _neg_power, _series_from, as_real,
+    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _goal, _neg_power, _series_from, as_real,
 )
 
 __all__ = [
@@ -81,7 +81,8 @@ def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
         # which is a no-op on z at the working precision
         _check_exponent(z)
         base = (1 + mpf(1) / m_floor) ** sm
-        return +(base * _series_from(1, z, ctx) * _series_from(m_floor, z, ctx))
+        goal = _goal(ctx)
+        return +(base * _series_from(1, z, goal, ctx) * _series_from(m_floor, z, goal, ctx))
 
 
 def _exact(tol):
@@ -208,15 +209,15 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     1/(q r) with r = M q_n + q_{n-1}, so only the final powers and their
     sum are floating point, accumulated in a fixed order.
 
-    At an integer s a term is one rounded integer power of q r.
-    Otherwise, when r < 2^16 (so q < 2^16 too), it is q^(-s) r^(-s) from
-    special's kernel _neg_power, which makes a term the product of the
-    terms of its least prime factor and of its cofactor, down to one
-    non-integer power per prime.  The sum keeps one memo of the terms
-    below 2^13, so each prime there takes its power once, and reads it
-    before calling the kernel, so a hit makes no call.  Past 2^16 a term
-    is one direct power of q r.  A kernel term carries at most
-    2 Omega(q r) - 1 roundings (see special).
+    When s is not an integer and r < 2^16 (so q < 2^16 too), a term is
+    q^(-s) r^(-s) from special's kernel _neg_power, which makes a term
+    the product of the terms of its least prime factor and of its
+    cofactor, down to one non-integer power per prime.  The sum keeps one
+    memo of the terms below 2^13, so each prime there takes its power
+    once, and reads it before calling the kernel, so a hit makes no call.
+    Otherwise a term is one direct power of q r, which at an integer s
+    mpf_pow rounds once, as an integer power.  A kernel term carries at
+    most 2 Omega(q r) - 1 roundings (see special).
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
     not the runtime: the largest admitted grid is ~3*10^8 words at about
@@ -224,9 +225,7 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     two hours, so keep digit_cap modest at levels = 3.
     """
     from mpmath import mp
-    from mpmath.libmp import (
-        from_int, fzero, mpf_add, mpf_mul, mpf_neg, mpf_pow, mpf_pow_int, round_nearest,
-    )
+    from mpmath.libmp import from_int, fzero, mpf_add, mpf_mul, mpf_neg, mpf_pow, round_nearest
 
     int_at_least(m_floor, "digit floor")
     int_at_least(levels, "levels")
@@ -241,27 +240,23 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
             raise DomainError("exponent s must be positive")
         prec = mp.prec
         total = fzero
-        if mp.isint(sm):
-            n = -int(sm)
-            for q, r in _j_factors(m_floor, levels, digit_cap):
-                term = mpf_pow_int(from_int(q * r), n, prec, round_nearest)
-                total = mpf_add(total, term, prec, round_nearest)
-        else:
-            memo = [None] * _COVER_MEMO
-            nz = mpf_neg(sm._mpf_)
-            for q, r in _j_factors(m_floor, levels, digit_cap):
-                if r < _CUTOFF_CAP:
-                    # the kernel is called only on a memo miss
-                    tq = memo[q] if q < _COVER_MEMO else None
-                    if tq is None:
-                        tq = _neg_power(q, memo, nz, prec)
-                    tr = memo[r] if r < _COVER_MEMO else None
-                    if tr is None:
-                        tr = _neg_power(r, memo, nz, prec)
-                    term = mpf_mul(tq, tr, prec, round_nearest)
-                else:
-                    term = mpf_pow(from_int(q * r), nz, prec, round_nearest)
-                total = mpf_add(total, term, prec, round_nearest)
+        memo = [None] * _COVER_MEMO
+        nz = mpf_neg(sm._mpf_)
+        # an integer s takes the direct power on every word
+        kernel_below = 0 if mp.isint(sm) else _CUTOFF_CAP
+        for q, r in _j_factors(m_floor, levels, digit_cap):
+            if r < kernel_below:
+                # the kernel is called only on a memo miss
+                tq = memo[q] if q < _COVER_MEMO else None
+                if tq is None:
+                    tq = _neg_power(q, memo, nz, prec)
+                tr = memo[r] if r < _COVER_MEMO else None
+                if tr is None:
+                    tr = _neg_power(r, memo, nz, prec)
+                term = mpf_mul(tq, tr, prec, round_nearest)
+            else:
+                term = mpf_pow(from_int(q * r), nz, prec, round_nearest)
+            total = mpf_add(total, term, prec, round_nearest)
         return mp.make_mpf(total)
 
 

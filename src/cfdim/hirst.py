@@ -10,6 +10,8 @@ e = 1/(upper density - eps) - 1,
 must hold at the chosen floor M.  The sums are evaluated analytically
 (zeta and geometric closed forms; direct sums for finite lists), never
 by adding terms up to M, because the interesting M sit near 10^12.
+They read tau(D) and the members of D, not its rule: an infinite D is
+a power run or a geometric run, as sequences states.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .cfcore import PartialQuotients
 from .errors import DivergenceError, DomainError, exact_positive_fraction, int_at_least, is_int
-from .sequences import _require_digit_set, tau
+from .sequences import tau
 from .special import DEFAULT_CONTEXT, as_real, zeta_tail
 
 __all__ = [
@@ -45,26 +47,23 @@ def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
     from mpmath import mp
 
-    _require_digit_set(digits)
+    t = tau(digits).value
     int_at_least(floor_m, "floor")
     with mp.workdps(ctx.working_digits):
         zm = as_real(z, "exponent")
-        if digits.kind == "explicit":
-            return +mp.fsum(mp.power(a, -zm) for a in digits.values if a >= floor_m)
+        if digits.is_finite:
+            return +mp.fsum(mp.power(a, -zm) for a in digits.members() if a >= floor_m)
+        # tau is 1/q on a power run and 0/1 on a geometric one, so z > tau
+        # reads q z > 1 or z > 0, and q z is z/tau on a power run
+        qz = zm * t.denominator
+        if not qz > t.numerator:
+            raise DivergenceError("the digit tail diverges for z <= tau = %s" % t)
         j0 = digits.first_at_least(floor_m)  # the tail is k_j0, k_(j0+1), ...
-        if digits.kind == "arith":
-            if not zm > 1:
-                raise DivergenceError("tail of a^-z over an integer ray needs z > 1")
-            return zeta_tail(digits.nth(j0), zm, ctx)
-        if digits.kind == "square":
-            if not 2 * zm > 1:
-                raise DivergenceError("tail over squares needs z > 1/2")
-            return zeta_tail(j0, 2 * zm, ctx)
-        if not zm > 0:
-            raise DivergenceError("geometric digit tail needs z > 0")
-        b = digits.params[0]
-        t = mp.power(b, -zm)
-        return +(mp.power(b, -j0 * zm) / (1 - t))
+        b = digits.nth(1)
+        if t:  # k_j^-z = (j + k_1 - 1)^(-z/tau)
+            return zeta_tail(j0 + b - 1, qz, ctx)
+        # k_j^-z = (k_1^-z)^j
+        return +(mp.power(b, -j0 * zm) / (1 - mp.power(b, -zm)))
 
 
 def hirst_dimension(digits):
@@ -74,8 +73,8 @@ def hirst_dimension(digits):
 
 
 def _analytic_pieces(digits, seq, eps):
-    """Shared preconditions: returns (eps, z, exponent e) as exact Fractions."""
-    _require_digit_set(digits)
+    """Shared preconditions: returns (tau, z, exponent e) as exact Fractions."""
+    t = tau(digits).value
     eps = exact_positive_fraction(eps, "eps")
     # every rule sequence has a density, which is then its upper density
     dbar = seq.exact_density
@@ -93,14 +92,11 @@ def _analytic_pieces(digits, seq, eps):
         raise DomainError(
             "eps must lie strictly below the upper density %s, got %s" % (dbar, eps)
         )
-    t = tau(digits)
-    if t.value == 0 and not digits.is_finite:
+    if t == 0 and not digits.is_finite:
         raise DivergenceError(
             "tau = 0 on an infinite digit set makes the full sum diverge"
         )
-    z = t.value * (1 + eps)
-    e = 1 / (dbar - eps) - 1
-    return eps, z, e
+    return t, t * (1 + eps), 1 / (dbar - eps) - 1
 
 
 class M0Condition(NamedTuple):
@@ -120,7 +116,7 @@ def _condition_at(digits, full, z, e, m_floor, ctx):
 def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
     """Evaluate (full sum)^e * (tail sum at m_floor) and compare with 1."""
     int_at_least(m_floor, "the digit floor")
-    eps, z, e = _analytic_pieces(digits, seq, eps)
+    _, z, e = _analytic_pieces(digits, seq, eps)
     return _condition_at(digits, digit_power_sum(digits, z, ctx), z, e, m_floor, ctx)
 
 
@@ -141,24 +137,23 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     """
     from mpmath import mp, mpf
 
-    eps, z, e = _analytic_pieces(digits, seq, eps)
+    t, z, e = _analytic_pieces(digits, seq, eps)
     with mp.workdps(ctx.working_digits):
         full = digit_power_sum(digits, z, ctx)
         thr = mp.power(full, -as_real(e))
-        zf = as_real(z)
-        if digits.kind == "arith":
-            # z = 1 + eps < 2 and thr <= 1 give est > 1, so a0 = 1 changes nothing
-            est = max(mp.power((zf - 1) * thr, -1 / (zf - 1)), mpf(digits.params[0]))
-        elif digits.kind == "square":
-            r = mp.power((2 * zf - 1) * thr, -1 / (2 * zf - 1))
-            est = r * r
-        else:
-            # a finite set (pow:b has tau = 0 too, but _analytic_pieces refused
-            # it): z = 0, so each of the n digits adds 1 to a tail and
+        if digits.is_finite:
+            # z = 0, so each of the n digits adds 1 to a tail and
             # thr = n^(-e) <= 1.  Only the empty tail fits, or the whole set
             # when n = 1 and thr = 1
-            n = len(digits.values)
-            est = mpf(digits.values[0] if n == 1 else digits.values[-1] + 1)
+            values = tuple(digits.members())
+            est = mpf(values[0] if len(values) == 1 else values[-1] + 1)
+        else:
+            # a power run, tau = 1/q (_analytic_pieces refused tau = 0): the tail
+            # from k_j = r^q is about r^(1-w)/(w - 1), w = q z, which is thr at an
+            # r > 1, as w = 1 + eps < 2 and thr <= 1; so k_1 = 1 changes nothing
+            w1 = as_real(z) * t.denominator - 1
+            r = mp.power(w1 * thr, -1 / w1)
+            est = max(r ** t.denominator, mpf(digits.nth(1)))
         if est > _FLOOR_CAP:
             return FloorEstimate(None, None, False, True)
         m = max(1, int(mp.ceil(est * (1 + mpf("1e-9")))))
@@ -184,7 +179,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     """
     from mpmath import mp, mpf
 
-    _require_digit_set(digits)
+    t = tau(digits).value
     int_at_least(m_floor, "the digit floor")
     int_at_least(level_base, "the base level", 0)
     if not is_int(level) or level <= level_base:
@@ -203,7 +198,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
             raise DomainError("prefix digit %d is outside the digit set" % a)
     with mp.workdps(ctx.working_digits):
         sm = as_real(s, "exponent")
-        half_tau = as_real(tau(digits).value / 2)
+        half_tau = as_real(t / 2)
         if not sm > half_tau:
             raise DivergenceError(
                 "the level sums diverge for s <= tau/2 = %s" % mp.nstr(half_tau, 8)

@@ -58,6 +58,14 @@ arith (a0, 2), the one rule of density 1/2, it is the constant a0 - 2.
 So a test k_j - 2j < r holds on a finite initial segment of j, or at
 density 1/2 on all j or none; the nominal onset certificate in
 ``construction`` searches for its end without reading the rule.
+
+Every infinite digit set is one of two shapes, told apart by its
+convergence exponent tau: a power run k_j = (j + k_1 - 1)^(1/tau), with
+tau 1 (all, geq:M) or 1/2 (square), or a geometric run k_j = k_1^j, with
+tau 0 (pow:b).  A file: set is finite.  ``hirst`` sums a^-z over a digit
+set from tau, ``nth``, ``first_at_least``, ``members`` and ``is_finite``
+alone, so a new digit rule must take one of the two shapes, or
+``parse_digit_set`` must refuse it.
 """
 
 import itertools
@@ -377,12 +385,13 @@ class TauResult(NamedTuple):
     warning: str = ""
 
 
-def _require_digit_set(digits):
-    # a plain IndexSequence may be a progression with gap > 1, which the
-    # digit-set closed forms would read as a ray
-    if not isinstance(digits, DigitSet):
-        raise DomainError("digits must be a DigitSet (see parse_digit_set), got %s"
-                          % type(digits).__name__)
+_TAU = {
+    "arith": TauResult(Fraction(1), "analytic"),
+    "square": TauResult(Fraction(1, 2), "analytic"),
+    "pow": TauResult(Fraction(0), "analytic"),
+    "explicit": TauResult(Fraction(0), "analytic",
+                          "finite digit set: the convergence exponent degenerates to 0"),
+}
 
 
 def tau(digits):
@@ -391,15 +400,9 @@ def tau(digits):
     Closed forms for the rule kinds; an explicit list is a finite set,
     whose exponent degenerates to 0 with a warning.
     """
-    _require_digit_set(digits)
-    if digits.kind == "arith":
-        return TauResult(Fraction(1), "analytic")
-    if digits.kind == "square":
-        return TauResult(Fraction(1, 2), "analytic")
-    if digits.kind == "pow":
-        return TauResult(Fraction(0), "analytic")
-    return TauResult(
-        Fraction(0),
-        "analytic",
-        "finite digit set: the convergence exponent degenerates to 0",
-    )
+    # a plain IndexSequence may be a progression with gap > 1, which the
+    # digit-set closed forms would read as a ray
+    if not isinstance(digits, DigitSet):
+        raise DomainError("digits must be a DigitSet (see parse_digit_set), got %s"
+                          % type(digits).__name__)
+    return _TAU[digits.kind]

@@ -287,15 +287,14 @@ def _head(start, cutoff, z):
     return (_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
 
 
-def _series_from(start, z, ctx):
-    # sum of k^(-z) over k >= start at the working precision, z an mpf
-    # already checked against the pole: the head, added exactly and rounded
-    # once as mp.fsum adds it, plus the corrected tail from the cutoff
+def _series_from(start, z, goal, ctx):
+    # sum of k^(-z) over k >= start to _goal(ctx) at the working precision, z
+    # an mpf already checked against the pole: the head, added exactly and
+    # rounded once as mp.fsum adds it, plus the corrected tail from the cutoff
     import mpmath
 
     libmp, mp = mpmath.libmp, mpmath.mp
     cutoff = max(64, start)
-    goal = as_real(ctx.target_abs_tol) / 8
     tail, bound = _tail_correction(cutoff, z)
     while bound > goal:
         cutoff *= 2
@@ -308,6 +307,11 @@ def _series_from(start, z, ctx):
     prec, rnd = mp.prec, libmp.round_nearest
     head = libmp.mpf_sum(_head(start, cutoff, z), prec, rnd)
     return mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd))
+
+
+def _goal(ctx):
+    # the bound a tail correction must clear, at the working precision
+    return as_real(ctx.target_abs_tol) / 8
 
 
 def _check_exponent(zm):
@@ -333,7 +337,7 @@ def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
     with mp.workdps(ctx.working_digits):
         zm = as_real(z, "exponent")
         _check_exponent(zm)
-        return +_series_from(start, zm, ctx)
+        return +_series_from(start, zm, _goal(ctx), ctx)
 
 
 def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):

@@ -182,6 +182,10 @@ def test_schedule_validation():
         StepSchedule(Fraction(1, 10), None, (1, 2), (5, 5), 10)
     with pytest.raises(DomainError):
         StepSchedule(None, Fraction(1, 2), (), (), 10)
+    with pytest.raises(DomainError, match="^eps must be a positive Fraction$"):
+        StepSchedule(0.1, None, (1,), (5,), 10)
+    with pytest.raises(DomainError, match="^c1 must be a positive Fraction$"):
+        StepSchedule(None, 1, (1,), (5,), 10)
 
 
 def test_step_value_staircase():

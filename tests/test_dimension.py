@@ -288,12 +288,16 @@ def test_covering_sum_matches_direct_powers_on_small_grids(m_floor, s, levels, e
      (0, 0x1e344f29aa27030bf7a6780f2e1a2663b9afb56717, -168, 165)),
     (4, Fraction(17, 20), 3, 8, (0, 0xc6c29c2cd717200b88c8680b3e3254a460ad769531, -172, 168)),
     (3, Fraction(5, 8), 3, 5, (0, 0x112ff278546b8130493e909aafbf64241b9234324c9, -169, 169)),
-], ids=["s1-level2", "s2-level1", "level1", "largest-cover-op-seed-1", "r-past-2^16", "level3"])
+    (2, 1, 3, 5, (0, 0x16a4aa5ee4732ea1a0e33c56781774b987e3d217409, -173, 169)),
+    (3, 2, 2, 10, (0, 0x13bc7d4d41ef2ae8297885bee8965d606031c8affd9, -180, 169)),
+], ids=["s1-level2", "s2-level1", "level1", "largest-cover-op-seed-1", "r-past-2^16", "level3",
+        "s1-level3", "s2-level2"])
 def test_covering_sum_keeps_its_bits(m_floor, s, levels, cap, raw):
     # the raw mpf of the sum at 50 digits: a change to the kernel or the
     # walk that reorders no rounded product keeps every bit.  The largest op
     # of the benchmark's cover round at seed 1, (6, 23/26, 2, 24), and
-    # (4, 17/20, 3, 8) reach M q + q' >= 2^16
+    # (4, 17/20, 3, 8) reach M q + q' >= 2^16.  At an integer s every term
+    # is the direct power, which mpf_pow rounds as an integer power
     assert covering_sum_enumerated(m_floor, s, levels, cap)._mpf_ == raw
 
 

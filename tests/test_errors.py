@@ -346,6 +346,28 @@ def test_construction_reads_no_rule_and_gallops_in_one_place():
     assert [func for func, _ in _doubling_loops(source)] == ["_last_holding"]
 
 
+def _names_imported_from(source, module):
+    # the names of each "from .<module> import ..." in the source
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names]
+
+
+def test_only_sequences_reads_a_rule():
+    # hirst sums a digit set from tau and its members, and construction
+    # works from the counting functions, so a new rule touches sequences alone
+    assert _names_imported_from(
+        "from .sequences import _a, b\nfrom .special import _c\n"
+        "def f():\n    from .sequences import d\nfrom sequences import e\n", "sequences"
+    ) == ["_a", "b", "d"]
+    offenders = ["%s:%d %s" % (p.name, line, func)
+                 for p in sorted(_SRC.glob("*.py")) if p.name != "sequences.py"
+                 for func, line in _attribute_reads(p.read_text(), {"kind", "params"})]
+    assert offenders == [], "ask a sequence or digit set, not its rule"
+    names = _names_imported_from((_SRC / "hirst.py").read_text(), "sequences")
+    assert "tau" in names and [n for n in names if n.startswith("_")] == []
+
+
 def test_only_read_lines_opens_a_file():
     assert _calls("def f(p):\n    with open(p) as fh:\n        pass\nopen(q, 'w')\n", "open") \
         == [("f", 2), (None, 4)]
@@ -360,7 +382,6 @@ def test_only_read_lines_opens_a_file():
 _INT_OF_A_NUMBER = {
     ("construction.py", "_nominal_cert"),
     ("construction.py", "end"),  # the closure of _weight_test
-    ("dimension.py", "covering_sum_enumerated"),
     ("hirst.py", "estimate_condition_floor"),
 }
 

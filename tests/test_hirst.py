@@ -87,6 +87,43 @@ def test_digit_tail_power_sum_matches_direct():
             assert abs(got - (mp.zeta(2) - head)) < mpf("1e-12"), floor
 
 
+@pytest.mark.parametrize("digits, floor_m, z, raw", [
+    (ALL, 7, "1.5", (0, 0x64566f329ce8bd8acc4beb52e37f029bab3bce533b, -167, 167)),
+    (parse_digit_set("geq:7"), 12, 2, (0, 0xb1f99bef902b2b7b4cd40087e880a081c98b317883, -171, 168)),
+    (parse_digit_set("square"), 10, "0.9",
+     (0, 0x1d3998fe73c66c1c283770d624afa5c48fb3b3d442f, -170, 169)),
+    (parse_digit_set("pow:3"), 28, "1.3",
+     (0, 0x4731031fbacc0207615c79a4fe541562637df3f593, -174, 167)),
+    (DigitSet("explicit", (), (2, 5, 11, 20)), 5, "0.7",
+     (0, 0x1446798fb281ca965dc600d1b33b63354fdac7d539f, -169, 169)),
+], ids=["all", "geq7", "square", "pow3", "finite"])
+def test_digit_tail_power_sum_keeps_its_bits(digits, floor_m, z, raw):
+    # the raw mpf at 50 digits, one case per shape: a power run through
+    # zeta_tail, a geometric run and a finite set
+    assert digit_tail_power_sum(digits, floor_m, z)._mpf_ == raw
+
+
+def test_the_floor_and_the_condition_along_even_keep_their_bits():
+    # the raw lhs at 50 digits, eps 1/5: on all the estimated floor holds
+    # and half of it fails; on square the floor passes 10^18, where the
+    # condition fails, and it holds at 10^40
+    est = estimate_condition_floor(ALL, EVEN, Fraction(1, 5))
+    lhs = (0, 0xffffffff24250d72f848d1259919911c3fb54e66b5, -168, 168)
+    assert (est.value, est.lhs._mpf_, est.ok, est.exceeded) == (1644707099789, lhs, True, False)
+    assert covering_condition(ALL, EVEN, Fraction(1, 5), 1644707099789) == (est.lhs, True)
+    half = covering_condition(ALL, EVEN, Fraction(1, 5), 822353549894)
+    assert (half.lhs._mpf_, half.ok) \
+        == ((0, 0x12611186ab21622508c5dab9c358bf80d62b0b769c5, -168, 169), False)
+    square = parse_digit_set("square")
+    assert estimate_condition_floor(square, EVEN, Fraction(1, 5)) == (None, None, False, True)
+    for m_floor, raw, ok in [
+        (10 ** 18, (0, 0x465ca6f0dddb3387ce3cb18d19ad3bb18ff142456d, -164, 167), False),
+        (10 ** 40, (0, 0xe34de6cad1aead341fa812c9c62bb358977df2f3ad, -173, 168), True),
+    ]:
+        res = covering_condition(square, EVEN, Fraction(1, 5), m_floor)
+        assert (res.lhs._mpf_, res.ok) == (raw, ok), m_floor
+
+
 def test_hirst_dimension_flagship_values():
     assert hirst_dimension(ALL).value == Fraction(1, 2)
     assert hirst_dimension(parse_digit_set("square")).value == Fraction(1, 4)

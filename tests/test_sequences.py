@@ -1,5 +1,6 @@
 """Index sequences, densities, digit sets, convergence exponents."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,36 @@ def test_tau_finite_explicit_warns(tmp_path):
     path.write_text("1\n2\n3\n")
     t = tau(parse_digit_set("file:%s" % path))
     assert t.value == 0 and t.method == "analytic" and t.warning
+
+
+@pytest.mark.parametrize("spec, want_tau", [
+    ("all", Fraction(1)), ("geq:2", Fraction(1)), ("geq:7", Fraction(1)),
+    ("geq:1000", Fraction(1)), ("square", Fraction(1, 2)),
+])
+def test_a_power_run_is_j_plus_k1_minus_1_to_the_1_over_tau(spec, want_tau):
+    # hirst sums these through zeta_tail(j + k_1 - 1, z/tau)
+    digits = parse_digit_set(spec)
+    t = tau(digits)
+    assert t.value == want_tau and not t.warning and not digits.is_finite
+    k1 = digits.nth(1)
+    assert [digits.nth(j) for j in range(1, 201)] \
+        == [(j + k1 - 1) ** (1 / t.value) for j in range(1, 201)]
+
+
+@pytest.mark.parametrize("b", [2, 3, 7, 10, 17, 1000])
+def test_a_geometric_run_is_k1_to_the_j_at_tau_0(b):
+    digits = parse_digit_set("pow:%d" % b)
+    t = tau(digits)
+    assert t.value == 0 and not t.warning and not digits.is_finite
+    assert digits.nth(1) == b
+    assert [digits.nth(j) for j in range(1, 201)] == [b ** j for j in range(1, 201)]
+
+
+def test_an_explicit_list_is_capped_at_a_million_entries():
+    # one repeated entry: the length is checked before the order
+    with pytest.raises(DomainError, match="^explicit list capped at 1000000 entries$"):
+        IndexSequence("explicit", (), itertools.repeat(1, 10 ** 6 + 1))
+    assert len(IndexSequence("explicit", (), range(1, 10 ** 6 + 1)).values) == 10 ** 6
 
 
 def test_spec_string_round_trip():
