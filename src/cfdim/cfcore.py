@@ -8,11 +8,16 @@ never see rounding error.  Convergents follow the standard recurrence
 
     p_k = a_k p_{k-1} + p_{k-2},   q_k = a_k q_{k-1} + q_{k-2}
 
-seeded with p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.
+seeded with p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.  One loop,
+_denominators, runs it for (q_n, q_{n-1}) alone: q_n is the continuant
+K(a_1, ..., a_n) and p_n = K(a_2, ..., a_n), so (p_n, p_{n-1}) is that
+pair of the word less its first digit.  Only ``convergents``, which
+lists every row, walks both.
 """
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -102,31 +107,33 @@ class QuotientRatioCheck(NamedTuple):
     ok: bool
 
 
-def _convergent_rows(digits):
-    # yields (p_k, q_k, p_{k-1}, q_{k-1}) for k = 1..n
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
+def _denominators(digits):
+    """(q_n, q_{n-1}) of valid digits a_1..a_n; (1, 0) for no digits."""
+    q, q_prev = 1, 0
     for a in digits:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        yield p, q, p_prev, q_prev
+        q, q_prev = a * q + q_prev, q
+    return q, q_prev
 
 
-def _final_row(digits):
-    row = (0, 1, 1, 0)
-    for row in _convergent_rows(digits):
-        pass
-    return row
+def _without(digits, positions):
+    """The digits less those at ascending, distinct 1-based positions within them."""
+    # the runs between consecutive dropped positions, and past the last
+    ends = [0, *positions, len(digits) + 1]
+    return tuple(chain.from_iterable(digits[i:j - 1] for i, j in zip(ends, ends[1:])))
 
 
 def convergents(word):
     """All convergents (p_k, q_k) for k = 1..n, as exact integers."""
-    return [Convergent(p, q) for p, q, _, _ in _convergent_rows(PartialQuotients(word))]
+    rows, p_prev, p, q_prev, q = [], 1, 0, 0, 1
+    for a in PartialQuotients(word):
+        p_prev, p, q_prev, q = p, a * p + p_prev, q, a * q + q_prev
+        rows.append(Convergent(p, q))
+    return rows
 
 
 def continuant(word):
     """The denominator q_n of the word's final convergent (q of () is 1)."""
-    return _final_row(PartialQuotients(word))[1]
+    return _denominators(PartialQuotients(word))[0]
 
 
 def evaluate(word):
@@ -134,8 +141,7 @@ def evaluate(word):
     digits = PartialQuotients(word)
     if not digits:
         raise DomainError("evaluate needs a nonempty word")
-    p, q, _, _ = _final_row(digits)
-    return Fraction(p, q)
+    return Fraction(_denominators(digits[1:])[0], _denominators(digits)[0])
 
 
 def expand_rational(x):
@@ -253,7 +259,7 @@ def cylinder(word):
     word = PartialQuotients(word)
     if not word:
         raise DomainError("cylinder needs at least one digit")
-    p, q, p_prev, q_prev = _final_row(word)
+    (p, p_prev), (q, q_prev) = _denominators(word[1:]), _denominators(word)
     v = Fraction(p, q)
     mediant = Fraction(p + p_prev, q + q_prev)
     if len(word) % 2 == 0:
@@ -280,7 +286,7 @@ def delete_indices(word, positions):
         if 1 <= i <= n:
             drop.add(i)
     # positions beyond the word are ignored, not an error
-    return _wrap(tuple(a for k, a in enumerate(digits, start=1) if k not in drop))
+    return _wrap(_without(digits, sorted(drop)))
 
 
 def quotient_ratio_check(word, k):

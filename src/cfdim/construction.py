@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 from .cfcore import (
     PartialQuotients,
-    _final_row,
+    _denominators,
+    _without,
     cylinder,
     delete_indices,
     evaluate,
@@ -511,10 +512,11 @@ def verify_size_bound(eps, seq, schedule, word):
         raise DomainError("every digit is constrained; nothing remains after deletion")
 
     # |I(w)| = 1/L and |I(w')| = 1/R with L = q_n (q_n + q_{n-1}), so
-    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed
-    _, q, _, q_prev = _final_row(digits)
+    # |I(w)| >= |I(w')|^(1+eps) reads R^(en+ed) >= L^ed; w' drops the
+    # constrained positions, which are the members of seq up to n
+    q, q_prev = _denominators(digits)
     big_l = q * (q + q_prev)
-    _, q, _, q_prev = _final_row(delete_indices(digits, seq))
+    q, q_prev = _denominators(_without(digits, [pos for pos, _ in constrained]))
     big_r = q * (q + q_prev)
     ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
 
@@ -711,17 +713,18 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix):
     int_at_least(count, "count")
     int_at_least(min_prefix, "min_prefix")
     rng = random.Random(seed)
-
-    def fill(pos):
-        if pos in seq:
-            return step_value(schedule, seq.count_window(pos))
-        return rng.randint(1, m_cap)
-
     pairs = []
     for _ in range(count):
         n = rng.randrange(min_prefix, min_prefix + _PAIR_SPREAD)
         while (n + 1) in seq:
             n += 1
+        # the pair's constrained positions and their indices j: k_j -> j
+        rank = {pos: j for j, pos in enumerate(seq.upto(n + _PAIR_TAIL_MAX), start=1)}
+
+        def fill(pos):
+            j = rank.get(pos)
+            return rng.randint(1, m_cap) if j is None else step_value(schedule, j)
+
         prefix = [fill(i) for i in range(1, n + 1)]
         d1, d2 = rng.sample(range(1, m_cap + 1), 2)
 
@@ -731,7 +734,7 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix):
                 word.append(fill(i))
             # trim back to a free final position, then keep its digit >= 2
             # so distinct pairs can never collide on a boundary alias
-            while len(word) > n + 1 and len(word) in seq:
+            while len(word) > n + 1 and len(word) in rank:
                 word.pop()
             if len(word) > n + 1 and word[-1] == 1:
                 word[-1] = rng.randint(2, m_cap)

@@ -19,7 +19,7 @@ cross-checking.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfcore import PartialQuotients, _final_row
+from .cfcore import PartialQuotients, _denominators
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
 from .special import (
     _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _goal, _neg_power, _series_from, as_real,
@@ -55,7 +55,7 @@ def j_interval_length(word, m_floor):
     if len(digits) % 2 == 0:
         raise DomainError("word must have odd length, got %d digits" % len(digits))
     int_at_least(m_floor, "digit floor")
-    _, q, _, q_prev = _final_row(digits)
+    q, q_prev = _denominators(digits)
     return Fraction(1, q * (m_floor * q + q_prev))
 
 

@@ -53,11 +53,12 @@ exponent that is neither an integer nor a half-integer, mpmath 1.3
 forms it as exp(-z log p), with log p rounded to 10 guard bits, and
 _prime_power keeps that logarithm for each prime below 2^12: such a
 prime costs one exponential per power and one logarithm per working
-precision.  _coefficients keeps the B_2j/(2j)! of the corrections the
-same way.  Both are functools.lru_cache tables, the one state of the
-module: the coefficients of four precisions, and at most four times
-the 564 logarithms of the primes below 2^12, about 700 bytes each with
-the table's own entry at 50 digits.  Each value kept is the very value
+precision.  _coefficients keeps the B_2j/(2j)! of the corrections, and
+_pole_guard the bound 1 + 1e-9 on z, the same way.  The three are
+functools.lru_cache tables, the one state of the module: the
+coefficients and guards of four precisions, and at most four times the
+564 logarithms of the primes below 2^12, about 700 bytes each with the
+table's own entry at 50 digits.  Each value kept is the very value
 the computation would round again, so no bit of any result depends on
 what the tables hold, and every caller in the process can share them.
 The primes past 2^12, which only a head or a covering sum of a large
@@ -314,10 +315,19 @@ def _goal(ctx):
     return as_real(ctx.target_abs_tol) / 8
 
 
-def _check_exponent(zm):
-    from mpmath import mpf
+@functools.lru_cache(maxsize=_PRECISIONS_KEPT)
+def _pole_guard(prec):
+    # 1 + 1e-9 rounded to prec bits: _check_exponent refuses every z at or below it
+    from mpmath import mp, mpf
 
-    if zm <= 1 + mpf("1e-9"):
+    with mp.workprec(prec):
+        return 1 + mpf("1e-9")
+
+
+def _check_exponent(zm):
+    from mpmath import mp
+
+    if zm <= _pole_guard(mp.prec):
         raise PoleProximityError(
             "z = %s is at or inside the guard window around the pole at 1 "
             "(need z > 1 + 1e-9)" % zm

@@ -28,6 +28,7 @@ from cfdim import (
 from cfdim.cfcore import Cylinder, _digit_tuple, _wrap
 from cfdim.cli import main
 from cfdim.errors import is_int
+from cfdim.sequences import IndexSequence, parse_index_sequence
 
 
 def test_expand_known_values():
@@ -299,3 +300,99 @@ def test_digit_tuple_matches_the_validation_loop(digits):
         assert [type(a) for a in got] == [type(a) for a in digits]
     # any iterable, read once
     assert _outcome(_digit_tuple, iter(digits)) == got
+
+
+# properties of the continuant kernel, each against an oracle that shares
+# no code with it: Fraction folds, Euclid and per-digit deletion
+_digit = st.one_of(st.integers(1, 4), st.integers(1, 10 ** 12))
+_word = st.lists(_digit, max_size=40)
+_nonempty = st.lists(_digit, min_size=1, max_size=40)
+
+
+def _fold(word):
+    # [0; a_1, ..., a_n] as the right fold of 1/(a + x) from x = 0
+    x = Fraction(0)
+    for a in reversed(word):
+        x = 1 / (a + x)
+    return x
+
+
+@settings(max_examples=300)
+@given(_nonempty)
+def test_evaluate_is_the_right_fold(word):
+    assert evaluate(word) == _fold(word)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 10 ** 30).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))))
+def test_evaluate_inverts_expand_rational(x):
+    assert evaluate(expand_rational(x)) == x
+
+
+@settings(max_examples=300)
+@given(_word)
+def test_a_continuant_reads_the_same_reversed(word):
+    assert continuant(word) == continuant(word[::-1]) == _fold(word).denominator
+
+
+@settings(max_examples=300)
+@given(_nonempty)
+def test_the_last_convergent_is_the_value(word):
+    x = _fold(word)
+    rows = convergents(word)
+    assert len(rows) == len(word)
+    assert (rows[-1].p, rows[-1].q) == (x.numerator, x.denominator)
+
+
+def _starts_with(x, word):
+    # x's expansion starts with the word: Euclid's digits do, or x is the
+    # word's own value, whose digits Euclid writes without a final 1
+    return tuple(expand_rational(x))[: len(word)] == tuple(word) or x == _fold(word)
+
+
+@settings(max_examples=300)
+@given(_nonempty, st.lists(st.integers(1, 6), max_size=4), st.integers(1, 10 ** 6))
+def test_a_cylinder_is_its_length_and_its_words(word, tail, num):
+    c = cylinder(word)
+    q = _fold(word).denominator
+    q_prev = _fold(word[:-1]).denominator if len(word) > 1 else 1
+    assert c.length == Fraction(1, q * (q + q_prev))
+    # both ends, a point past each, a continuation and a rational inside
+    inside = c.left + c.length * Fraction(num, 10 ** 6 + 1)
+    past = (c.left - c.length / 3, c.right + c.length / 3)
+    for x in (c.left, c.right, *past, _fold(list(word) + tail), inside):
+        if 0 < x < 1:
+            assert c.contains(x) == _starts_with(x, word), x
+
+
+def _delete_per_digit(word, positions):
+    # delete_indices as a per-digit set test
+    digits = PartialQuotients(word)
+    n = len(digits)
+    raw = positions.upto(n) if hasattr(positions, "upto") else positions
+    drop = set()
+    for i in raw:
+        if not is_int(i):
+            raise DomainError("positions must be integers, got %r" % (i,))
+        if 1 <= i <= n:
+            drop.add(i)
+    return tuple(a for k, a in enumerate(digits, start=1) if k not in drop)
+
+
+_SEQUENCE_SPECS = ["square", "pow:2", "pow:3", "even", "all", "arith:3,4", "geq:5"]
+
+
+@settings(max_examples=300)
+@given(_word, st.one_of(
+    st.lists(st.integers(-5, 50), max_size=60),
+    st.lists(st.one_of(st.integers(1, 50), st.booleans(), st.just(2.0)), max_size=8),
+    st.sampled_from(_SEQUENCE_SPECS).map(parse_index_sequence),
+    st.lists(st.integers(1, 60), min_size=1, unique=True).map(
+        lambda v: IndexSequence("explicit", (), tuple(sorted(v)))),
+))
+def test_delete_indices_is_the_per_digit_deletion(word, positions):
+    got = _outcome(lambda w: delete_indices(w, positions), word)
+    assert got == _outcome(lambda w: _delete_per_digit(w, positions), word)
+    if isinstance(got, tuple):
+        assert type(got) is PartialQuotients

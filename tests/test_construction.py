@@ -1,6 +1,7 @@
 """Step schedules, point building, size/separation/Hölder verification."""
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -34,6 +35,7 @@ from cfdim import (
 )
 from cfdim import cfcore, construction
 from cfdim.construction import _power_at_least, _weight_test
+from cfdim.sequences import IndexSequence
 
 SQ = parse_index_sequence("square")
 
@@ -679,3 +681,124 @@ def test_sample_holder_pairs_deterministic():
             shared += 1
         assert shared >= 34
         assert (shared + 1) not in SQ
+
+
+# The size check and the pair sampler read the constrained positions once
+# and walk the denominators alone.  The references below walk all four
+# continuant rows, delete digit by digit and ask the sequence at every
+# position, and both sides must agree on every report, pair and refusal.
+def _all_rows_final(digits):
+    # (p_n, q_n, p_{n-1}, q_{n-1}) from the full recurrence
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    for a in digits:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q, p_prev, q_prev
+
+
+def _size_bound_by_rows(eps, seq, schedule, word):
+    eps = Fraction(eps)
+    en, ed = eps.numerator, eps.denominator
+    digits = PartialQuotients(word)
+    n = len(digits)
+    constrained = construction._constrained_digits(seq, schedule, n, "word")
+    for pos, want in constrained:
+        if digits[pos - 1] != want:
+            raise DomainError(
+                "word is not admissible: position %d carries %d, the schedule says %d"
+                % (pos, digits[pos - 1], want))
+    if n - len(constrained) < 1:
+        raise DomainError("every digit is constrained; nothing remains after deletion")
+    _, q, _, q_prev = _all_rows_final(digits)
+    big_l = q * (q + q_prev)
+    drop = set(seq.upto(n))
+    _, q, _, q_prev = _all_rows_final(a for k, a in enumerate(digits, start=1) if k not in drop)
+    big_r = q * (q + q_prev)
+    ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
+    onset_certified = construction._certified_onset(seq, schedule, eps)
+    onset = construction._nominal_onset(seq, eps, schedule.horizon)
+    with mp.workdps(50):
+        rhs = +((mpf(1) / mpf(big_r)) ** (mpf(en + ed) / ed))
+    return construction.SizeBoundReport(eps, digits, onset, onset_certified,
+                                        Fraction(1, big_l), rhs, ok)
+
+
+def _pairs_by_position(seq, m_cap, schedule, count, seed, min_prefix):
+    rng = random.Random(seed)
+
+    def fill(pos):
+        if pos in seq:
+            return step_value(schedule, seq.count_window(pos))
+        return rng.randint(1, m_cap)
+
+    pairs = []
+    for _ in range(count):
+        n = rng.randrange(min_prefix, min_prefix + 60)
+        while (n + 1) in seq:
+            n += 1
+        prefix = [fill(i) for i in range(1, n + 1)]
+        d1, d2 = rng.sample(range(1, m_cap + 1), 2)
+
+        def extend(first):
+            word = prefix + [first]
+            for i in range(n + 2, n + 2 + rng.randrange(0, 30)):
+                word.append(fill(i))
+            while len(word) > n + 1 and len(word) in seq:
+                word.pop()
+            if len(word) > n + 1 and word[-1] == 1:
+                word[-1] = rng.randint(2, m_cap)
+            return PartialQuotients(word)
+
+        pairs.append((extend(d1), extend(d2)))
+    return pairs
+
+
+_LISTED = IndexSequence("explicit", (), (3, 10, 20, 40, 70))
+# (sequence, schedule, longest word): both modes on square and pow:2 as
+# choose_schedule builds them, and a hand-built schedule on a listed
+# sequence whose steps run out at its fifth member.  The steps of square
+# in c1 mode run out at position 2500, inside the longest prefixes drawn
+_PIPELINE_CASES = [
+    (parse_index_sequence(spec), choose_schedule(parse_index_sequence(spec), j_max, 10 ** 4,
+                                                 **{mode: value}), longest)
+    for spec, longest in (("square", 1000), ("pow:2", 600))
+    for mode, value, j_max in (("eps", "1/10", 30), ("c1", "1/30", 4))
+] + [
+    (_LISTED, StepSchedule(Fraction(1, 10), None, (0, 0, 0), (1, 2, 4), 200), 90),
+    (_LISTED, StepSchedule(None, Fraction(1, 30), (0, 0), (2, 4), 200), 90),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, InsufficientHorizonError, ResourceCapError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PIPELINE_CASES), st.floats(0, 1), st.integers(0, 2 ** 32),
+       st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)]),
+       st.sampled_from([False, False, False, True]))
+def test_size_bound_agrees_with_the_row_by_row_reference(case, share, seed, eps, corrupt):
+    seq, sched, longest = case
+    rng = random.Random(seed)
+    n = 1 + int(share * (longest - 1))
+    steps = dict(construction._constrained_digits(seq, sched, n, "word")) \
+        if seq.count_window(n) <= sched.breakpoints[-1] else {}
+    word = [steps.get(i) or rng.randint(1, 6) for i in range(1, n + 1)]
+    if corrupt and steps:
+        word[rng.choice(sorted(steps)) - 1] += 1
+    got = _outcome(verify_size_bound, eps, seq, sched, word)
+    assert got == _outcome(_size_bound_by_rows, eps, seq, sched, word)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PIPELINE_CASES), st.integers(2, 6), st.integers(1, 8),
+       st.integers(0, 2 ** 32), st.one_of(st.integers(1, 120), st.integers(2300, 2600)))
+@example(_PIPELINE_CASES[1], 3, 2, 5, 2450)  # square's c1 steps run out at 2500
+def test_sampled_pairs_agree_with_the_position_by_position_reference(case, m_cap, count, seed,
+                                                                    min_prefix):
+    seq, sched, _ = case
+    got = _outcome(sample_holder_pairs, seq, m_cap, sched, count, seed, min_prefix)
+    assert got == _outcome(_pairs_by_position, seq, m_cap, sched, count, seed, min_prefix)

@@ -368,6 +368,22 @@ def test_only_sequences_reads_a_rule():
     assert "tau" in names and [n for n in names if n.startswith("_")] == []
 
 
+def test_one_continuant_kernel_serves_every_layer():
+    # cfcore walks the recurrence for (q_n, q_{n-1}) in _denominators and
+    # lists every row only in convergents; the other layers take the kernel
+    # and the slicing deletion, no other private cfcore name
+    source = (_SRC / "cfcore.py").read_text()
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_denominators", "_without", "convergents"} <= defined
+    assert not {"_final_row", "_convergent_rows"} & defined
+    offenders = ["%s %s" % (p.name, name) for p in sorted(_SRC.glob("*.py"))
+                 if p.name != "cfcore.py"
+                 for name in _names_imported_from(p.read_text(), "cfcore")
+                 if name.startswith("_") and name not in {"_denominators", "_without"}]
+    assert offenders == [], "take continuants from cfcore._denominators"
+
+
 def test_only_read_lines_opens_a_file():
     assert _calls("def f(p):\n    with open(p) as fh:\n        pass\nopen(q, 'w')\n", "open") \
         == [("f", 2), (None, 4)]

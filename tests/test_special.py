@@ -268,6 +268,7 @@ def _empty_tables():
     # the constants special keeps, emptied as in a new process
     special._log_prime.cache_clear()
     special._coefficients.cache_clear()
+    special._pole_guard.cache_clear()
 
 
 @pytest.fixture
@@ -339,6 +340,31 @@ def test_the_kept_coefficients_are_those_of_the_working_precision(digits):
         assert [c._mpf_ for c in special._coefficients(mp.prec)] == want
 
 
+@pytest.mark.parametrize("digits", [50, 100, 1000])
+def test_the_kept_pole_guard_is_that_of_the_working_precision(digits):
+    # 1 + 1e-9, read from text at the working precision
+    with mp.workdps(digits):
+        assert special._pole_guard(mp.prec)._mpf_ == (1 + mpf("1e-9"))._mpf_
+
+
+@pytest.mark.parametrize("digits", [50, 100, 1000])
+def test_the_pole_guard_keeps_its_verdict_an_ulp_either_side(digits):
+    # z at the guard and one ulp below it is refused, one ulp above it passes
+    with mp.workdps(digits):
+        guard = 1 + mpf("1e-9")
+        ulp = mp.ldexp(1, 1 - mp.prec)
+        for z, refused in ((guard - ulp, True), (guard, True), (guard + ulp, False)):
+            assert (z <= 1 + mpf("1e-9")) == refused
+            if not refused:
+                special._check_exponent(z)
+                continue
+            with pytest.raises(PoleProximityError) as exc:
+                special._check_exponent(z)
+            assert str(exc.value) == (
+                "z = %s is at or inside the guard window around the pole at 1 "
+                "(need z > 1 + 1e-9)" % z)
+
+
 def test_the_tables_keep_four_precisions(cold_tables, monkeypatch):
     # a fifth precision drops the coefficients of the first, and the
     # logarithms of every prime below the cutoff at five precisions leave
@@ -347,6 +373,7 @@ def test_the_tables_keep_four_precisions(cold_tables, monkeypatch):
     precs = [dps_to_prec(d) for d in (50, 60, 70, 80, 90)]
     first = [zeta("1.3", PrecisionContext(1e-12, d))._mpf_ for d in (50, 60, 70, 80, 90)]
     assert special._coefficients.cache_info().currsize == 4
+    assert special._pole_guard.cache_info().currsize == 4
     for prec in precs:
         for p in _KEPT_PRIMES:
             special._log_prime(p, prec)
