@@ -15,10 +15,12 @@ the run, unless that quotient lies within a relative 1e-9 of an integer
 r in the run.  Such a near tie is decided at r alone: by p^(e*v)
 against 2^(u*r), u/v = eps/2 in lowest terms, when c1 is derived from
 eps; with an explicit rational c1 the sides cannot tie (log p is
-transcendental for p >= 2), so escalating precision always separates
-them.  The certified chain 2^((m-k-2)*en) >= (2*P^2)^ed is that test at
-2*eps on p = 2*P^2.  That near tie, the size bound and the Holder bound
-each compare x^a with y^b on exact rationals in one place,
+transcendental for p >= 2), so escalating precision separates them,
+unless c1 lies within a relative 1e-185 or so of a tie, where 200
+digits do not and the check refuses.  The certified chain
+2^((m-k-2)*en) >= (2*P^2)^ed is that test at 2*eps on p = 2*P^2.  That
+near tie, the size bound and the Holder bound each compare x^a with
+y^b on exact rationals in one place,
 _power_at_least, which forms the powers only when the powers of two
 around them overlap.  Floats appear otherwise only as display values.
 """
@@ -203,29 +205,6 @@ def _last_holding(holds, cap=None):
     return lo
 
 
-def _nominal_cert(seq, en, ed):
-    """An index C past the last m with en*(m - 2k(m) - 4) < 2*ed, exactly.
-
-    With need = ceil(4 + 2*ed/en) the condition reads m - 2k(m) >= need.
-    On a run of constant k = j the worst m is the member k_j that starts
-    it, so C = k_J works once k_j - 2j >= need at j = J and k_j - 2j
-    never decreases after J: below density 1/2 it rises without bound,
-    and on the one density-1/2 rule it is constant (see ``sequences``).
-    """
-    need = 4 - (-2 * ed // en)
-    density = seq.exact_density
-    if density is None:
-        # an explicit list keeps k(m) <= its length
-        return 2 * len(seq.values) + 2 * ed // en + 10
-    if 2 * density > 1 or 2 * density == 1 and seq.nth(1) - 2 < need:
-        raise DomainError(
-            "the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
-            "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps"
-            % seq.spec_string()
-        )
-    return seq.nth(_last_holding(lambda j: seq.nth(j) - 2 * j < need) + 1)
-
-
 def _mp_log(p):
     # mpmath strips an integer's trailing zero bits a byte at a time, in quadratic time
     from mpmath import mp
@@ -241,7 +220,8 @@ def _log_exceeds(p, e, m, eps, c1):
         g = 2 - eps.numerator % 2
         u, v = eps.numerator // g, 2 * eps.denominator // g
         return not _power_at_least(2, u * m, p, e * v, eps)
-    # log(p) is irrational and c1*m rational: the raise below never fires
+    # log(p) is irrational and c1*m rational, so the sides never tie; but a
+    # c1 within a relative 1e-185 or so of e*log(p)/m is not separated at 200 digits
     from mpmath import mp, mpf
 
     for dps in (60, 200):
@@ -301,9 +281,10 @@ def _weight_test(eps, c1):
 # inequality in (m, k(m)) fails.  k(m) is constant on each run of
 # seq.runs(limit), and within a run the failing m form a prefix (the
 # right side grows with m while k stays fixed), so the last violator is
-# the end of the last nonempty prefix.  The nominal onset reads it off an
-# integer formula on the few runs where it can lie, the weight and the
-# certified onsets off the weight test on the product _step_products carries.
+# the end of the last nonempty prefix.  The nominal onset finds the last
+# run with one by a search on k_k - 2k and reads its end off an integer
+# formula, the weight and the certified onsets off the weight test on the
+# product _step_products carries.
 
 
 def _step_products(seq, schedule, limit):
@@ -453,32 +434,37 @@ class SizeBoundReport(NamedTuple):
 def _nominal_onset(seq, eps, horizon=None):
     """Least n with en*(m - 2k(m) - 4) >= 2*ed for every m >= n, or every m in [n, horizon].
 
-    No violator lies past _nominal_cert, so a longer horizon cannot move
-    the onset.  The progressions _nominal_cert refuses raise DomainError
-    without a horizon; under one they are read to it unless it fails.
-    Run k >= 1 holds a violator when k_k - 2k <= offset, and k_k - 2k is
-    monotone on every rule (see ``sequences``), so the last such run is
-    run 0 or one of the last two below the limit: ``end_runs`` reads those.
+    With offset = 3 + ceil(2*ed/en), m fails exactly when m <= 2k(m) + offset:
+    run k >= 1, from k_k to k_(k+1) - 1, fails from its start when
+    k_k - 2k <= offset, up to 2k + offset, which lies in it unless run k + 1
+    fails too.  So the last failing m is 2J + offset, J the last failing run
+    (0 when none is).  Below density 1/2 k_k - 2k never decreases and at 1/2
+    it is constant (see ``sequences``), so ``_last_holding`` finds J; above
+    1/2 it falls, so no run fails below a horizon that passes, and without a
+    horizon the sequence is refused.  An explicit list is read member by member.
     """
     en, ed = eps.numerator, eps.denominator
-    try:
-        limit = _nominal_cert(seq, en, ed)
-    except DomainError:
-        if horizon is None:
-            raise
-        limit = horizon
-    if horizon is not None:
-        limit = min(limit, horizon)
-    # with k fixed the failing m are those up to 2k + 3 + ceil(2*ed/en)
     offset = 3 - (-2 * ed // en)
-    if 2 * seq.count_window(limit) + offset >= limit:
-        # the condition holds at _nominal_cert, so only a shorter horizon fails here
-        raise InsufficientHorizonError(
-            "the onset condition still fails at the horizon %d" % horizon
+    cap = None
+    if horizon is not None:
+        cap = seq.count_window(horizon)
+        if 2 * cap + offset >= horizon:
+            raise InsufficientHorizonError(
+                "the onset condition still fails at the horizon %d" % horizon
+            )
+    density = seq.exact_density
+    if density is None:
+        last = max((j for j, v in enumerate(seq.values[:cap], start=1) if v - 2 * j <= offset),
+                   default=0)
+    elif horizon is None and (2 * density > 1 or 2 * density == 1 and seq.nth(1) - 2 <= offset):
+        raise DomainError(
+            "the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often on %s; "
+            "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps"
+            % seq.spec_string()
         )
-    worst = max((min(last, 2 * k + offset) for first, last, k in seq.end_runs(1, limit)
-                 if 2 * k + offset >= first), default=0)
-    return worst + 1
+    else:
+        last = _last_holding(lambda j: seq.nth(j) - 2 * j <= offset, cap)
+    return 2 * last + offset + 1
 
 
 def verify_size_bound(eps, seq, schedule, word):
@@ -716,8 +702,14 @@ def sample_holder_pairs(seq, m_cap, schedule, count, seed, min_prefix):
     pairs = []
     for _ in range(count):
         n = rng.randrange(min_prefix, min_prefix + _PAIR_SPREAD)
-        while (n + 1) in seq:
-            n += 1
+        # move n past the constrained positions that follow it; a run that
+        # reaches index last + 1 of the schedule cannot be filled
+        base = seq.count_window(n)
+        cap = schedule.breakpoints[-1] + 1 - base
+        t = _last_holding(lambda i: seq.count_window(n + i) - base == i, cap)
+        if t >= cap:
+            step_value(schedule, schedule.breakpoints[-1] + 1)  # raises
+        n += t
         # the pair's constrained positions and their indices j: k_j -> j
         rank = {pos: j for j, pos in enumerate(seq.upto(n + _PAIR_TAIL_MAX), start=1)}
 

@@ -120,6 +120,11 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     each factor value, is refused.  When the factor is still above 1 at
     s_max there is no root in the bracket and the result says so
     (converged False) instead of raising.
+
+    The factor exceeds 1 at the left edge s = 1/2 + d, d = 1e-9: zeta(1 + 2d)
+    and sum_{k >= M} k^(-1-2d) exceed 1/(2d) and M^(-2d)/(2d), so the factor
+    exceeds 2.5e17 * M^(-2d), which falls below 1 only when M^(-2d) < 4e-18,
+    for an M of more than 2.9e10 bits.
     """
     from mpmath import mp, mpf
 
@@ -142,11 +147,6 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
                 "(the covering bound is vacuous here)" % (mp.nstr(f_hi, 8), mp.nstr(hi, 8)),
             )
         f_lo = per_level_factor(m_floor, lo, ctx)
-        if f_lo < 1:
-            return CriticalSolveResult(
-                m_floor, None, None, (lo, hi), 0, False,
-                "factor is already below 1 at the left bracket edge",
-            )
         g_lo, g_hi = -mp.log(f_lo), -mp.log(f_hi)
         last_low = None  # True when the previous step replaced lo
         for i in range(1, _STEP_LIMIT + 1):

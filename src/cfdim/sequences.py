@@ -29,20 +29,17 @@ k(n) is constant on each run between consecutive members, and
 indices.  On a run k/n is largest at its first index and smallest at
 its last, so ``density`` compares only run ends.
 
-Three quantities of run k >= 1, which starts at k_k and ends at
+Two quantities of run k >= 1, which starts at k_k and ends at
 k_(k+1) - 1, are monotone in k on every rule:
 
-- arith (a0, d): k/k_k moves with the sign of a0 - d,
-  k/(k_(k+1) - 1) = k/(kd + a0 - 1) never falls as a0 >= 1, and
-  k_k - 2k = a0 - d + k(d - 2) moves with the sign of d - 2;
-- square: 1/k and 1/(k + 2) fall, and (k - 1)^2 - 1 rises;
-- pow:b: k/b^k and k/(b^(k+1) - 1) fall as kb >= k + 1, and b^k - 2k
-  never falls.
+- arith (a0, d): k/k_k moves with the sign of a0 - d, and
+  k/(k_(k+1) - 1) = k/(kd + a0 - 1) never falls as a0 >= 1;
+- square: 1/k and 1/(k + 2) fall;
+- pow:b: k/b^k and k/(b^(k+1) - 1) fall as kb >= k + 1.
 
 So ``end_runs`` reads only the four runs at the two ends of a window,
-whatever its length: ``density`` takes the extremes of k/n there, and
-the nominal onset of ``construction`` its last violator.  An explicit
-list has no such order and is walked.
+whatever its length, and ``density`` takes the extremes of k/n there.
+An explicit list has no such order and is walked.
 
 On every rule whose ``exact_density`` is 0 (square and pow) the ratio
 k_j/j never decreases, that is k_j*(j+1) <= k_{j+1}*j: for square the
@@ -52,12 +49,15 @@ for any fixed r, holds on an initial segment of j; the schedule
 thresholds in ``construction`` search for its end instead of walking
 every run.
 
-On every rule of ``exact_density`` below 1/2 (square, pow, arith with
-d >= 3) k_j - 2j never decreases and grows without bound, and on
-arith (a0, 2), the one rule of density 1/2, it is the constant a0 - 2.
-So a test k_j - 2j < r holds on a finite initial segment of j, or at
-density 1/2 on all j or none; the nominal onset certificate in
-``construction`` searches for its end without reading the rule.
+The quantity k_j - 2j is a0 - d + j(d - 2) on arith (a0, d),
+(j - 1)^2 - 1 on square and b^j - 2j on pow:b.  Below density 1/2
+(square, pow, arith with d >= 3) it never decreases and grows without
+bound; on arith (a0, 2), the one rule of density 1/2, it is the
+constant a0 - 2; above it (d = 1) it falls.  So a test k_j - 2j <= r
+holds on a finite initial segment of j below density 1/2, on all j or
+none at 1/2, and on a final segment above it.  The nominal onset in
+``construction`` tells the cases apart by ``exact_density`` and finds
+the end of an initial segment by probing ``nth``.
 
 Every infinite digit set is one of two shapes, told apart by its
 convergence exponent tau: a power run k_j = (j + k_1 - 1)^(1/tau), with
@@ -69,7 +69,7 @@ alone, so a new digit rule must take one of the two shapes, or
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -206,21 +206,7 @@ class IndexSequence(FrozenRecord):
         return list(itertools.takewhile(lambda v: v <= n, self.members()))
 
     def __contains__(self, i):
-        if not is_int(i) or i < 1:
-            return False
-        if self.kind == "arith":
-            a0, d = self.params
-            return i >= a0 and (i - a0) % d == 0
-        if self.kind == "square":
-            return isqrt(i) ** 2 == i
-        if self.kind == "pow":
-            b = self.params[0]
-            v = b
-            while v < i:
-                v *= b
-            return v == i
-        idx = bisect_left(self.values, i)
-        return idx < len(self.values) and self.values[idx] == i
+        return is_int(i) and i >= 1 and self.count_window(i) > self.count_window(i - 1)
 
     def first_at_least(self, v):
         """Least j with k_j >= v."""
@@ -245,16 +231,16 @@ class IndexSequence(FrozenRecord):
         yield first, limit, k_end
 
     def end_runs(self, lo, limit):
-        """The runs of [lo, limit] that can hold its extremes, clipped to it.
+        """The runs of [lo, limit] that can hold the extremes of k/n, clipped to it.
 
         Each is (first, last, k) as in ``runs``, with first raised to lo.
         Let k1 and k2 be the runs holding lo and limit; the runs between
         lie wholly inside.  On a rule, the run k that starts at k_k and
-        ends at k_(k+1) - 1 has k/k_k, k/(k_(k+1) - 1) and k_k - 2k each
-        monotone in k >= 1 (see the module docstring), so over those
-        runs each takes its extremes at k1 + 1 or k2 - 1.  With the two
-        clipped runs k1 and k2 that makes four, read by ``count`` and
-        ``nth``.  An explicit list walks every run.
+        ends at k_(k+1) - 1 has k/k_k and k/(k_(k+1) - 1) each monotone
+        in k >= 1 (see the module docstring), so over those runs each
+        takes its extremes at k1 + 1 or k2 - 1.  With the two clipped
+        runs k1 and k2 that makes four, read by ``count`` and ``nth``.
+        An explicit list walks every run.
         """
         if self.kind == "explicit":
             runs = self.runs(limit)

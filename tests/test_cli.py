@@ -19,6 +19,7 @@ from cfdim.cli import build_parser, main
 import golden_cli
 from spawn import child_env
 from test_acceptance import CLI_MATRIX
+from test_construction import C1_NEAR_A_TIE
 from test_errors import NOT_NUMBER_TEXT, NUMBER_TEXT
 
 
@@ -349,6 +350,13 @@ def test_c1_past_the_float_range_exits_with_one_error_line(capsys, flag, value, 
                         "--j-max", "1", "--horizon", "100")
     assert got == code and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_c1_that_200_digits_cannot_separate_exits_2_with_one_error_line(capsys):
+    code, out, err = run(capsys, "construct", "schedule", "--seq", "square",
+                         "--c1", str(C1_NEAR_A_TIE), "--j-max", "1", "--horizon", "10000")
+    assert code == 2 and out == ""
+    assert err == "error: could not separate log(p) from c1*m at 200 digits (m=49)\n"
 
 
 def test_threshold_past_a_long_horizon_is_refused_fast(capsys):

@@ -141,6 +141,18 @@ def test_schedule_threshold_on_a_power_of_two_is_exact_and_fast():
         assert lhs > rate * n and not lhs > rate * (n + 1)
 
 
+# a 300-digit rational within 10^-300 of log(2)/7: at step 1 on square the
+# threshold test at m = 49 compares 7*log(2) with 49*c1, past 200 digits
+with mp.workdps(320):
+    C1_NEAR_A_TIE = Fraction(int(mp.nint(mp.log(2) / 7 * 10 ** 300)), 10 ** 300)
+
+
+def test_schedule_refuses_a_c1_that_200_digits_cannot_separate():
+    with pytest.raises(DomainError,
+                       match=r"^could not separate log\(p\) from c1\*m at 200 digits \(m=49\)$"):
+        choose_schedule(SQ, 1, 10 ** 4, c1=C1_NEAR_A_TIE)
+
+
 def test_schedule_json_round_trip_both_modes():
     s = square_schedule(j_max=3)
     data = s.to_json()
@@ -681,6 +693,23 @@ def test_sample_holder_pairs_deterministic():
             shared += 1
         assert shared >= 34
         assert (shared + 1) not in SQ
+
+
+@pytest.mark.parametrize("last", [49, 10 ** 12])
+@pytest.mark.parametrize("spec", ["all", "geq:7"])
+def test_sample_holder_pairs_refuses_a_constrained_run_past_the_schedule(spec, last):
+    # seed 1 draws a prefix of 13 digits, and every later position is
+    # constrained, so no free position follows before the schedule's steps
+    # run out; a last breakpoint of 10^12, as a schedule file may hold, is
+    # refused as fast
+    sched = (choose_schedule(SQ, 4, 10 ** 4, c1="1/30") if last == 49
+             else StepSchedule(Fraction(1, 10), None, (0,), (last,), last))
+    assert sched.breakpoints[-1] == last
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^index %d is past the last breakpoint %d; "
+                                          "extend the schedule$" % (last + 1, last)):
+        sample_holder_pairs(parse_index_sequence(spec), 3, sched, 1, 1, 5)
+    assert time.perf_counter() - start < 1
 
 
 # The size check and the pair sampler read the constrained positions once

@@ -342,8 +342,13 @@ def test_construction_reads_no_rule_and_gallops_in_one_place():
     source = (_SRC / "construction.py").read_text()
     assert _attribute_reads(source, {"kind", "params"}) == []
     assert sorted(func for func, _ in _calls(source, "_last_holding")) \
-        == ["_nominal_cert", "choose_schedule"]
+        == ["_nominal_onset", "choose_schedule", "sample_holder_pairs"]
     assert [func for func, _ in _doubling_loops(source)] == ["_last_holding"]
+    # the nominal onset searches instead of reading window ends, which only
+    # density does
+    assert [(p.name, func) for p in sorted(_SRC.glob("*.py"))
+            for func, _ in _attribute_reads(p.read_text(), {"end_runs"})] \
+        == [("sequences.py", "density")]
 
 
 def _names_imported_from(source, module):
@@ -396,7 +401,6 @@ def test_only_read_lines_opens_a_file():
 
 # int() of an mpmath or Fraction value, never of text
 _INT_OF_A_NUMBER = {
-    ("construction.py", "_nominal_cert"),
     ("construction.py", "end"),  # the closure of _weight_test
     ("hirst.py", "estimate_condition_floor"),
 }

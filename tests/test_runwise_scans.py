@@ -2,9 +2,9 @@
 
 The scans in ``construction`` find the end of the violating prefix of
 each run of constant k(m).  The nominal onset (of ``verify_size_bound``
-and ``nominal_onset``) reads it off an integer formula on the few runs
-``IndexSequence.end_runs`` returns.  The certified onset and the weight
-scan of ``schedule_onset`` walk ``IndexSequence.runs`` and read it off
+and ``nominal_onset``) searches for the last run that holds a
+violator and reads it off an integer formula.  The certified onset and
+the weight scan of ``schedule_onset`` walk ``IndexSequence.runs`` and read it off
 floor(log(p)/c1), clipped to the run, with one exact test where that
 quotient nearly ties an integer in the run.  The thresholds of ``choose_schedule`` search for the first run
 whose first index holds no violator, and read the last violator of the
@@ -12,6 +12,7 @@ run before it the same way.  The loops below test every index instead;
 both must give the same integers and raise the same errors.
 """
 
+import itertools
 import math
 import random
 import re
@@ -37,7 +38,7 @@ from cfdim import (
     verify_size_bound,
 )
 from cfdim import construction
-from cfdim.construction import _LOG2, _certified_onset, _covered_limit, _nominal_cert
+from cfdim.construction import _LOG2, _certified_onset, _covered_limit
 
 
 # Per-index threshold predicates, kept apart from the library's merged
@@ -260,10 +261,9 @@ def test_weight_scans_make_one_call_per_run_and_pinned_exact_tests(
 
 
 def test_size_bound_nominal_onset_walks_no_run(monkeypatch):
-    # no violator of the onset condition lies past _nominal_cert (36 for
-    # square at eps 1/10), and the nominal onset reads the runs below it
-    # by count and nth: at horizons 10^4 and 10^12 only the certified
-    # onset walks runs, up to the covered limit, and the reports are equal
+    # the nominal onset finds the last run holding a violator by probing
+    # nth: at horizons 10^4 and 10^12 only the certified onset walks
+    # runs, up to the covered limit, and the reports are equal
     sq = parse_index_sequence("square")
     short = choose_schedule(sq, 30, 10 ** 4, eps="1/10")
     long = StepSchedule(short.eps, short.c1, short.thresholds, short.breakpoints, 10 ** 12)
@@ -472,27 +472,34 @@ def test_nominal_onset_decides_gap_two_progressions():
             nominal_onset(parse_index_sequence(spec), "1/10")
 
 
+def _fails(seq, eps, m):
+    # the onset condition en*(m - 2k(m) - 4) >= 2*ed fails at m
+    return eps.numerator * (m - 2 * seq.count_window(m) - 4) < 2 * eps.denominator
+
+
 @pytest.mark.parametrize(
     "spec", ["square", "pow:2", "pow:3", "arith:1,3", "arith:5,4", "arith:40,7",
              "arith:30,2", "arith:26,2", "arith:2006,2", "explicit"])
 def test_nominal_cert_leaves_no_violator_up_to_four_times_past_it(spec):
-    # _nominal_cert is exact; scan (C, 4*C] anyway.  Within a run of
+    # the nominal onset certifies that no violator lies at or past it, and
+    # onset - 1 fails; scan [onset, 4*onset] anyway.  Within a run of
     # constant k the condition holds on a suffix, so the first index of
-    # each run (clipped to C + 1) is its worst point.  Gap-2
+    # each run (clipped to the onset) is its worst point.  Gap-2
     # progressions may only be refused when en*(a0 - 6) < 2*ed.
     seq = _nominal_seq(spec)
     for eps in (Fraction(1, 1000), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3),
                 Fraction(5, 2), Fraction(7)):
         en, ed = eps.numerator, eps.denominator
         try:
-            cert = _nominal_cert(seq, en, ed)
+            onset = nominal_onset(seq, eps)
         except DomainError:
             assert seq.params[1] == 2 and en * (seq.params[0] - 6) < 2 * ed, eps
             continue
-        for first, last, k in seq.runs(4 * cert):
-            if last > cert:
-                m = max(first, cert + 1)
-                assert en * (m - 2 * k - 4) >= 2 * ed, (eps, cert, m)
+        assert onset == 1 or _fails(seq, eps, onset - 1), (eps, onset)
+        for first, last, k in seq.runs(4 * onset):
+            if last >= onset:
+                m = max(first, onset)
+                assert en * (m - 2 * k - 4) >= 2 * ed, (eps, onset, m)
 
 
 _WALK_CAP = 2048
@@ -500,24 +507,33 @@ _REFUSAL = ("the onset condition n - 2k(n) - 4 >= 2/eps fails infinitely often o
             "a progression needs a gap of at least 3, or gap 2 with a0 - 6 >= 2/eps")
 
 
-def ref_nominal_cert(seq, need):
-    # the member k_J of the least J with k_J - 2J >= need, walking the
-    # members one j at a time, or None past _WALK_CAP.  k_j - 2j falls on
-    # gap-1 progressions and is a0 - 2 on gap-2 ones, so those are refused
-    # unless that constant reaches need; an explicit list keeps its bound
-    if seq.kind == "explicit":
-        return 2 * len(seq.values) + int(need) + 6
+def ref_nominal_onset(seq, eps):
+    # walks the runs of constant k one member at a time and returns one
+    # past the last m with m - 2k < need, or None past _WALK_CAP members.
+    # On run j, from k_j to k_(j+1) - 1, the failing m are those below
+    # 2j + need.  k_j - 2j falls on gap-1 progressions and is a0 - 2 on
+    # gap-2 ones, so those are refused unless that constant reaches need;
+    # elsewhere it never falls, so the walk stops at the first run j >= 1
+    # that has no failing m.  An explicit list is walked to its end, and
+    # its last run has no end.
+    need = 4 + 2 / eps
     if seq.kind == "arith" and seq.params[1] <= 2 and (seq.params[1] == 1
                                                        or seq.params[0] - 2 < need):
         return _REFUSAL % seq.spec_string()
-    for j, k in zip(range(1, _WALK_CAP + 1), seq.members()):
-        if k - 2 * j >= need:
-            return k
-    return None
+    starts = [1] + list(itertools.islice(seq.members(), _WALK_CAP + 1))
+    worst = 0
+    for j, first in enumerate(starts):
+        top = math.ceil(2 * j + need) - 1  # the last failing m of run j
+        if top < first:
+            if j and seq.kind != "explicit":
+                return worst + 1
+            continue
+        worst = top if j + 1 == len(starts) else min(top, starts[j + 1] - 1)
+    return worst + 1 if seq.kind == "explicit" else None
 
 
-def test_nominal_cert_is_the_member_a_per_index_walk_stops_at():
-    # past the walk, the library's J is checked from both sides instead
+def test_nominal_onset_is_where_a_per_member_walk_stops():
+    # past the walk, the library's onset is checked from both sides instead
     seqs = ([parse_index_sequence(spec) for spec in ["square"] + ["pow:%d" % b for b in range(2, 6)]]
             + [IndexSequence("arith", (a0, d)) for a0 in range(1, 41) for d in range(1, 9)]
             + [_nominal_seq("explicit")])
@@ -525,21 +541,56 @@ def test_nominal_cert_is_the_member_a_per_index_walk_stops_at():
     for seq in seqs:
         for eps in (Fraction(7), Fraction(5, 2), Fraction(1), Fraction(1, 3), Fraction(1, 10),
                     Fraction(3, 100), Fraction(1, 1000), Fraction(1, 10 ** 6)):
-            en, ed = eps.numerator, eps.denominator
-            need = 4 + Fraction(2 * ed, en)
-            want = ref_nominal_cert(seq, need)
+            want = ref_nominal_onset(seq, eps)
             if isinstance(want, str):
                 with pytest.raises(DomainError, match="^%s$" % re.escape(want)):
-                    _nominal_cert(seq, en, ed)
+                    nominal_onset(seq, eps)
                 continue
-            got = _nominal_cert(seq, en, ed)
+            got = nominal_onset(seq, eps)
             if want is None:
-                j = seq.count(got)
-                assert j > _WALK_CAP and seq.nth(j) == got, (seq, eps)
-                assert got - 2 * j >= need > seq.nth(j - 1) - 2 * (j - 1), (seq, eps)
+                j = seq.count(got - 1)
+                assert j > _WALK_CAP and _fails(seq, eps, got - 1), (seq, eps)
+                assert not _fails(seq, eps, got), (seq, eps)
+                assert seq.nth(j + 1) - 2 * (j + 1) >= 4 + 2 / eps, (seq, eps)
             else:
                 assert got == want, (seq, eps)
     assert time.perf_counter() - start < 5
+
+
+_LATE_LISTS = {"explicit-late": (50, 51, 52, 90, 400), "explicit-edge": (25, 27, 100)}
+
+
+@pytest.mark.parametrize("spec", _NOMINAL_SPECS + ["arith:60,1", "arith:100,1", *_LATE_LISTS])
+def test_nominal_onset_under_a_horizon_matches_a_per_index_scan(spec):
+    # horizons around each horizon-free onset, and every horizon up to
+    # 200: the onset is one past the last failing m in [1, h], and a
+    # failure at h itself is refused.  A refused progression can still
+    # have an onset below a horizon that comes before its failures, and
+    # a listed member that fails just past the horizon (25 at eps 1/10,
+    # horizon 24) does not count.
+    seq = (IndexSequence("explicit", (), _LATE_LISTS[spec]) if spec in _LATE_LISTS
+           else _nominal_seq(spec))
+    for eps in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 50), Fraction(5, 2)):
+        horizons = set(range(1, 201))
+        try:
+            onset = nominal_onset(seq, eps)
+        except DomainError:
+            pass
+        else:
+            horizons |= {h for o in (onset, 2 * onset, 4 * onset) for h in range(o - 3, o + 4)}
+        horizons = sorted(h for h in horizons if h >= 1)
+        worst, last_fail = 0, {}
+        for m in range(1, horizons[-1] + 1):
+            if _fails(seq, eps, m):
+                worst = m
+            last_fail[m] = worst
+        for h in horizons:
+            if last_fail[h] == h:
+                with pytest.raises(InsufficientHorizonError,
+                                   match="^the onset condition still fails at the horizon %d$" % h):
+                    construction._nominal_onset(seq, eps, h)
+            else:
+                assert construction._nominal_onset(seq, eps, h) == last_fail[h] + 1, (eps, h)
 
 
 @pytest.mark.parametrize("spec", ["square", "pow:2"])
