@@ -23,8 +23,13 @@ near tie, the size bound and the Holder bound each compare x^a with
 y^b on exact rationals in one place,
 _power_at_least, which forms the powers only when the powers of two
 around them overlap.  Floats appear otherwise only as display values.
+
+The module's only state is a one-entry table, _size_onsets: the two
+onsets of the size check for the last (sequence, schedule, eps) asked
+about, so a run of checks against one schedule computes them once.
 """
 
+import functools
 import math
 import random
 import sys
@@ -467,6 +472,16 @@ def _nominal_onset(seq, eps, horizon=None):
     return 2 * last + offset + 1
 
 
+@functools.lru_cache(maxsize=1)
+def _size_onsets(seq, schedule, eps):
+    """(certified onset, nominal onset) of a size check, kept for the last key.
+
+    Both depend on (seq, schedule, eps) alone, so a run of checks against
+    one schedule walks them once.  A refusal is not kept: it raises again.
+    """
+    return _certified_onset(seq, schedule, eps), _nominal_onset(seq, eps, schedule.horizon)
+
+
 def verify_size_bound(eps, seq, schedule, word):
     """Check |I(w)| >= |I(w with constrained digits deleted)|^(1+eps), exactly.
 
@@ -506,8 +521,7 @@ def verify_size_bound(eps, seq, schedule, word):
     big_r = q * (q + q_prev)
     ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
 
-    onset_certified = _certified_onset(seq, schedule, eps)
-    onset = _nominal_onset(seq, eps, schedule.horizon)
+    onset_certified, onset = _size_onsets(seq, schedule, eps)
     with mp.workdps(50):
         rhs = +((mpf(1) / mpf(big_r)) ** (mpf(en + ed) / ed))
     return SizeBoundReport(eps, digits, onset, onset_certified, Fraction(1, big_l), rhs, ok)

@@ -25,6 +25,17 @@ import re
 import sys
 from fractions import Fraction
 
+# the exception types; the readers and FrozenRecord serve the layers only
+__all__ = [
+    "ToolkitError",
+    "DomainError",
+    "PoleProximityError",
+    "DivergenceError",
+    "BoundaryAmbiguityError",
+    "InsufficientHorizonError",
+    "ResourceCapError",
+]
+
 
 class ToolkitError(Exception):
     exit_code = 2

@@ -143,6 +143,12 @@ class IndexSequence(FrozenRecord):
             values = _validated_values(values)
         self._set(kind=kind, params=params, values=values)
 
+    def __hash__(self):
+        # equal sequences have equal lengths and ends, so a list of 10^6
+        # entries hashes without reading them all
+        return hash((self.kind, self.params, len(self.values), self.values[:1],
+                     self.values[-1:]))
+
     def nth(self, j):
         """k_j for j >= 1."""
         int_at_least(j, "sequence index")

@@ -8,7 +8,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfdim import (
@@ -364,6 +364,31 @@ def test_a_cylinder_is_its_length_and_its_words(word, tail, num):
     for x in (c.left, c.right, *past, _fold(list(word) + tail), inside):
         if 0 < x < 1:
             assert c.contains(x) == _starts_with(x, word), x
+
+
+def _euclid(x):
+    # every digit of a rational x in (0, 1), by Euclid on Fractions
+    digits = []
+    while x:
+        x = 1 / x
+        digits.append(x.numerator // x.denominator)
+        x -= digits[-1]
+    return digits
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 30).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, 10 ** d - 1))),
+       st.lists(st.integers(1, 10 ** 6).map(lambda k: Fraction(k, 10 ** 6 + 1)), max_size=4))
+@example((2, 12), [])  # [0.115, 0.125) ends at 1/8, on a cylinder boundary
+def test_expand_decimal_prefix_starts_every_expansion_in_its_interval(case, shares):
+    # "0.318" stands for [0.3175, 0.3185): both ends and rationals between
+    # them expand with the certain prefix and go on past it
+    d, n = case
+    prefix = list(expand_decimal("0." + str(n).zfill(d)))
+    lo, hi = Fraction(2 * n - 1, 2 * 10 ** d), Fraction(2 * n + 1, 2 * 10 ** d)
+    for x in (lo, hi, *(lo + (hi - lo) * share for share in shares)):
+        digits = _euclid(x)
+        assert digits[: len(prefix)] == prefix and len(digits) > len(prefix), x
 
 
 def _delete_per_digit(word, positions):

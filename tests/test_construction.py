@@ -174,16 +174,19 @@ def test_schedule_json_tamper_detection():
 
 
 def test_schedule_json_c1_margin_both_sides():
-    # a stored c1 within relative 1e-9 of eps*log2/2 loads, 1e-8 off does not
+    # a stored c1 within relative 1e-9 of eps*log2/2 loads, 1.1e-9 off does
+    # not; the 25-digit rendering moves c1 by about 1e-25, far inside the gap
     s = square_schedule(j_max=1)
     data = s.to_json()
-    for rel, ok in (("5e-10", True), ("-5e-10", True), ("1e-8", False), ("-1e-8", False)):
+    for rel, ok in (("5e-10", True), ("-5e-10", True), ("0.9e-9", True), ("-0.9e-9", True),
+                    ("1.1e-9", False), ("-1.1e-9", False), ("1e-8", False), ("-1e-8", False)):
         with mp.workdps(50):
-            data["c1"] = mp.nstr(s.c1_value * (1 + mpf(rel)), 25)
+            data["c1"] = text = mp.nstr(s.c1_value * (1 + mpf(rel)), 25)
         if ok:
             assert StepSchedule.from_json(data) == s
         else:
-            with pytest.raises(DomainError, match="derived c1"):
+            with pytest.raises(DomainError, match="^schedule JSON has eps = '1/10' but c1 = %s; "
+                               "derived c1 would be 0.034657359028$" % re.escape(repr(text))):
                 StepSchedule.from_json(data)
 
 
@@ -831,3 +834,38 @@ def test_sampled_pairs_agree_with_the_position_by_position_reference(case, m_cap
     seq, sched, _ = case
     got = _outcome(sample_holder_pairs, seq, m_cap, sched, count, seed, min_prefix)
     assert got == _outcome(_pairs_by_position, seq, m_cap, sched, count, seed, min_prefix)
+
+
+def test_size_onsets_keep_one_key_and_equal_the_uncached_scans():
+    # square and pow:2, each with two value-equal schedules built apart,
+    # at eps 1/10 as text and as a Fraction and at 1/7: a key that repeats
+    # the last one reads the kept onsets, any other computes them again
+    construction._size_onsets.cache_clear()
+    pw = parse_index_sequence("pow:2")
+    scheds = {seq: [choose_schedule(seq, 30, 10 ** 4, eps="1/10") for _ in range(2)]
+              for seq in (SQ, pw)}
+    for a, b in scheds.values():
+        assert a == b and a is not b
+    words = {seq: build_point(seq, 3, a, 600) for seq, (a, _) in scheds.items()}
+    calls = [(SQ, 0, "1/10"), (SQ, 1, Fraction(1, 10)), (pw, 0, "1/10"), (SQ, 0, "1/7"),
+             (SQ, 1, Fraction(1, 7)), (pw, 1, Fraction(1, 10)), (pw, 0, "1/10"),
+             (SQ, 0, Fraction(1, 10)), (pw, 1, "1/7")]
+    for seq, i, eps in calls:
+        sched = scheds[seq][i]
+        got = verify_size_bound(eps, seq, sched, words[seq])
+        assert got == _size_bound_by_rows(eps, seq, sched, words[seq]), (seq, i, eps)
+    info = construction._size_onsets.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (1, 1, 3, 6)
+
+
+def test_size_onsets_keep_no_refusal():
+    # the nominal onset refuses this horizon; the refusal is not kept,
+    # so each call walks again and raises the same error
+    construction._size_onsets.cache_clear()
+    even = parse_index_sequence("even")
+    sched = StepSchedule(Fraction(1, 10), None, (0,), (5,), 10 ** 6)
+    for _ in range(2):
+        with pytest.raises(InsufficientHorizonError,
+                           match="^the onset condition still fails at the horizon 1000000$"):
+            verify_size_bound("1/10", even, sched, [1] * 10)
+    assert construction._size_onsets.cache_info().currsize == 0

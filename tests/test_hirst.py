@@ -328,6 +328,19 @@ def test_covering_condition_square_digits_at_large_floor():
     assert not covering_condition(d, EVEN, "1/10", 10 ** 40).ok
 
 
+def test_floor_doubling_stops_past_half_the_cap():
+    # squares along all at eps 37/314: the estimate, about 8.6e17, undershoots.
+    # The tail's first term adds about eps/(2J) to its integral form, J the
+    # first square root past the floor, more than the 1e-9 bump takes off
+    # when J lies less than about 1/2 above the estimated root.  So the
+    # condition fails there, and doubling would pass 10^18
+    square, every = parse_digit_set("square"), parse_index_sequence("all")
+    est = estimate_condition_floor(square, every, "37/314")
+    assert (est.value, est.ok, est.exceeded) == (None, False, True)
+    assert 1 < est.lhs < 1 + mpf("1e-11")
+    assert not covering_condition(square, every, "37/314", 860105624118713000).ok
+
+
 def test_estimate_blows_up_near_the_density():
     est = estimate_condition_floor(ALL, EVEN, "9/20")
     assert est.exceeded and est.value is None

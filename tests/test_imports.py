@@ -47,3 +47,15 @@ def test_exact_commands_leave_mpmath_unloaded():
     ]
     loaded = [json.loads(line) for line in _fresh("-c", _PROBE, json.dumps(argvs))]
     assert loaded == [[], [], [], ["mpmath"]]
+
+
+def test_star_import_is_the_union_of_the_layers_names():
+    # a lazy package init must keep exactly these names
+    import importlib
+
+    names = {}
+    exec("from cfdim import *", names)
+    layers = [importlib.import_module(m) for m in _LAYERS]
+    want = [name for layer in layers for name in layer.__all__]
+    assert len(want) == len(set(want))
+    assert set(names) - {"__builtins__"} == set(want)

@@ -2,7 +2,8 @@
 
 PrecisionContext, IndexSequence, DigitSet and StepSchedule are compared,
 hashed and printed by their fields in declaration order, only against
-their own class, and refuse assignment after construction.
+their own class, and refuse assignment after construction.  A sequence
+hashes by its rule and the length and ends of its explicit list.
 """
 
 import copy
@@ -60,6 +61,14 @@ def test_records_refuse_assignment_and_deletion(record, by_keyword, text, other)
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert getattr(record, name) is value
+
+
+def test_an_explicit_list_hashes_by_its_length_and_ends():
+    # lists that differ only inside share a hash but stay unequal
+    inner = IndexSequence("explicit", (), (1, 4, 9))
+    other = IndexSequence("explicit", (), (1, 5, 9))
+    assert hash(inner) == hash(other) and inner != other and len({inner, other}) == 2
+    assert hash(inner) != hash(IndexSequence("explicit", (), (1, 4, 10)))
 
 
 def test_equality_holds_only_within_one_class():

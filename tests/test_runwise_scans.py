@@ -276,6 +276,7 @@ def test_size_bound_nominal_onset_walks_no_run(monkeypatch):
             walked.append(limit)
             yield run
     monkeypatch.setattr(IndexSequence, "runs", counted)
+    construction._size_onsets.cache_clear()  # an earlier test may have kept these onsets
     reports = []
     for sched in (short, long):
         del walked[:]
@@ -299,6 +300,7 @@ def test_size_bound_nominal_scan_refuses_a_failing_horizon_without_walking(monke
             walked.append(limit)
             yield run
     monkeypatch.setattr(IndexSequence, "runs", counted)
+    construction._size_onsets.cache_clear()
     with pytest.raises(InsufficientHorizonError, match="fails at the horizon 1000000$"):
         verify_size_bound("1/10", even, sched, [1] * 10)
     assert set(walked) == {_covered_limit(even, sched)} == {11}
