@@ -12,60 +12,23 @@ group and command, lists its flags (built from the flag shapes below)
 and holds a handler that returns the library result; ``main`` turns
 every result into the envelope's record along the same path.  It
 builds leaf parsers only for the group that argv names, and mpmath is
-loaded only by the commands that compute a real.
+loaded only by the commands that compute a real.  The handlers reach
+the library through its layer modules, which the package loads lazily,
+so a command compiles and runs only the layers it calls.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import __version__
-from .cfcore import (
-    PartialQuotients,
-    convergents,
-    cylinder,
-    delete_indices,
-    evaluate,
-    expand_decimal,
-    expand_rational,
-)
-from .construction import (
-    StepSchedule,
-    build_point,
-    choose_schedule,
-    holder_check,
-    nominal_onset,
-    sample_holder_pairs,
-    schedule_onset,
-    verify_separation,
-    verify_size_bound,
-)
-from .dimension import (
-    asymptotic_exponent,
-    covering_sum_enumerated,
-    critical_exponent,
-    j_interval_length,
-    per_level_factor,
-    reference_bounds,
-)
+from . import __version__, cfcore, construction, dimension, hirst, sequences, special
 from .errors import (
     DomainError, ResourceCapError, ToolkitError, is_int, nearest_float, read_fraction, read_int,
     read_ints, read_lines,
 )
-from .hirst import (
-    covering_condition,
-    covering_product_bound,
-    dimension_dichotomy,
-    estimate_condition_floor,
-    hirst_dimension,
-)
-from .sequences import density, parse_digit_set, parse_index_sequence, tau
-from .special import PrecisionContext, zeta, zeta_tail
 
 _REAL_DIGITS = 25
 
@@ -85,18 +48,18 @@ def _integer(text):
 
 
 def _word(text):
-    return PartialQuotients.from_text(text)
+    return cfcore.PartialQuotients.from_text(text)
 
 
 def _digits(args):
-    return parse_digit_set(args.digits_spec)
+    return sequences.parse_digit_set(args.digits_spec)
 
 
 def _context(args):
     # the library's context, with the target tolerance from --tol if given
     if args.tol is None:
-        return PrecisionContext()
-    return PrecisionContext(target_abs_tol=nearest_float(read_fraction(args.tol, "--tol")))
+        return special.PrecisionContext()
+    return special.PrecisionContext(target_abs_tol=nearest_float(read_fraction(args.tol, "--tol")))
 
 
 def _check_digits(n):
@@ -159,6 +122,9 @@ def _render(envelope, fmt):
     rows = []
     _flatten("", envelope, rows)
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["field", "value"])
@@ -180,13 +146,13 @@ def _schedule_from_args(args, seq):
             raise DomainError("schedule file %r is not valid JSON: %s" % (args.schedule, exc))
         except RecursionError:
             raise DomainError("schedule file %r nests too deeply to read" % args.schedule)
-        return StepSchedule.from_json(data)
+        return construction.StepSchedule.from_json(data)
     if args.j_max is None or args.horizon is None:
         raise DomainError(
             "give --schedule FILE, or --j-max and --horizon with --eps/--c1 "
             "to construct one"
         )
-    return choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
+    return construction.choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
 
 
 # ---------------------------------------------------------------- handlers
@@ -195,20 +161,20 @@ def _schedule_from_args(args, seq):
 
 def _cf_expand(args):
     if args.rational is not None:
-        return expand_rational(args.rational)
-    return expand_decimal(args.decimal, args.max_digits)
+        return cfcore.expand_rational(args.rational)
+    return cfcore.expand_decimal(args.decimal, args.max_digits)
 
 
 def _cf_convergents(args):
     word = _word(args.word)
     return {"convergents": [
         {"k": i, "digit": a, **c._asdict()}
-        for i, (a, c) in enumerate(zip(word, convergents(word)), start=1)
+        for i, (a, c) in enumerate(zip(word, cfcore.convergents(word)), start=1)
     ]}
 
 
 def _cf_cylinder(args):
-    c = cylinder(_word(args.word))
+    c = cfcore.cylinder(_word(args.word))
     return {**c._asdict(), "length": c.length}
 
 
@@ -216,36 +182,36 @@ def _cf_delete(args):
     word = _word(args.word)
     positions = (
         read_ints(args.positions, "a position") if args.positions is not None
-        else parse_index_sequence(args.seq)
+        else sequences.parse_index_sequence(args.seq)
     )
-    return delete_indices(word, positions)
+    return cfcore.delete_indices(word, positions)
 
 
 def _dim_critical(args):
     ctx = _context(args)
-    return critical_exponent(args.M, tol=ctx.target_abs_tol, s_max=args.s_max, ctx=ctx)
+    return dimension.critical_exponent(args.M, tol=ctx.target_abs_tol, s_max=args.s_max, ctx=ctx)
 
 
 def _dim_cover(args):
     if args.threads < 1:
         raise DomainError("threads must be an integer >= 1")
-    total = covering_sum_enumerated(args.M, args.s, args.levels, args.digit_cap)
+    total = dimension.covering_sum_enumerated(args.M, args.s, args.levels, args.digit_cap)
     return {"sum": total, "levels": args.levels, "digit_cap": args.digit_cap}
 
 
 def _construct_schedule(args):
-    seq = parse_index_sequence(args.seq)
-    sched = choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
+    seq = sequences.parse_index_sequence(args.seq)
+    sched = construction.choose_schedule(seq, args.j_max, args.horizon, c1=args.c1, eps=args.eps)
     if args.onset:
-        return {"schedule": sched.to_json(), **schedule_onset(seq, sched)._asdict()}
+        return {"schedule": sched.to_json(), **construction.schedule_onset(seq, sched)._asdict()}
     return sched.to_json()
 
 
 def _construct_point(args):
-    seq = parse_index_sequence(args.seq)
+    seq = sequences.parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq)
-    word = build_point(seq, args.M, sched, args.depth, args.filler)
-    return {"digits": word, "value": evaluate(word)}
+    word = construction.build_point(seq, args.M, sched, args.depth, args.filler)
+    return {"digits": word, "value": cfcore.evaluate(word)}
 
 
 def _eps_of(args, sched):
@@ -257,13 +223,13 @@ def _eps_of(args, sched):
 
 
 def _construct_verify_size(args):
-    seq = parse_index_sequence(args.seq)
+    seq = sequences.parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq)
-    return verify_size_bound(_eps_of(args, sched), seq, sched, _word(args.word))
+    return construction.verify_size_bound(_eps_of(args, sched), seq, sched, _word(args.word))
 
 
 def _construct_holder(args):
-    seq = parse_index_sequence(args.seq)
+    seq = sequences.parse_index_sequence(args.seq)
     sched = _schedule_from_args(args, seq) if args.sample is not None or args.schedule else None
     eps = _eps_of(args, sched)
     if args.pairs_file is not None:
@@ -278,9 +244,12 @@ def _construct_holder(args):
                                   % (line_no, args.pairs_file))
             pairs.append((_word(halves[0]), _word(halves[1])))
     else:
-        min_prefix = nominal_onset(seq, eps) if args.min_prefix is None else args.min_prefix
-        pairs = sample_holder_pairs(seq, args.M, sched, args.sample, args.seed, min_prefix)
-    reports = holder_check(seq, args.M, eps, pairs)
+        min_prefix = args.min_prefix
+        if min_prefix is None:
+            min_prefix = construction.nominal_onset(seq, eps)
+        pairs = construction.sample_holder_pairs(
+            seq, args.M, sched, args.sample, args.seed, min_prefix)
+    reports = construction.holder_check(seq, args.M, eps, pairs)
     return {
         "pairs": reports,
         "checked": sum(1 for r in reports if r.ok is not None),
@@ -291,18 +260,18 @@ def _construct_holder(args):
 
 def _hirst_m0(args):
     digits = _digits(args)
-    seq = parse_index_sequence(args.seq)
+    seq = sequences.parse_index_sequence(args.seq)
     if args.M is not None:
-        return covering_condition(digits, seq, args.eps, args.M)
-    est = estimate_condition_floor(digits, seq, args.eps)
+        return hirst.covering_condition(digits, seq, args.eps, args.M)
+    est = hirst.estimate_condition_floor(digits, seq, args.eps)
     warning = "the required floor exceeds 10^18" if est.exceeded else ""
     return {**est._asdict(), "warning": warning}
 
 
 def _hirst_product(args):
     digits = _digits(args)
-    seq = parse_index_sequence(args.seq)
-    return covering_product_bound(
+    seq = sequences.parse_index_sequence(args.seq)
+    return hirst.covering_product_bound(
         digits, seq, args.M, args.s, args.base_level, args.level, _word(args.prefix)
     )
 
@@ -362,23 +331,23 @@ _COMMANDS = (
         _flag("--rational", help="exact rational in (0,1), e.g. 7/10"),
         _flag("--decimal", help="decimal literal; only certain digits emitted"),
     ) + _flag("--max-digits", type=_integer), _cf_expand, "digits"),
-    _Command("cf", "eval", _WORD, lambda a: evaluate(_word(a.word))),
+    _Command("cf", "eval", _WORD, lambda a: cfcore.evaluate(_word(a.word))),
     _Command("cf", "convergents", _WORD, _cf_convergents),
     _Command("cf", "cylinder", _WORD, _cf_cylinder),
     _Command("cf", "delete", _WORD + _one_of(
         _flag("--positions", help="comma separated 1-based positions"),
         _flag("--seq", help="index sequence spec, e.g. square"),
     ), _cf_delete, "digits"),
-    _Command("zeta", "value", _Z + _TOL, lambda a: zeta(a.z, _context(a))),
+    _Command("zeta", "value", _Z + _TOL, lambda a: special.zeta(a.z, _context(a))),
     _Command("zeta", "tail", _flag("--start", type=_integer, required=True) + _Z + _TOL,
-             lambda a: zeta_tail(a.start, a.z, _context(a))),
-    _Command("dim", "factor", _M + _S, lambda a: per_level_factor(a.M, a.s), "factor"),
+             lambda a: special.zeta_tail(a.start, a.z, _context(a))),
+    _Command("dim", "factor", _M + _S, lambda a: dimension.per_level_factor(a.M, a.s), "factor"),
     _Command("dim", "critical", _M + _flag("--tol", default="1e-12")
              + _flag("--s-max", default="2"), _dim_critical),
-    _Command("dim", "asymptotic", _M, lambda a: asymptotic_exponent(a.M)),
-    _Command("dim", "reference", _M, lambda a: reference_bounds(a.M)),
+    _Command("dim", "asymptotic", _M, lambda a: dimension.asymptotic_exponent(a.M)),
+    _Command("dim", "reference", _M, lambda a: dimension.reference_bounds(a.M)),
     _Command("dim", "jlen", _WORD + _M,
-             lambda a: j_interval_length(_word(a.word), a.M), "length"),
+             lambda a: dimension.j_interval_length(_word(a.word), a.M), "length"),
     _Command("dim", "cover", _M + _S
              + _flag("--levels", type=_integer, required=True)
              + _flag("--digit-cap", type=_integer, required=True)
@@ -386,10 +355,10 @@ _COMMANDS = (
                      help="accepted for compatibility; has no effect"),
              _dim_cover),
     _Command("seq", "density", _SPEC + _HORIZON,
-             lambda a: density(parse_index_sequence(a.spec), a.horizon)),
-    _Command("seq", "tau", _DIGIT_SET, lambda a: tau(_digits(a)), "tau"),
+             lambda a: sequences.density(sequences.parse_index_sequence(a.spec), a.horizon)),
+    _Command("seq", "tau", _DIGIT_SET, lambda a: sequences.tau(_digits(a)), "tau"),
     _Command("seq", "count", _SPEC + _flag("--n", type=_integer, required=True),
-             lambda a: parse_index_sequence(a.spec).count(a.n), "count"),
+             lambda a: sequences.parse_index_sequence(a.spec).count(a.n), "count"),
     _Command("construct", "schedule", _SEQ + _flag("--eps") + _flag("--c1")
              + _flag("--j-max", type=_integer, required=True) + _HORIZON
              + _flag("--onset", action="store_true",
@@ -401,14 +370,14 @@ _COMMANDS = (
     _Command("construct", "verify-size", _SEQ + _SCHEDULE + _WORD, _construct_verify_size),
     _Command("construct", "verify-sep", _PREFIX + _M
              + _flag("--x-tail", required=True) + _flag("--y-tail", required=True),
-             lambda a: verify_separation(
+             lambda a: construction.verify_separation(
                  _word(a.prefix), a.M, _word(a.x_tail), _word(a.y_tail))),
     _Command("construct", "holder", _SEQ + _SCHEDULE + _M + _one_of(
         _flag("--pairs-file", help="lines of 'word;word' with comma separated digits"),
         _flag("--sample", type=_integer, help="generate this many random pairs"),
     ) + _flag("--seed", type=_integer, default=0) + _flag("--min-prefix", type=_integer),
         _construct_holder),
-    _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst_dimension(_digits(a)), "dim"),
+    _Command("hirst", "dim", _DIGIT_SET, lambda a: hirst.hirst_dimension(_digits(a)), "dim"),
     _Command("hirst", "m0", _DIGIT_SET + _SEQ + _flag("--eps", required=True) + _one_of(
         _flag("--M", type=_integer), _flag("--estimate", action="store_true"),
     ), _hirst_m0),
@@ -417,7 +386,7 @@ _COMMANDS = (
              + _flag("--level", type=_integer, required=True) + _PREFIX,
              _hirst_product, "bound"),
     _Command("hirst", "theorem", _SEQ,
-             lambda a: dimension_dichotomy(parse_index_sequence(a.seq))),
+             lambda a: hirst.dimension_dichotomy(sequences.parse_index_sequence(a.seq))),
 )
 
 

@@ -37,6 +37,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import special
 from .cfcore import (
     PartialQuotients,
     _denominators,
@@ -56,7 +57,6 @@ from .errors import (
     nearest_float,
     quoted,
 )
-from .special import as_real
 
 __all__ = [
     "StepSchedule",
@@ -124,8 +124,8 @@ class StepSchedule(FrozenRecord):
 
         with mp.workdps(50):
             if self.c1 is not None:
-                return as_real(self.c1)
-            return +(as_real(self.eps) * mp.log(2) / 2)
+                return special.as_real(self.c1)
+            return +(special.as_real(self.eps) * mp.log(2) / 2)
 
     def to_json(self):
         from mpmath import mp
@@ -172,7 +172,7 @@ class StepSchedule(FrozenRecord):
             declared = exact_positive_fraction(raw_c1, "c1")
             with mp.workdps(50):
                 derived = sched.c1_value
-                gap = abs(as_real(declared) - derived)
+                gap = abs(special.as_real(declared) - derived)
                 if gap > derived / 10 ** 9:
                     raise DomainError(
                         "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
@@ -232,7 +232,7 @@ def _log_exceeds(p, e, m, eps, c1):
     for dps in (60, 200):
         with mp.workdps(dps):
             lhs = e * _mp_log(p)
-            rhs = as_real(c1) * m
+            rhs = special.as_real(c1) * m
             diff = lhs - rhs
             if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
                 return diff > 0
@@ -270,7 +270,8 @@ def _weight_test(eps, c1):
             from mpmath import mp
 
             with mp.workdps(20 + len(str(last))):
-                x = e * _mp_log(p) / (as_real(c1) if eps is None else as_real(eps) * mp.ln2 / 2)
+                weight = special.as_real(c1) if eps is None else special.as_real(eps) * mp.ln2 / 2
+                x = e * _mp_log(p) / weight
                 m, r = int(mp.floor(x)), int(mp.nint(x))
         if first <= r <= last:
             # a near tie, where floor(x) may be off by one; p = 1 stays out

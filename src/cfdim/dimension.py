@@ -19,7 +19,7 @@ cross-checking.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfcore import PartialQuotients, _denominators
+from . import cfcore
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
 from .special import (
     _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _goal, _neg_power, _series_from, as_real,
@@ -51,11 +51,11 @@ def j_interval_length(word, m_floor):
     the value of the word extended by m_floor itself.  By the
     determinant identity that gap is 1/(q_n (M q_n + q_{n-1})).
     """
-    digits = PartialQuotients(word)
+    digits = cfcore.PartialQuotients(word)
     if len(digits) % 2 == 0:
         raise DomainError("word must have odd length, got %d digits" % len(digits))
     int_at_least(m_floor, "digit floor")
-    q, q_prev = _denominators(digits)
+    q, q_prev = cfcore._denominators(digits)
     return Fraction(1, q * (m_floor * q + q_prev))
 
 

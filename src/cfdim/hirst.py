@@ -17,7 +17,7 @@ a power run or a geometric run, as sequences states.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfcore import PartialQuotients
+from . import cfcore
 from .errors import DivergenceError, DomainError, exact_positive_fraction, int_at_least, is_int
 from .sequences import tau
 from .special import DEFAULT_CONTEXT, as_real, zeta_tail
@@ -185,7 +185,7 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     if not is_int(level) or level <= level_base:
         raise DomainError("the target level must exceed the base level %d, got %r"
                           % (level_base, level))
-    word = PartialQuotients(prefix)
+    word = cfcore.PartialQuotients(prefix)
     k_base = seq.nth(level_base) if level_base >= 1 else 0
     k_top = seq.nth(level)
     if len(word) != k_base:

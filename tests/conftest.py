@@ -1,6 +1,11 @@
 import re
+import sys
 
 from hypothesis import settings
+
+# the suite leaves no __pycache__ under src, which would make that tree
+# start faster than a fresh copy of the same code (see spawn.child_env)
+sys.dont_write_bytecode = True
 
 # Every property test draws the same examples on every run and keeps no
 # example database; example counts are set per test.

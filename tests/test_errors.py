@@ -352,10 +352,16 @@ def test_construction_reads_no_rule_and_gallops_in_one_place():
 
 
 def _names_imported_from(source, module):
-    # the names of each "from .<module> import ..." in the source
-    return [alias.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
-            for alias in node.names]
+    # the names of each "from .<module> import ..." in the source, and of
+    # each "<module>.name" read through the sibling module itself
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            names += [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == module):
+            names.append(node.attr)
+    return names
 
 
 def test_only_sequences_reads_a_rule():
@@ -363,8 +369,9 @@ def test_only_sequences_reads_a_rule():
     # works from the counting functions, so a new rule touches sequences alone
     assert _names_imported_from(
         "from .sequences import _a, b\nfrom .special import _c\n"
-        "def f():\n    from .sequences import d\nfrom sequences import e\n", "sequences"
-    ) == ["_a", "b", "d"]
+        "def f():\n    from .sequences import d\nfrom sequences import e\n"
+        "g = sequences._g(special._h)\n", "sequences"
+    ) == ["_a", "b", "d", "_g"]
     offenders = ["%s:%d %s" % (p.name, line, func)
                  for p in sorted(_SRC.glob("*.py")) if p.name != "sequences.py"
                  for func, line in _attribute_reads(p.read_text(), {"kind", "params"})]
@@ -377,6 +384,10 @@ def test_one_continuant_kernel_serves_every_layer():
     # cfcore walks the recurrence for (q_n, q_{n-1}) in _denominators and
     # lists every row only in convergents; the other layers take the kernel
     # and the slicing deletion, no other private cfcore name
+    assert _names_imported_from(
+        "from .cfcore import _a, b\nfrom . import cfcore\n"
+        "def f(w):\n    return cfcore._c(w), x.cfcore._d\n", "cfcore"
+    ) == ["_a", "b", "_c"]
     source = (_SRC / "cfcore.py").read_text()
     defined = {node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef)}
