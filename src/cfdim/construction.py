@@ -128,12 +128,15 @@ class StepSchedule(FrozenRecord):
             return +(special.as_real(self.eps) * mp.log(2) / 2)
 
     def to_json(self):
-        from mpmath import mp
+        if self.c1 is not None:
+            c1_text = str(self.c1)
+        else:  # derived mode prints c1 to 25 digits
+            from mpmath import mp
 
-        with mp.workdps(50):
-            c1_text = mp.nstr(self.c1_value, 25)
+            with mp.workdps(50):
+                c1_text = mp.nstr(self.c1_value, 25)
         return {
-            "c1": str(self.c1) if self.c1 is not None else c1_text,
+            "c1": c1_text,
             "eps": str(self.eps) if self.eps is not None else None,
             "horizon": self.horizon,
             "N": list(self.thresholds),

@@ -9,11 +9,11 @@ is governed by the per-level factor
     (1 + 1/M)^s zeta(2s) sum_{k >= M} k^(-2s).
 
 The critical exponent is the root of factor = 1, found by safeguarded
-false position on -log(factor) (about ten factor evaluations), and the
-asymptotic form 1/2 + (log log M - log 2)/log M describes its
-large-M behavior.  reference_bounds evaluates the classical dimension
-windows (Jarnik, Kurzweil, Hensley, Good, Jaerisch-Kessebohmer) for
-cross-checking.
+false position on -log(factor), which is concave in s (about ten factor
+evaluations; see critical_exponent), and the asymptotic form
+1/2 + (log log M - log 2)/log M describes its large-M behavior.
+reference_bounds evaluates the classical dimension windows (Jarnik,
+Kurzweil, Hensley, Good, Jaerisch-Kessebohmer) for cross-checking.
 """
 
 from fractions import Fraction
@@ -21,9 +21,7 @@ from typing import NamedTuple
 
 from . import cfcore
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
-from .special import (
-    _CUTOFF_CAP, DEFAULT_CONTEXT, _check_exponent, _goal, _neg_power, _series_from, as_real,
-)
+from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _neg_power, _series_from, as_real
 
 __all__ = [
     "CriticalSolveResult",
@@ -76,13 +74,9 @@ def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
         sm = as_real(s, "exponent")
         if not sm > mpf(1) / 2:
             raise DivergenceError("the level sums diverge for s <= 1/2")
-        z = 2 * sm
-        # the two series as zeta and zeta_tail form them, less their set-up,
-        # which is a no-op on z at the working precision
-        _check_exponent(z)
-        base = (1 + mpf(1) / m_floor) ** sm
-        goal = _goal(ctx)
-        return +(base * _series_from(1, z, goal, ctx) * _series_from(m_floor, z, goal, ctx))
+        # the two series as zeta and zeta_tail form them, set up once
+        full, tail = _series_from((1, m_floor), 2 * sm, ctx)
+        return +((1 + mpf(1) / m_floor) ** sm * full * tail)
 
 
 def _exact(tol):
@@ -111,11 +105,16 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     decreasing, so g(s) = -log factor is increasing, and nearly linear
     away from the pole, where factor - 1 is not.  Each step interpolates
     g linearly between the bracket ends, falling back to the midpoint
-    when rounding puts the interpolant on or outside an end.  When the
-    same end is replaced twice in a row, the other end's g is scaled by
-    1 - g(new)/g(replaced), or by 1/2 when that is not positive
-    (Anderson-Bjorck), so that stale end cannot stall the bracket.  The
-    bracket always keeps factor(lo) > 1 > factor(hi).  Stops when
+    when rounding puts the interpolant on or outside an end.  g is also
+    concave, as log zeta(2s) and log zeta(2s, M) are logs of sums of
+    exponentials in s, so a chord through two true values of g has its
+    zero at or right of the root and replaces hi.  After two hi steps in
+    a row g_lo is scaled by 1 - g(new)/g(replaced), or by 1/2 when that
+    is not positive (Anderson-Bjorck), so the stale lo cannot stall the
+    bracket.  The next chord may replace lo, and the one after runs
+    through true values again, so lo never needs damping.  A verdict
+    flipped by rounding would only lose that step's damping: the bracket
+    always keeps factor(lo) > 1 > factor(hi).  Stops when
     |factor - 1| <= tol; a tol below ctx.target_abs_tol, the accuracy of
     each factor value, is refused.  When the factor is still above 1 at
     s_max there is no root in the bracket and the result says so
@@ -148,7 +147,7 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
             )
         f_lo = per_level_factor(m_floor, lo, ctx)
         g_lo, g_hi = -mp.log(f_lo), -mp.log(f_hi)
-        last_low = None  # True when the previous step replaced lo
+        after_hi = False  # the previous step replaced hi
         for i in range(1, _STEP_LIMIT + 1):
             mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
             if not lo < mid < hi:
@@ -158,19 +157,13 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
             if res <= tol_m:
                 return CriticalSolveResult(m_floor, +mid, +res, (+lo, +hi), i, True)
             g_mid = -mp.log(val)
-            low = val > 1
-            # the same end replaced twice in a row: damp the stale end's g
-            if low:
-                if last_low is True:
-                    m = 1 - g_mid / g_lo
-                    g_hi *= m if m > 0 else mpf(1) / 2
-                lo, g_lo = mid, g_mid
+            if val > 1:
+                lo, g_lo, after_hi = mid, g_mid, False
             else:
-                if last_low is False:
+                if after_hi:  # hi replaced twice in a row: damp the stale g_lo
                     m = 1 - g_mid / g_hi
                     g_lo *= m if m > 0 else mpf(1) / 2
-                hi, g_hi = mid, g_mid
-            last_low = low
+                hi, g_hi, after_hi = mid, g_mid, True
         return CriticalSolveResult(
             m_floor, None, +res, (+lo, +hi), _STEP_LIMIT, False,
             "residual did not reach %g within %d steps" % (tol, _STEP_LIMIT),

@@ -3,8 +3,10 @@
 Everything runs through mpmath at the working_digits of a
 PrecisionContext, which holds 50 to 1,000 digits; each function that
 computes a real imports mpmath itself, so importing the package does
-not load it. One Euler-Maclaurin routine serves both the full series
-and its tails: partial sum up to a cutoff N, then
+not load it. One Euler-Maclaurin routine, _series_from, serves the full
+series and its tails, and every series is set up there alone: the pole
+check and the goal tol/8, once for all its starts.  A sum is the partial
+sum up to a cutoff N, then
 
     N^(1-z)/(z-1) + N^(-z)/2 + sum_j B_{2j}/(2j)! (z)_{2j-1} N^(-z-2j+1)
 
@@ -288,31 +290,30 @@ def _head(start, cutoff, z):
     return (_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
 
 
-def _series_from(start, z, goal, ctx):
-    # sum of k^(-z) over k >= start to _goal(ctx) at the working precision, z
-    # an mpf already checked against the pole: the head, added exactly and
-    # rounded once as mp.fsum adds it, plus the corrected tail from the cutoff
+def _series_from(starts, z, ctx):
+    # the sums of k^(-z) over k >= start, one per start, to ctx.target_abs_tol
+    # at the working precision, z an mpf: the pole check and the goal tol/8
+    # are made once.  A sum is the head, added exactly and rounded once as
+    # mp.fsum adds it, plus the corrected tail from the cutoff
     import mpmath
 
     libmp, mp = mpmath.libmp, mpmath.mp
-    cutoff = max(64, start)
-    tail, bound = _tail_correction(cutoff, z)
-    while bound > goal:
-        cutoff *= 2
-        if cutoff > _CUTOFF_CAP:
-            raise DomainError(
-                "tolerance %g is unreachable with B_8 corrections at z = %s"
-                % (ctx.target_abs_tol, z)
-            )
-        tail, bound = _tail_correction(cutoff, z)
+    _check_exponent(z)
+    goal = as_real(ctx.target_abs_tol) / 8
     prec, rnd = mp.prec, libmp.round_nearest
-    head = libmp.mpf_sum(_head(start, cutoff, z), prec, rnd)
-    return mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd))
-
-
-def _goal(ctx):
-    # the bound a tail correction must clear, at the working precision
-    return as_real(ctx.target_abs_tol) / 8
+    sums = []
+    for start in starts:
+        cutoff = max(64, start)
+        tail, bound = _tail_correction(cutoff, z)
+        while bound > goal:
+            cutoff *= 2
+            if cutoff > _CUTOFF_CAP:
+                raise DomainError("tolerance %g is unreachable with B_8 corrections at z = %s"
+                                  % (ctx.target_abs_tol, z))
+            tail, bound = _tail_correction(cutoff, z)
+        head = libmp.mpf_sum(_head(start, cutoff, z), prec, rnd)
+        sums.append(mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd)))
+    return sums
 
 
 @functools.lru_cache(maxsize=_PRECISIONS_KEPT)
@@ -345,9 +346,8 @@ def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
 
     int_at_least(start, "start")
     with mp.workdps(ctx.working_digits):
-        zm = as_real(z, "exponent")
-        _check_exponent(zm)
-        return +_series_from(start, zm, _goal(ctx), ctx)
+        (value,) = _series_from((start,), as_real(z, "exponent"), ctx)
+        return +value
 
 
 def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):

@@ -1,0 +1,169 @@
+"""The committed digests of library values, and the helper that rewrites them.
+
+    python tests/golden_lib.py                   # rewrite tests/golden_lib.json from this tree
+    python tests/golden_lib.py --rows GROUP      # print the rows of one group
+
+Each group is a deterministic list of library calls.  A row records one
+call and what it gave, exactly: a real as its raw ``_mpf_`` tuple, an int
+or a bool as itself, a result record field by field, and a refusal as
+the exception's type name and message.  golden_lib.json holds, for each
+group, the number of rows and one SHA-256 over them.  test_golden_lib
+recomputes every group and compares both, so a change that moves one
+bit of any value, or one word of any refusal, names the groups it moved.
+To find the rows, print the group in the parent tree and in the change
+and diff the two outputs.
+
+The groups:
+
+- ``special.series``: ``zeta`` and ``zeta_tail`` at three contexts,
+  with the starts either side of the first cutoff 64 and of the cutoff
+  cap 2^16, and the pole-guard, cutoff-cap and input refusals;
+- ``dimension.factor``: ``per_level_factor`` at floors either side of
+  the same edges, from the divergence and pole refusals up;
+- ``dimension.critical``: ``critical_exponent`` at two contexts, with
+  the results that find no root below s_max and the ``tol`` and
+  ``s_max`` refusals.
+
+The digests pin the installed mpmath, as golden_cli.jsonl does.
+Rewriting the file changes a check: a change that moves a group names
+the group and the reason.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_lib.json")
+
+
+def _raw(value):
+    # the exact record of a value: raw mpf tuples, ints, text, None, and
+    # tuples of those
+    if hasattr(value, "_mpf_"):
+        return value._mpf_
+    if isinstance(value, (tuple, list)):
+        return tuple(_raw(v) for v in value)
+    assert value is None or isinstance(value, (int, str)), type(value)
+    return value
+
+
+def _row(func, *args):
+    """repr of (the call, what it gave or the refusal's (type, message))."""
+    from cfdim import ToolkitError
+
+    call = "%s(%s)" % (func.__name__, ", ".join(map(repr, args)))
+    try:
+        got = _raw(func(*args))
+    except ToolkitError as exc:  # a refusal; any other exception is a fault
+        got = (type(exc).__name__, str(exc))
+    return repr((call, got))
+
+
+def _contexts():
+    from cfdim import PrecisionContext
+
+    return [PrecisionContext(), PrecisionContext(1e-20, 60), PrecisionContext(1e-30, 80)]
+
+
+def _series():
+    from cfdim import PrecisionContext, zeta, zeta_tail
+
+    exponents = ["1.0000000011", "1.1", "1.5", "2", "2.5", "7"]
+    starts = [1, 2, 10, 63, 64, 65, 1000, 65536, 65537, 10 ** 12]
+    for ctx in _contexts():
+        for z in exponents:
+            yield _row(zeta, z, ctx)
+            for start in starts:
+                yield _row(zeta_tail, start, z, ctx)
+        # the pole guard, and input the series refuses before it starts
+        for z in ["1.000000001", "1.0000000009", "1", "0.5", "-2", "abc", "1e7", True]:
+            yield _row(zeta, z, ctx)
+        for start in [0, -1, 2.5, "10"]:
+            yield _row(zeta_tail, start, "2", ctx)
+    # tolerances past the cutoff cap near the pole; far from it the cap is not reached
+    for tol, digits in [(1e-60, 100), (1e-90, 200)]:
+        ctx = PrecisionContext(tol, digits)
+        for z in ["1.0000000011", "1.1", "1.5"]:
+            yield _row(zeta, z, ctx)
+            yield _row(zeta_tail, 1000, z, ctx)
+
+
+def _factor():
+    from cfdim import per_level_factor
+
+    floors = [2, 3, 10, 63, 64, 65, 1000, 65536, 65537, 10 ** 6, 10 ** 12, 10 ** 40]
+    exponents = ["0.5", "0.5000000005", "0.50000000051", "0.6", "0.75", "1", "1.5", "4"]
+    for ctx in _contexts()[:2]:
+        for s in exponents:
+            for m in floors:
+                yield _row(per_level_factor, m, s, ctx)
+        for m in [1, 0, 2.0]:
+            yield _row(per_level_factor, m, "0.75", ctx)
+        for s in ["0.4", "-1", "x", "1e7"]:
+            yield _row(per_level_factor, 10, s, ctx)
+
+
+def _critical():
+    from cfdim import critical_exponent
+
+    floors = [2, 3, 9, 10, 100, 1000, 10 ** 6, 10 ** 12, 10 ** 40]
+    for ctx in _contexts()[:2]:
+        tol = ctx.target_abs_tol
+        for s_max in [2, "0.9", 8]:
+            for m in floors:
+                yield _row(critical_exponent, m, tol, s_max, ctx)
+        for m in [2, 1000]:
+            yield _row(critical_exponent, m, 1e-6, 2, ctx)
+        # tol below the context's accuracy, and tol and s_max out of range
+        for bad_tol in [tol / 10, 0, -1e-12, float("nan"), float("inf"), "1e-12", True]:
+            yield _row(critical_exponent, 10, bad_tol, 2, ctx)
+        for s_max in ["0.5", "0.500000001", 9, "x"]:
+            yield _row(critical_exponent, 10, tol, s_max, ctx)
+    yield _row(critical_exponent, 1, 1e-12)
+
+
+GROUPS = {
+    "special.series": _series,
+    "dimension.factor": _factor,
+    "dimension.critical": _critical,
+}
+
+
+def rows(group):
+    return list(GROUPS[group]())
+
+
+def digest(group_rows):
+    """(row count, SHA-256 of the rows, one per line)."""
+    h = hashlib.sha256()
+    for row in group_rows:
+        h.update(row.encode() + b"\n")
+    return len(group_rows), h.hexdigest()
+
+
+def read_table():
+    with open(TABLE, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def main(argv):
+    if argv[:1] == ["--rows"] and len(argv) == 2 and argv[1] in GROUPS:
+        print("\n".join(rows(argv[1])))
+        return 0
+    if argv:
+        print("usage: golden_lib.py [--rows {%s}]" % ",".join(GROUPS), file=sys.stderr)
+        return 2
+    table = {}
+    for group in GROUPS:
+        count, sha = digest(rows(group))
+        table[group] = {"cases": count, "sha256": sha}
+    with open(TABLE, "w", encoding="utf-8") as f:
+        f.write(json.dumps(table, indent=2) + "\n")
+    print("%d groups written to %s" % (len(table), TABLE))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(TABLE)), "src"))
+    sys.exit(main(sys.argv[1:]))

@@ -171,6 +171,44 @@ def test_critical_exponent_step_limit_keeps_an_open_bracket(monkeypatch):
     assert lo < hi
 
 
+@pytest.mark.parametrize("m_floor", [2, 10, 1000, 10 ** 6])
+def test_minus_log_factor_is_concave_in_s(m_floor):
+    # log zeta(2s) and log zeta(2s, M) are logs of sums of exponentials in
+    # s, so g = -log factor is concave; its second differences at step 1/20
+    # lie far below the 1e-12 accuracy of a factor
+    with mp.workdps(50):
+        g = [-mp.log(per_level_factor(m_floor, Fraction(k, 20))) for k in range(11, 81)]
+        second = [a - 2 * b + c for a, b, c in zip(g, g[1:], g[2:])]
+    assert max(second) < -1e-6
+
+
+@pytest.mark.parametrize("ctx", [PrecisionContext(), PrecisionContext(1e-25, 100)],
+                         ids=["50 digits", "100 digits"])
+def test_the_solver_never_replaces_lo_twice_in_a_row(monkeypatch, ctx):
+    # g is concave, so a chord through two true values of g has its zero at
+    # or right of the root: only a chord through a damped g_lo replaces lo,
+    # and the damping of g_lo after two hi steps in a row is the one needed
+    import cfdim.dimension as dimension
+
+    real = dimension.per_level_factor
+    verdicts = []  # factor > 1 at each call, where a step replaces lo
+
+    def recorded(*args):
+        value = real(*args)
+        verdicts.append(value > 1)
+        return value
+
+    monkeypatch.setattr(dimension, "per_level_factor", recorded)
+    pairs = []
+    for m_floor in (2, 10, 1000, 10 ** 6, 10 ** 12, 10 ** 40):
+        verdicts.clear()
+        assert critical_exponent(m_floor, ctx.target_abs_tol, ctx=ctx).converged
+        steps = verdicts[2:-1]  # past the two ends; the converged step replaces nothing
+        pairs += zip(steps, steps[1:])
+    assert (True, True) not in pairs
+    assert (False, False) in pairs
+
+
 def test_a_tol_below_the_context_tolerance_is_refused():
     # the factor is computed to ctx.target_abs_tol, so a residual below it
     # says nothing: at tol 1e-30 the 50-digit solve at M = 2 reported

@@ -400,6 +400,20 @@ def test_one_continuant_kernel_serves_every_layer():
     assert offenders == [], "take continuants from cfcore._denominators"
 
 
+def test_only_dimension_reads_the_private_names_of_special():
+    # special sets up every series in _series_from; dimension takes the
+    # series, the power kernel and its cap, and no set-up of its own
+    assert _names_imported_from(
+        "from .special import _a, b\nfrom . import special\n"
+        "def f(z):\n    return special._c(z), x.special._d\n", "special"
+    ) == ["_a", "b", "_c"]
+    private = {p.name: sorted(n for n in _names_imported_from(p.read_text(), "special")
+                              if n.startswith("_"))
+               for p in sorted(_SRC.glob("*.py")) if p.name != "special.py"}
+    assert {name: names for name, names in private.items() if names} \
+        == {"dimension.py": ["_CUTOFF_CAP", "_neg_power", "_series_from"]}
+
+
 def test_only_read_lines_opens_a_file():
     assert _calls("def f(p):\n    with open(p) as fh:\n        pass\nopen(q, 'w')\n", "open") \
         == [("f", 2), (None, 4)]

@@ -42,15 +42,21 @@ def test_import_cfdim_loads_every_layer_module():
     assert out == [repr(_LAYERS)]
 
 
+# a schedule with an explicit c1 prints it as given, so only eps needs mpmath
+_C1_SCHEDULE = ["construct", "schedule", "--seq", "square", "--c1", "1/30", "--j-max", "3",
+                "--horizon", "10000"]
+
+
 def test_exact_commands_leave_mpmath_unloaded():
     argvs = [
         ["cf", "eval", "--word", "1,2,3"],
         ["seq", "count", "--spec", "pow:2", "--n", "1000"],
         ["hirst", "theorem", "--seq", "even"],
+        _C1_SCHEDULE,
         ["dim", "factor", "--M", "5", "--s", "0.75"],
     ]
     loaded = [json.loads(line) for line in _fresh("-c", _PROBE, json.dumps(argvs))]
-    assert loaded == [[], [], [], ["mpmath"]]
+    assert loaded == [[], [], [], [], ["mpmath"]]
 
 
 def test_star_import_is_the_union_of_the_layers_names():
@@ -94,6 +100,7 @@ _LOAD_SETS = [
     (["construct", "point", "--seq", "square", "--eps", "1/10", "--j-max", "30",
       "--horizon", "10000", "--M", "3", "--depth", "12"],
      ["cfcore", "construction", "errors", "sequences"]),
+    (_C1_SCHEDULE, ["cfcore", "construction", "errors", "sequences"]),
     (["hirst", "theorem", "--seq", "even"], ["errors", "hirst", "sequences", "special"]),
 ]
 
