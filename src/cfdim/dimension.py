@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import cfcore
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
-from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _neg_power, _series_from, as_real
+from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _series_from, _wide_neg_power, as_real
 
 __all__ = [
     "CriticalSolveResult",
@@ -200,25 +200,47 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     One depth-first walk in lex order carries the continuant pair
     (q_n, q_{n-1}); each word's J-length is the exact unit fraction
     1/(q r) with r = M q_n + q_{n-1}, so only the final powers and their
-    sum are floating point, accumulated in a fixed order.
+    sum are floating point.
 
-    When s is not an integer and r < 2^16 (so q < 2^16 too), a term is
-    q^(-s) r^(-s) from special's kernel _neg_power, which makes a term
-    the product of the terms of its least prime factor and of its
-    cofactor, down to one non-integer power per prime.  The sum keeps one
-    memo of the terms below 2^13, so each prime there takes its power
-    once, and reads it before calling the kernel, so a hit makes no call.
-    Otherwise a term is one direct power of q r, which at an integer s
-    mpf_pow rounds once, as an integer power.  A kernel term carries at
-    most 2 Omega(q r) - 1 roundings (see special).
+    At an integer s a term is one direct power of q r, which mpf_pow
+    rounds once, as an integer power, and the terms are added in lex
+    order, each add rounded.  At any other s a word with r < 2^16 (so
+    q < 2^16 too) takes q^(-s) and r^(-s) from special's kernel
+    _wide_neg_power as integer pairs (m, e), the value m 2^e with m of
+    prec + 64 bits: one power per prime, and the truncated product of
+    the terms of the least prime factor and of the cofactor for a
+    composite.  The sum keeps one memo of the pairs below 2^13, so each
+    prime there takes its power once, and reads it before calling the
+    kernel, so a hit makes no call.  A word with r >= 2^16 takes one
+    direct power of q r.  Every term, the product of the two mantissas
+    or the direct power, is added into one integer whose unit lies 64
+    bits below the ulp of the first word's term, the largest, as
+    all-minimal digits minimise q and r; the sum is rounded to prec once.
+
+    The error budget at a non-integer s, relative, in units u = 2^-prec:
+    each rounded power of a k is within u, plus the error of mpmath's
+    logarithm at prec + 10 bits, s log k 2^-10 u; a truncated product
+    moves a term by less than 2^-63 u, and each word's add drops less
+    than the unit, 2^-63 u of the sum (2^-34 u over 3*10^8 words); the
+    final rounding adds at most u.  So a sum is within (W + 1) u, where W
+    is the mean over the words, weighted by their terms, of Omega(q r)
+    (1 for a direct power) plus s log(q r) 2^-10.  W is a few units, as
+    the large terms have small q and r: at most 5.8 over 300 grids of
+    M <= 6, cap <= 10, levels <= 3 and s < 3.  On 85 benchmark ops and
+    random grids the worst error was 2.2 u against a 120-digit sum, where
+    a rounded add per word, and 2 Omega(q r) - 1 roundings per term,
+    reached 80.6 u.
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
-    not the runtime: the largest admitted grid is ~3*10^8 words at about
-    22 us a word (its first 10^5 words at s = 7/10, 2-core Xeon VM), about
-    two hours, so keep digit_cap modest at levels = 3.
+    not the runtime: the largest admitted grid, (2, 7/10, 3, 50), is
+    ~3*10^8 words, 98.6 % of them direct powers, at 11-16 us a word (a
+    uniform sample of 2*10^4 of its words on a shared 2-core Xeon VM,
+    whose speed varies about twofold), 1 to 1.4 hours, so keep
+    digit_cap modest at levels = 3.  Its first 10^5 words, 43 % of them
+    direct, take 9-17 us a word, and 11-22 us with a rounded mpf sum.
     """
     from mpmath import mp
-    from mpmath.libmp import from_int, fzero, mpf_add, mpf_mul, mpf_neg, mpf_pow, round_nearest
+    from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_neg, mpf_pow, round_nearest
 
     int_at_least(m_floor, "digit floor")
     int_at_least(levels, "levels")
@@ -232,25 +254,33 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
         if not sm > 0:
             raise DomainError("exponent s must be positive")
         prec = mp.prec
-        total = fzero
-        memo = [None] * _COVER_MEMO
         nz = mpf_neg(sm._mpf_)
-        # an integer s takes the direct power on every word
-        kernel_below = 0 if mp.isint(sm) else _CUTOFF_CAP
-        for q, r in _j_factors(m_floor, levels, digit_cap):
-            if r < kernel_below:
+        words = _j_factors(m_floor, levels, digit_cap)
+        if mp.isint(sm):
+            total = fzero
+            for q, r in words:
+                total = mpf_add(total, mpf_pow(from_int(q * r), nz, prec, round_nearest),
+                                prec, round_nearest)
+            return mp.make_mpf(total)
+        memo = [None] * _COVER_MEMO
+        total, unit = 0, None
+        for q, r in words:
+            if r < _CUTOFF_CAP:
                 # the kernel is called only on a memo miss
                 tq = memo[q] if q < _COVER_MEMO else None
                 if tq is None:
-                    tq = _neg_power(q, memo, nz, prec)
+                    tq = _wide_neg_power(q, memo, nz, prec)
                 tr = memo[r] if r < _COVER_MEMO else None
                 if tr is None:
-                    tr = _neg_power(r, memo, nz, prec)
-                term = mpf_mul(tq, tr, prec, round_nearest)
+                    tr = _wide_neg_power(r, memo, nz, prec)
+                m, e = tq[0] * tr[0], tq[1] + tr[1]
             else:
-                term = mpf_pow(from_int(q * r), nz, prec, round_nearest)
-            total = mpf_add(total, term, prec, round_nearest)
-        return mp.make_mpf(total)
+                _, m, e, _ = mpf_pow(from_int(q * r), nz, prec, round_nearest)
+            if unit is None:
+                # the first word's term is the largest: 64 bits below its ulp
+                unit = e + m.bit_length() - prec - 64
+            total += m << (e - unit) if e >= unit else m >> (unit - e)
+        return mp.make_mpf(from_man_exp(total, unit, prec, round_nearest))
 
 
 class ReferenceBounds(NamedTuple):

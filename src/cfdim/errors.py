@@ -179,14 +179,15 @@ def exact_positive_fraction(value, what):
 
 
 def _check_tolerance(tol, what):
-    # a value is an mpf only once mpmath is loaded; nan fails the sign test and inf the next
+    # a value is an mpf only once mpmath is loaded; nan and inf fail the
+    # finiteness test, and -inf the sign test after it
     mpf = getattr(sys.modules.get("mpmath"), "mpf", float)
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction, mpf)):
         raise DomainError("%s must be an int, float, Fraction or mpf, got %s" % (what, quoted(tol)))
-    if not tol > 0:
-        raise DomainError("%s must be positive" % what)
     if not tol < math.inf:
         raise DomainError("%s must be finite, got %s" % (what, tol))
+    if not tol > 0:
+        raise DomainError("%s must be positive" % what)
 
 
 class FrozenRecord:

@@ -24,11 +24,11 @@ bound at 2^16 is largest next to the pole, 5.2e-51 there).
 Every term costs few non-integer powers.  The tail corrections take one,
 p = N^(-z), and form N^(1-z) = p*N and each N^(-z-2j+1) = p / N^(2j-1)
 from exact integer powers of N.  The head is multiplicative, through
-_neg_power, a kernel that the covering sums of dimension share: k^(-z)
-for k < 2^16 is one power when k is prime, and otherwise the product of
-the terms of k's least prime factor and of its cofactor.  One loop walks
-the cofactors down to a memo hit or a prime, at most Omega(k) links,
-then multiplies the factors' terms back in.  A least prime factor is
+the kernel _neg_power: k^(-z) for k < 2^16 is one power when k is
+prime, and otherwise the product of the terms of k's least prime
+factor and of its cofactor.  One loop walks the cofactors down to a
+memo hit or a prime, at most Omega(k) links, then multiplies the
+factors' terms back in.  A least prime factor is
 one lookup in _LPF, a 64 KiB table that two slice sieves build at
 import in about 0.4 ms (2-core Xeon VM).  The caller passes a list as
 the memo, which keeps the terms below its length and is freed with the
@@ -47,8 +47,13 @@ multiplicity, carries Omega(k) rounded powers and Omega(k) - 1 rounded
 products, at most 2*Omega(k) - 1 roundings of an ulp each.
 Omega(k) <= 15 for k < 2^16, so every term is within 29 ulp, below
 1e-48 relative at 50 digits; an enclosure of the head must widen each
-term by that much.  A covering term q^(-s) r^(-s) takes one product
-more, so it carries at most 2*Omega(q r) - 1 <= 59 roundings.
+term by that much.  The covering sums of dimension walk the same chain
+on integers, through _wide_neg_power: a term is a pair (m, e), the
+value m 2^e with m of prec + 64 bits, a prime's power exactly and each
+product truncated, which moves it by less than 2^-(prec + 63)
+relative.  So a covering term q^(-s) r^(-s) carries only its
+Omega(q r) <= 30 rounded powers, and the sum of such terms is rounded
+once.
 
 A prime's power p^(-z) has the bits that mpf.__pow__ gives.  At an
 exponent that is neither an integer nor a half-integer, mpmath 1.3
@@ -274,6 +279,48 @@ def _neg_power(k, memo, nz, prec):
     return v
 
 
+def _wide(raw, width):
+    # a raw positive mpf as the integer pair (m, e) of its value m 2^e, m of width bits
+    _, m, e, bc = raw
+    return m << width - bc, e + bc - width
+
+
+def _wide_neg_power(k, memo, nz, prec):
+    # k^(-z) for 1 <= k < 2^16, nz the raw -z, as an integer pair (m, e),
+    # the value m 2^e with m of prec + 64 bits: the chain of _neg_power on
+    # integers.  A prime's term is _prime_power's value, exactly; a
+    # composite's is the product of the terms of its least prime factor and
+    # of its cofactor, truncated to prec + 64 bits, which moves it by less
+    # than 2^-(prec + 63) relative.  memo, a list, keeps every pair below
+    # its length
+    width = prec + 64
+    n = len(memo)
+    v = memo[k] if k < n else None
+    links = []
+    while v is None:
+        p = _LPF[k]
+        if p:
+            links.append((k, p))
+            k //= p
+            v = memo[k] if k < n else None
+        else:
+            v = (1 << width - 1, 1 - width) if k == 1 else _wide(_prime_power(k, nz, prec), width)
+            if k < n:
+                memo[k] = v
+    for k, p in reversed(links):
+        f = memo[p] if p < n else None
+        if f is None:
+            f = _wide(_prime_power(p, nz, prec), width)
+            if p < n:
+                memo[p] = f
+        m = f[0] * v[0]
+        cut = m.bit_length() - width
+        v = (m >> cut, f[1] + v[1] + cut)
+        if k < n:
+            memo[k] = v
+    return v
+
+
 def _head(start, cutoff, z):
     # raw k^(-z) for k in [start, cutoff).  The least prime factor and the
     # cofactor of a composite k are below cutoff/2, and only those are ever
@@ -329,6 +376,9 @@ def _check_exponent(zm):
     from mpmath import mp
 
     if zm <= _pole_guard(mp.prec):
+        if zm <= 1:
+            raise PoleProximityError(
+                "z = %s is at or below 1, where the series diverges (need z > 1 + 1e-9)" % zm)
         raise PoleProximityError(
             "z = %s is at or inside the guard window around the pole at 1 "
             "(need z > 1 + 1e-9)" % zm

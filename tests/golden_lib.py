@@ -22,7 +22,12 @@ The groups:
   the same edges, from the divergence and pole refusals up;
 - ``dimension.critical``: ``critical_exponent`` at two contexts, with
   the results that find no root below s_max and the ``tol`` and
-  ``s_max`` refusals.
+  ``s_max`` refusals;
+- ``dimension.cover``: ``covering_sum_enumerated`` at floors 1 to 6 and
+  levels 1 to 3, with the cap at the floor and past it, at integer,
+  half-integer, other rational and decimal-text exponents, huge ones
+  among them; a grid whose words reach M q_n + q_{n-1} >= 2^16; one
+  small grid at the two other contexts; and every refusal.
 
 The digests pin the installed mpmath, as golden_cli.jsonl does.
 Rewriting the file changes a check: a change that moves a group names
@@ -123,10 +128,42 @@ def _critical():
     yield _row(critical_exponent, 1, 1e-12)
 
 
+def _cover():
+    from fractions import Fraction
+
+    from cfdim import PrecisionContext, covering_sum_enumerated
+
+    exponents = [1, 2, Fraction(7, 10), Fraction(23, 26), Fraction(1, 2), Fraction(3, 2),
+                 "2.5", "0.65"]
+    for m in range(1, 7):
+        for levels in (1, 2, 3):
+            for cap in (m, m + 1 if levels == 3 else m + 2):
+                for s in exponents:
+                    yield _row(covering_sum_enumerated, m, s, levels, cap)
+    # huge exponents, integer and not, where the terms span a million binary orders
+    for s in [10 ** 5, "1e5", Fraction(200001, 2)]:
+        for m, levels, cap in [(1, 1, 3), (2, 2, 4), (3, 3, 3)]:
+            yield _row(covering_sum_enumerated, m, s, levels, cap)
+    # 231 of these words have M q + q' >= 2^16 and take one direct power
+    # each, as do some of the level-3 words at floor 6 above
+    for s in [1, Fraction(17, 20)]:
+        yield _row(covering_sum_enumerated, 4, s, 3, 8)
+    for ctx in _contexts()[1:]:
+        for s in [2, Fraction(7, 10), "2.5"]:
+            yield _row(covering_sum_enumerated, 3, s, 2, 5, ctx)
+    # the level and digit caps, a cap below the floor, and exponents and
+    # arguments the sum refuses
+    for args in [(2, 1, 4, 5), (2, 1, 2, 51), (3, 1, 2, 2), (2, 1, 0, 3), (0, 1, 1, 3),
+                 (2, 0, 1, 3), (2, -1, 1, 3), (2, "-0.5", 1, 3), (2, "x", 1, 3), (2, "1e7", 1, 3),
+                 (True, 1, 1, 3), (2, True, 1, 3), (2, 1, True, 3), (1, 1, 1, True)]:
+        yield _row(covering_sum_enumerated, *args)
+
+
 GROUPS = {
     "special.series": _series,
     "dimension.factor": _factor,
     "dimension.critical": _critical,
+    "dimension.cover": _cover,
 }
 
 

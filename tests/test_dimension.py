@@ -26,6 +26,7 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
+from cfdim.special import as_real
 
 
 def test_j_interval_is_gap_to_floor_extension():
@@ -262,23 +263,25 @@ def test_covering_sum_disjointness_bound_at_s_one():
         assert sums[0] < sums[1] < sums[2]
 
 
+def _cover_words(m_floor, levels, cap):
+    # the capped words in lex order: odd positions from 1, even ones from M
+    return product(*[range(m_floor, cap + 1) if pos % 2 else range(1, cap + 1)
+                     for pos in range(2 * levels - 1)])
+
+
 def _telescoped_cover_sum(m_floor, s, levels, cap):
     # reference: each |J(w)| as |value(w + [M]) - value(w)|, words in lex
     # order, and one direct power per word
-    ranges = [
-        range(m_floor, cap + 1) if pos % 2 else range(1, cap + 1)
-        for pos in range(2 * levels - 1)
-    ]
     sm = mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mpf(s)
     total = mpf(0)
-    for w in product(*ranges):
+    for w in _cover_words(m_floor, levels, cap):
         ln = abs(evaluate(w + (m_floor,)) - evaluate(w))
         total += (mpf(ln.numerator) / ln.denominator) ** sm
     return +total
 
 
 def _assert_cover_sum_matches_reference(m_floor, s, levels, cap):
-    # a kernel term carries at most 2 Omega(q r) - 1 <= 59 roundings, so a
+    # a kernel term carries at most Omega(q r) <= 30 rounded powers, so a
     # sum of positive terms stays within 1e-45 relative at 50 digits; at
     # s = 1 each term is the one rounded quotient the reference takes too
     with mp.workdps(50):
@@ -318,21 +321,73 @@ def test_covering_sum_matches_direct_powers_on_small_grids(m_floor, s, levels, e
     _assert_cover_sum_matches_reference(m_floor, s, levels, min(m_floor + extra, 10))
 
 
+def _big_omega(k):
+    # prime factors of k counted with multiplicity
+    n, d = 0, 2
+    while d * d <= k:
+        while k % d == 0:
+            k //= d
+            n += 1
+        d += 1
+    return n + (k > 1)
+
+
+def _rounding_budget(m_floor, s, levels, cap):
+    # the budget of covering_sum_enumerated's docstring in units of 2^-prec
+    # relative: per term Omega(q r) rounded powers below r = 2^16 and one
+    # direct power past it, plus mpmath's logarithm, s log(q r) 2^-10 in
+    # all, averaged with the terms (q r)^(-s) as weights; then the final
+    # rounding
+    total = weighted = 0.0
+    for w in _cover_words(m_floor, levels, cap):
+        q, r = evaluate(w).denominator, evaluate(w + (m_floor,)).denominator
+        term = float(q * r) ** -float(s)
+        powers = _big_omega(q) + _big_omega(r) if r < 1 << 16 else 1
+        total += term
+        weighted += term * (powers + float(s) * math.log(q * r) / 1024)
+    return weighted / total + 1
+
+
+def _caps_within(m_floor, levels, words):
+    # the caps from the floor to 10 whose grids have at most this many words
+    return [cap for cap in range(m_floor, 11)
+            if cap ** levels * (cap - m_floor + 1) ** (levels - 1) <= words]
+
+
+_NON_INTEGER_EXPONENTS = st.integers(2, 40).flatmap(
+    lambda q: st.integers(1, 3 * q).filter(lambda p: p % q).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.integers(0, 9), _NON_INTEGER_EXPONENTS)
+def test_a_covering_sum_is_within_its_error_budget(m_floor, levels, pick, s):
+    # the reference sums exact J-lengths at 90 digits, at the same 50-digit s
+    caps = _caps_within(m_floor, levels, 1000)
+    cap = caps[pick % len(caps)]
+    got = covering_sum_enumerated(m_floor, s, levels, cap)
+    with mp.workdps(50):
+        sm, prec = as_real(s), mp.prec
+    with mp.workdps(90):
+        ref = _telescoped_cover_sum(m_floor, sm, levels, cap)
+        units = abs(got - ref) / ref * mpf(2) ** prec
+    assert units <= _rounding_budget(m_floor, s, levels, cap), (units, cap)
+
+
 @pytest.mark.parametrize("m_floor, s, levels, cap, raw", [
     (3, 1, 2, 10, (0, 0x71225e8953118ab2787cd3d4b310984f346570a2c9, -170, 167)),
     (2, 2, 1, 30, (0, 0xffd1421a17cf861d823a1da71127fdd9b6afebf967, -171, 168)),
     (2, Fraction(7, 10), 1, 30, (0, 0x52fe1a43a7a87d2d9ad255cbbbb567b92e98188ebb, -166, 167)),
     (6, Fraction(23, 26), 2, 24,
-     (0, 0x1e344f29aa27030bf7a6780f2e1a2663b9afb56717, -168, 165)),
-    (4, Fraction(17, 20), 3, 8, (0, 0xc6c29c2cd717200b88c8680b3e3254a460ad769531, -172, 168)),
-    (3, Fraction(5, 8), 3, 5, (0, 0x112ff278546b8130493e909aafbf64241b9234324c9, -169, 169)),
+     (0, 0xf1a2794d5138185fbd33c07970d1331dcd7dab38b1, -171, 168)),
+    (4, Fraction(17, 20), 3, 8, (0, 0x18d853859ae2e40171190d0167c64a948c15aed2a99, -173, 169)),
+    (3, Fraction(5, 8), 3, 5, (0, 0x112ff278546b8130493e909aafbf64241b9234324cb, -169, 169)),
     (2, 1, 3, 5, (0, 0x16a4aa5ee4732ea1a0e33c56781774b987e3d217409, -173, 169)),
     (3, 2, 2, 10, (0, 0x13bc7d4d41ef2ae8297885bee8965d606031c8affd9, -180, 169)),
 ], ids=["s1-level2", "s2-level1", "level1", "largest-cover-op-seed-1", "r-past-2^16", "level3",
         "s1-level3", "s2-level2"])
 def test_covering_sum_keeps_its_bits(m_floor, s, levels, cap, raw):
     # the raw mpf of the sum at 50 digits: a change to the kernel or the
-    # walk that reorders no rounded product keeps every bit.  The largest op
+    # walk that rounds nothing anew keeps every bit.  The largest op
     # of the benchmark's cover round at seed 1, (6, 23/26, 2, 24), and
     # (4, 17/20, 3, 8) reach M q + q' >= 2^16.  At an integer s every term
     # is the direct power, which mpf_pow rounds as an integer power

@@ -402,7 +402,7 @@ def test_one_continuant_kernel_serves_every_layer():
 
 def test_only_dimension_reads_the_private_names_of_special():
     # special sets up every series in _series_from; dimension takes the
-    # series, the power kernel and its cap, and no set-up of its own
+    # series, the integer power kernel and its cap, and no set-up of its own
     assert _names_imported_from(
         "from .special import _a, b\nfrom . import special\n"
         "def f(z):\n    return special._c(z), x.special._d\n", "special"
@@ -411,7 +411,7 @@ def test_only_dimension_reads_the_private_names_of_special():
                               if n.startswith("_"))
                for p in sorted(_SRC.glob("*.py")) if p.name != "special.py"}
     assert {name: names for name, names in private.items() if names} \
-        == {"dimension.py": ["_CUTOFF_CAP", "_neg_power", "_series_from"]}
+        == {"dimension.py": ["_CUTOFF_CAP", "_series_from", "_wide_neg_power"]}
 
 
 def test_only_read_lines_opens_a_file():

@@ -30,7 +30,9 @@ from cfdim import (
 from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_level_factor
 from cfdim.hirst import covering_product_bound
 from cfdim.sequences import parse_digit_set, parse_index_sequence
-from cfdim.special import _LPF, _neg_power, _prime_power, _tail_correction, as_real
+from cfdim.special import (
+    _LPF, _neg_power, _prime_power, _tail_correction, _wide_neg_power, as_real,
+)
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
 
@@ -176,7 +178,7 @@ def test_an_exponent_past_a_million_is_refused_at_once(name):
     (mpf("inf"), "must be finite"),
     (0, "must be positive"),
     (-1e-12, "must be positive"),
-    (math.nan, "must be positive"),
+    (math.nan, "must be finite, got nan"),
     ("1e-12", "must be an int, float, Fraction or mpf, got '1e-12'"),
     (True, "must be an int, float, Fraction or mpf, got True"),
 ])
@@ -230,6 +232,30 @@ def test_kernel_terms_are_within_their_rounding_budget(z):
             ulp = mp.ldexp(1, v[2] + v[3] - prec)
             err = abs(mp.make_mpf(v) - mpf(k) ** -zm)
             assert err <= max(2 * _big_omega(k) - 1, 0) * ulp, k
+
+
+@pytest.mark.parametrize("z", ["0.7", "2.5", Fraction(10, 7)])
+def test_wide_kernel_terms_carry_only_their_prime_powers_roundings(z):
+    # a prime's pair is _prime_power's value exactly, and a composite's
+    # carries its Omega(k) rounded powers, each within 2^-prec relative
+    # (3 % more for mpmath's logarithm at prec + 10 bits), and truncated
+    # products below 2^-(prec + 63)
+    ks = list(range(1, 1 << 12)) + [1 << 15]
+    with mp.workdps(50):
+        zm = as_real(z)
+        prec = mp.prec
+        memo = [None] * 64
+        nz = mpf_neg(zm._mpf_)
+        pairs = [_wide_neg_power(k, memo, nz, prec) for k in ks]
+        primes = {k: mp.make_mpf(_prime_power(k, nz, prec)) for k in ks if k > 1 and not _LPF[k]}
+    with mp.workdps(120):
+        for k, (m, e) in zip(ks, pairs):
+            assert m.bit_length() == prec + 64, k
+            value = mp.ldexp(m, e)
+            if k in primes:
+                assert value == primes[k], k
+            exact = mpf(k) ** -zm
+            assert abs(value - exact) <= 1.03 * _big_omega(k) * mp.ldexp(exact, -prec), k
 
 
 def _least_prime_factor(k):
@@ -345,6 +371,17 @@ def test_the_kept_pole_guard_is_that_of_the_working_precision(digits):
     # 1 + 1e-9, read from text at the working precision
     with mp.workdps(digits):
         assert special._pole_guard(mp.prec)._mpf_ == (1 + mpf("1e-9"))._mpf_
+
+
+def test_an_exponent_at_or_below_one_is_told_the_series_diverges():
+    # still a PoleProximityError; the guard window is 1 < z <= 1 + 1e-9
+    for z in ["-2", "0.5", "1"]:
+        with pytest.raises(PoleProximityError) as exc:
+            zeta(z)
+        assert str(exc.value) == ("z = %s is at or below 1, where the series diverges "
+                                  "(need z > 1 + 1e-9)" % mpf(z))
+    with pytest.raises(PoleProximityError, match="inside the guard window"):
+        zeta("1.0000000001")
 
 
 @pytest.mark.parametrize("digits", [50, 100, 1000])
@@ -513,6 +550,26 @@ def test_a_covering_sum_takes_a_power_per_prime_met(monkeypatch):
     counts = _count_noninteger_powers(monkeypatch)
     covering_sum_enumerated(6, Fraction(23, 26), 2, 24)
     assert counts[0] <= 2519
+
+
+def test_a_non_integer_covering_sum_stays_on_integers(monkeypatch):
+    # the same op, 10,944 words: its terms are integer products added into
+    # one integer, so the only rounded products are those that form the
+    # prime powers, one for each prime below 2^12 met, and no sum is
+    # rounded until the last.  At an integer s each word still adds its
+    # direct power to a rounded mpf sum
+    counts = dict.fromkeys(["mpf_mul", "mpf_add"], 0)
+    for name in counts:
+        def counting(*args, _real=getattr(mpmath.libmp, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mpmath.libmp, name, counting)
+    covering_sum_enumerated(6, Fraction(23, 26), 2, 24)
+    assert counts["mpf_add"] == 0 and counts["mpf_mul"] <= len(_KEPT_PRIMES)
+    counts.update(mpf_mul=0, mpf_add=0)
+    covering_sum_enumerated(6, 2, 2, 24)
+    assert counts == {"mpf_mul": 0, "mpf_add": 24 * 19 * 24}
 
 
 def test_the_head_stays_raw(monkeypatch):
