@@ -27,7 +27,14 @@ The groups:
   levels 1 to 3, with the cap at the floor and past it, at integer,
   half-integer, other rational and decimal-text exponents, huge ones
   among them; a grid whose words reach M q_n + q_{n-1} >= 2^16; one
-  small grid at the two other contexts; and every refusal.
+  small grid at the two other contexts; and every refusal;
+- ``hirst.sums``: ``digit_power_sum`` and ``digit_tail_power_sum`` on
+  ``all``, ``geq:M``, ``square``, ``pow:b`` and a file set, at floors
+  either side of the first cutoff 64 and exponents from the divergent
+  ones up, at two contexts; ``estimate_condition_floor`` and
+  ``covering_condition`` at the floor it returns and one either side of
+  it (or either side of 10^18 when it reports none); ``covering_product_bound``
+  at levels 1 to 3; and one row or more for every refusal of hirst.
 
 The digests pin the installed mpmath, as golden_cli.jsonl does.
 Rewriting the file changes a check: a change that moves a group names
@@ -159,11 +166,88 @@ def _cover():
         yield _row(covering_sum_enumerated, *args)
 
 
+def _file_set(path, values):
+    from cfdim import parse_digit_set
+
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join("%d\n" % v for v in values))
+    return parse_digit_set("file:%s" % path)
+
+
+def _hirst():
+    import tempfile
+    from fractions import Fraction
+
+    from cfdim import (IndexSequence, PrecisionContext, covering_condition,
+                       covering_product_bound, digit_power_sum, digit_tail_power_sum,
+                       estimate_condition_floor, parse_digit_set, parse_index_sequence)
+
+    with tempfile.TemporaryDirectory() as tmp:  # a file set is read once, when parsed
+        fibonacci = _file_set(os.path.join(tmp, "fib.txt"), [1, 2, 3, 5, 8, 13, 21, 34, 55, 89])
+        seven = _file_set(os.path.join(tmp, "seven.txt"), [7])
+    every, geq2, square = (parse_digit_set(t) for t in ("all", "geq:2", "square"))
+    sets = [every, parse_digit_set("geq:5"), parse_digit_set("geq:1000"), square,
+            parse_digit_set("pow:2"), parse_digit_set("pow:3"), fibonacci]
+    # "0.50000000055" puts square's series next to the pole, "1.0000000011" that of all
+    exponents = ["-1", "0.5", "0.50000000055", "0.6", "1", "1.0000000011", "1.5", "2.5", "7"]
+    for ctx in _contexts()[:2]:
+        for digits in sets:
+            for z in exponents:
+                yield _row(digit_power_sum, digits, z, ctx)
+                for floor_m in [2, 63, 64, 65, 1000, 10 ** 12]:
+                    yield _row(digit_tail_power_sum, digits, floor_m, z, ctx)
+    for digits, floor_m, z in [(every, 0, "2"), (every, True, "2"), (every, 5, "x"),
+                               (parse_index_sequence("even"), 5, "2")]:
+        yield _row(digit_tail_power_sum, digits, floor_m, z)
+    # the series' own refusals, met through the sums: the pole guard and the cutoff cap
+    yield _row(digit_power_sum, every, "1.0000000005")
+    yield _row(digit_power_sum, every, "1.0000000011", PrecisionContext(1e-60, 100))
+    # the estimated floor and the condition either side of it: the estimate
+    # holds (all), fails once and doubles (geq:2), meets a finite set's
+    # empty tail (fib, seven), or passes 10^18 at once or after doubling
+    even, thirds, ones = (parse_index_sequence(t) for t in ("even", "arith:1,3", "all"))
+    for digits, seq, eps in [(every, even, Fraction(1, 5)), (every, even, "3/10"),
+                             (geq2, even, "2/5"), (sets[1], thirds, "1/10"),
+                             (fibonacci, even, "1/5"), (seven, even, "1/5"),
+                             (square, even, "1/5"), (square, ones, "37/314"),
+                             (every, even, "9/20")]:
+        yield _row(estimate_condition_floor, digits, seq, eps)
+        floor_m = estimate_condition_floor(digits, seq, eps).value or 10 ** 18
+        for m in (floor_m - 1, floor_m, floor_m + 1):
+            yield _row(covering_condition, digits, seq, eps, m)
+    # eps, the density and the digit set the condition refuses
+    for digits, seq, eps, m in [(every, even, 0, 10), (every, even, "x", 10),
+                                (every, even, 0.2, 10), (every, even, "1/2", 10),
+                                (every, parse_index_sequence("square"), "1/10", 10),
+                                (every, IndexSequence("explicit", (), (2, 5)), "1/10", 10),
+                                (parse_digit_set("pow:2"), even, "1/5", 10),
+                                (even, even, "1/5", 10), (every, even, "1/5", 0),
+                                (every, even, "1/5", True)]:
+        yield _row(covering_condition, digits, seq, eps, m)
+    yield _row(estimate_condition_floor, parse_digit_set("pow:2"), even, "1/5")
+    # the product bound from level 0 and from level 1, and its refusals
+    for ctx in _contexts()[:2]:
+        for digits, m, s in [(every, 2, "0.75"), (square, 3, "0.6"), (sets[4], 2, "0.3"),
+                             (fibonacci, 2, "0.75")]:
+            for level in (1, 2, 3):
+                yield _row(covering_product_bound, digits, even, m, s, 0, level, (), ctx)
+        for level in (2, 3):
+            yield _row(covering_product_bound, every, even, 2, "0.75", 1, level, (1, 2), ctx)
+            yield _row(covering_product_bound, every, thirds, 3, "0.6", 1, level, (4,), ctx)
+    for args in [(every, even, 2, "0.75", 1, 1, (1, 2)), (every, even, 2, "0.75", 1, 2, (1,)),
+                 (square, even, 2, "0.75", 1, 2, (1, 2)), (every, even, 2, "0.5", 0, 1, ()),
+                 (square, even, 2, "0.25", 0, 1, ()), (every, even, 0, "0.75", 0, 1, ()),
+                 (every, even, 2, "0.75", -1, 1, ()), (every, even, 2, "0.75", 0, True, ()),
+                 (every, even, 2, "x", 0, 1, ()), (even, even, 2, "0.75", 0, 1, ())]:
+        yield _row(covering_product_bound, *args)
+
+
 GROUPS = {
     "special.series": _series,
     "dimension.factor": _factor,
     "dimension.critical": _critical,
     "dimension.cover": _cover,
+    "hirst.sums": _hirst,
 }
 
 
