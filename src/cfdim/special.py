@@ -155,11 +155,11 @@ def euler_gamma(ctx=DEFAULT_CONTEXT):
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
 _CUTOFF_CAP = 1 << 16
 
-def _tail_correction(n0, z):
+def _tail_correction(n0, z, prec):
     # Euler-Maclaurin value of sum_{k >= n0} k^(-z) through B_8, and the
     # magnitude of the first omitted (B_10) term, which bounds the remainder;
     # one power p = n0^(-z) and exact integer powers of n0 make every term.
-    # It runs on raw values, each operation of the mpf expression
+    # It runs on raw values at prec bits, each operation of the mpf expression
     #   p = mpf(n0) ** -z;  total = p * n0 / (z - 1) + p / 2
     #   term_j = c_j * rising * p / n0 ** (2j - 1);  total += term_j
     #   rising *= (z + 2j - 1) * (z + 2j)
@@ -169,7 +169,7 @@ def _tail_correction(n0, z):
     libmp, mp = mpmath.libmp, mpmath.mp
     add, sub, mul, div = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
     from_int, fone = libmp.from_int, libmp.fone
-    prec, rnd = mp.prec, libmp.round_nearest
+    rnd = libmp.round_nearest
     zr = z._mpf_
     p = libmp.mpf_pow(from_int(n0, prec, rnd), libmp.mpf_neg(zr, prec, rnd), prec, rnd)
     total = add(div(libmp.mpf_mul_int(p, n0, prec, rnd), sub(zr, fone, prec, rnd), prec, rnd),
@@ -321,17 +321,15 @@ def _wide_neg_power(k, memo, nz, prec):
     return v
 
 
-def _head(start, cutoff, z):
-    # raw k^(-z) for k in [start, cutoff).  The least prime factor and the
+def _head(start, cutoff, z, prec):
+    # raw k^(-z) for k in [start, cutoff) at prec bits.  The least prime factor and the
     # cofactor of a composite k are below cutoff/2, and only those are ever
     # reused, so the memo keeps k < cutoff/2 alone; its raw values are the
     # very tuples mpf_sum adds, so it costs one pointer per entry
-    from mpmath import mp
     from mpmath.libmp import mpf_neg
 
     if start >= cutoff:
         return ()
-    prec = mp.prec
     nz = mpf_neg(z._mpf_)
     memo = [None] * ((cutoff + 1) // 2)
     return (_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
@@ -345,20 +343,20 @@ def _series_from(starts, z, ctx):
     import mpmath
 
     libmp, mp = mpmath.libmp, mpmath.mp
-    _check_exponent(z)
-    goal = as_real(ctx.target_abs_tol) / 8
     prec, rnd = mp.prec, libmp.round_nearest
+    _check_exponent(z, prec)
+    goal = as_real(ctx.target_abs_tol) / 8
     sums = []
     for start in starts:
         cutoff = max(64, start)
-        tail, bound = _tail_correction(cutoff, z)
+        tail, bound = _tail_correction(cutoff, z, prec)
         while bound > goal:
             cutoff *= 2
             if cutoff > _CUTOFF_CAP:
                 raise DomainError("tolerance %g is unreachable with B_8 corrections at z = %s"
                                   % (ctx.target_abs_tol, z))
-            tail, bound = _tail_correction(cutoff, z)
-        head = libmp.mpf_sum(_head(start, cutoff, z), prec, rnd)
+            tail, bound = _tail_correction(cutoff, z, prec)
+        head = libmp.mpf_sum(_head(start, cutoff, z, prec), prec, rnd)
         sums.append(mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd)))
     return sums
 
@@ -372,10 +370,8 @@ def _pole_guard(prec):
         return 1 + mpf("1e-9")
 
 
-def _check_exponent(zm):
-    from mpmath import mp
-
-    if zm <= _pole_guard(mp.prec):
+def _check_exponent(zm, prec):
+    if zm <= _pole_guard(prec):
         if zm <= 1:
             raise PoleProximityError(
                 "z = %s is at or below 1, where the series diverges (need z > 1 + 1e-9)" % zm)

@@ -393,10 +393,10 @@ def test_the_pole_guard_keeps_its_verdict_an_ulp_either_side(digits):
         for z, refused in ((guard - ulp, True), (guard, True), (guard + ulp, False)):
             assert (z <= 1 + mpf("1e-9")) == refused
             if not refused:
-                special._check_exponent(z)
+                special._check_exponent(z, mp.prec)
                 continue
             with pytest.raises(PoleProximityError) as exc:
-                special._check_exponent(z)
+                special._check_exponent(z, mp.prec)
             assert str(exc.value) == (
                 "z = %s is at or inside the guard window around the pole at 1 "
                 "(need z > 1 + 1e-9)" % z)
@@ -430,7 +430,7 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
     with mp.workdps(50):
         zm = mpf(z)
         for n0 in (64, 1000, 2 ** 16):
-            _, bound = _tail_correction(n0, zm)
+            _, bound = _tail_correction(n0, zm, mp.prec)
             ref = abs(mp.bernoulli(10) / mp.factorial(10) * mp.rf(zm, 9) * mpf(n0) ** (-zm - 9))
             assert abs(bound - ref) <= ref * mpf("1e-40"), n0
 
@@ -464,7 +464,7 @@ _TAIL_EXPONENTS = st.one_of(
 def test_the_raw_tail_correction_has_the_bits_of_the_mpf_expression(n0, z, digits):
     with mp.workdps(digits):
         zm = as_real(z)
-        got = _tail_correction(n0, zm)
+        got = _tail_correction(n0, zm, mp.prec)
         want = _mpf_tail_correction(n0, zm)
     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
