@@ -202,34 +202,32 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     1/(q r) with r = M q_n + q_{n-1}, so only the final powers and their
     sum are floating point.
 
-    At an integer s a term is one direct power of q r, which mpf_pow
-    rounds once, as an integer power, and the terms are added in lex
-    order, each add rounded.  At any other s a word with r < 2^16 (so
-    q < 2^16 too) takes q^(-s) and r^(-s) from special's kernel
-    _wide_neg_power as integer pairs (m, e), the value m 2^e with m of
-    prec + 64 bits: one power per prime, and the truncated product of
-    the terms of the least prime factor and of the cofactor for a
-    composite.  The sum keeps one memo of the pairs below 2^13, so each
-    prime there takes its power once, and reads it before calling the
-    kernel, so a hit makes no call.  A word with r >= 2^16 takes one
-    direct power of q r.  Every term, the product of the two mantissas
-    or the direct power, is added into one integer whose unit lies 64
-    bits below the ulp of the first word's term, the largest, as
+    A word with r < 2^16 (so q < 2^16 too) takes q^(-s) and r^(-s) from
+    special's power kernel _wide_neg_power as integer pairs (m, e), the
+    value m 2^e with m of prec + 64 bits: one power per prime, and the
+    truncated product of the terms of the least prime factor and of the
+    cofactor for a composite.  The sum keeps one memo of the pairs below
+    2^13, so each prime there takes its power once, and reads it before
+    calling the kernel, so a hit makes no call.  A word with r >= 2^16
+    takes one direct power of q r.  Every term, the product of the two
+    mantissas or the direct power, is added into one integer whose unit
+    lies 64 bits below the ulp of the first word's term, the largest, as
     all-minimal digits minimise q and r; the sum is rounded to prec once.
 
-    The error budget at a non-integer s, relative, in units u = 2^-prec:
-    each rounded power of a k is within u, plus the error of mpmath's
-    logarithm at prec + 10 bits, s log k 2^-10 u; a truncated product
-    moves a term by less than 2^-63 u, and each word's add drops less
-    than the unit, 2^-63 u of the sum (2^-34 u over 3*10^8 words); the
-    final rounding adds at most u.  So a sum is within (W + 1) u, where W
-    is the mean over the words, weighted by their terms, of Omega(q r)
-    (1 for a direct power) plus s log(q r) 2^-10.  W is a few units, as
-    the large terms have small q and r: at most 5.8 over 300 grids of
-    M <= 6, cap <= 10, levels <= 3 and s < 3.  On 85 benchmark ops and
-    random grids the worst error was 2.2 u against a 120-digit sum, where
-    a rounded add per word, and 2 Omega(q r) - 1 roundings per term,
-    reached 80.6 u.
+    The error budget, relative, in units u = 2^-prec: each rounded power
+    of a k is within u, plus the error of mpmath's logarithm at prec + 10
+    bits, s log k 2^-10 u (an integer or half-integer s takes no
+    logarithm, so this part is an overestimate there); a truncated
+    product moves a term by less than 2^-63 u, and each word's add drops
+    less than the unit, 2^-63 u of the sum (2^-34 u over 3*10^8 words);
+    the final rounding adds at most u.  So a sum is within (W + 1) u,
+    where W is the mean over the words, weighted by their terms, of
+    Omega(q r) (1 for a direct power) plus s log(q r) 2^-10.  W is a few
+    units, as the large terms have small q and r: at most 5.8 over 300
+    grids of M <= 6, cap <= 10, levels <= 3 and s < 3.  On 85 benchmark
+    ops and random grids the worst error was 2.2 u against a 120-digit
+    sum, where a rounded add per word, and 2 Omega(q r) - 1 roundings
+    per term, reached 80.6 u.
 
     The caps (levels <= 3, digit_cap <= 50) bound the request shape,
     not the runtime: the largest admitted grid, (2, 7/10, 3, 50), is
@@ -240,7 +238,7 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     direct, take 9-17 us a word, and 11-22 us with a rounded mpf sum.
     """
     from mpmath import mp
-    from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_neg, mpf_pow, round_nearest
+    from mpmath.libmp import from_int, from_man_exp, mpf_neg, mpf_pow, round_nearest
 
     int_at_least(m_floor, "digit floor")
     int_at_least(levels, "levels")
@@ -255,16 +253,9 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
             raise DomainError("exponent s must be positive")
         prec = mp.prec
         nz = mpf_neg(sm._mpf_)
-        words = _j_factors(m_floor, levels, digit_cap)
-        if mp.isint(sm):
-            total = fzero
-            for q, r in words:
-                total = mpf_add(total, mpf_pow(from_int(q * r), nz, prec, round_nearest),
-                                prec, round_nearest)
-            return mp.make_mpf(total)
         memo = [None] * _COVER_MEMO
         total, unit = 0, None
-        for q, r in words:
+        for q, r in _j_factors(m_floor, levels, digit_cap):
             if r < _CUTOFF_CAP:
                 # the kernel is called only on a memo miss
                 tq = memo[q] if q < _COVER_MEMO else None

@@ -24,36 +24,36 @@ bound at 2^16 is largest next to the pole, 5.2e-51 there).
 Every term costs few non-integer powers.  The tail corrections take one,
 p = N^(-z), and form N^(1-z) = p*N and each N^(-z-2j+1) = p / N^(2j-1)
 from exact integer powers of N.  The head is multiplicative, through
-the kernel _neg_power: k^(-z) for k < 2^16 is one power when k is
-prime, and otherwise the product of the terms of k's least prime
-factor and of its cofactor.  One loop walks the cofactors down to a
-memo hit or a prime, at most Omega(k) links, then multiplies the
-factors' terms back in.  A least prime factor is
+the one power kernel _wide_neg_power: k^(-z) for k < 2^16 is an integer
+pair (m, e), the value m 2^e with m of prec + 64 bits.  A prime's pair
+is its power, exactly; a composite's is the product of the pairs of its
+least prime factor and of its cofactor, truncated to prec + 64 bits,
+which moves it by less than 2^-(prec + 63) relative.  One loop walks
+the cofactors down to a memo hit or a prime, at most Omega(k) links,
+then multiplies the factors' pairs back in.  A least prime factor is
 one lookup in _LPF, a 64 KiB table that two slice sieves build at
 import in about 0.4 ms (2-core Xeon VM).  The caller passes a list as
-the memo, which keeps the terms below its length and is freed with the
+the memo, which keeps the pairs below its length and is freed with the
 call: a module-level function holds no reference to itself, so no cycle
 keeps it.  For the head the memo is N/2 long, below which both factors
-of every composite term lie, so a zeta value costs one power per
-prime below the cutoff plus one per cutoff tried: 19 at N = 64, where
-one power per term made 70.  The head stays raw: libmp.mpf_sum adds its
-terms exactly and rounds once, as mp.fsum does once it has unwrapped
-them, and the tail corrections run on raw values too.  Raw code keeps
-the bits of the mpf expression it replaced: it does each of that
-expression's operations, in its order, rounded once to nearest at
-mp.prec, so only the wrapping goes.  The price of the kernel is
-rounding: a term of k with Omega(k) prime factors, counted with
-multiplicity, carries Omega(k) rounded powers and Omega(k) - 1 rounded
-products, at most 2*Omega(k) - 1 roundings of an ulp each.
-Omega(k) <= 15 for k < 2^16, so every term is within 29 ulp, below
-1e-48 relative at 50 digits; an enclosure of the head must widen each
-term by that much.  The covering sums of dimension walk the same chain
-on integers, through _wide_neg_power: a term is a pair (m, e), the
-value m 2^e with m of prec + 64 bits, a prime's power exactly and each
-product truncated, which moves it by less than 2^-(prec + 63)
-relative.  So a covering term q^(-s) r^(-s) carries only its
-Omega(q r) <= 30 rounded powers, and the sum of such terms is rounded
-once.
+of every composite term lie, so a zeta value costs one power per prime
+below the cutoff plus one per cutoff tried: 19 at N = 64, where one
+power per term made 70.
+
+The head is one exact sum: _head adds every pair into one integer whose
+unit lies 64 bits below the ulp of the first term, the largest, and
+rounds the sum to prec once.  A term of k carries only its Omega(k)
+rounded powers, each within u = 2^-prec relative, plus the error of
+mpmath's logarithm at prec + 10 bits, z log k 2^-10 u in all (see
+below).  So the head is within (W + 1) u relative, W the mean over its
+terms, weighted by their values, of Omega(k) + z log k 2^-10: Omega(k)
+<= 15 below 2^16, and the truncations add less than 2^-46 u.  An
+enclosure of the head must widen it by that much.  The covering sums of
+dimension take their terms from the same kernel and add them the same
+way.  The tail corrections run on raw values too: they do each
+operation of the mpf expression they replaced, in its order, rounded
+once to nearest at the working precision, so their bits are that
+expression's.
 
 A prime's power p^(-z) has the bits that mpf.__pow__ gives.  At an
 exponent that is neither an integer nor a half-integer, mpmath 1.3
@@ -245,40 +245,6 @@ def _prime_power(p, nz, prec):
     return libmp.mpf_exp(libmp.mpf_mul(nz, _log_prime(p, prec)), prec, libmp.round_nearest)
 
 
-def _neg_power(k, memo, nz, prec):
-    # raw k^(-z) for 1 <= k < 2^16, nz the raw -z: _prime_power for a
-    # prime k, and for a composite k the product of the terms of its least
-    # prime factor and of its cofactor.  The loop walks the chain of
-    # cofactors down to a memo hit or a prime, then multiplies the factors'
-    # terms back in.  memo, a list, keeps every term below its length
-    import mpmath
-
-    libmp = mpmath.libmp
-    n = len(memo)
-    v = memo[k] if k < n else None
-    links = []
-    while v is None:
-        p = _LPF[k]
-        if p:
-            links.append((k, p))
-            k //= p
-            v = memo[k] if k < n else None
-        else:
-            v = libmp.fone if k == 1 else _prime_power(k, nz, prec)
-            if k < n:
-                memo[k] = v
-    for k, p in reversed(links):
-        f = memo[p] if p < n else None
-        if f is None:
-            f = _prime_power(p, nz, prec)
-            if p < n:
-                memo[p] = f
-        v = libmp.mpf_mul(f, v, prec, libmp.round_nearest)
-        if k < n:
-            memo[k] = v
-    return v
-
-
 def _wide(raw, width):
     # a raw positive mpf as the integer pair (m, e) of its value m 2^e, m of width bits
     _, m, e, bc = raw
@@ -287,12 +253,13 @@ def _wide(raw, width):
 
 def _wide_neg_power(k, memo, nz, prec):
     # k^(-z) for 1 <= k < 2^16, nz the raw -z, as an integer pair (m, e),
-    # the value m 2^e with m of prec + 64 bits: the chain of _neg_power on
-    # integers.  A prime's term is _prime_power's value, exactly; a
-    # composite's is the product of the terms of its least prime factor and
-    # of its cofactor, truncated to prec + 64 bits, which moves it by less
-    # than 2^-(prec + 63) relative.  memo, a list, keeps every pair below
-    # its length
+    # the value m 2^e with m of prec + 64 bits.  A prime's term is
+    # _prime_power's value, exactly; a composite's is the product of the
+    # terms of its least prime factor and of its cofactor, truncated to
+    # prec + 64 bits, which moves it by less than 2^-(prec + 63) relative.
+    # The loop walks the chain of cofactors down to a memo hit or a prime,
+    # then multiplies the factors' terms back in.  memo, a list, keeps
+    # every pair below its length
     width = prec + 64
     n = len(memo)
     v = memo[k] if k < n else None
@@ -322,24 +289,29 @@ def _wide_neg_power(k, memo, nz, prec):
 
 
 def _head(start, cutoff, z, prec):
-    # raw k^(-z) for k in [start, cutoff) at prec bits.  The least prime factor and the
+    # the raw sum of k^(-z) over k in [start, cutoff), rounded to prec bits
+    # once.  Every term has prec + 64 bits and none exceeds the first, so
+    # each is added into one integer in units of the first term's last bit,
+    # dropping only its bits below that unit.  The least prime factor and the
     # cofactor of a composite k are below cutoff/2, and only those are ever
-    # reused, so the memo keeps k < cutoff/2 alone; its raw values are the
-    # very tuples mpf_sum adds, so it costs one pointer per entry
-    from mpmath.libmp import mpf_neg
+    # reused, so the memo keeps k < cutoff/2 alone
+    from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
     if start >= cutoff:
-        return ()
+        return fzero
     nz = mpf_neg(z._mpf_)
     memo = [None] * ((cutoff + 1) // 2)
-    return (_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
+    terms = (_wide_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
+    total, unit = next(terms)
+    total += sum(m >> (unit - e) for m, e in terms)
+    return from_man_exp(total, unit, prec, round_nearest)
 
 
 def _series_from(starts, z, ctx):
     # the sums of k^(-z) over k >= start, one per start, to ctx.target_abs_tol
     # at the working precision, z an mpf: the pole check and the goal tol/8
-    # are made once.  A sum is the head, added exactly and rounded once as
-    # mp.fsum adds it, plus the corrected tail from the cutoff
+    # are made once.  A sum is the head, added exactly and rounded once,
+    # plus the corrected tail from the cutoff
     import mpmath
 
     libmp, mp = mpmath.libmp, mpmath.mp
@@ -356,7 +328,7 @@ def _series_from(starts, z, ctx):
                 raise DomainError("tolerance %g is unreachable with B_8 corrections at z = %s"
                                   % (ctx.target_abs_tol, z))
             tail, bound = _tail_correction(cutoff, z, prec)
-        head = libmp.mpf_sum(_head(start, cutoff, z, prec), prec, rnd)
+        head = _head(start, cutoff, z, prec)
         sums.append(mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd)))
     return sums
 

@@ -400,6 +400,35 @@ def test_one_continuant_kernel_serves_every_layer():
     assert offenders == [], "take continuants from cfcore._denominators"
 
 
+def _identifiers(source):
+    # every name the source defines, imports, reads or reads as an attribute
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_one_power_kernel_and_one_exact_sum_serve_every_power_sum():
+    # the zeta head and the covering sum take k^(-z) from special's
+    # _wide_neg_power alone and add the pairs exactly into one integer,
+    # rounded once, at every exponent: no rounded kernel, no mpf_sum, and
+    # no integer-s branch in dimension
+    assert _identifiers("from m import a as b, c\ndef f(x):\n    return x.d(e)\n") \
+        == {"b", "c", "f", "x", "d", "e"}
+    sources = {p.name: _identifiers(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
+    assert "_wide_neg_power" in sources["special.py"] & sources["dimension.py"]
+    assert "_neg_power" not in sources["special.py"]
+    assert [name for name, ids in sources.items() if "mpf_sum" in ids] == []
+    assert "isint" not in sources["dimension.py"]
+
+
 def test_only_dimension_reads_the_private_names_of_special():
     # special sets up every series in _series_from; dimension takes the
     # series, the integer power kernel and its cap, and no set-up of its own

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, fone, from_int, mpf_mul, mpf_neg, mpf_pow, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, mpf_neg, mpf_pow, round_nearest
 
 from cfdim import (
     DivergenceError,
@@ -31,7 +31,7 @@ from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_leve
 from cfdim.hirst import covering_product_bound
 from cfdim.sequences import parse_digit_set, parse_index_sequence
 from cfdim.special import (
-    _LPF, _neg_power, _prime_power, _tail_correction, _wide_neg_power, as_real,
+    _LPF, _head, _prime_power, _tail_correction, _wide_neg_power, as_real,
 )
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
@@ -214,24 +214,27 @@ def _big_omega(k):
     return n + (k > 1)
 
 
-@pytest.mark.parametrize("z", ["0.7", "2.5", Fraction(10, 7)])
-def test_kernel_terms_are_within_their_rounding_budget(z):
-    # a term of k carries Omega(k) rounded powers and Omega(k) - 1 rounded
-    # products, each within an ulp.  2^15 has the most factors of any
-    # argument below 2^16, where the kernel's arguments lie.  The memo is
-    # short, so most composites walk down to their primes
-    ks = list(range(1, 1 << 12)) + [1 << 15]
+@pytest.mark.parametrize("z", ["1.0000000011", "1.5", "2", "2.5", "7"])
+def test_a_head_sum_is_within_its_error_budget(z):
+    # the budget of special's docstring, in units of 2^-prec relative:
+    # W + 1, W the mean over the terms, weighted by their values, of
+    # Omega(k) + z log k 2^-10.  The reference is a 120-digit mp.fsum of
+    # direct powers at the same 50-digit z
+    omega = [_big_omega(k) for k in range(1 << 14)]
     with mp.workdps(50):
-        zm = as_real(z)
-        prec = mp.prec
-        memo = [None] * 64
-        nz = mpf_neg(zm._mpf_)
-        raw = [_neg_power(k, memo, nz, prec) for k in ks]
+        zm, prec = as_real(z), mp.prec
+    weights = [0.0] + [float(k) ** -float(zm) for k in range(1, 1 << 14)]
     with mp.workdps(120):
-        for k, v in zip(ks, raw):
-            ulp = mp.ldexp(1, v[2] + v[3] - prec)
-            err = abs(mp.make_mpf(v) - mpf(k) ** -zm)
-            assert err <= max(2 * _big_omega(k) - 1, 0) * ulp, k
+        terms = [mpf(0)] + [mpf(k) ** -zm for k in range(1, 1 << 14)]
+        for start in (1, 2, 63):
+            for cutoff in (64, 1024, 1 << 14):
+                got = mp.make_mpf(_head(start, cutoff, zm, prec))
+                ref = mp.fsum(terms[start:cutoff])
+                ks = range(start, cutoff)
+                w = math.fsum(weights[k] * (omega[k] + float(zm) * math.log(k) / 1024)
+                              for k in ks) / math.fsum(weights[k] for k in ks)
+                units = abs(got - ref) / ref * mpf(2) ** prec
+                assert units <= w + 1, (start, cutoff, units, w)
 
 
 @pytest.mark.parametrize("z", ["0.7", "2.5", Fraction(10, 7)])
@@ -269,21 +272,28 @@ def test_the_least_prime_factor_table_is_trial_division():
 
 def test_the_kernel_makes_the_products_of_a_reference():
     # the reference splits k into its least prime factor and the cofactor and
-    # multiplies their terms, in increasing k so that both are at hand.  A
-    # short memo makes the kernel walk long chains and power the primes
-    # above it again; the covering sum's memo keeps most of them
+    # multiplies their integer pairs, truncating the product to prec + 64
+    # bits, in increasing k so that both are at hand.  A short memo makes
+    # the kernel walk long chains and power the primes above it again; the
+    # covering sum's memo keeps most of them
     ks = list(range(1, 1 << 16))
     prec = 53
+    width = prec + 64
     nz = mpf_neg(mpf("0.7")._mpf_)
-    ref = {1: fone}
+    ref = {1: (1 << width - 1, 1 - width)}
     for k in ks[1:]:
         p = _least_prime_factor(k)
-        ref[k] = (mpf_mul(ref[p], ref[k // p], prec, round_nearest) if p
-                  else mpf_pow(from_int(k), nz, prec, round_nearest))
+        if p:
+            (mf, ef), (mc, ec) = ref[p], ref[k // p]
+            cut = (mf * mc).bit_length() - width
+            ref[k] = (mf * mc >> cut, ef + ec + cut)
+        else:
+            _, m, e, bc = mpf_pow(from_int(k), nz, prec, round_nearest)
+            ref[k] = (m << width - bc, e + bc - width)
     want = [ref[k] for k in ks]
     for length in (64, 1 << 13):
         memo = [None] * length
-        assert [_neg_power(k, memo, nz, prec) for k in ks] == want, length
+        assert [_wide_neg_power(k, memo, nz, prec) for k in ks] == want, length
 
 
 _PRIMES = [k for k in range(2, 1 << 16) if not _LPF[k]]
@@ -556,8 +566,8 @@ def test_a_non_integer_covering_sum_stays_on_integers(monkeypatch):
     # the same op, 10,944 words: its terms are integer products added into
     # one integer, so the only rounded products are those that form the
     # prime powers, one for each prime below 2^12 met, and no sum is
-    # rounded until the last.  At an integer s each word still adds its
-    # direct power to a rounded mpf sum
+    # rounded until the last.  An integer s takes the same walk, and its
+    # prime powers are mpf_pow's integer powers, which take no product
     counts = dict.fromkeys(["mpf_mul", "mpf_add"], 0)
     for name in counts:
         def counting(*args, _real=getattr(mpmath.libmp, name), _name=name):
@@ -569,7 +579,7 @@ def test_a_non_integer_covering_sum_stays_on_integers(monkeypatch):
     assert counts["mpf_add"] == 0 and counts["mpf_mul"] <= len(_KEPT_PRIMES)
     counts.update(mpf_mul=0, mpf_add=0)
     covering_sum_enumerated(6, 2, 2, 24)
-    assert counts == {"mpf_mul": 0, "mpf_add": 24 * 19 * 24}
+    assert counts == {"mpf_mul": 0, "mpf_add": 0}
 
 
 def test_the_head_stays_raw(monkeypatch):
@@ -643,8 +653,8 @@ def test_a_zeta_call_leaves_no_reference_cycle():
 
 
 def test_head_memo_stays_small_at_the_largest_cutoff():
-    # the cutoff reaches 2^15 here; mpf_sum takes the raw terms one at a
-    # time, so the peak is the memo of the terms below 2^14 (2.9 MB, where
+    # the cutoff reaches 2^15 here; the head adds the terms one at a time,
+    # so the peak is the memo of the integer pairs below 2^14 (2.8 MB, where
     # mp.fsum's list of the terms made 5.7 MB), and a memo of every term as
     # an mpf would about double it.  The call starts from empty tables, as
     # each CLI command does, so the peak also holds the logarithms it keeps
