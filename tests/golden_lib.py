@@ -34,7 +34,17 @@ The groups:
   ones up, at two contexts; ``estimate_condition_floor`` and
   ``covering_condition`` at the floor it returns and one either side of
   it (or either side of 10^18 when it reports none); ``covering_product_bound``
-  at levels 1 to 3; and one row or more for every refusal of hirst.
+  at levels 1 to 3; and one row or more for every refusal of hirst;
+- ``construction.reals``: ``StepSchedule.c1_value``, ``to_json`` and
+  ``from_json`` in both modes, with stored c1 texts either side of the
+  1e-9 margin; ``verify_size_bound``, whose ``rhs`` is a real;
+  ``choose_schedule`` and ``schedule_onset`` at an explicit c1 near a tie
+  that 60 digits separate, that only 200 digits separate and that 200
+  digits do not separate; quotients past 2^46 in both modes; and the
+  c1 out of the float range;
+- ``closed.forms``: ``euler_gamma``, ``tail_integral_approx``,
+  ``laurent_zeta_approx``, ``asymptotic_exponent`` and
+  ``reference_bounds`` at three contexts, and each of their refusals.
 
 The digests pin the installed mpmath, as golden_cli.jsonl does.
 Rewriting the file changes a check: a change that moves a group names
@@ -45,18 +55,28 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_lib.json")
 
 
 def _raw(value):
-    # the exact record of a value: raw mpf tuples, ints, text, None, and
-    # tuples of those
-    if hasattr(value, "_mpf_"):
+    # the exact record of a value: the raw tuple of a real whose type is
+    # mpmath.mpf itself (a value of any other mpmath context fails here),
+    # ints, Fractions, text, None, and tuples, lists, dicts and records of those
+    import mpmath
+
+    from cfdim.errors import FrozenRecord
+
+    if type(value) is mpmath.mpf:
         return value._mpf_
     if isinstance(value, (tuple, list)):
         return tuple(_raw(v) for v in value)
-    assert value is None or isinstance(value, (int, str)), type(value)
+    if isinstance(value, dict):
+        return tuple((k, _raw(v)) for k, v in value.items())
+    if isinstance(value, FrozenRecord):
+        return type(value).__name__, _raw(value._values())
+    assert value is None or isinstance(value, (int, str, Fraction)), type(value)
     return value
 
 
@@ -242,12 +262,116 @@ def _hirst():
         yield _row(covering_product_bound, *args)
 
 
+def c1_value(schedule):
+    return schedule.c1_value
+
+
+def to_json(schedule):
+    return schedule.to_json()
+
+
+def weight_end(eps, c1, p, first, last, e):
+    from cfdim.construction import _weight_test
+
+    return _weight_test(eps, c1)(p, first, last, e)
+
+
+def _near_ties():
+    # rationals within 10^-20, 10^-50 and 10^-300 of log(2)/7, below it
+    # and above it.  At step 1 on square the weight test at m = 49 weighs
+    # 7 log 2 against 49 c1, a near tie that 60 digits separate, that only
+    # 200 digits separate, and that 200 digits do not
+    import mpmath
+
+    with mpmath.workdps(320):
+        rate = mpmath.log(2) / 7
+        return [Fraction(int(mpmath.nint(rate * 10 ** d)) + side, 10 ** d)
+                for d in (20, 50, 300) for side in (-1, 1)]
+
+
+def _construction():
+    from cfdim import (PartialQuotients, StepSchedule, build_point, choose_schedule,
+                       parse_index_sequence, schedule_onset, verify_size_bound)
+
+    square, pow2 = parse_index_sequence("square"), parse_index_sequence("pow:2")
+    derived = choose_schedule(square, 30, 10 ** 4, eps="1/10")
+    schedules = [derived, choose_schedule(square, 2, 10 ** 4, eps=Fraction(1, 3)),
+                 choose_schedule(square, 3, 10 ** 5, c1="1/20"),
+                 choose_schedule(pow2, 3, 5000, c1="1/4")]
+    for schedule in schedules:
+        yield _row(c1_value, schedule)
+        yield _row(to_json, schedule)
+        yield _row(StepSchedule.from_json, schedule.to_json())
+    # eps = 1/10 gives c1 = 0.034657359027997...: a stored c1 within a
+    # relative 1e-9 of it loads, and one past that margin, either side, is refused
+    for text in ["0.034657359028", "0.03465735906", "0.034657359", "0.03465735907",
+                 "0.03465735899", "1/2"]:
+        yield _row(StepSchedule.from_json, dict(derived.to_json(), c1=text))
+    # the size check's rhs, at the schedule's eps and another, and its refusals
+    words = [PartialQuotients((1,) * 34), PartialQuotients((1,) * 111),
+             build_point(square, 2, derived, 531)]
+    for eps in ["1/10", Fraction(1, 3)]:
+        for word in words:
+            yield _row(verify_size_bound, eps, square, derived, word)
+    for eps, word in [("1/10", (2,) * 5), ("1/10", (1,)), ("0", (1,) * 5), ("1/10", ())]:
+        yield _row(verify_size_bound, eps, square, derived, word)
+    # near ties at explicit c1, in the search for a threshold and in the
+    # onset of a one-step schedule, whose runs 5 to 7 each hold one
+    for c1 in _near_ties():
+        yield _row(choose_schedule, square, 1, 10 ** 4, c1)
+        yield _row(schedule_onset, square, StepSchedule(None, c1, (0,), (100,), 10 ** 4))
+    # quotients x = e log p / c1 past 2^46, where a float may miss the
+    # integer part: a schedule and its onset, and runs that end at floor(x)
+    # with round(x) past them, so the weight test returns floor(x) itself,
+    # in both modes (the float reads 6238324625039506 for the first).  At
+    # eps, every run holding x has a near tie there, whose exact power is
+    # past the cap
+    c1 = Fraction(1, 10 ** 15)
+    yield _row(choose_schedule, pow2, 2, 10 ** 20, c1)
+    yield _row(schedule_onset, pow2, choose_schedule(pow2, 2, 10 ** 20, c1))
+    for eps, c1, p, e, x in [(None, c1, 8, 3, 6238324625039507),
+                             (None, c1, 3, 1, 1098612288668109),
+                             (Fraction(1, 10 ** 14), None, 3, 3, 950977500432693),
+                             (Fraction(1, 10 ** 14), None, 7, 1, 561470984411520)]:
+        yield _row(weight_end, eps, c1, p, x - 5, x, e)
+    yield _row(choose_schedule, pow2, 2, 10 ** 20, None, Fraction(1, 10 ** 14))
+    yield _row(choose_schedule, square, 1, 10 ** 4, Fraction(1, 10 ** 400))
+
+
+def _closed():
+    from cfdim import (asymptotic_exponent, euler_gamma, laurent_zeta_approx, reference_bounds,
+                       tail_integral_approx)
+
+    for ctx in _contexts():
+        yield _row(euler_gamma, ctx)
+        for start in [1, 2, 64, 10 ** 12]:
+            for s in ["0.5000000001", "0.6", "0.75", "1", "2.5", Fraction(7, 4)]:
+                yield _row(tail_integral_approx, start, s, ctx)
+        for delta in ["1e-9", "1e-4", "0.1", "0.5", Fraction(1, 3)]:
+            yield _row(laurent_zeta_approx, delta, ctx)
+        for m in [3, 4, 10, 1000, 10 ** 12, 10 ** 40]:
+            yield _row(asymptotic_exponent, m, ctx)
+        for m in [2, 3, 7, 8, 19, 20, 999, 1000, 10 ** 12]:
+            yield _row(reference_bounds, m, ctx)
+    for start, s in [(0, "1"), (-1, "1"), (2.5, "1"), (True, "1"), (5, "0.5"), (5, "0.4"),
+                     (5, "-1"), (5, "x"), (5, "1e7"), (5, True)]:
+        yield _row(tail_integral_approx, start, s)
+    for delta in [0, "0", "-0.1", "0.5000000001", "0.6", "x", True, float("inf")]:
+        yield _row(laurent_zeta_approx, delta)
+    for m in [2, 1, 0, 3.0, True, "10"]:
+        yield _row(asymptotic_exponent, m)
+    for m in [1, 0, 2.0, True]:
+        yield _row(reference_bounds, m)
+
+
 GROUPS = {
     "special.series": _series,
     "dimension.factor": _factor,
     "dimension.critical": _critical,
     "dimension.cover": _cover,
     "hirst.sums": _hirst,
+    "construction.reals": _construction,
+    "closed.forms": _closed,
 }
 
 
