@@ -120,12 +120,10 @@ class StepSchedule(FrozenRecord):
     @property
     def c1_value(self):
         """c1 as a 50-digit float (derived mode computes eps*log2/2)."""
-        from mpmath import mp
-
-        with mp.workdps(50):
-            if self.c1 is not None:
-                return special.as_real(self.c1)
-            return +(special.as_real(self.eps) * mp.log(2) / 2)
+        mpc = special.kept_context(50)
+        if self.c1 is not None:
+            return special.as_mpf(special.as_real(self.c1, "c1", mpc))
+        return special.as_mpf(special.as_real(self.eps, "eps", mpc) * mpc.log(2) / 2)
 
     def to_json(self):
         if self.c1 is not None:
@@ -133,8 +131,7 @@ class StepSchedule(FrozenRecord):
         else:  # derived mode prints c1 to 25 digits
             from mpmath import mp
 
-            with mp.workdps(50):
-                c1_text = mp.nstr(self.c1_value, 25)
+            c1_text = mp.nstr(self.c1_value, 25)
         return {
             "c1": c1_text,
             "eps": str(self.eps) if self.eps is not None else None,
@@ -170,17 +167,15 @@ class StepSchedule(FrozenRecord):
         sched = cls(eps, None, thresholds, breakpoints, horizon)
         if raw_c1 is not None:
             # the stored c1 is display only; catch edits that contradict eps
-            from mpmath import mp
-
+            mpc = special.kept_context(50)
             declared = exact_positive_fraction(raw_c1, "c1")
-            with mp.workdps(50):
-                derived = sched.c1_value
-                gap = abs(special.as_real(declared) - derived)
-                if gap > derived / 10 ** 9:
-                    raise DomainError(
-                        "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
-                        % (quoted(raw_eps), quoted(raw_c1), mp.nstr(derived, 12))
-                    )
+            derived = mpc.convert(sched.c1_value)
+            gap = abs(special.as_real(declared, "c1", mpc) - derived)
+            if gap > derived / 10 ** 9:
+                raise DomainError(
+                    "schedule JSON has eps = %s but c1 = %s; derived c1 would be %s"
+                    % (quoted(raw_eps), quoted(raw_c1), mpc.nstr(derived, 12))
+                )
         return sched
 
 
@@ -213,12 +208,11 @@ def _last_holding(holds, cap=None):
     return lo
 
 
-def _mp_log(p):
-    # mpmath strips an integer's trailing zero bits a byte at a time, in quadratic time
-    from mpmath import mp
-
+def _mp_log(p, mpc):
+    # log p in the kept context mpc; mpmath strips an integer's trailing zero
+    # bits a byte at a time, in quadratic time
     zeros = (p & -p).bit_length() - 1
-    return mp.log(p >> zeros) + zeros * mp.ln2
+    return mpc.log(p >> zeros) + zeros * mpc.ln2
 
 
 def _log_exceeds(p, e, m, eps, c1):
@@ -230,15 +224,13 @@ def _log_exceeds(p, e, m, eps, c1):
         return not _power_at_least(2, u * m, p, e * v, eps)
     # log(p) is irrational and c1*m rational, so the sides never tie; but a
     # c1 within a relative 1e-185 or so of e*log(p)/m is not separated at 200 digits
-    from mpmath import mp, mpf
-
     for dps in (60, 200):
-        with mp.workdps(dps):
-            lhs = e * _mp_log(p)
-            rhs = special.as_real(c1) * m
-            diff = lhs - rhs
-            if abs(diff) > mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
-                return diff > 0
+        mpc = special.kept_context(dps)
+        lhs = e * _mp_log(p, mpc)
+        rhs = special.as_real(c1, "c1", mpc) * m
+        diff = lhs - rhs
+        if abs(diff) > mpc.mpf(10) ** (15 - dps) * (abs(lhs) + abs(rhs) + 1):
+            return diff > 0
     raise DomainError("could not separate log(p) from c1*m at 200 digits (m=%d)" % m)
 
 
@@ -270,12 +262,11 @@ def _weight_test(eps, c1):
         elif x > 2 * last:
             return last  # far past the run, or infinite: nothing to round
         else:  # past 2^46 a float may miss by more than 1/2: use more digits
-            from mpmath import mp
-
-            with mp.workdps(20 + len(str(last))):
-                weight = special.as_real(c1) if eps is None else special.as_real(eps) * mp.ln2 / 2
-                x = e * _mp_log(p) / weight
-                m, r = int(mp.floor(x)), int(mp.nint(x))
+            mpc = special.kept_context(20 + len(str(last)))
+            weight = (special.as_real(c1, "c1", mpc) if eps is None
+                      else special.as_real(eps, "eps", mpc) * mpc.ln2 / 2)
+            x = e * _mp_log(p, mpc) / weight
+            m, r = int(mpc.floor(x)), int(mpc.nint(x))
         if first <= r <= last:
             # a near tie, where floor(x) may be off by one; p = 1 stays out
             rhs = c1_float * r
@@ -498,8 +489,6 @@ def verify_size_bound(eps, seq, schedule, word):
     is provable for every admissible word.  None means the checked
     range could not certify it.
     """
-    from mpmath import mp, mpf
-
     eps = exact_positive_fraction(eps, "eps")
     en, ed = eps.numerator, eps.denominator
     digits = PartialQuotients(word)
@@ -526,8 +515,8 @@ def verify_size_bound(eps, seq, schedule, word):
     ok = _power_at_least(big_r, en + ed, big_l, ed, eps)
 
     onset_certified, onset = _size_onsets(seq, schedule, eps)
-    with mp.workdps(50):
-        rhs = +((mpf(1) / mpf(big_r)) ** (mpf(en + ed) / ed))
+    mpc = special.kept_context(50)
+    rhs = special.as_mpf((mpc.mpf(1) / mpc.mpf(big_r)) ** (mpc.mpf(en + ed) / ed))
     return SizeBoundReport(eps, digits, onset, onset_certified, Fraction(1, big_l), rhs, ok)
 
 

@@ -21,7 +21,9 @@ from typing import NamedTuple
 
 from . import cfcore
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
-from .special import _CUTOFF_CAP, DEFAULT_CONTEXT, _series_from, _wide_neg_power, as_real
+from .special import (
+    _CUTOFF_CAP, DEFAULT_CONTEXT, _series_from, _wide_neg_power, as_mpf, as_real, kept_context,
+)
 
 __all__ = [
     "CriticalSolveResult",
@@ -67,16 +69,14 @@ def recursion_factor(a_odd, a_even, m_floor):
 
 def per_level_factor(m_floor, s, ctx=DEFAULT_CONTEXT):
     """(1+1/M)^s zeta(2s) zeta_tail(M, 2s); the covering sum contracts when < 1."""
-    from mpmath import mp, mpf
-
     int_at_least(m_floor, "digit floor", 2)
-    with mp.workdps(ctx.working_digits):
-        sm = as_real(s, "exponent")
-        if not sm > mpf(1) / 2:
-            raise DivergenceError("the level sums diverge for s <= 1/2")
-        # the two series as zeta and zeta_tail form them, set up once
-        full, tail = _series_from((1, m_floor), 2 * sm, ctx)
-        return +((1 + mpf(1) / m_floor) ** sm * full * tail)
+    mpc = kept_context(ctx.working_digits)
+    sm = as_real(s, "exponent", mpc)
+    if not sm > mpc.mpf(1) / 2:
+        raise DivergenceError("the level sums diverge for s <= 1/2")
+    # the two series as zeta and zeta_tail form them, set up once
+    full, tail = _series_from((1, m_floor), 2 * sm, ctx)
+    return as_mpf((1 + mpc.mpf(1) / m_floor) ** sm * full * tail)
 
 
 def _exact(tol):
@@ -125,59 +125,61 @@ def critical_exponent(m_floor, tol=1e-12, s_max=2, ctx=DEFAULT_CONTEXT):
     exceeds 2.5e17 * M^(-2d), which falls below 1 only when M^(-2d) < 4e-18,
     for an M of more than 2.9e10 bits.
     """
-    from mpmath import mp, mpf
-
     int_at_least(m_floor, "digit floor", 2)
     _check_tolerance(tol, "tol")
     if _exact(tol) < _exact(ctx.target_abs_tol):
         raise DomainError("tol %s is below ctx.target_abs_tol %s, the accuracy of each factor "
                           "value" % (tol, ctx.target_abs_tol))
-    with mp.workdps(ctx.working_digits):
-        lo = mpf("0.5") + mpf("1e-9")
-        hi = as_real(s_max, "s_max")
-        if not lo < hi <= 8:
-            raise DomainError("s_max must lie in (0.5 + 1e-9, 8]")
-        tol_m = as_real(tol)
-        f_hi = per_level_factor(m_floor, hi, ctx)
-        if f_hi > 1:
-            return CriticalSolveResult(
-                m_floor, None, None, (lo, hi), 0, False,
-                "factor is %s > 1 at s_max = %s; no root in the bracket "
-                "(the covering bound is vacuous here)" % (mp.nstr(f_hi, 8), mp.nstr(hi, 8)),
-            )
-        f_lo = per_level_factor(m_floor, lo, ctx)
-        g_lo, g_hi = -mp.log(f_lo), -mp.log(f_hi)
-        after_hi = False  # the previous step replaced hi
-        for i in range(1, _STEP_LIMIT + 1):
-            mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            if not lo < mid < hi:
-                mid = (lo + hi) / 2
-            val = per_level_factor(m_floor, mid, ctx)
-            res = abs(val - 1)
-            if res <= tol_m:
-                return CriticalSolveResult(m_floor, +mid, +res, (+lo, +hi), i, True)
-            g_mid = -mp.log(val)
-            if val > 1:
-                lo, g_lo, after_hi = mid, g_mid, False
-            else:
-                if after_hi:  # hi replaced twice in a row: damp the stale g_lo
-                    m = 1 - g_mid / g_hi
-                    g_lo *= m if m > 0 else mpf(1) / 2
-                hi, g_hi, after_hi = mid, g_mid, True
+    mpc = kept_context(ctx.working_digits)
+
+    def factor(s):
+        # the factor back in mpc, exactly, so that arithmetic on it stays there
+        return mpc.convert(per_level_factor(m_floor, s, ctx))
+
+    lo = mpc.mpf("0.5") + mpc.mpf("1e-9")
+    hi = as_real(s_max, "s_max", mpc)
+    if not lo < hi <= 8:
+        raise DomainError("s_max must lie in (0.5 + 1e-9, 8]")
+    tol_m = as_real(tol, "tol", mpc)
+    f_hi = factor(hi)
+    if f_hi > 1:
         return CriticalSolveResult(
-            m_floor, None, +res, (+lo, +hi), _STEP_LIMIT, False,
-            "residual did not reach %g within %d steps" % (tol, _STEP_LIMIT),
+            m_floor, None, None, (as_mpf(lo), as_mpf(hi)), 0, False,
+            "factor is %s > 1 at s_max = %s; no root in the bracket "
+            "(the covering bound is vacuous here)" % (mpc.nstr(f_hi, 8), mpc.nstr(hi, 8)),
         )
+    f_lo = factor(lo)
+    g_lo, g_hi = -mpc.log(f_lo), -mpc.log(f_hi)
+    after_hi = False  # the previous step replaced hi
+    for i in range(1, _STEP_LIMIT + 1):
+        mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < mid < hi:
+            mid = (lo + hi) / 2
+        val = factor(mid)
+        res = abs(val - 1)
+        if res <= tol_m:
+            return CriticalSolveResult(m_floor, as_mpf(mid), as_mpf(res),
+                                       (as_mpf(lo), as_mpf(hi)), i, True)
+        g_mid = -mpc.log(val)
+        if val > 1:
+            lo, g_lo, after_hi = mid, g_mid, False
+        else:
+            if after_hi:  # hi replaced twice in a row: damp the stale g_lo
+                m = 1 - g_mid / g_hi
+                g_lo *= m if m > 0 else mpc.mpf(1) / 2
+            hi, g_hi, after_hi = mid, g_mid, True
+    return CriticalSolveResult(
+        m_floor, None, as_mpf(res), (as_mpf(lo), as_mpf(hi)), _STEP_LIMIT, False,
+        "residual did not reach %g within %d steps" % (tol, _STEP_LIMIT),
+    )
 
 
 def asymptotic_exponent(m_floor, ctx=DEFAULT_CONTEXT):
     """Large-M form of the critical exponent: 1/2 + (log log M - log 2)/log M."""
-    from mpmath import mp, mpf
-
     int_at_least(m_floor, "digit floor", 3)
-    with mp.workdps(ctx.working_digits):
-        x = mpf(m_floor)
-        return +(mpf(1) / 2 + (mp.log(mp.log(x)) - mp.log(2)) / mp.log(x))
+    mpc = kept_context(ctx.working_digits)
+    x = mpc.mpf(m_floor)
+    return as_mpf(mpc.mpf(1) / 2 + (mpc.log(mpc.log(x)) - mpc.log(2)) / mpc.log(x))
 
 
 def _j_factors(m_floor, levels, digit_cap, q=1, q_prev=0):
@@ -247,31 +249,31 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     int_at_least(digit_cap, "digit cap", m_floor)
     if digit_cap > _DIGIT_CAP:
         raise ResourceCapError("digit cap is %d, got %d" % (_DIGIT_CAP, digit_cap))
-    with mp.workdps(ctx.working_digits):
-        sm = as_real(s, "exponent")
-        if not sm > 0:
-            raise DomainError("exponent s must be positive")
-        prec = mp.prec
-        nz = mpf_neg(sm._mpf_)
-        memo = [None] * _COVER_MEMO
-        total, unit = 0, None
-        for q, r in _j_factors(m_floor, levels, digit_cap):
-            if r < _CUTOFF_CAP:
-                # the kernel is called only on a memo miss
-                tq = memo[q] if q < _COVER_MEMO else None
-                if tq is None:
-                    tq = _wide_neg_power(q, memo, nz, prec)
-                tr = memo[r] if r < _COVER_MEMO else None
-                if tr is None:
-                    tr = _wide_neg_power(r, memo, nz, prec)
-                m, e = tq[0] * tr[0], tq[1] + tr[1]
-            else:
-                _, m, e, _ = mpf_pow(from_int(q * r), nz, prec, round_nearest)
-            if unit is None:
-                # the first word's term is the largest: 64 bits below its ulp
-                unit = e + m.bit_length() - prec - 64
-            total += m << (e - unit) if e >= unit else m >> (unit - e)
-        return mp.make_mpf(from_man_exp(total, unit, prec, round_nearest))
+    mpc = kept_context(ctx.working_digits)
+    sm = as_real(s, "exponent", mpc)
+    if not sm > 0:
+        raise DomainError("exponent s must be positive")
+    prec = mpc.prec
+    nz = mpf_neg(sm._mpf_)
+    memo = [None] * _COVER_MEMO
+    total, unit = 0, None
+    for q, r in _j_factors(m_floor, levels, digit_cap):
+        if r < _CUTOFF_CAP:
+            # the kernel is called only on a memo miss
+            tq = memo[q] if q < _COVER_MEMO else None
+            if tq is None:
+                tq = _wide_neg_power(q, memo, nz, prec)
+            tr = memo[r] if r < _COVER_MEMO else None
+            if tr is None:
+                tr = _wide_neg_power(r, memo, nz, prec)
+            m, e = tq[0] * tr[0], tq[1] + tr[1]
+        else:
+            _, m, e, _ = mpf_pow(from_int(q * r), nz, prec, round_nearest)
+        if unit is None:
+            # the first word's term is the largest: 64 bits below its ulp
+            unit = e + m.bit_length() - prec - 64
+        total += m << (e - unit) if e >= unit else m >> (unit - e)
+    return mp.make_mpf(from_man_exp(total, unit, prec, round_nearest))
 
 
 class ReferenceBounds(NamedTuple):
@@ -295,32 +297,23 @@ def reference_bounds(m_floor, ctx=DEFAULT_CONTEXT):
     still computed.  good_f_hi needs log log(M-1), so it is None at
     M = 2.
     """
-    from mpmath import mp, mpf
-
     int_at_least(m_floor, "digit floor", 2)
-    with mp.workdps(ctx.working_digits):
-        m = mpf(m_floor)
-        log2 = mp.log(2)
-        jarnik_lo = 1 - 4 / (m * log2)
-        jarnik_hi = 1 - 1 / (8 * m * mp.log(m))
-        kurzweil_lo = 1 - mpf("0.99") / m
-        kurzweil_hi = 1 - mpf("0.25") / m
-        hensley = 1 - (6 / mp.pi ** 2) / m - (72 / mp.pi ** 4) * mp.log(m) / m ** 2
-        good_f_lo = mpf(1) / 2 + 1 / (2 * mp.log(m + 2))
-        good_f_hi = None
-        if m_floor >= 3:
-            good_f_hi = +(mpf(1) / 2 + mp.log(mp.log(m - 1)) / (2 * mp.log(m - 1)))
-        jk = mpf(1) / 2 + mp.log(mp.log(m)) / (2 * mp.log(m))
-        return ReferenceBounds(
-            m_floor,
-            +jarnik_lo, +jarnik_hi,
-            +kurzweil_lo, +kurzweil_hi,
-            +hensley,
-            +good_f_lo, good_f_hi,
-            +jk,
-            {
-                "jarnik": m_floor >= 8,
-                "kurzweil": m_floor >= 1000,
-                "good": m_floor >= 20,
-            },
-        )
+    mpc = kept_context(ctx.working_digits)
+    log, half = mpc.log, mpc.mpf(1) / 2
+    m = mpc.mpf(m_floor)
+    good_f_hi = None
+    if m_floor >= 3:
+        good_f_hi = as_mpf(half + log(log(m - 1)) / (2 * log(m - 1)))
+    return ReferenceBounds(
+        m_floor,
+        as_mpf(1 - 4 / (m * log(2))), as_mpf(1 - 1 / (8 * m * log(m))),
+        as_mpf(1 - mpc.mpf("0.99") / m), as_mpf(1 - mpc.mpf("0.25") / m),
+        as_mpf(1 - (6 / mpc.pi ** 2) / m - (72 / mpc.pi ** 4) * log(m) / m ** 2),
+        as_mpf(half + 1 / (2 * log(m + 2))), good_f_hi,
+        as_mpf(half + log(log(m)) / (2 * log(m))),
+        {
+            "jarnik": m_floor >= 8,
+            "kurzweil": m_floor >= 1000,
+            "good": m_floor >= 20,
+        },
+    )

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import cfcore
 from .errors import DivergenceError, DomainError, exact_positive_fraction, int_at_least, is_int
 from .sequences import tau
-from .special import DEFAULT_CONTEXT, as_real, zeta_tail
+from .special import DEFAULT_CONTEXT, as_mpf, as_real, kept_context, zeta_tail
 
 __all__ = [
     "M0Condition",
@@ -45,25 +45,23 @@ def digit_power_sum(digits, z, ctx=DEFAULT_CONTEXT):
 
 def digit_tail_power_sum(digits, floor_m, z, ctx=DEFAULT_CONTEXT):
     """sum over a in D with a >= floor_m of a^-z, by closed form."""
-    from mpmath import mp
-
     t = tau(digits).value
     int_at_least(floor_m, "floor")
-    with mp.workdps(ctx.working_digits):
-        zm = as_real(z, "exponent")
-        if digits.is_finite:
-            return +mp.fsum(mp.power(a, -zm) for a in digits.members() if a >= floor_m)
-        # tau is 1/q on a power run and 0/1 on a geometric one, so z > tau
-        # reads q z > 1 or z > 0, and q z is z/tau on a power run
-        qz = zm * t.denominator
-        if not qz > t.numerator:
-            raise DivergenceError("the digit tail diverges for z <= tau = %s" % t)
-        j0 = digits.first_at_least(floor_m)  # the tail is k_j0, k_(j0+1), ...
-        b = digits.nth(1)
-        if t:  # k_j^-z = (j + k_1 - 1)^(-z/tau)
-            return zeta_tail(j0 + b - 1, qz, ctx)
-        # k_j^-z = (k_1^-z)^j
-        return +(mp.power(b, -j0 * zm) / (1 - mp.power(b, -zm)))
+    mpc = kept_context(ctx.working_digits)
+    zm = as_real(z, "exponent", mpc)
+    if digits.is_finite:
+        return as_mpf(mpc.fsum(mpc.power(a, -zm) for a in digits.members() if a >= floor_m))
+    # tau is 1/q on a power run and 0/1 on a geometric one, so z > tau
+    # reads q z > 1 or z > 0, and q z is z/tau on a power run
+    qz = zm * t.denominator
+    if not qz > t.numerator:
+        raise DivergenceError("the digit tail diverges for z <= tau = %s" % t)
+    j0 = digits.first_at_least(floor_m)  # the tail is k_j0, k_(j0+1), ...
+    b = digits.nth(1)
+    if t:  # k_j^-z = (j + k_1 - 1)^(-z/tau)
+        return zeta_tail(j0 + b - 1, qz, ctx)
+    # k_j^-z = (k_1^-z)^j
+    return as_mpf(mpc.power(b, -j0 * zm) / (1 - mpc.power(b, -zm)))
 
 
 def hirst_dimension(digits):
@@ -106,11 +104,9 @@ class M0Condition(NamedTuple):
 
 def _condition_at(digits, full, z, e, m_floor, ctx):
     """full^e * (tail sum at m_floor) against 1, at the context's working digits."""
-    from mpmath import mp
-
-    with mp.workdps(ctx.working_digits):
-        lhs = +(mp.power(full, as_real(e)) * digit_tail_power_sum(digits, m_floor, z, ctx))
-        return M0Condition(lhs, bool(lhs <= 1))
+    mpc = kept_context(ctx.working_digits)
+    lhs = mpc.power(full, as_real(e, "e", mpc)) * digit_tail_power_sum(digits, m_floor, z, ctx)
+    return M0Condition(as_mpf(lhs), bool(lhs <= 1))
 
 
 def covering_condition(digits, seq, eps, m_floor, ctx=DEFAULT_CONTEXT):
@@ -135,35 +131,33 @@ def estimate_condition_floor(digits, seq, eps, ctx=DEFAULT_CONTEXT):
     condition, and doubled until the condition holds.  Floors beyond
     10^18 are reported as exceeded rather than returned.
     """
-    from mpmath import mp, mpf
-
     t, z, e = _analytic_pieces(digits, seq, eps)
-    with mp.workdps(ctx.working_digits):
-        full = digit_power_sum(digits, z, ctx)
-        thr = mp.power(full, -as_real(e))
-        if digits.is_finite:
-            # z = 0, so each of the n digits adds 1 to a tail and
-            # thr = n^(-e) <= 1.  Only the empty tail fits, or the whole set
-            # when n = 1 and thr = 1
-            values = tuple(digits.members())
-            est = mpf(values[0] if len(values) == 1 else values[-1] + 1)
-        else:
-            # a power run, tau = 1/q (_analytic_pieces refused tau = 0): the tail
-            # from k_j = r^q is about r^(1-w)/(w - 1), w = q z, which is thr at an
-            # r > 1, as w = 1 + eps < 2 and thr <= 1; so k_1 = 1 changes nothing
-            w1 = as_real(z) * t.denominator - 1
-            r = mp.power(w1 * thr, -1 / w1)
-            est = max(r ** t.denominator, mpf(digits.nth(1)))
-        if est > _FLOOR_CAP:
-            return FloorEstimate(None, None, False, True)
-        m = max(1, int(mp.ceil(est * (1 + mpf("1e-9")))))
-        while True:
-            res = _condition_at(digits, full, z, e, m, ctx)
-            if res.ok:
-                return FloorEstimate(m, res.lhs, True, False)
-            if m > _FLOOR_CAP // 2:
-                return FloorEstimate(None, res.lhs, False, True)
-            m *= 2
+    mpc = kept_context(ctx.working_digits)
+    full = digit_power_sum(digits, z, ctx)
+    thr = mpc.power(full, -as_real(e, "e", mpc))
+    if digits.is_finite:
+        # z = 0, so each of the n digits adds 1 to a tail and
+        # thr = n^(-e) <= 1.  Only the empty tail fits, or the whole set
+        # when n = 1 and thr = 1
+        values = tuple(digits.members())
+        est = mpc.mpf(values[0] if len(values) == 1 else values[-1] + 1)
+    else:
+        # a power run, tau = 1/q (_analytic_pieces refused tau = 0): the tail
+        # from k_j = r^q is about r^(1-w)/(w - 1), w = q z, which is thr at an
+        # r > 1, as w = 1 + eps < 2 and thr <= 1; so k_1 = 1 changes nothing
+        w1 = as_real(z, "z", mpc) * t.denominator - 1
+        r = mpc.power(w1 * thr, -1 / w1)
+        est = max(r ** t.denominator, mpc.mpf(digits.nth(1)))
+    if est > _FLOOR_CAP:
+        return FloorEstimate(None, None, False, True)
+    m = max(1, int(mpc.ceil(est * (1 + mpc.mpf("1e-9")))))
+    while True:
+        res = _condition_at(digits, full, z, e, m, ctx)
+        if res.ok:
+            return FloorEstimate(m, res.lhs, True, False)
+        if m > _FLOOR_CAP // 2:
+            return FloorEstimate(None, res.lhs, False, True)
+        m *= 2
 
 
 def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
@@ -177,8 +171,6 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     floor).  The prefix must reach exactly to position k_N with digits
     from D; its own weight multiplies the product.
     """
-    from mpmath import mp, mpf
-
     t = tau(digits).value
     int_at_least(m_floor, "the digit floor")
     int_at_least(level_base, "the base level", 0)
@@ -196,21 +188,21 @@ def covering_product_bound(digits, seq, m_floor, s, level_base, level, prefix,
     for a in word:
         if a not in digits:
             raise DomainError("prefix digit %d is outside the digit set" % a)
-    with mp.workdps(ctx.working_digits):
-        sm = as_real(s, "exponent")
-        half_tau = as_real(t / 2)
-        if not sm > half_tau:
-            raise DivergenceError(
-                "the level sums diverge for s <= tau/2 = %s" % mp.nstr(half_tau, 8)
-            )
-        z = 2 * sm
-        full = digit_power_sum(digits, z, ctx)
-        tail = digit_tail_power_sum(digits, m_floor, z, ctx)
-        free_exp = (k_top - k_base) - (level - level_base)
-        head = mpf(1)
-        for a in word:
-            head *= mp.power(a, -z)
-        return +(head * mp.power(full, free_exp) * mp.power(tail, level - level_base))
+    mpc = kept_context(ctx.working_digits)
+    sm = as_real(s, "exponent", mpc)
+    half_tau = as_real(t / 2, "tau/2", mpc)
+    if not sm > half_tau:
+        raise DivergenceError(
+            "the level sums diverge for s <= tau/2 = %s" % mpc.nstr(half_tau, 8)
+        )
+    z = 2 * sm
+    full = digit_power_sum(digits, z, ctx)
+    tail = digit_tail_power_sum(digits, m_floor, z, ctx)
+    free_exp = (k_top - k_base) - (level - level_base)
+    head = mpc.mpf(1)
+    for a in word:
+        head *= mpc.power(a, -z)
+    return as_mpf(head * mpc.power(full, free_exp) * mpc.power(tail, level - level_base))
 
 
 class DichotomyResult(NamedTuple):

@@ -1,12 +1,16 @@
 """High precision zeta values, tail sums, and pole-side approximations.
 
-Everything runs through mpmath at the working_digits of a
-PrecisionContext, which holds 50 to 1,000 digits; each function that
-computes a real imports mpmath itself, so importing the package does
-not load it. One Euler-Maclaurin routine, _series_from, serves the full
-series and its tails, and every series is set up there alone: the pole
-check and the goal tol/8, once for all its starts.  A sum is the partial
-sum up to a cutoff N, then
+Every real is computed on a private mpmath context at the working_digits
+of a PrecisionContext (50 to 1,000), which kept_context builds once and
+never changes: as_real converts into it, the raw paths take its prec,
+and as_mpf hands a result back as an mpmath.mpf with the same bits.
+Nothing reads or sets mpmath's process-wide mp.prec, so no result
+depends on other threads or on the caller's mpmath precision.  Each
+function that computes a real imports mpmath itself, so importing the
+package does not load it.  One Euler-Maclaurin routine, _series_from,
+serves the full series and its tails, and every series is set up there
+alone: the pole check and the goal tol/8, once for all its starts.  A
+sum is the partial sum up to a cutoff N, then
 
     N^(1-z)/(z-1) + N^(-z)/2 + sum_j B_{2j}/(2j)! (z)_{2j-1} N^(-z-2j+1)
 
@@ -60,14 +64,16 @@ exponent that is neither an integer nor a half-integer, mpmath 1.3
 forms it as exp(-z log p), with log p rounded to 10 guard bits, and
 _prime_power keeps that logarithm for each prime below 2^12: such a
 prime costs one exponential per power and one logarithm per working
-precision.  _coefficients keeps the B_2j/(2j)! of the corrections, and
-_pole_guard the bound 1 + 1e-9 on z, the same way.  The three are
-functools.lru_cache tables, the one state of the module: the
-coefficients and guards of four precisions, and at most four times the
-564 logarithms of the primes below 2^12, about 700 bytes each with the
-table's own entry at 50 digits.  Each value kept is the very value
-the computation would round again, so no bit of any result depends on
-what the tables hold, and every caller in the process can share them.
+precision.  _coefficients keeps the raw B_2j/(2j)! of the corrections,
+and _pole_guard the raw bound 1 + 1e-9 on z, the same way.  The four
+functools.lru_cache tables are the one state of the module: the
+contexts of eight digit counts (about 44 KB and 0.5 ms to build each),
+the coefficients and guards of four precisions, and at most four times
+the 564 logarithms of the primes below 2^12, about 700 bytes each with
+the table's own entry at 50 digits.  Each value kept is the very value
+the computation would round again, and a context is never changed, so
+no bit of any result depends on what the tables hold, and every caller
+in the process, in any thread, can share them.
 The primes past 2^12, which only a head or a covering sum of a large
 cutoff meets, take mpf_pow as before, so a call keeps at most the
 logarithms of 564 primes, some 400 KB at 50 digits.  The formula is
@@ -122,34 +128,49 @@ class PrecisionContext(FrozenRecord):
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-def as_real(x, what="value"):
-    """Coerce int/float/Fraction/mpf or number text to a finite mpf at the current precision."""
+@functools.lru_cache(maxsize=8)
+def kept_context(digits):
+    """A private mpmath context at the given decimal digits, built once and never changed."""
     import mpmath
 
+    mpc = mpmath.MPContext()
+    mpc.dps = digits
+    return mpc
+
+
+def as_real(x, what, mpc):
+    """Coerce int/float/Fraction/mpf or number text to a finite real of the kept context mpc.
+
+    what names the value in a refusal; the exponent cap skips an mpf of any context.
+    """
     if isinstance(x, bool):
         raise DomainError("expected a real %s, got a boolean" % what)
     if isinstance(x, Fraction):  # always finite
-        xm = mpmath.mpf(x.numerator) / x.denominator
+        xm = mpc.mpf(x.numerator) / x.denominator
     else:
         try:
             if isinstance(x, str) and match_number(x) is None:
                 raise ValueError  # mpmath reads only text in the one number grammar
-            xm = mpmath.mpf(x)
+            xm = mpc.mpf(x)
         except (TypeError, ValueError, ZeroDivisionError):
             raise DomainError("cannot interpret %s as a real %s" % (quoted(x), what))
-        if not mpmath.mp.isfinite(xm):
+        if not mpc.isfinite(xm):
             raise DomainError("%s must be a finite real, got %s" % (what, xm))
-    if what == "exponent" and not isinstance(x, mpmath.mpf) and xm > _MAX_EXPONENT:
+    if what == "exponent" and not hasattr(x, "_mpf_") and xm > _MAX_EXPONENT:
         raise ResourceCapError("exponent cap is %d, got %s" % (_MAX_EXPONENT, xm))
     return xm
 
 
+def as_mpf(x):
+    """A real of a kept context as an mpmath.mpf with the same bits."""
+    import mpmath
+
+    return mpmath.mp.make_mpf(x._mpf_)
+
+
 def euler_gamma(ctx=DEFAULT_CONTEXT):
     """Euler-Mascheroni constant from the stored 30-digit reference."""
-    from mpmath import mp, mpf
-
-    with mp.workdps(ctx.working_digits):
-        return +mpf(_EULER_GAMMA_30)
+    return as_mpf(kept_context(ctx.working_digits).mpf(_EULER_GAMMA_30))
 
 
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
@@ -163,10 +184,10 @@ def _tail_correction(n0, z, prec):
     #   p = mpf(n0) ** -z;  total = p * n0 / (z - 1) + p / 2
     #   term_j = c_j * rising * p / n0 ** (2j - 1);  total += term_j
     #   rising *= (z + 2j - 1) * (z + 2j)
-    # in its order and rounded once, so the bits are that expression's
+    # in its order and rounded once, so the bits, both raw, are that expression's
     import mpmath
 
-    libmp, mp = mpmath.libmp, mpmath.mp
+    libmp = mpmath.libmp
     add, sub, mul, div = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
     from_int, fone = libmp.from_int, libmp.fone
     rnd = libmp.round_nearest
@@ -177,10 +198,10 @@ def _tail_correction(n0, z, prec):
     rising = zr  # rising factorial (z)_{2j-1}, extended two factors per step
     coefficients = _coefficients(prec)
     for j, c in enumerate(coefficients, start=1):
-        term = div(mul(mul(c._mpf_, rising, prec, rnd), p, prec, rnd),
+        term = div(mul(mul(c, rising, prec, rnd), p, prec, rnd),
                    from_int(n0 ** (2 * j - 1)), prec, rnd)
         if j == len(coefficients):
-            return mp.make_mpf(total), mp.make_mpf(libmp.mpf_abs(term))
+            return total, libmp.mpf_abs(term)
         total = add(total, term, prec, rnd)
         even = add(zr, from_int(2 * j), prec, rnd)  # z + 2j, and z + 2j - 1 from it
         rising = mul(rising, mul(sub(even, fone, prec, rnd), even, prec, rnd), prec, rnd)
@@ -211,12 +232,14 @@ _PRECISIONS_KEPT = 4
 
 @functools.lru_cache(maxsize=_PRECISIONS_KEPT)
 def _coefficients(prec):
-    # B_2j/(2j)! for each B_2j of _BERNOULLI, rounded to prec bits
-    from mpmath import mp
+    # raw B_2j/(2j)! for each B_2j of _BERNOULLI, as the mpf expression
+    # mpf(b.numerator) / b.denominator / (2j)! rounds it at prec bits
+    from mpmath.libmp import from_int, mpf_div, round_nearest
 
-    with mp.workprec(prec):
-        return tuple(as_real(b) / math.factorial(2 * j)
-                     for j, b in enumerate(_BERNOULLI, start=1))
+    return tuple(mpf_div(mpf_div(from_int(b.numerator), from_int(b.denominator), prec,
+                                 round_nearest),
+                         from_int(math.factorial(2 * j)), prec, round_nearest)
+                 for j, b in enumerate(_BERNOULLI, start=1))
 
 
 @functools.lru_cache(maxsize=_PRECISIONS_KEPT * sum(not d for d in _LPF[2:_LOG_CUTOFF]))
@@ -308,43 +331,46 @@ def _head(start, cutoff, z, prec):
 
 
 def _series_from(starts, z, ctx):
-    # the sums of k^(-z) over k >= start, one per start, to ctx.target_abs_tol
-    # at the working precision, z an mpf: the pole check and the goal tol/8
-    # are made once.  A sum is the head, added exactly and rounded once,
-    # plus the corrected tail from the cutoff
+    # the sums of k^(-z) over k >= start, one per start, to ctx.target_abs_tol,
+    # as reals of the context's kept context, z one of them: the pole check
+    # and the goal tol/8 are made once.  A sum is the head, added exactly
+    # and rounded once, plus the corrected tail from the cutoff
     import mpmath
 
-    libmp, mp = mpmath.libmp, mpmath.mp
-    prec, rnd = mp.prec, libmp.round_nearest
+    libmp = mpmath.libmp
+    mpc = kept_context(ctx.working_digits)
+    prec, rnd = mpc.prec, libmp.round_nearest
     _check_exponent(z, prec)
-    goal = as_real(ctx.target_abs_tol) / 8
+    goal = (as_real(ctx.target_abs_tol, "tolerance", mpc) / 8)._mpf_
     sums = []
     for start in starts:
         cutoff = max(64, start)
         tail, bound = _tail_correction(cutoff, z, prec)
-        while bound > goal:
+        while libmp.mpf_gt(bound, goal):
             cutoff *= 2
             if cutoff > _CUTOFF_CAP:
                 raise DomainError("tolerance %g is unreachable with B_8 corrections at z = %s"
                                   % (ctx.target_abs_tol, z))
             tail, bound = _tail_correction(cutoff, z, prec)
         head = _head(start, cutoff, z, prec)
-        sums.append(mp.make_mpf(libmp.mpf_add(head, tail._mpf_, prec, rnd)))
+        sums.append(mpc.make_mpf(libmp.mpf_add(head, tail, prec, rnd)))
     return sums
 
 
 @functools.lru_cache(maxsize=_PRECISIONS_KEPT)
 def _pole_guard(prec):
-    # 1 + 1e-9 rounded to prec bits: _check_exponent refuses every z at or below it
-    from mpmath import mp, mpf
+    # raw 1 + 1e-9 as 1 + mpf("1e-9") rounds it at prec bits: _check_exponent
+    # refuses every z at or below it
+    from mpmath.libmp import fone, from_str, mpf_add, round_nearest
 
-    with mp.workprec(prec):
-        return 1 + mpf("1e-9")
+    return mpf_add(fone, from_str("1e-9", prec, round_nearest), prec, round_nearest)
 
 
 def _check_exponent(zm, prec):
-    if zm <= _pole_guard(prec):
-        if zm <= 1:
+    from mpmath.libmp import fone, mpf_le
+
+    if mpf_le(zm._mpf_, _pole_guard(prec)):
+        if mpf_le(zm._mpf_, fone):
             raise PoleProximityError(
                 "z = %s is at or below 1, where the series diverges (need z > 1 + 1e-9)" % zm)
         raise PoleProximityError(
@@ -360,32 +386,26 @@ def zeta(z, ctx=DEFAULT_CONTEXT):
 
 def zeta_tail(start, z, ctx=DEFAULT_CONTEXT):
     """Sum of k^(-z) over k >= start; same domain and accuracy as zeta."""
-    from mpmath import mp
-
     int_at_least(start, "start")
-    with mp.workdps(ctx.working_digits):
-        (value,) = _series_from((start,), as_real(z, "exponent"), ctx)
-        return +value
+    zm = as_real(z, "exponent", kept_context(ctx.working_digits))
+    (value,) = _series_from((start,), zm, ctx)
+    return as_mpf(value)
 
 
 def tail_integral_approx(start, s, ctx=DEFAULT_CONTEXT):
     """Integral of x^(-2s) over [start, inf): start^(1-2s)/(2s-1)."""
-    from mpmath import mp, mpf
-
     int_at_least(start, "start")
-    with mp.workdps(ctx.working_digits):
-        sm = as_real(s, "exponent")
-        if not sm > mpf(1) / 2:
-            raise DivergenceError("the tail integral diverges for s <= 1/2")
-        return +(mpf(start) ** (1 - 2 * sm) / (2 * sm - 1))
+    mpc = kept_context(ctx.working_digits)
+    sm = as_real(s, "exponent", mpc)
+    if not sm > mpc.mpf(1) / 2:
+        raise DivergenceError("the tail integral diverges for s <= 1/2")
+    return as_mpf(mpc.mpf(start) ** (1 - 2 * sm) / (2 * sm - 1))
 
 
 def laurent_zeta_approx(delta, ctx=DEFAULT_CONTEXT):
     """Two-term pole expansion 1/(2 delta) + gamma, approximating zeta(1+2 delta)."""
-    from mpmath import mp, mpf
-
-    with mp.workdps(ctx.working_digits):
-        d = as_real(delta, "delta")
-        if not 0 < d <= mpf(1) / 2:
-            raise DomainError("delta must lie in (0, 1/2], got %s" % d)
-        return +(1 / (2 * d) + mpf(_EULER_GAMMA_30))
+    mpc = kept_context(ctx.working_digits)
+    d = as_real(delta, "delta", mpc)
+    if not 0 < d <= mpc.mpf(1) / 2:
+        raise DomainError("delta must lie in (0, 1/2], got %s" % d)
+    return as_mpf(1 / (2 * d) + mpc.mpf(_EULER_GAMMA_30))

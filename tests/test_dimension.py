@@ -26,7 +26,7 @@ from cfdim import (
     zeta,
     zeta_tail,
 )
-from cfdim.special import as_real
+from cfdim.special import as_mpf, as_real, kept_context
 
 
 def test_j_interval_is_gap_to_floor_extension():
@@ -365,8 +365,8 @@ def test_a_covering_sum_is_within_its_error_budget(m_floor, levels, pick, s):
     caps = _caps_within(m_floor, levels, 1000)
     cap = caps[pick % len(caps)]
     got = covering_sum_enumerated(m_floor, s, levels, cap)
-    with mp.workdps(50):
-        sm, prec = as_real(s), mp.prec
+    fifty = kept_context(50)
+    sm, prec = as_mpf(as_real(s, "exponent", fifty)), fifty.prec
     with mp.workdps(90):
         ref = _telescoped_cover_sum(m_floor, sm, levels, cap)
         units = abs(got - ref) / ref * mpf(2) ** prec

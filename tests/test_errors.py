@@ -16,7 +16,7 @@ from cfdim.errors import (
     DomainError, exact_positive_fraction, int_at_least, is_int, match_number, quoted,
     nearest_float, read_fraction, read_int, read_ints, read_lines,
 )
-from cfdim.special import as_real
+from cfdim.special import as_real, kept_context
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "cfdim"
 
@@ -129,9 +129,9 @@ def test_text_in_the_grammar_reads_as_fraction_float_and_mpmath_read_it(text):
                 real = mpmath.mpf(text)
             except ValueError:  # mpmath misreads a few zeros, such as ".0"
                 with pytest.raises(DomainError, match="^cannot interpret "):
-                    as_real(text)
+                    as_real(text, "value", kept_context(50))
             else:
-                assert as_real(text) == real
+                assert as_real(text, "value", kept_context(50)) == real
         if want > 0:
             assert exact_positive_fraction(text, "t") == want
 
@@ -145,7 +145,7 @@ def test_text_outside_the_grammar_is_refused_by_every_reader(text):
     with pytest.raises(DomainError, match="^t is not a rational: "):
         exact_positive_fraction(text, "t")
     with pytest.raises(DomainError, match="^cannot interpret .* as a real t$"):
-        as_real(text, "t")
+        as_real(text, "t", kept_context(50))
 
 
 def test_an_exponent_past_the_int_string_limit_is_refused_before_its_power_is_built():
@@ -164,7 +164,7 @@ def test_an_exponent_past_the_int_string_limit_is_refused_before_its_power_is_bu
     assert read_fraction("0.5e4299", "eps") == 5 * 10 ** 4298
     # mpmath has no such limit, so as_real reads the text and its cap decides
     with mpmath.mp.workdps(50):
-        assert as_real("1e-10000000") == mpmath.mpf("1e-10000000")
+        assert as_real("1e-10000000", "value", kept_context(50)) == mpmath.mpf("1e-10000000")
 
 
 def test_nearest_float_rounds_as_float_does_and_overflows_to_inf():
@@ -516,4 +516,32 @@ def test_as_real_hands_mpmath_text_only_after_the_grammar_check():
     for text in ("0.75L", "\u0662.\u0665", "1_0"):
         assert mpmath.mpf(text)
         with pytest.raises(DomainError, match="^cannot interpret .* as a real value$"):
-            as_real(text)
+            as_real(text, "value", kept_context(50))
+
+
+def _precision_state(source):
+    # (line, name) of each workdps or workprec, and of each read or write of
+    # prec or dps on mpmath's process-wide context, spelled mp or mpmath.mp
+    for node in ast.walk(ast.parse(source)):
+        names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else \
+            [getattr(node, "id", getattr(node, "attr", None))]
+        for name in names:
+            if name in ("workdps", "workprec"):
+                yield node.lineno, name
+        if isinstance(node, ast.Attribute) and node.attr in ("prec", "dps"):
+            owner = node.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) == "mp":
+                yield node.lineno, "mp." + node.attr
+
+
+def test_no_layer_reads_or_sets_the_process_wide_precision():
+    # every real is computed on a kept private context: a result depends
+    # neither on other threads nor on the caller's mpmath precision
+    assert sorted(_precision_state(
+        "from mpmath import workprec\nwith mp.workdps(50):\n    p = mp.prec\n"
+        "mpmath.mp.dps = 15\nmpc.prec, ctx.dps, x.workdps\n")) \
+        == [(1, "workprec"), (2, "workdps"), (3, "mp.prec"), (4, "mp.dps"), (5, "workdps")]
+    offenders = ["%s:%d %s" % (p.name, line, name)
+                 for p in sorted(_SRC.glob("*.py"))
+                 for line, name in _precision_state(p.read_text())]
+    assert offenders == [], "compute on special.kept_context instead"

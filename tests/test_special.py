@@ -3,6 +3,8 @@
 import gc
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -31,10 +33,15 @@ from cfdim.dimension import covering_sum_enumerated, critical_exponent, per_leve
 from cfdim.hirst import covering_product_bound
 from cfdim.sequences import parse_digit_set, parse_index_sequence
 from cfdim.special import (
-    _LPF, _head, _prime_power, _tail_correction, _wide_neg_power, as_real,
+    _LPF, _head, _prime_power, _tail_correction, _wide_neg_power, as_mpf, as_real, kept_context,
 )
 
 TIGHT = PrecisionContext(target_abs_tol=1e-20, working_digits=60)
+
+
+def _real(x, digits=50):
+    # x as an mpmath.mpf, read at the given digits as every layer reads it
+    return as_mpf(as_real(x, "value", kept_context(digits)))
 
 
 def test_zeta_spot_values():
@@ -198,9 +205,9 @@ def test_a_fraction_or_mpf_tolerance_acts_as_its_float():
 
 def test_as_real_refuses_a_bool_and_an_infinity():
     with pytest.raises(DomainError, match="^expected a real value, got a boolean$"):
-        as_real(True)
+        as_real(True, "value", kept_context(50))
     with pytest.raises(DomainError, match=r"^value must be a finite real, got \+inf$"):
-        as_real(float("inf"))
+        as_real(float("inf"), "value", kept_context(50))
 
 
 def _big_omega(k):
@@ -221,8 +228,7 @@ def test_a_head_sum_is_within_its_error_budget(z):
     # Omega(k) + z log k 2^-10.  The reference is a 120-digit mp.fsum of
     # direct powers at the same 50-digit z
     omega = [_big_omega(k) for k in range(1 << 14)]
-    with mp.workdps(50):
-        zm, prec = as_real(z), mp.prec
+    zm, prec = _real(z), kept_context(50).prec
     weights = [0.0] + [float(k) ** -float(zm) for k in range(1, 1 << 14)]
     with mp.workdps(120):
         terms = [mpf(0)] + [mpf(k) ** -zm for k in range(1, 1 << 14)]
@@ -245,7 +251,7 @@ def test_wide_kernel_terms_carry_only_their_prime_powers_roundings(z):
     # products below 2^-(prec + 63)
     ks = list(range(1, 1 << 12)) + [1 << 15]
     with mp.workdps(50):
-        zm = as_real(z)
+        zm = _real(z)
         prec = mp.prec
         memo = [None] * 64
         nz = mpf_neg(zm._mpf_)
@@ -323,7 +329,7 @@ def test_a_prime_power_has_the_bits_of_mpf_pow(cold_tables, digits, sample):
     with mp.workdps(digits):
         prec = mp.prec
         for z in ("0.7", Fraction(10, 7), "1.000000002", "3.75"):
-            nz = mpf_neg(as_real(z)._mpf_)
+            nz = mpf_neg(_real(z, digits)._mpf_)
             want = [mpf_pow(from_int(p), nz, prec, round_nearest) for p in primes]
             assert [_prime_power(p, nz, prec) for p in primes] == want, z
     info = special._log_prime.cache_info()
@@ -337,7 +343,7 @@ def test_an_integer_or_half_integer_prime_power_is_mpf_pow_itself(monkeypatch, c
     monkeypatch.setattr(mpmath.libmp, "mpf_pow",
                         lambda *args: calls.append(args) or mpf_pow(*args))
     with mp.workdps(50):
-        nz = mpf_neg(as_real(z)._mpf_)
+        nz = mpf_neg(_real(z)._mpf_)
         want = [mpf_pow(from_int(p), nz, mp.prec, round_nearest) for p in _PRIMES[:100]]
         assert [_prime_power(p, nz, mp.prec) for p in _PRIMES[:100]] == want
     assert len(calls) == 100 and special._log_prime.cache_info().currsize == 0
@@ -369,18 +375,18 @@ def test_zeta_tail_and_the_critical_exponent_keep_their_bits(cold_tables, digits
 
 @pytest.mark.parametrize("digits", [50, 100, 1000])
 def test_the_kept_coefficients_are_those_of_the_working_precision(digits):
-    # B_2j/(2j)! as the correction once formed it at every call
+    # B_2j/(2j)! as the mpf expression once formed it at every call
     with mp.workdps(digits):
-        want = [(as_real(b) / math.factorial(2 * j))._mpf_
+        want = [(mpf(b.numerator) / b.denominator / math.factorial(2 * j))._mpf_
                 for j, b in enumerate(special._BERNOULLI, start=1)]
-        assert [c._mpf_ for c in special._coefficients(mp.prec)] == want
+        assert list(special._coefficients(mp.prec)) == want
 
 
 @pytest.mark.parametrize("digits", [50, 100, 1000])
 def test_the_kept_pole_guard_is_that_of_the_working_precision(digits):
     # 1 + 1e-9, read from text at the working precision
     with mp.workdps(digits):
-        assert special._pole_guard(mp.prec)._mpf_ == (1 + mpf("1e-9"))._mpf_
+        assert special._pole_guard(mp.prec) == (1 + mpf("1e-9"))._mpf_
 
 
 def test_an_exponent_at_or_below_one_is_told_the_series_diverges():
@@ -440,7 +446,7 @@ def test_euler_maclaurin_remainder_bound_is_the_b10_term(z):
     with mp.workdps(50):
         zm = mpf(z)
         for n0 in (64, 1000, 2 ** 16):
-            _, bound = _tail_correction(n0, zm, mp.prec)
+            bound = mp.make_mpf(_tail_correction(n0, zm, mp.prec)[1])
             ref = abs(mp.bernoulli(10) / mp.factorial(10) * mp.rf(zm, 9) * mpf(n0) ** (-zm - 9))
             assert abs(bound - ref) <= ref * mpf("1e-40"), n0
 
@@ -450,7 +456,7 @@ def _mpf_tail_correction(n0, z):
     p = mpf(n0) ** (-z)
     total = p * n0 / (z - 1) + p / 2
     rising = z
-    coefficients = special._coefficients(mp.prec)
+    coefficients = [mp.make_mpf(c) for c in special._coefficients(mp.prec)]
     for j, c in enumerate(coefficients, start=1):
         term = c * rising * p / n0 ** (2 * j - 1)
         if j == len(coefficients):
@@ -473,20 +479,22 @@ _TAIL_EXPONENTS = st.one_of(
 @given(st.integers(1, 10 ** 9), _TAIL_EXPONENTS, st.integers(50, 300))
 def test_the_raw_tail_correction_has_the_bits_of_the_mpf_expression(n0, z, digits):
     with mp.workdps(digits):
-        zm = as_real(z)
+        zm = _real(z, digits)
         got = _tail_correction(n0, zm, mp.prec)
         want = _mpf_tail_correction(n0, zm)
-    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+    assert list(got) == [v._mpf_ for v in want]
 
 
 def _count_noninteger_powers(monkeypatch):
-    # mpf ** mpf, the raw libmp.mpf_pow of the direct covering terms, and
-    # the kernel's prime powers.  A prime power at an integer or
-    # half-integer exponent, or of a prime past the cutoff, calls mpf_pow,
-    # and every other one takes its kept logarithm; mpf.__pow__ calls its
-    # own binding of mpf_pow.  So no power is counted twice
+    # mpf ** mpf in every mpmath context (each context's mpf class inherits
+    # __pow__ from the one base class), the raw libmp.mpf_pow of the direct
+    # covering terms, and the kernel's prime powers.  A prime power at an
+    # integer or half-integer exponent, or of a prime past the cutoff,
+    # calls mpf_pow, and every other one takes its kept logarithm;
+    # mpf.__pow__ calls its own binding of mpf_pow.  So no power is counted twice
     counts = [0]
-    real_pow = mpmath.mpf.__pow__
+    base = mpmath.ctx_mp_python._mpf
+    real_pow = base.__pow__
     real_raw_pow = mpmath.libmp.mpf_pow
     real_prime_power = special._prime_power
 
@@ -505,7 +513,7 @@ def _count_noninteger_powers(monkeypatch):
             counts[0] += 1
         return real_prime_power(p, nz, prec)
 
-    monkeypatch.setattr(mpmath.mpf, "__pow__", counting_pow)
+    monkeypatch.setattr(base, "__pow__", counting_pow)
     monkeypatch.setattr(mpmath.libmp, "mpf_pow", counting_raw_pow)
     monkeypatch.setattr(special, "_prime_power", counting_prime_power)
     return counts
@@ -583,24 +591,25 @@ def test_a_non_integer_covering_sum_stays_on_integers(monkeypatch):
 
 
 def test_the_head_stays_raw(monkeypatch):
-    # raw values wrapped as mpf objects through mp.make_mpf, which mp.fsum
-    # also calls for its sum.  A series wraps the tail's sum and bound and
-    # its own value: 3 for zeta, and 6 for a factor, whose second series
-    # starts at 1000.  An mpf for each of the 63 head terms and for the sum
-    # made 64 and 65
+    # raw values wrapped as mpf objects through make_mpf, in any mpmath
+    # context, which fsum also calls for its sum.  The tail correction
+    # stays raw, a series wraps its own value in the kept context, and the
+    # result is wrapped once more as an mpmath.mpf: 2 for zeta, and 3 for a
+    # factor, whose second series starts at 1000.  An mpf for each of the
+    # 63 head terms and for the sum made 64 and 65
     counts = [0]
-    real_make_mpf = mp.make_mpf
+    real_make_mpf = type(mp).make_mpf
 
-    def counting_make_mpf(v):
+    def counting_make_mpf(ctx, v):
         counts[0] += 1
-        return real_make_mpf(v)
+        return real_make_mpf(ctx, v)
 
-    monkeypatch.setattr(mp, "make_mpf", counting_make_mpf)
+    monkeypatch.setattr(type(mp), "make_mpf", counting_make_mpf)
     zeta("2.5")
-    assert counts[0] <= 3
+    assert counts[0] <= 2
     counts[0] = 0
     per_level_factor(1000, "0.75")
-    assert counts[0] <= 6
+    assert counts[0] <= 3
 
 
 def _reference_zeta_tail(start, z, tol):
@@ -668,3 +677,58 @@ def test_head_memo_stays_small_at_the_largest_cutoff():
     finally:
         tracemalloc.stop()
     assert peak <= 6.2e6
+
+
+def test_results_keep_their_bits_while_another_thread_runs_at_another_precision():
+    # two threads at different contexts, the interpreter switching between
+    # them every 10 us: thread A takes zeta at 120 digits, thread B a
+    # covering sum and a factor at 30 digits (held as 50), 40 rounds each.
+    # Every one of the 200 results has the bits of the same call made alone
+    wide, narrow = PrecisionContext(1e-40, 120), PrecisionContext(1e-12, 30)
+    calls = {
+        "a": [lambda z=z: zeta(z, wide) for z in ("1.5", "2.5", "3.5")],
+        "b": [lambda: covering_sum_enumerated(2, "0.7", 2, 12, narrow),
+              lambda: per_level_factor(10, "0.9", narrow)],
+    }
+    rounds = 40
+    serial = {name: [f()._mpf_ for f in fs] for name, fs in calls.items()}
+    got = {name: [] for name in calls}
+
+    def run(name):
+        for _ in range(rounds):
+            got[name].extend(f()._mpf_ for f in calls[name])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    mismatches = sum(a != b for name in calls for a, b in zip(got[name], serial[name] * rounds))
+    assert [len(got[name]) for name in calls] == [120, 80] and mismatches == 0
+
+
+def test_a_call_leaves_the_callers_precision_alone():
+    # a watcher thread samples mp.prec every 0.1 ms while a solve of about
+    # 0.3 s at 300 digits runs, and sees only the caller's own precision
+    caller = mp.prec
+    seen = set()
+    done = threading.Event()
+
+    def watch():
+        while not done.wait(1e-4):
+            seen.add(mp.prec)
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        assert critical_exponent(1000, 1e-30, 2, PrecisionContext(1e-30, 300)).converged
+    finally:
+        done.set()
+        watcher.join(timeout=10)
+    assert not watcher.is_alive() and seen == {caller} and mp.prec == caller
