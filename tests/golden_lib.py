@@ -26,8 +26,9 @@ The groups:
 - ``dimension.cover``: ``covering_sum_enumerated`` at floors 1 to 6 and
   levels 1 to 3, with the cap at the floor and past it, at integer,
   half-integer, other rational and decimal-text exponents, huge ones
-  among them; a grid whose words reach M q_n + q_{n-1} >= 2^16; one
-  small grid at the two other contexts; and every refusal;
+  among them; a grid whose words reach M q_n + q_{n-1} >= 2^16; large
+  exponents that are neither integers nor half-integers, on that grid
+  too; one small grid at the two other contexts; and every refusal;
 - ``hirst.sums``: ``digit_power_sum`` and ``digit_tail_power_sum`` on
   ``all``, ``geq:M``, ``square``, ``pow:b`` and a file set, at floors
   either side of the first cutoff 64 and exponents from the divergent
@@ -175,6 +176,12 @@ def _cover():
     # each, as do some of the level-3 words at floor 6 above
     for s in [1, Fraction(17, 20)]:
         yield _row(covering_sum_enumerated, 4, s, 3, 8)
+    # large exponents that are neither integers nor half-integers, where a
+    # prime below 2^12 takes its kept logarithm; the grid at floor 4 also
+    # takes direct powers of q r
+    for m, s, levels, cap in [(2, Fraction(1000001, 7), 1, 5), (2, Fraction(100003, 3), 1, 5),
+                              (3, Fraction(2999999, 6), 2, 6), (4, Fraction(1000001, 7), 3, 8)]:
+        yield _row(covering_sum_enumerated, m, s, levels, cap)
     for ctx in _contexts()[1:]:
         for s in [2, Fraction(7, 10), "2.5"]:
             yield _row(covering_sum_enumerated, 3, s, 2, 5, ctx)
