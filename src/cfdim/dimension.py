@@ -21,9 +21,7 @@ from typing import NamedTuple
 
 from . import cfcore
 from .errors import DivergenceError, DomainError, ResourceCapError, _check_tolerance, int_at_least
-from .special import (
-    _CUTOFF_CAP, DEFAULT_CONTEXT, _series_from, _wide_neg_power, as_mpf, as_real, kept_context,
-)
+from .special import DEFAULT_CONTEXT, _power_sum, _series_from, as_mpf, as_real, kept_context
 
 __all__ = [
     "CriticalSolveResult",
@@ -204,17 +202,11 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     1/(q r) with r = M q_n + q_{n-1}, so only the final powers and their
     sum are floating point.
 
-    A word with r < 2^16 (so q < 2^16 too) takes q^(-s) and r^(-s) from
-    special's power kernel _wide_neg_power as integer pairs (m, e), the
-    value m 2^e with m of prec + 64 bits: one power per prime, and the
-    truncated product of the terms of the least prime factor and of the
-    cofactor for a composite.  The sum keeps one memo of the pairs below
-    2^13, so each prime there takes its power once, and reads it before
-    calling the kernel, so a hit makes no call.  A word with r >= 2^16
-    takes one direct power of q r.  Every term, the product of the two
-    mantissas or the direct power, is added into one integer whose unit
-    lies 64 bits below the ulp of the first word's term, the largest, as
-    all-minimal digits minimise q and r; the sum is rounded to prec once.
+    The pairs (q, r) go to special's _power_sum, the exact sum that also
+    makes the zeta head (see special for its power kernel), with a memo
+    of the powers below 2^13, so each prime there takes its power once.
+    The first word's term is the largest, as all-minimal digits minimise
+    q and r; the sum is rounded to prec once.
 
     The error budget, relative, in units u = 2^-prec: each rounded power
     of a k is within u, plus the error of mpmath's logarithm at prec + 10
@@ -239,9 +231,6 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     digit_cap modest at levels = 3.  Its first 10^5 words, 43 % of them
     direct, take 9-17 us a word, and 11-22 us with a rounded mpf sum.
     """
-    from mpmath import mp
-    from mpmath.libmp import from_int, from_man_exp, mpf_neg, mpf_pow, round_nearest
-
     int_at_least(m_floor, "digit floor")
     int_at_least(levels, "levels")
     if levels > _LEVEL_CAP:
@@ -253,27 +242,8 @@ def covering_sum_enumerated(m_floor, s, levels, digit_cap, ctx=DEFAULT_CONTEXT):
     sm = as_real(s, "exponent", mpc)
     if not sm > 0:
         raise DomainError("exponent s must be positive")
-    prec = mpc.prec
-    nz = mpf_neg(sm._mpf_)
-    memo = [None] * _COVER_MEMO
-    total, unit = 0, None
-    for q, r in _j_factors(m_floor, levels, digit_cap):
-        if r < _CUTOFF_CAP:
-            # the kernel is called only on a memo miss
-            tq = memo[q] if q < _COVER_MEMO else None
-            if tq is None:
-                tq = _wide_neg_power(q, memo, nz, prec)
-            tr = memo[r] if r < _COVER_MEMO else None
-            if tr is None:
-                tr = _wide_neg_power(r, memo, nz, prec)
-            m, e = tq[0] * tr[0], tq[1] + tr[1]
-        else:
-            _, m, e, _ = mpf_pow(from_int(q * r), nz, prec, round_nearest)
-        if unit is None:
-            # the first word's term is the largest: 64 bits below its ulp
-            unit = e + m.bit_length() - prec - 64
-        total += m << (e - unit) if e >= unit else m >> (unit - e)
-    return mp.make_mpf(from_man_exp(total, unit, prec, round_nearest))
+    pairs = _j_factors(m_floor, levels, digit_cap)
+    return as_mpf(mpc.make_mpf(_power_sum(pairs, _COVER_MEMO, sm, mpc.prec)))
 
 
 class ReferenceBounds(NamedTuple):

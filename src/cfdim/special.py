@@ -36,27 +36,30 @@ which moves it by less than 2^-(prec + 63) relative.  One loop walks
 the cofactors down to a memo hit or a prime, at most Omega(k) links,
 then multiplies the factors' pairs back in.  A least prime factor is
 one lookup in _LPF, a 64 KiB table that two slice sieves build at
-import in about 0.4 ms (2-core Xeon VM).  The caller passes a list as
-the memo, which keeps the pairs below its length and is freed with the
-call: a module-level function holds no reference to itself, so no cycle
-keeps it.  For the head the memo is N/2 long, below which both factors
-of every composite term lie, so a zeta value costs one power per prime
+import in about 0.4 ms (2-core Xeon VM).  _power_sum makes the memo, a
+list that keeps the pairs below its length and is freed with the call:
+a module-level function holds no reference to itself, so no cycle keeps
+it.  It reads the memo before it calls the kernel, so a hit makes no
+call.  For the head the memo is N/2 long, below which both factors of
+every composite term lie, so a zeta value costs one power per prime
 below the cutoff plus one per cutoff tried: 19 at N = 64, where one
 power per term made 70.
 
-The head is one exact sum: _head adds every pair into one integer whose
-unit lies 64 bits below the ulp of the first term, the largest, and
-rounds the sum to prec once.  A term of k carries only its Omega(k)
-rounded powers, each within u = 2^-prec relative, plus the error of
-mpmath's logarithm at prec + 10 bits, z log k 2^-10 u in all (see
-below).  So the head is within (W + 1) u relative, W the mean over its
-terms, weighted by their values, of Omega(k) + z log k 2^-10: Omega(k)
-<= 15 below 2^16, and the truncations add less than 2^-46 u.  An
-enclosure of the head must widen it by that much.  The covering sums of
-dimension take their terms from the same kernel and add them the same
-way.  The tail corrections run on raw values too: they do each
-operation of the mpf expression they replaced, in its order, rounded
-once to nearest at the working precision, so their bits are that
+The head is one exact sum, made by _power_sum, which makes the covering
+sums of dimension too.  It adds the terms (q r)^(-z) of integer pairs
+q <= r, the head's being (1, k), into one integer whose unit lies 64
+bits below the ulp of the first term, the largest, and rounds the sum to
+prec once.  Memo slot 1 holds the unit pair (1, 0), so the term of
+(1, k) is the pair of k exactly; a pair with r >= 2^16 takes one direct
+power of q r.  A term of k carries only its Omega(k) rounded powers,
+each within u = 2^-prec relative, plus the error of mpmath's logarithm
+at prec + 10 bits, z log k 2^-10 u in all (see below).  So the head is
+within (W + 1) u relative, W the mean over its terms, weighted by their
+values, of Omega(k) + z log k 2^-10: Omega(k) <= 15 below 2^16, and the
+truncations add less than 2^-46 u.  An enclosure of the head must widen
+it by that much.  The tail corrections run on raw values too: they do
+each operation of the mpf expression they replaced, in its order,
+rounded once to nearest at the working precision, so their bits are that
 expression's.
 
 A prime's power p^(-z) has the bits that mpf.__pow__ gives.  At an
@@ -74,8 +77,8 @@ the table's own entry at 50 digits.  Each value kept is the very value
 the computation would round again, and a context is never changed, so
 no bit of any result depends on what the tables hold, and every caller
 in the process, in any thread, can share them.
-The primes past 2^12, which only a head or a covering sum of a large
-cutoff meets, take mpf_pow as before, so a call keeps at most the
+The primes past 2^12, which only a head of a large cutoff or a covering
+sum meets, take mpf_pow itself, so a call keeps at most the
 logarithms of 564 primes, some 400 KB at 50 digits.  The formula is
 mpmath 1.3.x's; test_a_prime_power_has_the_bits_of_mpf_pow checks it
 against the mpmath in use.
@@ -282,10 +285,10 @@ def _wide_neg_power(k, memo, nz, prec):
     # prec + 64 bits, which moves it by less than 2^-(prec + 63) relative.
     # The loop walks the chain of cofactors down to a memo hit or a prime,
     # then multiplies the factors' terms back in.  memo, a list, keeps
-    # every pair below its length
+    # every pair below its length; a caller reads memo[k] before calling
     width = prec + 64
     n = len(memo)
-    v = memo[k] if k < n else None
+    v = None
     links = []
     while v is None:
         p = _LPF[k]
@@ -311,22 +314,35 @@ def _wide_neg_power(k, memo, nz, prec):
     return v
 
 
-def _head(start, cutoff, z, prec):
-    # the raw sum of k^(-z) over k in [start, cutoff), rounded to prec bits
-    # once.  Every term has prec + 64 bits and none exceeds the first, so
-    # each is added into one integer in units of the first term's last bit,
-    # dropping only its bits below that unit.  The least prime factor and the
-    # cofactor of a composite k are below cutoff/2, and only those are ever
-    # reused, so the memo keeps k < cutoff/2 alone
-    from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
+def _power_sum(pairs, memo_len, z, prec):
+    # the raw sum of (q r)^(-z) over the integer pairs (q, r), q <= r, whose
+    # first term is the largest, rounded to prec bits once.  A pair with
+    # r < 2^16 takes q^(-z) and r^(-z) from _wide_neg_power, after reading
+    # a memo of memo_len pairs, so a hit makes no call; its slot 1 holds the
+    # unit pair (1, 0), so the term of (1, r) is r's pair exactly.  A pair
+    # with r >= 2^16 takes one direct power of q r.  Every term is added
+    # into one integer whose unit lies 64 bits below the ulp of the first
+    # term, dropping only its bits below that unit
+    from mpmath.libmp import from_int, from_man_exp, mpf_neg, mpf_pow, round_nearest
 
-    if start >= cutoff:
-        return fzero
     nz = mpf_neg(z._mpf_)
-    memo = [None] * ((cutoff + 1) // 2)
-    terms = (_wide_neg_power(k, memo, nz, prec) for k in range(start, cutoff))
-    total, unit = next(terms)
-    total += sum(m >> (unit - e) for m, e in terms)
+    memo = [None] * memo_len
+    memo[1] = (1, 0)
+    total, unit = 0, None
+    for q, r in pairs:
+        if r < _CUTOFF_CAP:
+            tq = memo[q] if q < memo_len else None
+            if tq is None:
+                tq = _wide_neg_power(q, memo, nz, prec)
+            tr = memo[r] if r < memo_len else None
+            if tr is None:
+                tr = _wide_neg_power(r, memo, nz, prec)
+            m, e = tq[0] * tr[0], tq[1] + tr[1]
+        else:
+            _, m, e, _ = mpf_pow(from_int(q * r), nz, prec, round_nearest)
+        if unit is None:
+            unit = e + m.bit_length() - prec - 64
+        total += m << (e - unit) if e >= unit else m >> (unit - e)
     return from_man_exp(total, unit, prec, round_nearest)
 
 
@@ -352,7 +368,11 @@ def _series_from(starts, z, ctx):
                 raise DomainError("tolerance %g is unreachable with B_8 corrections at z = %s"
                                   % (ctx.target_abs_tol, z))
             tail, bound = _tail_correction(cutoff, z, prec)
-        head = _head(start, cutoff, z, prec)
+        head = libmp.fzero
+        if start < cutoff:
+            # the least prime factor and the cofactor of a composite k are
+            # below cutoff/2, and only those are ever reused
+            head = _power_sum(((1, k) for k in range(start, cutoff)), (cutoff + 1) // 2, z, prec)
         sums.append(mpc.make_mpf(libmp.mpf_add(head, tail, prec, rnd)))
     return sums
 

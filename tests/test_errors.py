@@ -416,22 +416,29 @@ def _identifiers(source):
 
 
 def test_one_power_kernel_and_one_exact_sum_serve_every_power_sum():
-    # the zeta head and the covering sum take k^(-z) from special's
-    # _wide_neg_power alone and add the pairs exactly into one integer,
-    # rounded once, at every exponent: no rounded kernel, no mpf_sum, and
-    # no integer-s branch in dimension
+    # the zeta head and the covering sum are both special's _power_sum,
+    # which takes k^(-z) from _wide_neg_power alone and adds the pairs
+    # exactly into one integer, rounded once, at every exponent: no rounded
+    # kernel, no second accumulator, no mpf_sum, and no power, accumulator
+    # or integer-s branch in dimension
     assert _identifiers("from m import a as b, c\ndef f(x):\n    return x.d(e)\n") \
         == {"b", "c", "f", "x", "d", "e"}
     sources = {p.name: _identifiers(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
-    assert "_wide_neg_power" in sources["special.py"] & sources["dimension.py"]
-    assert "_neg_power" not in sources["special.py"]
+    assert {"_power_sum", "_wide_neg_power"} <= sources["special.py"]
+    assert not {"_neg_power", "_head"} & sources["special.py"]
+    assert not {"_wide_neg_power", "_CUTOFF_CAP", "mpf_pow", "from_int", "from_man_exp"} \
+        & sources["dimension.py"]
+    rounds = [node.lineno for node in ast.walk(ast.parse((_SRC / "special.py").read_text()))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "from_man_exp"]
+    assert len(rounds) == 1, rounds
     assert [name for name, ids in sources.items() if "mpf_sum" in ids] == []
     assert "isint" not in sources["dimension.py"]
 
 
 def test_only_dimension_reads_the_private_names_of_special():
     # special sets up every series in _series_from; dimension takes the
-    # series, the integer power kernel and its cap, and no set-up of its own
+    # series and the exact power sum, and no set-up of its own
     assert _names_imported_from(
         "from .special import _a, b\nfrom . import special\n"
         "def f(z):\n    return special._c(z), x.special._d\n", "special"
@@ -440,7 +447,7 @@ def test_only_dimension_reads_the_private_names_of_special():
                               if n.startswith("_"))
                for p in sorted(_SRC.glob("*.py")) if p.name != "special.py"}
     assert {name: names for name, names in private.items() if names} \
-        == {"dimension.py": ["_CUTOFF_CAP", "_series_from", "_wide_neg_power"]}
+        == {"dimension.py": ["_power_sum", "_series_from"]}
 
 
 def test_only_read_lines_opens_a_file():
