@@ -110,7 +110,8 @@ _EULER_GAMMA_30 = "0.577215664901532860606512090082"
 _MAX_DIGITS = 1000
 # as_real refuses a caller's exponent above it: zeta("1e1000") takes 5 s
 # and zeta("1e2000") 29 s, while at 10^6 every exponent function takes ms.
-# An mpf exponent is one computed inside, such as the 2s of a factor at s
+# A real of the kept context is one computed inside, such as the 2s of a
+# factor at s, and passes; a caller's mpmath.mpf is capped like its text
 _MAX_EXPONENT = 10 ** 6
 
 
@@ -144,7 +145,7 @@ def kept_context(digits):
 def as_real(x, what, mpc):
     """Coerce int/float/Fraction/mpf or number text to a finite real of the kept context mpc.
 
-    what names the value in a refusal; the exponent cap skips an mpf of any context.
+    what names the value in a refusal; the exponent cap skips a real of mpc alone.
     """
     if isinstance(x, bool):
         raise DomainError("expected a real %s, got a boolean" % what)
@@ -159,7 +160,7 @@ def as_real(x, what, mpc):
             raise DomainError("cannot interpret %s as a real %s" % (quoted(x), what))
         if not mpc.isfinite(xm):
             raise DomainError("%s must be a finite real, got %s" % (what, xm))
-    if what == "exponent" and not hasattr(x, "_mpf_") and xm > _MAX_EXPONENT:
+    if what == "exponent" and not isinstance(x, mpc.mpf) and xm > _MAX_EXPONENT:
         raise ResourceCapError("exponent cap is %d, got %s" % (_MAX_EXPONENT, xm))
     return xm
 

@@ -170,11 +170,13 @@ _EXPONENT_FUNCTIONS = {
 @pytest.mark.parametrize("name", sorted(_EXPONENT_FUNCTIONS))
 def test_an_exponent_past_a_million_is_refused_at_once(name):
     call = _EXPONENT_FUNCTIONS[name]
-    for s in (10 ** 6, "1e6", Fraction(10 ** 6)):
+    for s in (10 ** 6, "1e6", Fraction(10 ** 6), mpf(10 ** 6)):
         start = time.perf_counter()
         assert 0 < call(s) <= 1
         assert time.perf_counter() - start < 0.5
-    for s in ("1000000.5", 10 ** 6 + 1, "1e300", Fraction(10 ** 1000), "1e5000"):
+    # a caller's mpmath.mpf is capped as its text is
+    for s in ("1000000.5", 10 ** 6 + 1, "1e300", Fraction(10 ** 1000), "1e5000",
+              mpf("1e300"), mpf("1e1000")):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="^exponent cap is 1000000, got ") as exc:
             call(s)
