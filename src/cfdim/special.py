@@ -317,13 +317,8 @@ def _wide_neg_power(k, memo, nz, prec):
 
 def _power_sum(pairs, memo_len, z, prec):
     # the raw sum of (q r)^(-z) over the integer pairs (q, r), q <= r, whose
-    # first term is the largest, rounded to prec bits once.  A pair with
-    # r < 2^16 takes q^(-z) and r^(-z) from _wide_neg_power, after reading
-    # a memo of memo_len pairs, so a hit makes no call; its slot 1 holds the
-    # unit pair (1, 0), so the term of (1, r) is r's pair exactly.  A pair
-    # with r >= 2^16 takes one direct power of q r.  Every term is added
-    # into one integer whose unit lies 64 bits below the ulp of the first
-    # term, dropping only its bits below that unit
+    # first term is the largest, rounded to prec bits once; the kernel keeps
+    # the pairs below memo_len.  The module docstring says how it adds
     from mpmath.libmp import from_int, from_man_exp, mpf_neg, mpf_pow, round_nearest
 
     nz = mpf_neg(z._mpf_)

@@ -2,6 +2,7 @@
 
     python tests/golden_lib.py                   # rewrite tests/golden_lib.json from this tree
     python tests/golden_lib.py --rows GROUP      # print the rows of one group
+    python tests/golden_lib.py --rows GROUP --against DIR  # the rows that differ from DIR's
 
 Each group is a deterministic list of library calls.  A row records one
 call and what it gave, exactly: a real as its raw ``_mpf_`` tuple, an int
@@ -10,8 +11,9 @@ the exception's type name and message.  golden_lib.json holds, for each
 group, the number of rows and one SHA-256 over them.  test_golden_lib
 recomputes every group and compares both, so a change that moves one
 bit of any value, or one word of any refusal, names the groups it moved.
-To find the rows, print the group in the parent tree and in the change
-and diff the two outputs.
+``--against DIR`` finds the rows: it runs this file's generators on
+``DIR/src`` in a new interpreter and prints the index of each row that
+differs, then the row there (``-``) and here (``+``).
 
 The groups:
 
@@ -53,12 +55,15 @@ the group and the reason.
 """
 
 import hashlib
+import itertools
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
-TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_lib.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+TABLE = os.path.join(HERE, "golden_lib.json")
 
 
 def _raw(value):
@@ -399,12 +404,36 @@ def read_table():
         return json.load(f)
 
 
+# a child's program: argv holds the tree's src, this directory and the group
+_CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import golden_lib; " \
+         "print('\\n'.join(golden_lib.rows(sys.argv[3])))"
+
+
+def print_moved(group, tree):
+    """Print the index, the row in tree and the row here of each row of group that differs."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    child = subprocess.run([sys.executable, "-B", "-c", _CHILD, os.path.join(tree, "src"), HERE,
+                            group], env=env, capture_output=True, text=True)
+    if child.returncode:
+        sys.stderr.write(child.stderr)
+        return child.returncode
+    pairs = itertools.zip_longest(child.stdout.splitlines(), rows(group))
+    for i, (there, here) in enumerate(pairs):
+        if there != here:
+            print("%d\n- %s\n+ %s" % (i, there, here))
+    return 0
+
+
 def main(argv):
     if argv[:1] == ["--rows"] and len(argv) == 2 and argv[1] in GROUPS:
         print("\n".join(rows(argv[1])))
         return 0
+    if argv[:1] == ["--rows"] and len(argv) == 4 and argv[1] in GROUPS \
+            and argv[2] == "--against" and os.path.isdir(os.path.join(argv[3], "src", "cfdim")):
+        return print_moved(argv[1], argv[3])
     if argv:
-        print("usage: golden_lib.py [--rows {%s}]" % ",".join(GROUPS), file=sys.stderr)
+        print("usage: golden_lib.py [--rows {%s} [--against DIR]]" % ",".join(GROUPS),
+              file=sys.stderr)
         return 2
     table = {}
     for group in GROUPS:
@@ -417,5 +446,5 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(TABLE)), "src"))
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
     sys.exit(main(sys.argv[1:]))
